@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -252,20 +253,36 @@ class DiscreteData:
         return len(self.b)
 
 
-def _growth_curve(state: NonparamState, config: DiscreteConfig) -> np.ndarray | None:
-    """g*(t) on t = 0..L, or None when sum(g*) > 1 (rejected state)."""
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) of a 1-D array, rounded exactly as scipy.special.logsumexp
+    rounds it: the terms at the maximum are left out of the shifted sum and
+    counted back through log(n_max)."""
+    m = x.max()
+    at_max = x == m
+    rest = np.exp(x - m)
+    rest[at_max] = 0.0
+    n_max = np.count_nonzero(at_max)
+    return float(np.log1p(rest.sum() / n_max) + np.log(n_max) + m)
+
+
+def _log_curve(r1: float, r2: float | None, config: DiscreteConfig) -> np.ndarray:
+    """Exponent of the epidemic curve on t = 0..L: r1*t, or r1 up to day l1
+    and r2 after it for two-stage growth."""
     t = np.arange(config.l + 1, dtype=float)
     if config.growth == "single":
-        expo = state.r1 * t
-    else:
-        if state.r2 is None:
-            raise ValueError("two_stage growth needs r2")
-        expo = np.where(t <= config.l1, state.r1 * t,
-                        state.r1 * config.l1 + state.r2 * (t - config.l1))
+        return r1 * t
+    if r2 is None:
+        raise ValueError("two_stage growth needs r2")
+    return np.where(t <= config.l1, r1 * t, r1 * config.l1 + r2 * (t - config.l1))
+
+
+def _growth_curve(state: NonparamState, config: DiscreteConfig) -> np.ndarray | None:
+    """g*(t) on t = 0..L, or None when sum(g*) > 1 (rejected state)."""
+    expo = _log_curve(state.r1, state.r2, config)
     if not state.kappa > 0:
         return None
     log_g = math.log(state.kappa) + expo
-    total = sc.logsumexp(log_g)
+    total = _logsumexp(log_g)
     if total > 1e-9:  # sum g* > 1: outside the support
         return None
     return np.exp(log_g)
@@ -300,12 +317,17 @@ def _stay_weights(config: DiscreteConfig) -> np.ndarray:
     return p
 
 
-def _log_lik_discrete_arrays(data: DiscreteData, state: NonparamState,
-                             config: DiscreteConfig) -> tuple[float, int | None]:
-    """(log-likelihood, index of first zero-numerator case or None)."""
+def _scalar_terms(data: DiscreteData, state: NonparamState,
+                  config: DiscreteConfig) -> tuple | None:
+    """The part of the likelihood that does not involve h*: (G, w, log P(D)).
+
+    G[i, k] is g*(S*_i - k) on case i's feasible infection days and 0 off
+    them, w[i] = P(B*_i) P(E*_i | B*_i), and P(D) is the selection
+    normalizer.  None for a zero-density state.
+    """
     g = _growth_curve(state, config)
     if g is None:
-        return -math.inf, None
+        return None
     pe = _departure_matrix(state, config)
     pb = _stay_weights(config)
 
@@ -316,15 +338,29 @@ def _log_lik_discrete_arrays(data: DiscreteData, state: NonparamState,
     upper = np.triu(np.ones((T, T), dtype=bool))
     norm = float((pb[:, None] * pe * interval_g * upper).sum())
     if not norm > 0:
-        return -math.inf, None
+        return None
+    return g[data.t_idx] * data.t_mask, pb[data.b] * pe[data.b, data.e], math.log(norm)
 
-    h_rows = np.maximum(state.h[data.stratum], 0.0)          # (n, K)
-    conv = (g[data.t_idx] * data.t_mask * h_rows).sum(axis=1)
-    num = pb[data.b] * pe[data.b, data.e] * conv
+
+def _h_terms(data: DiscreteData, h: np.ndarray, terms: tuple) -> tuple[float, int | None]:
+    """(log-likelihood, index of first zero-numerator case or None) given the
+    h*-free terms of _scalar_terms."""
+    G, w, log_norm = terms
+    conv = (G * np.maximum(h[data.stratum], 0.0)).sum(axis=1)
+    num = w * conv
     zero = num <= 0
     if np.any(zero):
         return -math.inf, int(np.flatnonzero(zero)[0])
-    return float(np.log(num).sum() - len(data) * math.log(norm)), None
+    return float(np.log(num).sum() - len(data) * log_norm), None
+
+
+def _log_lik_discrete_arrays(data: DiscreteData, state: NonparamState,
+                             config: DiscreteConfig) -> tuple[float, int | None]:
+    """(log-likelihood, index of first zero-numerator case or None)."""
+    terms = _scalar_terms(data, state, config)
+    if terms is None:
+        return -math.inf, None
+    return _h_terms(data, state.h, terms)
 
 
 def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> float:
@@ -391,7 +427,7 @@ class _Coords:
         h = np.empty((self.S, self.K))
         for s in range(self.S):
             y = np.concatenate([u[self.h_idx[s]], [0.0]])
-            y = y - sc.logsumexp(y)
+            y = y - _logsumexp(y)
             h[s] = np.exp(y)
         kwargs = dict(h=h, r1=math.exp(vals["log_r1"]),
                       kappa=float(_sigmoid(vals["logit_kappa"])))
@@ -447,6 +483,25 @@ class _Coords:
 
 def _make_target(coords: _Coords, data: DiscreteData | None,
                  config: DiscreteConfig, h0: np.ndarray, prior_only: bool):
+    """The sampler's log-posterior on u.
+
+    The h*-free half of the likelihood depends only on the scalar block of
+    u, so it is kept for the last two scalar blocks seen (the chain's
+    current state and its latest proposal): an h* move reuses it.
+    """
+    n_scalars = coords.n_scalars
+    cache: OrderedDict[bytes, tuple | None] = OrderedDict()
+
+    def scalar_terms(u: np.ndarray, state: NonparamState) -> tuple | None:
+        key = u[:n_scalars].tobytes()
+        if key in cache:
+            cache.move_to_end(key)
+        else:
+            cache[key] = _scalar_terms(data, state, config)
+            if len(cache) > 2:
+                cache.popitem(last=False)
+        return cache[key]
+
     def log_post(u: np.ndarray) -> float:
         state = coords.state(u)
         total = coords.log_jacobian(u, state)
@@ -456,8 +511,8 @@ def _make_target(coords: _Coords, data: DiscreteData | None,
         for s in range(coords.S):
             total += log_prior_h(state.h[s], config.mu, h0)
         if not prior_only:
-            val, _ = _log_lik_discrete_arrays(data, state, config)
-            total += val
+            terms = scalar_terms(u, state)
+            total += -math.inf if terms is None else _h_terms(data, state.h, terms)[0]
         return total if np.isfinite(total) else -math.inf
 
     return log_post
@@ -531,16 +586,13 @@ def _init_state(coords: _Coords, config: DiscreteConfig, h0: np.ndarray,
         draw = rng.dirichlet(np.maximum(c.mu * h0, 1e-3))
         draw = np.maximum(draw, 1e-8)
         logits = np.log(draw) + 0.3 * rng.standard_normal(coords.K)
-        h[s] = np.exp(logits - sc.logsumexp(logits))
+        h[s] = np.exp(logits - _logsumexp(logits))
     r1 = rng.exponential(1.0)
     r2 = 2.0 * rng.standard_normal() if c.growth == "two_stage" else None
     if prior_only:
         cap = 1.0
     else:
-        t = np.arange(c.l + 1, dtype=float)
-        expo = (r1 * t if c.growth == "single"
-                else np.where(t <= c.l1, r1 * t, r1 * c.l1 + r2 * (t - c.l1)))
-        cap = math.exp(-float(sc.logsumexp(expo)))
+        cap = math.exp(-_logsumexp(_log_curve(r1, r2, c)))
     kappa = min(max(rng.uniform(0.0, cap), 1e-12), 1 - 1e-12)
     kwargs = dict(h=h, r1=r1, r2=r2, kappa=kappa)
     if c.departure == "uniform":

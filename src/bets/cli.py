@@ -99,17 +99,37 @@ def _load_cohort(path: str) -> list[CaseRecord]:
     if not os.path.exists(path):
         raise CliError(2, f"input file not found: {path}")
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        records = [CaseRecord.from_ints(
-            str(r["case_id"]), int(r["B_int"]), int(r["E_int"]), int(r["S_int"]),
-            gender=r.get("gender"), age_group=r.get("age_group"),
-            confirmed_int=r.get("confirmed_int"), location=r.get("location"))
-            for r in rows]
+        records = _read_cohort_json(path)
     else:
         records = timeline.read_cohort_csv(path)
     if not records:
         raise CliError(3, f"cohort is empty: {path}")
+    return records
+
+
+def _read_cohort_json(path: str) -> list[CaseRecord]:
+    """Records of a JSON cohort (a list of objects with the integer-day
+    fields); CaseTableError naming the file or the case on bad input."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:
+            raise CaseTableError(f"cohort file {path} is not valid JSON: {exc}") from None
+    if not isinstance(rows, list):
+        raise CaseTableError(f"cohort file {path} is not a list of case objects")
+    records = []
+    for rownum, r in enumerate(rows, start=1):
+        case = r.get("case_id", "?") if isinstance(r, dict) else "?"
+        try:
+            records.append(CaseRecord.from_ints(
+                str(r["case_id"]), int(r["B_int"]), int(r["E_int"]), int(r["S_int"]),
+                gender=r.get("gender"), age_group=r.get("age_group"),
+                confirmed_int=r.get("confirmed_int"), location=r.get("location")))
+        except KeyError as exc:
+            raise CaseTableError(
+                f"cohort row {rownum} (case {case}): missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CaseTableError(f"cohort row {rownum} (case {case}): {exc}") from None
     return records
 
 

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bets import bayes
 from bets.bayes import (
@@ -217,6 +217,23 @@ def test_log_lik_discrete_validates_h_shape():
         log_lik_discrete(recs, state, config)
 
 
+def test_logsumexp_matches_scipy_on_curve_exponents():
+    """Bitwise agreement with scipy.special.logsumexp on the 55-element log
+    curves the likelihood and the start-state draw reduce, and on pmf logits."""
+    rng = np.random.default_rng(87)
+    configs = (DiscreteConfig(), DiscreteConfig(growth="two_stage"))
+    for config in configs:
+        for r1 in (0.0, 1e-9, 0.003, 0.14, 0.5, 3.0):
+            for r2 in (-1.5, 0.0, 0.2):
+                expo = bayes._log_curve(r1, r2, config)
+                assert expo.shape == (config.l + 1,)
+                for x in (expo, math.log(0.37) + expo):
+                    assert bayes._logsumexp(x) == float(special.logsumexp(x))
+    for _ in range(200):
+        logits = np.log(rng.dirichlet(np.full(30, 0.5)) + 1e-12)
+        assert bayes._logsumexp(logits) == float(special.logsumexp(logits))
+
+
 def test_discrete_likelihood_tracks_the_continuous_one():
     """Across a growth-rate x incubation-rate grid around the truth, the
     whole-day likelihood orders parameter points like the continuous joint
@@ -333,6 +350,93 @@ def test_indistinguishable_strata_have_no_gap():
     for name in ("mean_incubation[diff]", "p_ge_7[diff]"):
         assert summ[name]["lo"] < 0 < summ[name]["hi"]
     assert "mean_incubation[male]" in summ and "mean_incubation[female]" in summ
+
+
+def _uncached_target(coords, data, config, h0):
+    """The sampler's log-posterior recomputed from scratch at every u, adding
+    its terms in the same order as the cached target."""
+    def log_post(u):
+        state = coords.state(u)
+        total = coords.log_jacobian(u, state)
+        total += log_prior_rest(state, config)
+        if not np.isfinite(total):
+            return -math.inf
+        for s in range(coords.S):
+            total += log_prior_h(state.h[s], config.mu, h0)
+        total += bayes._log_lik_discrete_arrays(data, state, config)[0]
+        return total if np.isfinite(total) else -math.inf
+
+    return log_post
+
+
+@pytest.fixture(scope="module")
+def gender_target():
+    base, _ = discrete_cohort(100, np.random.default_rng(93))
+    recs = [dataclasses.replace(c, gender=("male", "female")[i % 2])
+            for i, c in enumerate(base)]
+    config = DiscreteConfig(strata="gender")
+    data = DiscreteData.from_records(recs, config)
+    coords = bayes._Coords(config)
+    h0 = discretized_base_pmf()
+    fresh = _uncached_target(coords, data, config, h0)
+    rng = np.random.default_rng(94)
+    u0 = bayes._init_state(coords, config, h0, rng, prior_only=False)
+    while not np.isfinite(fresh(u0)):
+        u0 = bayes._init_state(coords, config, h0, rng, prior_only=False)
+    return coords, data, config, h0, u0
+
+
+def test_cached_target_is_exact(gender_target, monkeypatch):
+    """Every value of the cached target equals a from-scratch evaluation, on
+    a chain whose rejected scalar proposals push entries out of the cache."""
+    coords, data, config, h0, u0 = gender_target
+    scalar_calls = []
+    real = bayes._scalar_terms
+
+    def counted(*args):
+        scalar_calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bayes, "_scalar_terms", counted)
+    target = bayes._make_target(coords, data, config, h0, prior_only=False)
+    visited = []
+
+    def recorded(u):
+        lp = target(u)
+        visited.append((u.copy(), lp))
+        return lp
+
+    steps = 150
+    _, rates, _ = bayes._run_chain_impl(coords, recorded, steps, 0, 1,
+                                        np.random.default_rng(5), u0,
+                                        np.array([0.3, 0.15, 0.15]), adapt=False)
+    assert 0 < rates[0] < 1  # scalar moves both accepted and rejected
+    # one miss per scalar proposal plus the start: every h move hits
+    assert len(scalar_calls) == 1 + steps
+    assert len(visited) == 1 + steps * (1 + coords.S)
+    fresh = _uncached_target(coords, data, config, h0)
+    for u, lp in visited:
+        assert lp == fresh(u)
+    # the key covers every scalar: a move of any single one misses
+    for j in range(coords.n_scalars):
+        u = u0.copy()
+        u[j] += 0.01
+        assert target(u0) == fresh(u0)
+        assert target(u) == fresh(u)
+
+
+def test_cached_target_leaves_the_chain_unchanged(gender_target):
+    coords, data, config, h0, u0 = gender_target
+    runs = []
+    for target in (bayes._make_target(coords, data, config, h0, prior_only=False),
+                   _uncached_target(coords, data, config, h0)):
+        draws, rates, step = bayes._run_chain_impl(
+            coords, target, 200, 100, 5, np.random.default_rng(6), u0,
+            np.array([0.1, 0.15, 0.15]), adapt=True, adapt_window=20)
+        runs.append((np.array(draws), rates, step))
+    (d1, r1, s1), (d2, r2, s2) = runs
+    assert np.array_equal(d1, d2)
+    assert np.array_equal(r1, r2) and np.array_equal(s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,35 @@ def test_location_filter_no_match_exits_3(tmp_path):
     assert code == 3
 
 
+def test_json_cohort_missing_field_exits_2(tmp_path, capsys):
+    rows = [{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56},
+            {"case_id": "a-2", "B_int": 41, "S_int": 52}]
+    src = tmp_path / "cohort.json"
+    src.write_text(json.dumps(rows))
+    assert cli.main(["fit", "--in", str(src), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "a-2" in err and "E_int" in err
+
+
+def test_json_cohort_malformed_exits_2(tmp_path, capsys):
+    src = tmp_path / "cohort.json"
+    src.write_text('[{"case_id": "a-1", "B_int": 0,')
+    assert cli.main(["fit", "--in", str(src), "--out", str(tmp_path)]) == 2
+    assert str(src) in capsys.readouterr().err
+
+
+def test_json_cohort_bad_interval_exits_2_like_csv(tmp_path, capsys):
+    rows = [{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56},
+            {"case_id": "bad-2", "B_int": 45, "E_int": 41, "S_int": 52}]
+    src = tmp_path / "cohort.json"
+    src.write_text(json.dumps(rows))
+    assert cli.main(["fit", "--in", str(src), "--out", str(tmp_path)]) == 2
+    assert "bad-2" in capsys.readouterr().err
+    csv_src = tmp_path / "cohort.csv"
+    csv_src.write_text("case_id,B_int,E_int,S_int\na-1,0,53,56\nbad-2,45,41,52\n")
+    assert cli.main(["fit", "--in", str(csv_src), "--out", str(tmp_path)]) == 2
+
+
 def test_ci_bootstrap(sim_dir, tmp_path, capsys):
     out = str(tmp_path)
     code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
