@@ -123,7 +123,8 @@ def _read_cohort_json(path: str) -> list[CaseRecord]:
         try:
             records.append(CaseRecord.from_ints(
                 str(r["case_id"]), int(r["B_int"]), int(r["E_int"]), int(r["S_int"]),
-                gender=r.get("gender"), age_group=r.get("age_group"),
+                gender=r.get("gender") or "unknown",
+                age_group=r.get("age_group") or "unknown",
                 confirmed_int=r.get("confirmed_int"), location=r.get("location")))
         except KeyError as exc:
             raise CaseTableError(
@@ -406,11 +407,7 @@ def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
            "age50": lambda c: c.age_group}[strata]
     groups: dict[str, list[float]] = {}
     for c in records:
-        label = key(c)
-        if label is not None:
-            groups.setdefault(label, []).append(c.S - c.E)
-    if not groups:
-        raise CliError(3, "no cases with a known stratum label")
+        groups.setdefault(key(c), []).append(c.S - c.E)
     rows = []
     for label in sorted(groups):
         x = np.asarray(groups[label])

@@ -31,6 +31,7 @@ from .likelihood import (
     cond_log_terms,
     marginal_s_density,
     quantiles_to_shape_rate,
+    terms_index,
     trunc_log_terms,
     uncond_log_terms,
 )
@@ -231,44 +232,31 @@ class _ParamMap:
         return rho, r, med, q95
 
 
-def _make_objective(arrays, kind: str, M: float | None, pmap: _ParamMap, L: float):
+def _log_terms(arrays, index, kind, M, L, rho, r, alpha, beta) -> np.ndarray:
+    """Per-case log terms of the chosen likelihood kind, NaN read as -inf."""
     b, e, s, resident = arrays
+    if kind == "cond":
+        lt = cond_log_terms(b, e, s, r, alpha, beta, index)
+    elif kind == "uncond":
+        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L, index)
+    else:
+        lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
+    return np.where(np.isnan(lt), -np.inf, lt)
 
+
+def _make_objective(arrays, index, kind: str, M: float | None, pmap: _ParamMap, L: float):
     def fun(u: np.ndarray) -> float:
         try:
             rho, r, med, q95 = pmap.unpack(u)
             alpha, beta = quantiles_to_shape_rate(med, q95)
-            if kind == "cond":
-                if r < 0:
-                    return _BIG
-                lt = cond_log_terms(b, e, s, r, alpha, beta)
-            elif kind == "uncond":
-                if not r > 0:
-                    return _BIG
-                lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L)
-            else:
-                if r < 0:
-                    return _BIG
-                lt = trunc_log_terms(b, e, s, r, alpha, beta, M)
+            if r < 0 or (kind == "uncond" and not r > 0):
+                return _BIG
+            lt = _log_terms(arrays, index, kind, M, L, rho, r, alpha, beta)
         except (ValueError, OverflowError):
             return _BIG
-        lt = np.where(np.isnan(lt), -np.inf, lt)
-        total = float(np.maximum(lt, _LOG_FLOOR).sum())
-        return -total
+        return -float(np.maximum(lt, _LOG_FLOOR).sum())
 
     return fun
-
-
-def _count_clamped(arrays, kind, M, L, rho, r, alpha, beta) -> int:
-    b, e, s, resident = arrays
-    if kind == "cond":
-        lt = cond_log_terms(b, e, s, r, alpha, beta)
-    elif kind == "uncond":
-        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L)
-    else:
-        lt = trunc_log_terms(b, e, s, r, alpha, beta, M)
-    lt = np.where(np.isnan(lt), -np.inf, lt)
-    return int((lt < _LOG_FLOOR).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +304,11 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
                 f"truncated likelihood: case {late[0].case_id} has S={late[0].S} > M={M}")
     options = options or FitOptions()
     arrays = case_arrays(cases)
+    index = terms_index(*arrays[:3], M if kind == "cond_trunc" else None)
     pmap = _ParamMap(kind, fixed, L)
     init = init or DEFAULT_INIT
     u0 = pmap.pack(init)
-    fun = _make_objective(arrays, kind, M, pmap, L)
+    fun = _make_objective(arrays, index, kind, M, pmap, L)
 
     if u0.size == 0:  # everything pinned: nothing to optimize
         val = fun(u0)
@@ -344,7 +333,8 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     display = DisplayTheta(doubling_time=math.inf if r == 0 else _LN2 / r,
                            median_incubation=med, q95_incubation=q95, rho=rho)
     at_boundary = bool(np.any(np.abs(np.asarray(best_x)) > options.boundary))
-    n_clamped = int(_count_clamped(arrays, kind, M, L, rho, r, alpha, beta))
+    n_clamped = int((_log_terms(arrays, index, kind, M, L, rho, r, alpha, beta)
+                     < _LOG_FLOOR).sum())
     converged = bool(success and not at_boundary and best_fun < _BIG)
     message = "ok" if converged else ("boundary" if at_boundary else "search failed")
     return FitResult(theta=theta, display=display, log_lik=float(-best_fun),

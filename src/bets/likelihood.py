@@ -48,7 +48,6 @@ __all__ = [
     "quantiles_to_shape_rate",
     "shape_rate_to_quantiles",
     "gamma_exp_integral",
-    "selection_prob_given_be",
     "selection_prob_total",
     "log_lik_cond",
     "log_lik_uncond",
@@ -58,6 +57,7 @@ __all__ = [
     "growth_bias_correction",
     "growth_bias_fixed_point",
     "case_arrays",
+    "terms_index",
     "cond_log_terms",
     "uncond_log_terms",
     "trunc_log_terms",
@@ -161,6 +161,17 @@ def shape_rate_to_quantiles(alpha: float, beta: float) -> tuple[float, float]:
 
 
 _ALPHA_LO, _ALPHA_HI = 1e-3, 1e3
+_LOG_ALPHA_LO, _LOG_ALPHA_HI = math.log(_ALPHA_LO), math.log(_ALPHA_HI)
+
+
+def _quantile_ratio(log_a: float) -> float:
+    """q95/median of Gamma(exp(log_a), rate), which does not depend on the rate."""
+    a = math.exp(log_a)
+    return sc.gammaincinv(a, 0.95) / sc.gammaincinv(a, 0.5)
+
+
+#: The quantile ratio at the two ends of the shape bracket, computed once.
+_RATIO_AT_ENDS = {log_a: _quantile_ratio(log_a) for log_a in (_LOG_ALPHA_LO, _LOG_ALPHA_HI)}
 
 
 def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
@@ -175,34 +186,47 @@ def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
     ratio = q95 / median
 
     def f(log_a: float) -> float:
-        a = math.exp(log_a)
-        return sc.gammaincinv(a, 0.95) / sc.gammaincinv(a, 0.5) - ratio
+        at_end = _RATIO_AT_ENDS.get(log_a)
+        return (_quantile_ratio(log_a) if at_end is None else at_end) - ratio
 
-    lo, hi = math.log(_ALPHA_LO), math.log(_ALPHA_HI)
-    flo, fhi = f(lo), f(hi)
-    if not (flo > 0 > fhi):  # f decreasing: needs f(lo) > 0 > f(hi)
+    lo, hi = _LOG_ALPHA_LO, _LOG_ALPHA_HI
+    if not (f(lo) > 0 > f(hi)):  # f decreasing: needs f(lo) > 0 > f(hi)
         raise ValueError(f"quantile ratio {ratio:.6g} has no Gamma shape in "
                          f"[{_ALPHA_LO}, {_ALPHA_HI}]")
     log_a = optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
     alpha = math.exp(log_a)
     beta = sc.gammaincinv(alpha, 0.5) / median
-    if abs(gamma_cdf(alpha, beta, median) - 0.5) > 1e-9 or \
-       abs(gamma_cdf(alpha, beta, q95) - 0.95) > 1e-9:
+    if abs(sc.gammainc(alpha, beta * median) - 0.5) > 1e-9 or \
+       abs(sc.gammainc(alpha, beta * q95) - 0.95) > 1e-9:
         raise ValueError(f"quantile inversion failed for ({median}, {q95})")
     return alpha, beta
 
 
-def _gamma_cdf_diff(alpha: float, rate: float, x_hi, x_lo):
+def _cdf_index(x_hi, x_lo):
+    """(u, i_hi, i_lo): the distinct values u of (x_hi)+ and (x_lo)+ together,
+    with u[i_hi] == (x_hi)+ and u[i_lo] == (x_lo)+ elementwise."""
+    x_hi = np.maximum(np.asarray(x_hi, dtype=float), 0.0)
+    x_lo = np.maximum(np.asarray(x_lo, dtype=float), 0.0)
+    u, inv = np.unique(np.concatenate([x_hi.ravel(), x_lo.ravel()]), return_inverse=True)
+    return u, inv[:x_hi.size].reshape(x_hi.shape), inv[x_hi.size:].reshape(x_lo.shape)
+
+
+def _gamma_cdf_diff(alpha: float, rate: float, x_hi, x_lo, index=None):
     """H_{alpha,rate}(x_hi) - H_{alpha,rate}(x_lo), elementwise, x_hi >= x_lo.
 
-    Uses the upper tail when both arguments sit in it, avoiding cancellation
-    of nearly-equal CDF values.
+    Uses the upper tail when H(x_lo) > 1/2, avoiding cancellation of
+    nearly-equal CDF values.  The regularized incomplete gammas are evaluated
+    once per distinct argument and gathered back, so each element is the same
+    float as four elementwise calls would give.  index is _cdf_index(x_hi,
+    x_lo), built here when not given; callers evaluating the same arguments
+    at many parameters build it once (see :func:`terms_index`).
     """
-    z_hi = rate * np.maximum(np.asarray(x_hi, dtype=float), 0.0)
-    z_lo = rate * np.maximum(np.asarray(x_lo, dtype=float), 0.0)
-    p_lo = sc.gammainc(alpha, z_lo)
-    upper = sc.gammaincc(alpha, z_lo) - sc.gammaincc(alpha, z_hi)
-    lower = sc.gammainc(alpha, z_hi) - p_lo
+    u, i_hi, i_lo = _cdf_index(x_hi, x_lo) if index is None else index
+    z = rate * u
+    p, q = sc.gammainc(alpha, z), sc.gammaincc(alpha, z)
+    p_lo = p[i_lo]
+    upper = q[i_lo] - q[i_hi]
+    lower = p[i_hi] - p_lo
     return np.where(p_lo > 0.5, upper, lower)
 
 
@@ -249,12 +273,6 @@ def gamma_exp_integral(b: float, e: float, s: float, r: float,
     return (beta / rate) ** alpha * math.exp(r * s) * max(diff, 0.0)
 
 
-def selection_prob_given_be(b: float, e: float, growth) -> float:
-    """Chance (up to the symptomatic fraction nu) that a (b, e) stay yields an
-    exported case: the integral of the epidemic curve over the stay."""
-    return growth.integral(b, min(e, math.inf))
-
-
 def selection_prob_total(pi: float, lambda_w: float, lambda_v: float,
                          kappa: float, nu: float, r: float,
                          L: float = L_DEFAULT) -> tuple[float, float]:
@@ -290,7 +308,27 @@ def case_arrays(cases: Sequence[CaseRecord]):
     return b, e, s, resident
 
 
-def cond_log_terms(b, e, s, r: float, alpha: float, beta: float) -> np.ndarray:
+def terms_index(b, e, s, M: float | None = None):
+    """The distinct Gamma CDF arguments of the per-case terms, for reuse.
+
+    Every term evaluates H(S - B) - H((S - E)+), and the truncated terms
+    also H(M - B) - H((M - E)+).  With B, E and S on integer days plus fixed
+    offsets these take far fewer distinct values than there are cases.  The
+    result is the trailing `index` argument of :func:`cond_log_terms`,
+    :func:`uncond_log_terms` and :func:`trunc_log_terms`; building it once
+    per case set spares each later call the deduplication, and the terms come
+    out the same either way.  Without M the truncated terms build their
+    normalizer part on each call.
+    """
+    b = np.asarray(b, float)
+    e = np.asarray(e, float)
+    s = np.asarray(s, float)
+    return (_cdf_index(s - b, s - e),
+            None if M is None else _cdf_index(M - b, M - e))
+
+
+def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
+                   index=None) -> np.ndarray:
     """Log-likelihood terms of S | (B, E), case in the selection set.
 
     For r > 0 the per-case density of S given (B, E, selection) is
@@ -300,16 +338,18 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float) -> np.ndarray:
 
     the r = 0 limit replaces growth weighting by Lebesgue measure on (B, E).
     Invalid cases produce -inf entries (no exception at this level).
+    index is :func:`terms_index` of (b, e, s), optional.
     """
     b = np.asarray(b, float)
     e = np.asarray(e, float)
     s = np.asarray(s, float)
+    onset = None if index is None else index[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         if abs(r) < R_SWITCH:
-            diff = _gamma_cdf_diff(alpha, beta, s - b, np.maximum(s - e, 0.0))
+            diff = _gamma_cdf_diff(alpha, beta, s - b, np.maximum(s - e, 0.0), onset)
             return np.log(np.clip(diff, 0.0, None)) - np.log(e - b)
         rate = beta + r
-        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0))
+        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0), onset)
         # log(e^{rE} - e^{rB}) = rE + log(1 - e^{-r(E-B)}), stable for r(E-B) small
         log_span = r * e + np.log1p(-np.exp(-r * (e - b)))
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
@@ -317,14 +357,16 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float) -> np.ndarray:
 
 
 def uncond_log_terms(b, e, s, resident, rho: float, r: float,
-                     alpha: float, beta: float, L: float = L_DEFAULT) -> np.ndarray:
+                     alpha: float, beta: float, L: float = L_DEFAULT,
+                     index=None) -> np.ndarray:
     """Log-likelihood terms of (B, E, S) jointly, selection-normalized.
 
     Requires r > 0 (the closed-form selection normalizer is the r >> 1/L
     approximation).  Residents weigh 1, visitors rho/L, and the shared
     normalizer is 1 + rho (1 - 2/(rL)).  Returns None-like -inf rows for
     structurally impossible cases; raises ValueError if the normalizer is
-    not positive (parameters outside the valid region).
+    not positive (parameters outside the valid region).  index is
+    :func:`terms_index` of (b, e, s), optional.
     """
     if not r > 0:
         raise ValueError(f"unconditional likelihood needs r > 0, got {r}")
@@ -339,14 +381,15 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     resident = np.asarray(resident, bool)
     rate = beta + r
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0))
+        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0),
+                               None if index is None else index[0])
         log_w = np.where(resident, 0.0, math.log(rho / L) if rho > 0 else -math.inf)
         return (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
                 + log_w - math.log(denom) + r * (s - L)
                 + np.log(np.clip(diff, 0.0, None)))
 
 
-def _trunc_normalizer(x_hi, x_lo, r: float, alpha: float, beta: float):
+def _trunc_normalizer(x_hi, x_lo, r: float, alpha: float, beta: float, index=None):
     """Difference of the truncation normalizer Z_r at two points.
 
     Z_r(x) = r * int_0^x e^{-r u} H_{alpha,beta}(u) du
@@ -355,40 +398,44 @@ def _trunc_normalizer(x_hi, x_lo, r: float, alpha: float, beta: float):
     Z_0(x) = int_0^x H(u) du = x H_{a,b}(x) - (alpha/beta) H_{a+1,b}(x).
     Computed with the tail-difference trick to dodge cancellation when both
     arguments sit deep in the Gamma upper tail (M far beyond every stay).
+    index is _cdf_index(x_hi, x_lo), optional.
     """
     x_hi = np.asarray(x_hi, float)
     x_lo = np.asarray(x_lo, float)
     if abs(r) < R_SWITCH:
         main = x_hi * sc.gammainc(alpha, beta * x_hi) - x_lo * sc.gammainc(alpha, beta * x_lo)
-        corr = alpha / beta * _gamma_cdf_diff(alpha + 1, beta, x_hi, x_lo)
+        corr = alpha / beta * _gamma_cdf_diff(alpha + 1, beta, x_hi, x_lo, index)
         return main - corr
     rate = beta + r
-    part1 = (beta / rate) ** alpha * _gamma_cdf_diff(alpha, rate, x_hi, x_lo)
+    part1 = (beta / rate) ** alpha * _gamma_cdf_diff(alpha, rate, x_hi, x_lo, index)
     part2 = (np.exp(-r * x_lo) * sc.gammainc(alpha, beta * x_lo)
              - np.exp(-r * x_hi) * sc.gammainc(alpha, beta * x_hi))
     return part1 + part2
 
 
-def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float) -> np.ndarray:
+def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
+                    index=None) -> np.ndarray:
     """Log-likelihood terms of S | (B, E), conditioned on S <= M as well.
 
     The numerator matches :func:`cond_log_terms`; the normalizer integrates
     onset mass before M over infection times in the stay, i.e.
-    Z_r(M - B) - Z_r((M - E)_+) (see :func:`_trunc_normalizer`).
+    Z_r(M - B) - Z_r((M - E)_+) (see :func:`_trunc_normalizer`).  index is
+    :func:`terms_index` of (b, e, s, M), optional.
     """
     b = np.asarray(b, float)
     e = np.asarray(e, float)
     s = np.asarray(s, float)
+    onset, trunc = (None, None) if index is None else index
     x_hi = M - b
     x_lo = np.maximum(M - e, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = _trunc_normalizer(x_hi, x_lo, r, alpha, beta)
+        z = _trunc_normalizer(x_hi, x_lo, r, alpha, beta, trunc)
         log_z = np.log(np.clip(z, 0.0, None))
         if abs(r) < R_SWITCH:
-            diff = _gamma_cdf_diff(alpha, beta, s - b, np.maximum(s - e, 0.0))
+            diff = _gamma_cdf_diff(alpha, beta, s - b, np.maximum(s - e, 0.0), onset)
             return np.log(np.clip(diff, 0.0, None)) - log_z
         rate = beta + r
-        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0))
+        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0), onset)
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
                 + r * (s - M) + np.log(np.clip(diff, 0.0, None)) - log_z)
 

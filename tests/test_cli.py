@@ -276,6 +276,20 @@ def test_json_cohort_bad_interval_exits_2_like_csv(tmp_path, capsys):
     assert cli.main(["fit", "--in", str(csv_src), "--out", str(tmp_path)]) == 2
 
 
+def test_json_and_csv_cohorts_load_the_same_records(tmp_path):
+    rows = [{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56},
+            {"case_id": "a-2", "B_int": 41, "E_int": 51, "S_int": 52,
+             "gender": "female", "age_group": "40-49"}]
+    json_src = tmp_path / "cohort.json"
+    json_src.write_text(json.dumps(rows))
+    csv_src = tmp_path / "cohort.csv"
+    csv_src.write_text("case_id,B_int,E_int,S_int,gender,age_group\n"
+                       "a-1,0,53,56,,\na-2,41,51,52,female,40-49\n")
+    from_json = cli._load_cohort(str(json_src))
+    assert from_json == cli._load_cohort(str(csv_src))
+    assert from_json[0].gender == from_json[0].age_group == "unknown"
+
+
 def test_ci_bootstrap(sim_dir, tmp_path, capsys):
     out = str(tmp_path)
     code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
@@ -475,11 +489,13 @@ def test_plot_data_se_density_unlabeled_csv_pools_as_unknown(sim_dir, tmp_path):
     assert {r[0] for r in body} == {"unknown"}
 
 
-def test_plot_data_se_density_without_labels_exits_3(tmp_path):
+def test_plot_data_se_density_unlabeled_json_pools_as_unknown(tmp_path):
     rows = [{"case_id": f"a-{i}", "B_int": 0, "E_int": 53, "S_int": 50 + i}
             for i in range(4)]
     src = tmp_path / "cohort.json"
     src.write_text(json.dumps(rows))
     code = cli.main(["plot-data", "--kind", "se-density", "--in", str(src),
                      "--strata", "gender", "--out", str(tmp_path)])
-    assert code == 3
+    assert code == 0
+    _, body = read_csv(str(tmp_path), "se_density.csv")
+    assert {r[0] for r in body} == {"unknown"}

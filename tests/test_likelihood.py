@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, special, stats
 
 from bets import likelihood as lk
 from bets.likelihood import (
@@ -121,6 +121,120 @@ def test_quantile_inversion_rejects_impossible_pairs():
         lk.quantiles_to_shape_rate(5.0, 4.0)
     with pytest.raises(ValueError):
         lk.quantiles_to_shape_rate(1.0, 1.0000001)  # ratio below any shape's
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against their plain references, bit for bit
+# ---------------------------------------------------------------------------
+
+def four_igamma_cdf_diff(alpha, rate, x_hi, x_lo):
+    """H(x_hi) - H(x_lo) from four elementwise incomplete gammas."""
+    z_hi = rate * np.maximum(np.asarray(x_hi, dtype=float), 0.0)
+    z_lo = rate * np.maximum(np.asarray(x_lo, dtype=float), 0.0)
+    p_lo = special.gammainc(alpha, z_lo)
+    upper = special.gammaincc(alpha, z_lo) - special.gammaincc(alpha, z_hi)
+    lower = special.gammainc(alpha, z_hi) - p_lo
+    return np.where(p_lo > 0.5, upper, lower)
+
+
+def brentq_quantiles_to_shape_rate(median, q95):
+    """The full-bracket brentq inversion, f evaluated afresh at both ends."""
+    if not (0 < median < q95) or not (math.isfinite(median) and math.isfinite(q95)):
+        raise ValueError("bad pair")
+    ratio = q95 / median
+
+    def f(log_a):
+        a = math.exp(log_a)
+        return special.gammaincinv(a, 0.95) / special.gammaincinv(a, 0.5) - ratio
+
+    lo, hi = math.log(1e-3), math.log(1e3)
+    if not (f(lo) > 0 > f(hi)):
+        raise ValueError("no shape")
+    alpha = math.exp(optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    beta = special.gammaincinv(alpha, 0.5) / median
+    if abs(lk.gamma_cdf(alpha, beta, median) - 0.5) > 1e-9 or \
+       abs(lk.gamma_cdf(alpha, beta, q95) - 0.95) > 1e-9:
+        raise ValueError("inversion failed")
+    return alpha, beta
+
+
+def onset_arrays(n, rng):
+    """(x_hi, x_lo) on integer days plus the fixed sub-day offsets, so values
+    repeat, with x_lo = 0 and x_hi == x_lo rows and some deep-tail rows."""
+    b = np.where(rng.random(n) < 0.4, 0.0, rng.integers(1, 45, n) - 0.75)
+    e = b + rng.integers(1, 12, n) + 0.5
+    s = b + rng.integers(0, 40, n) + 0.25
+    x_hi, x_lo = s - b, np.maximum(s - e, 0.0)
+    x_hi[:5] = x_lo[:5] = [0.0, 0.25, 3.25, 60.25, 400.0]
+    x_hi[5:10] = [150.0, 300.0, 500.0, 800.0, 2000.0]
+    x_lo[5:10] = x_hi[5:10] - 0.5
+    return x_hi, x_lo
+
+
+def test_cdf_diff_is_the_four_igamma_difference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    x_hi, x_lo = onset_arrays(400, rng)
+    assert len(np.unique(np.concatenate([x_hi, x_lo]))) < 200
+    branches = set()
+    for _ in range(300):
+        alpha = math.exp(rng.uniform(math.log(0.05), math.log(200.0)))
+        rate = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
+        ref = four_igamma_cdf_diff(alpha, rate, x_hi, x_lo)
+        assert np.array_equal(lk._gamma_cdf_diff(alpha, rate, x_hi, x_lo), ref)
+        index = lk._cdf_index(x_hi, x_lo)
+        assert np.array_equal(lk._gamma_cdf_diff(alpha, rate, None, None, index), ref)
+        branches |= set(special.gammainc(alpha, rate * x_lo) > 0.5)
+    assert branches == {False, True}
+    # a scalar pair, as gamma_exp_integral passes it
+    assert lk._gamma_cdf_diff(1.86, 0.4, 7.25, 0.0) == four_igamma_cdf_diff(1.86, 0.4, 7.25, 0.0)
+
+
+def test_log_terms_are_the_same_with_and_without_the_index():
+    rng = np.random.default_rng(5)
+    cases = []
+    for i in range(300):
+        b_int = 0 if rng.random() < 0.5 else int(rng.integers(1, 40))
+        e_int = int(rng.integers(b_int + 1, 54))
+        cases.append(CaseRecord.from_ints(f"c{i}", b_int, e_int,
+                                          int(rng.integers(b_int + 1, e_int + 25))))
+    b, e, s, resident = lk.case_arrays(cases)
+    M = float(s.max()) + 3.0
+    onset_only = lk.terms_index(b, e, s)
+    index = lk.terms_index(b, e, s, M)
+    for r in (0.0, 1e-9, 0.05, 0.3):
+        for alpha, beta in ((0.4, 0.05), (1.86, 0.33), (60.0, 9.0)):
+            same = [
+                (lk.cond_log_terms(b, e, s, r, alpha, beta),
+                 lk.cond_log_terms(b, e, s, r, alpha, beta, index)),
+                (lk.trunc_log_terms(b, e, s, r, alpha, beta, M),
+                 lk.trunc_log_terms(b, e, s, r, alpha, beta, M, index)),
+                (lk.trunc_log_terms(b, e, s, r, alpha, beta, M),
+                 lk.trunc_log_terms(b, e, s, r, alpha, beta, M, onset_only)),
+            ]
+            if r >= 0.05:
+                same.append((lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta),
+                             lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta,
+                                                 L, index)))
+            for plain, indexed in same:
+                assert np.array_equal(plain, indexed)
+
+
+def test_quantile_inversion_is_the_full_bracket_brentq_bit_for_bit():
+    rng = np.random.default_rng(17)
+    n_ok = n_err = 0
+    for _ in range(1500):
+        median = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+        q95 = median * (1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+        try:
+            ref = brentq_quantiles_to_shape_rate(median, q95)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lk.quantiles_to_shape_rate(median, q95)
+            n_err += 1
+            continue
+        assert lk.quantiles_to_shape_rate(median, q95) == ref
+        n_ok += 1
+    assert n_ok >= 1000 and n_err > 0
 
 
 # ---------------------------------------------------------------------------
