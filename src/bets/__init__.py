@@ -38,16 +38,15 @@ from .timeline import (
     RawCase,
     build_cohort,
     parse_case_table,
+    read_cohort,
     read_cohort_csv,
     write_cohort_csv,
 )
 from .generative import (
-    FullTuple,
     GenerativeParams,
     IncubationDist,
     params_from_theta,
     sample_exported,
-    sample_population,
 )
 from .inference import (
     CIResult,
@@ -81,8 +80,8 @@ __all__ = [
     "__version__",
     # timeline
     "CaseRecord", "CaseTableError", "CohortRules", "ExclusionReport",
-    "RawCase", "build_cohort", "parse_case_table", "read_cohort_csv",
-    "write_cohort_csv",
+    "RawCase", "build_cohort", "parse_case_table", "read_cohort",
+    "read_cohort_csv", "write_cohort_csv",
     # likelihood
     "DisplayTheta", "LikelihoodError", "ParamTheta", "gamma_cdf",
     "gamma_quantile", "growth_bias_correction", "growth_bias_fixed_point",
@@ -90,8 +89,8 @@ __all__ = [
     "marginal_s_density", "marginal_t_density", "quantiles_to_shape_rate",
     "selection_prob_total", "shape_rate_to_quantiles",
     # generative
-    "FullTuple", "GenerativeParams", "IncubationDist", "params_from_theta",
-    "sample_exported", "sample_population",
+    "GenerativeParams", "IncubationDist", "params_from_theta",
+    "sample_exported",
     # inference
     "CIResult", "FitOptions", "FitResult", "GofResult", "SweepRow",
     "bias_sweep", "bootstrap_ci", "gof_onset_marginal", "mle_fit",

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sc
 
+from .likelihood import _LN2
 from .timeline import CaseRecord
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "rank_location_test",
 ]
 
-_LN2 = math.log(2.0)
 _H_FLOOR = 1e-300
 
 #: Tail cutoffs (days) reported by posterior_summaries.
@@ -197,9 +197,23 @@ _STRATUM_KEY = {
 }
 
 
+def _infection_days(b, e, s, l: int, K: int):
+    """(t, mask): each case's candidate infection days S* - k, k = 0..K-1,
+    and which of them fall within its stay and within 0..L."""
+    if np.any((b < 0) | (b > e) | (e > l)):
+        raise ValueError("need 0 <= B* <= E* <= L for every case")
+    if np.any(s < b):
+        raise ValueError("need S* >= B* for every case")
+    t = s[:, None] - np.arange(K)[None, :]
+    return t, (t >= b[:, None]) & (t <= e[:, None]) & (t >= 0) & (t <= l)
+
+
 @dataclass
 class DiscreteData:
-    """Whole-day case arrays plus the per-case incubation index template."""
+    """Whole-day case arrays plus the per-case incubation index template.
+
+    dropped counts, by reason, the records from_records left out.
+    """
 
     b: np.ndarray
     e: np.ndarray
@@ -209,45 +223,47 @@ class DiscreteData:
     labels: tuple[str, ...]
     l: int
     max_incubation: int
-    n_dropped: int = 0
+    dropped: dict = field(default_factory=dict)
     t_idx: np.ndarray = field(init=False)
     t_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        l, K = self.l, self.max_incubation
-        if np.any((self.b < 0) | (self.b > self.e) | (self.e > l)):
-            raise ValueError("need 0 <= B* <= E* <= L for every case")
-        if np.any(self.s < self.b):
-            raise ValueError("need S* >= B* for every case")
-        ks = np.arange(K)
-        t_vals = self.s[:, None] - ks[None, :]
-        self.t_mask = ((t_vals >= self.b[:, None]) & (t_vals <= self.e[:, None])
-                       & (t_vals >= 0) & (t_vals <= l))
+        t, self.t_mask = _infection_days(self.b, self.e, self.s, self.l, self.max_incubation)
         empty = ~self.t_mask.any(axis=1)
         if np.any(empty):
             i = int(np.flatnonzero(empty)[0])
             raise ValueError(
                 f"case {self.case_ids[i]}: no feasible infection day for "
-                f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) with incubation < {K}")
-        self.t_idx = np.clip(t_vals, 0, l)
+                f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) "
+                f"with incubation < {self.max_incubation}")
+        self.t_idx = np.clip(t, 0, self.l)
 
     @classmethod
     def from_records(cls, cases: Sequence[CaseRecord],
                      config: DiscreteConfig) -> "DiscreteData":
+        """Data of the records in the config's strata that have a feasible
+        infection day (one within max_incubation days before onset, during
+        the stay); the others are dropped and counted by reason."""
         key = _STRATUM_KEY[config.strata]
         labels = config.stratum_labels
         rows = [(c, labels.index(key(c))) for c in cases if key(c) in labels]
-        n_dropped = len(cases) - len(rows)
-        if not rows:
-            raise ValueError("no cases left after stratum filtering")
-        return cls(
-            b=np.array([c.B_int for c, _ in rows]),
-            e=np.array([c.E_int for c, _ in rows]),
-            s=np.array([c.S_int for c, _ in rows]),
-            stratum=np.array([st for _, st in rows]),
-            case_ids=[c.case_id for c, _ in rows],
-            labels=labels, l=config.l, max_incubation=config.max_incubation,
-            n_dropped=n_dropped)
+        b, e, s = (np.array([getattr(c, f) for c, _ in rows], dtype=int)
+                   for f in ("B_int", "E_int", "S_int"))
+        feasible = _infection_days(b, e, s, config.l, config.max_incubation)[1].any(axis=1)
+        dropped = {"outside_strata": len(cases) - len(rows),
+                   "no_feasible_infection_day": int((~feasible).sum())}
+        if not feasible.any():
+            raise ValueError(f"no cases left after dropping {dropped}")
+        keep = np.flatnonzero(feasible)
+        return cls(b=b[keep], e=e[keep], s=s[keep],
+                   stratum=np.array([st for _, st in rows])[keep],
+                   case_ids=[rows[i][0].case_id for i in keep],
+                   labels=labels, l=config.l, max_incubation=config.max_incubation,
+                   dropped=dropped)
+
+    @property
+    def n_dropped(self) -> int:
+        return sum(self.dropped.values())
 
     def __len__(self) -> int:
         return len(self.b)
@@ -354,15 +370,6 @@ def _h_terms(data: DiscreteData, h: np.ndarray, terms: tuple) -> tuple[float, in
     return float(np.log(num).sum() - len(data) * log_norm), None
 
 
-def _log_lik_discrete_arrays(data: DiscreteData, state: NonparamState,
-                             config: DiscreteConfig) -> tuple[float, int | None]:
-    """(log-likelihood, index of first zero-numerator case or None)."""
-    terms = _scalar_terms(data, state, config)
-    if terms is None:
-        return -math.inf, None
-    return _h_terms(data, state.h, terms)
-
-
 def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> float:
     """Selection-adjusted log-likelihood of whole-day case records.
 
@@ -378,7 +385,10 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
     if state.h.shape != (len(data.labels), config.max_incubation):
         raise ValueError(f"h must be {(len(data.labels), config.max_incubation)}, "
                          f"got {state.h.shape}")
-    val, bad = _log_lik_discrete_arrays(data, state, config)
+    terms = _scalar_terms(data, state, config)
+    if terms is None:
+        return -math.inf
+    val, bad = _h_terms(data, state.h, terms)
     if bad is not None:
         warnings.warn(f"case {data.case_ids[bad]} has zero likelihood "
                       f"(B*={data.b[bad]}, E*={data.e[bad]}, S*={data.s[bad]})",
@@ -392,10 +402,6 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return sc.expit(x)
 
 
 class _Coords:
@@ -430,16 +436,16 @@ class _Coords:
             y = y - _logsumexp(y)
             h[s] = np.exp(y)
         kwargs = dict(h=h, r1=math.exp(vals["log_r1"]),
-                      kappa=float(_sigmoid(vals["logit_kappa"])))
+                      kappa=float(sc.expit(vals["logit_kappa"])))
         if c.growth == "two_stage":
             kwargs["r2"] = vals["r2"]
         if c.departure == "uniform":
-            kwargs["lambda_w"] = float(_sigmoid(vals["logit_lw"])) / c.l
-            kwargs["lambda_v"] = float(_sigmoid(vals["logit_lv"])) / c.l
+            kwargs["lambda_w"] = float(sc.expit(vals["logit_lw"])) / c.l
+            kwargs["lambda_v"] = float(sc.expit(vals["logit_lv"])) / c.l
         else:
             kwargs["eta"] = np.array([
-                [_sigmoid(vals["logit_ew1"]), _sigmoid(vals["logit_ew2"])],
-                [_sigmoid(vals["logit_ev1"]), _sigmoid(vals["logit_ev2"])]])
+                [sc.expit(vals["logit_ew1"]), sc.expit(vals["logit_ew2"])],
+                [sc.expit(vals["logit_ev1"]), sc.expit(vals["logit_ev2"])]])
         return NonparamState(**kwargs)
 
     def pack(self, state: NonparamState) -> np.ndarray:

@@ -98,39 +98,9 @@ def _parse_date_flag(text: str) -> date:
 def _load_cohort(path: str) -> list[CaseRecord]:
     if not os.path.exists(path):
         raise CliError(2, f"input file not found: {path}")
-    if path.endswith(".json"):
-        records = _read_cohort_json(path)
-    else:
-        records = timeline.read_cohort_csv(path)
+    records = timeline.read_cohort(path)
     if not records:
         raise CliError(3, f"cohort is empty: {path}")
-    return records
-
-
-def _read_cohort_json(path: str) -> list[CaseRecord]:
-    """Records of a JSON cohort (a list of objects with the integer-day
-    fields); CaseTableError naming the file or the case on bad input."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rows = json.load(fh)
-        except ValueError as exc:
-            raise CaseTableError(f"cohort file {path} is not valid JSON: {exc}") from None
-    if not isinstance(rows, list):
-        raise CaseTableError(f"cohort file {path} is not a list of case objects")
-    records = []
-    for rownum, r in enumerate(rows, start=1):
-        case = r.get("case_id", "?") if isinstance(r, dict) else "?"
-        try:
-            records.append(CaseRecord.from_ints(
-                str(r["case_id"]), int(r["B_int"]), int(r["E_int"]), int(r["S_int"]),
-                gender=r.get("gender") or "unknown",
-                age_group=r.get("age_group") or "unknown",
-                confirmed_int=r.get("confirmed_int"), location=r.get("location")))
-        except KeyError as exc:
-            raise CaseTableError(
-                f"cohort row {rownum} (case {case}): missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CaseTableError(f"cohort row {rownum} (case {case}): {exc}") from None
     return records
 
 
@@ -158,15 +128,12 @@ def _parse_fixed(pairs: list[str] | None) -> dict:
 
 
 def _build_params(args) -> generative.GenerativeParams:
-    if args.median is not None or args.q95 is not None:
-        if args.median is None or args.q95 is None:
-            raise CliError(2, "give both --median and --q95 (or neither)")
-        return generative.params_from_theta(
-            args.rho, args.growth_rate, median=args.median, q95=args.q95,
-            nu=args.symptomatic, growth_mass=args.infected_mass,
-            r2=args.late_growth_rate, l1=args.stage_break)
+    """--median and --q95 together replace --shape and --rate."""
+    if (args.median is None) != (args.q95 is None):
+        raise CliError(2, "give both --median and --q95 (or neither)")
+    shape, rate = (args.shape, args.rate) if args.median is None else (None, None)
     return generative.params_from_theta(
-        args.rho, args.growth_rate, args.shape, args.rate,
+        args.rho, args.growth_rate, shape, rate, median=args.median, q95=args.q95,
         nu=args.symptomatic, growth_mass=args.infected_mass,
         r2=args.late_growth_rate, l1=args.stage_break)
 
@@ -184,7 +151,10 @@ def _params_dict(p: generative.GenerativeParams) -> dict:
             "symptomatic_fraction": p.nu, "incubation": inc}
 
 
-def _fit_from_flags(records: list[CaseRecord], args) -> inference.FitResult:
+def _fit_from_flags(records: list[CaseRecord],
+                    args) -> tuple[inference.FitResult, list[CaseRecord]]:
+    """The fit the flags ask for, and the records it was fitted to (those
+    with onset by the truncation day, for cond-trunc)."""
     kind = _KIND_FLAG[args.likelihood]
     M = None
     if kind == "cond_trunc":
@@ -196,7 +166,19 @@ def _fit_from_flags(records: list[CaseRecord], args) -> inference.FitResult:
             raise CliError(3, "no cases at or before the truncation day")
     fixed = _parse_fixed(getattr(args, "fix", None))
     options = inference.FitOptions(seed=args.seed)
-    return inference.mle_fit(records, kind, M=M, fixed=fixed, options=options)
+    return inference.mle_fit(records, kind, M=M, fixed=fixed, options=options), records
+
+
+def _write_sweep_csv(path: str, rows: list[dict]) -> None:
+    """Long-format CSV of bias-sweep rows given as SweepRow.to_dict() dicts."""
+    out = []
+    for r in rows:
+        day_iso = timeline.from_epoch(r["cutoff"]).isoformat()
+        for quantile in ("median", "q95"):
+            band, est = r[f"{quantile}_ci"], r[quantile]
+            lo, hi = (band["lo"], band["hi"]) if band else ("", "")
+            out.append([day_iso, r["model"], quantile, "" if est is None else est, lo, hi])
+    _write_csv(path, ["date", "model", "quantile", "estimate", "lo", "hi"], out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +229,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    records = _filter_location(_load_cohort(args.input), args.location)
-    fit = _fit_from_flags(records, args)
+    fit, _ = _fit_from_flags(_filter_location(_load_cohort(args.input), args.location), args)
     out = _out_dir(args)
     _write_json(os.path.join(out, "fit.json"), fit.to_dict(), args)
     if args.format == "table":
@@ -268,20 +249,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    records = _filter_location(_load_cohort(args.input), args.location)
-    fit = _fit_from_flags(records, args)
+    fit, records = _fit_from_flags(
+        _filter_location(_load_cohort(args.input), args.location), args)
     param = _PARAM_FLAG[args.param]
-    kind = _KIND_FLAG[args.likelihood]
-    M = fit.M
+    kind = fit.kind
     if args.method == "profile":
-        ci = inference.profile_ci(records if M is None else [c for c in records if c.S <= M],
-                                  kind, fit, param, level=args.level, M=M,
+        ci = inference.profile_ci(records, kind, fit, param, level=args.level, M=fit.M,
                                   options=inference.FitOptions(seed=args.seed))
     else:
         ci = inference.bootstrap_ci(
-            records if M is None else [c for c in records if c.S <= M], kind,
-            statistic=param, n_boot=args.n_boot, level=args.level,
-            rng=np.random.default_rng(args.seed), M=M,
+            records, kind, statistic=param, n_boot=args.n_boot, level=args.level,
+            rng=np.random.default_rng(args.seed), M=fit.M,
             fixed=_parse_fixed(args.fix), method=args.boot_method,
             n_jobs=args.workers)
     out = _out_dir(args)
@@ -304,18 +282,9 @@ def cmd_bias_demo(args) -> int:
                                 level=args.level, rng=np.random.default_rng(args.seed),
                                 n_jobs=args.workers)
     out = _out_dir(args)
-    _write_json(os.path.join(out, "sweep.json"),
-                {"rows": [r.to_dict() for r in rows]}, args)
-    csv_rows = []
-    for r in rows:
-        day_iso = timeline.from_epoch(r.cutoff).isoformat()
-        for quantile, est, band in (("median", r.median, r.median_ci),
-                                    ("q95", r.q95, r.q95_ci)):
-            lo, hi = (band.lo, band.hi) if band is not None else ("", "")
-            csv_rows.append([day_iso, r.model, quantile,
-                             "" if est is None else est, lo, hi])
-    _write_csv(os.path.join(out, "sweep.csv"),
-               ["date", "model", "quantile", "estimate", "lo", "hi"], csv_rows)
+    dicts = [r.to_dict() for r in rows]
+    _write_json(os.path.join(out, "sweep.json"), {"rows": dicts}, args)
+    _write_sweep_csv(os.path.join(out, "sweep.csv"), dicts)
     n_fitted = sum(r.fitted for r in rows)
     print(f"swept {len(cutoffs)} cutoffs x 3 models ({n_fitted} fits) -> {out}")
     return 0
@@ -329,7 +298,7 @@ def cmd_gof(args) -> int:
         r, alpha, beta = args.growth_rate, args.shape, args.rate
         fit_info = {"source": "flags"}
     else:
-        fit = _fit_from_flags(records, args)
+        fit, _ = _fit_from_flags(records, args)
         theta = fit.theta
         r, alpha, beta = theta.r, theta.alpha, theta.beta
         fit_info = fit.to_dict()
@@ -349,13 +318,12 @@ def cmd_mcmc(args) -> int:
     config = bayes.DiscreteConfig(
         growth=args.growth.replace("-", "_"), departure=args.departure,
         mu=args.mu, strata=args.strata)
-    if args.prior_only:
-        records = None
-    else:
+    data = None
+    if not args.prior_only:
         if args.input is None:
             raise CliError(2, "--in is required unless --prior-only is set")
-        records = _load_cohort(args.input)
-    store = bayes.rwmh_run(records, config, steps=args.steps, chains=args.chains,
+        data = bayes.DiscreteData.from_records(_load_cohort(args.input), config)
+    store = bayes.rwmh_run(data, config, steps=args.steps, chains=args.chains,
                            seed=args.seed, thin=args.thin,
                            prior_only=args.prior_only)
     out = _out_dir(args)
@@ -378,15 +346,11 @@ def cmd_mcmc(args) -> int:
                   "groups": store.group_names, "n_draws": store.n_draws,
                   "psrf": {}}
     for name in _MCMC_FUNCTIONALS:
-        if name == "r2" and "r2" not in store.scalars:
-            continue
         strata = [None] if name in store.scalars or name == "doubling_time" else labels
         for st in strata:
             key = name if st is None or len(labels) == 1 else f"{name}[{st}]"
-            st_arg = st if st is not None else (0 if name not in store.scalars
-                                                and name != "doubling_time" else None)
             try:
-                diag["psrf"][key] = bayes.psrf(store, name, st_arg)
+                diag["psrf"][key] = bayes.psrf(store, name, st)
             except ValueError as exc:
                 diag["psrf"][key] = None
                 diag.setdefault("psrf_notes", {})[key] = str(exc)
@@ -395,7 +359,8 @@ def cmd_mcmc(args) -> int:
     summary = bayes.posterior_summaries(store)
     _write_json(os.path.join(out, "mcmc_summary.json"),
                 {"summaries": summary, "n_cases": store.n_cases,
-                 "n_dropped": store.n_dropped, "chains": store.n_chains,
+                 "n_dropped": store.n_dropped,
+                 "dropped": {} if data is None else data.dropped, "chains": store.n_chains,
                  "draws_per_chain": store.n_draws}, args)
     print(f"{store.n_chains} chains x {store.n_draws} draws -> {out}")
     return 0
@@ -403,8 +368,7 @@ def cmd_mcmc(args) -> int:
 
 def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
               step: float) -> list:
-    key = {"none": lambda c: "all", "gender": lambda c: c.gender,
-           "age50": lambda c: c.age_group}[strata]
+    key = bayes._STRATUM_KEY[strata]
     groups: dict[str, list[float]] = {}
     for c in records:
         groups.setdefault(key(c), []).append(c.S - c.E)
@@ -422,11 +386,11 @@ def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
 def cmd_plot_data(args) -> int:
     out = _out_dir(args)
     if args.kind == "onset-fit":
-        records = _load_cohort(args.input)
+        records = _filter_location(_load_cohort(args.input), args.location)
         if args.growth_rate is not None and args.shape is not None and args.rate is not None:
             r, alpha, beta = args.growth_rate, args.shape, args.rate
         else:
-            fit = _fit_from_flags(records, args)
+            fit, _ = _fit_from_flags(records, args)
             r, alpha, beta = fit.theta.r, fit.theta.alpha, fit.theta.beta
         days, observed, expected = inference.onset_fit_table(records, r, alpha, beta)
         rows = [[int(day), timeline.from_epoch(int(day)).isoformat(), int(obs), float(exp)]
@@ -436,19 +400,11 @@ def cmd_plot_data(args) -> int:
     elif args.kind == "sweep-bands":
         if not os.path.exists(args.input):
             raise CliError(2, f"input file not found: {args.input}")
-        with open(args.input, encoding="utf-8") as fh:
-            sweep = json.load(fh)
-        rows = []
-        for r in sweep["rows"]:
-            day_iso = timeline.from_epoch(r["cutoff"]).isoformat()
-            for quantile in ("median", "q95"):
-                band = r.get(f"{quantile}_ci")
-                lo, hi = (band["lo"], band["hi"]) if band else ("", "")
-                est = r.get(quantile)
-                rows.append([day_iso, r["model"], quantile,
-                             "" if est is None else est, lo, hi])
-        _write_csv(os.path.join(out, "sweep_bands.csv"),
-                   ["date", "model", "quantile", "estimate", "lo", "hi"], rows)
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                _write_sweep_csv(os.path.join(out, "sweep_bands.csv"), json.load(fh)["rows"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CaseTableError(f"sweep file {args.input}: {type(exc).__name__}: {exc}") from None
     elif args.kind == "posterior-pmf":
         paths = sorted(glob.glob(os.path.join(args.input, "draws_chain*.csv")))
         if not paths:
@@ -472,7 +428,7 @@ def cmd_plot_data(args) -> int:
         _write_csv(os.path.join(out, "posterior_pmf.csv"),
                    ["stratum", "days", "mean", "lo", "hi"], rows)
     else:  # se-density
-        records = _load_cohort(args.input)
+        records = _filter_location(_load_cohort(args.input), args.location)
         rows = _kde_rows(records, args.strata, args.bandwidth, args.grid_step)
         _write_csv(os.path.join(out, "se_density.csv"),
                    ["stratum", "x", "density"], rows)

@@ -16,35 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from .likelihood import L_DEFAULT, R_SWITCH, quantiles_to_shape_rate
-from .timeline import INFINITY, CaseRecord
+from .likelihood import L_DEFAULT, R_SWITCH, _exp_mass, quantiles_to_shape_rate
+from .timeline import CaseRecord
 
 __all__ = [
     "IncubationDist",
     "GenerativeParams",
-    "FullTuple",
     "params_from_theta",
-    "sample_population",
     "sample_population_arrays",
-    "in_selection",
     "selection_mask",
-    "discretize",
     "sample_exported",
 ]
-
-
-class FullTuple(NamedTuple):
-    """One individual's full event history (INFINITY = never happened)."""
-
-    b: float
-    e: float
-    t: float
-    s: float
 
 
 @dataclass(frozen=True)
@@ -146,23 +132,13 @@ class GenerativeParams:
         return [(0.0, self.l1, self.kappa, self.r),
                 (self.l1, self.L, kappa2, self.r2)]
 
-    @staticmethod
-    def _seg_mass(coef: float, rate: float, a, b) -> np.ndarray:
-        """Integral of coef*e^{rate t} over [a, b] (vectorized, 0 when b <= a)."""
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        width = np.maximum(b - a, 0.0)
-        if abs(rate) < R_SWITCH:
-            return coef * width
-        return coef / rate * np.exp(rate * a) * np.expm1(rate * width)
-
     def growth_mass(self, a, b) -> np.ndarray:
         """Exact integral of g over [a, b] (intersected with [0, L])."""
         a = np.maximum(np.asarray(a, float), 0.0)
         b = np.minimum(np.asarray(b, float), self.L)
         total = np.zeros(np.broadcast_shapes(a.shape, b.shape))
         for lo, hi, coef, rate in self._segments():
-            total = total + self._seg_mass(coef, rate, np.clip(a, lo, hi), np.clip(b, lo, hi))
+            total = total + _exp_mass(coef, rate, np.clip(a, lo, hi), np.clip(b, lo, hi))
         return total
 
     def _invert_mass(self, a: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -172,7 +148,7 @@ class GenerativeParams:
         done = np.zeros(a.shape, dtype=bool)
         for lo, hi, coef, rate in self._segments():
             seg_a = np.clip(a, lo, hi)
-            seg_mass = self._seg_mass(coef, rate, seg_a, hi)
+            seg_mass = _exp_mass(coef, rate, seg_a, hi)
             inside = ~done & (remaining <= seg_mass * (1 + 1e-12))
             if np.any(inside):
                 if abs(rate) < R_SWITCH:
@@ -254,13 +230,6 @@ def sample_population_arrays(n: int, params: GenerativeParams,
     return b, e, t, s
 
 
-def sample_population(n: int, params: GenerativeParams,
-                      rng: np.random.Generator) -> list[FullTuple]:
-    """Draw n full tuples from the population process."""
-    b, e, t, s = sample_population_arrays(n, params, rng)
-    return [FullTuple(*row) for row in zip(b, e, t, s)]
-
-
 def selection_mask(b, e, t, s, L: float = L_DEFAULT) -> np.ndarray:
     """Vectorized membership in the selection set D."""
     b = np.asarray(b, float)
@@ -268,16 +237,6 @@ def selection_mask(b, e, t, s, L: float = L_DEFAULT) -> np.ndarray:
     t = np.asarray(t, float)
     s = np.asarray(s, float)
     return (b <= t) & (t <= e) & (e <= L) & (t <= s) & np.isfinite(s)
-
-
-def in_selection(tup: FullTuple, L: float = L_DEFAULT) -> bool:
-    """True iff the tuple is an exported case: B <= T <= E <= L, T <= S < inf."""
-    return bool(selection_mask(tup.b, tup.e, tup.t, tup.s, L))
-
-
-def discretize(tup: FullTuple) -> tuple:
-    """Round each component up to a whole day; INFINITY passes through."""
-    return tuple(INFINITY if math.isinf(x) else int(math.ceil(x)) for x in tup)
 
 
 def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,

@@ -27,6 +27,9 @@ from .likelihood import (
     L_DEFAULT,
     LikelihoodError,
     ParamTheta,
+    _LN2,
+    _LOG_FLOOR,
+    _check_onsets_by,
     case_arrays,
     cond_log_terms,
     marginal_s_density,
@@ -53,8 +56,6 @@ __all__ = [
 ]
 
 _BIG = 1e15
-_LOG_FLOOR = math.log(1e-300)
-_LN2 = math.log(2.0)
 
 #: Interior, plausible starting point used when no init is given.
 DEFAULT_INIT = DisplayTheta(doubling_time=4.0, median_incubation=5.0,
@@ -298,10 +299,7 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     if kind == "cond_trunc":
         if M is None:
             raise ValueError("cond_trunc requires the truncation day M")
-        late = [c for c in cases if c.S > M]
-        if late:
-            raise LikelihoodError(
-                f"truncated likelihood: case {late[0].case_id} has S={late[0].S} > M={M}")
+        _check_onsets_by(cases, M)
     options = options or FitOptions()
     arrays = case_arrays(cases)
     index = terms_index(*arrays[:3], M if kind == "cond_trunc" else None)
@@ -347,6 +345,11 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
 # Profile-likelihood confidence intervals
 # ---------------------------------------------------------------------------
 
+def _inner_options(options: FitOptions) -> FitOptions:
+    """Single-start options for the many refits of a profile or a bootstrap."""
+    return replace(options, max_eval=20_000, restarts=0)
+
+
 _PROFILE_TOL = 5e-4          # |2 (lhat - lprof) - c| at returned endpoints
 _PROFILE_RANGE = 100.0       # search within [point/100, point*100]
 _PROFILE_STEP = 1.35
@@ -380,10 +383,7 @@ def profile_ci(cases: Sequence[CaseRecord], kind: str, fit: FitResult, param: st
         raise ValueError(f"{param} was pinned in the base fit")
     if M is None:
         M = fit.M
-    options = options or FitOptions()
-    inner = FitOptions(max_eval=20_000, restarts=0, seed=options.seed,
-                       xatol=options.xatol, fatol=options.fatol,
-                       boundary=options.boundary)
+    inner = _inner_options(options or FitOptions())
     point = getattr(fit.display, param)
     threshold = chi2.ppf(level, 1)
     if threshold == 0.0:
@@ -436,17 +436,10 @@ def profile_ci(cases: Sequence[CaseRecord], kind: str, fit: FitResult, param: st
 # Bootstrap
 # ---------------------------------------------------------------------------
 
-def _refit_on(cases, idx, kind, M, fixed, init, options, L) -> FitResult:
-    sub = [cases[i] for i in idx]
-    return mle_fit(sub, kind, init=init, M=M, fixed=fixed, options=options, L=L)
-
-
 def _bootstrap_displays(cases, kind, M, fixed, full: FitResult, n_boot, rng,
                         options, L, n_jobs) -> tuple[list[DisplayTheta], int]:
     n = len(cases)
-    inner = FitOptions(max_eval=20_000, restarts=0, seed=options.seed,
-                       xatol=options.xatol, fatol=options.fatol,
-                       boundary=options.boundary)
+    inner = _inner_options(options)
     all_idx = rng.integers(0, n, size=(n_boot, n))
     args = [(cases, idx, kind, M, fixed, full.display, inner, L) for idx in all_idx]
     if n_jobs > 1:
@@ -460,8 +453,10 @@ def _bootstrap_displays(cases, kind, M, fixed, full: FitResult, n_boot, rng,
 
 
 def _refit_star(args):
+    cases, idx, kind, M, fixed, init, options, L = args
     try:
-        return _refit_on(*args)
+        return mle_fit([cases[i] for i in idx], kind, init=init, M=M, fixed=fixed,
+                       options=options, L=L)
     except (ValueError, LikelihoodError):
         dummy = FitResult(theta=ParamTheta(r=0.0, alpha=1.0, beta=1.0),
                           display=DisplayTheta(1.0, 1.0, 2.0), log_lik=-np.inf,

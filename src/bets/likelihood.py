@@ -42,7 +42,6 @@ __all__ = [
     "LikelihoodError",
     "ParamTheta",
     "DisplayTheta",
-    "ExponentialGrowth",
     "gamma_cdf",
     "gamma_quantile",
     "quantiles_to_shape_rate",
@@ -234,23 +233,14 @@ def _gamma_cdf_diff(alpha: float, rate: float, x_hi, x_lo, index=None):
 # Growth curve and selection probabilities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentialGrowth:
-    """Epidemic curve g(t) = kappa * exp(r t) with its exact integral."""
-
-    kappa: float
-    r: float
-
-    def __call__(self, t):
-        return self.kappa * np.exp(self.r * np.asarray(t, dtype=float))
-
-    def integral(self, a: float, b: float) -> float:
-        """Integral of g over [a, b] (0 if b <= a)."""
-        if b <= a:
-            return 0.0
-        if abs(self.r) < R_SWITCH:
-            return self.kappa * (b - a)
-        return self.kappa * math.exp(self.r * a) * math.expm1(self.r * (b - a)) / self.r
+def _exp_mass(coef: float, rate: float, a, b) -> np.ndarray:
+    """Integral of coef*e^{rate t} over [a, b] (vectorized, 0 when b <= a)."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    width = np.maximum(b - a, 0.0)
+    if abs(rate) < R_SWITCH:
+        return coef * width
+    return coef / rate * np.exp(rate * a) * np.expm1(rate * width)
 
 
 def gamma_exp_integral(b: float, e: float, s: float, r: float,
@@ -287,9 +277,8 @@ def selection_prob_total(pi: float, lambda_w: float, lambda_v: float,
         raise ValueError(f"approximation requires r > 0, got {r}")
     approx = nu * kappa * math.exp(r * L) / r ** 2 * (
         (1 - pi) * lambda_w + pi * lambda_v * (1 - 2 / (r * L)))
-    growth = ExponentialGrowth(kappa, r)
-    resident, _ = integrate.quad(lambda e: growth.integral(0.0, e), 0.0, L)
-    visitor, _ = integrate.dblquad(lambda e, b: growth.integral(b, e),
+    resident, _ = integrate.quad(lambda e: _exp_mass(kappa, r, 0.0, e), 0.0, L)
+    visitor, _ = integrate.dblquad(lambda e, b: _exp_mass(kappa, r, b, e),
                                    0.0, L, lambda b: b, lambda b: L)
     exact = nu * ((1 - pi) * lambda_w * resident + pi * lambda_v / L * visitor)
     return approx, exact
@@ -444,6 +433,19 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
 # Public case-list log-likelihoods (strict: bad cases raise)
 # ---------------------------------------------------------------------------
 
+def _strict_arrays(cases: Sequence[CaseRecord], alpha: float, beta: float,
+                   r: float | None = None):
+    """case_arrays of a nonempty case list, after the argument checks the
+    strict log-likelihoods share (r is checked when given)."""
+    if not (alpha > 0 and beta > 0):
+        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
+    if r is not None and r < 0:
+        raise ValueError(f"need r >= 0, got {r}")
+    if not cases:
+        raise ValueError("no cases")
+    return case_arrays(cases)
+
+
 def _sum_strict(terms: np.ndarray, cases: Sequence[CaseRecord], what: str) -> float:
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
@@ -454,26 +456,23 @@ def _sum_strict(terms: np.ndarray, cases: Sequence[CaseRecord], what: str) -> fl
     return float(terms.sum())
 
 
+def _check_onsets_by(cases: Sequence[CaseRecord], M: float) -> None:
+    """LikelihoodError naming the first case with onset after the truncation day M."""
+    late = next((c for c in cases if c.S > M), None)
+    if late is not None:
+        raise LikelihoodError(f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}")
+
+
 def log_lik_cond(cases: Sequence[CaseRecord], r: float, alpha: float, beta: float) -> float:
     """Sum of conditional-on-(B, E) log-likelihood terms over the cases."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
-    if not cases:
-        raise ValueError("no cases")
-    b, e, s, _ = case_arrays(cases)
+    b, e, s, _ = _strict_arrays(cases, alpha, beta, r)
     return _sum_strict(cond_log_terms(b, e, s, r, alpha, beta), cases, "conditional likelihood")
 
 
 def log_lik_uncond(cases: Sequence[CaseRecord], rho: float, r: float,
                    alpha: float, beta: float, L: float = L_DEFAULT) -> float:
     """Sum of joint (B, E, S) log-likelihood terms over the cases."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    if not cases:
-        raise ValueError("no cases")
-    b, e, s, resident = case_arrays(cases)
+    b, e, s, resident = _strict_arrays(cases, alpha, beta)
     terms = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L)
     return _sum_strict(terms, cases, "unconditional likelihood")
 
@@ -481,17 +480,8 @@ def log_lik_uncond(cases: Sequence[CaseRecord], rho: float, r: float,
 def log_lik_cond_trunc(cases: Sequence[CaseRecord], r: float, alpha: float,
                        beta: float, M: float) -> float:
     """Sum of right-truncated (S <= M) conditional log-likelihood terms."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
-    if not cases:
-        raise ValueError("no cases")
-    b, e, s, _ = case_arrays(cases)
-    late = np.flatnonzero(s > M)
-    if late.size:
-        c = cases[int(late[0])]
-        raise LikelihoodError(f"truncated likelihood: case {c.case_id} has S={c.S} > M={M}")
+    b, e, s, _ = _strict_arrays(cases, alpha, beta, r)
+    _check_onsets_by(cases, M)
     return _sum_strict(trunc_log_terms(b, e, s, r, alpha, beta, M), cases,
                        "truncated likelihood")
 

@@ -45,6 +45,7 @@ __all__ = [
     "write_cohort_csv",
     "read_cohort_csv",
     "write_cohort_json",
+    "read_cohort",
     "write_json",
     "atomic_write_text",
 ]
@@ -178,7 +179,6 @@ _REQUIRED_COLUMNS = [
 ]
 
 _TRUE_STRINGS = {"yes", "y", "true", "1"}
-_FALSE_STRINGS = {"no", "n", "false", "0"} | _MISSING
 
 
 def _parse_gender(text: str) -> str:
@@ -535,31 +535,55 @@ def write_cohort_csv(records: Sequence[CaseRecord], path: str | os.PathLike) -> 
     atomic_write_text(path, buf.getvalue())
 
 
+def _record_from_row(rownum: int, row: Mapping) -> CaseRecord:
+    """The CaseRecord of one cohort row, a CSV row or a JSON object;
+    CaseTableError naming the row and the case when it is unusable."""
+    try:
+        confirmed = row.get("confirmed_int")
+        return CaseRecord.from_ints(
+            str(row["case_id"]), int(row["B_int"]), int(row["E_int"]), int(row["S_int"]),
+            gender=row.get("gender") or "unknown",
+            age_group=row.get("age_group") or "unknown",
+            confirmed_int=None if confirmed in (None, "") else int(confirmed),
+            location=row.get("location") or None)
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise CaseTableError(
+            f"cohort row {rownum} (case {row.get('case_id', '?')}): {what}") from None
+
+
 def read_cohort_csv(path: str | os.PathLike) -> list[CaseRecord]:
     """Read a cohort table written by :func:`write_cohort_csv`.
 
     Continuous B/E/S are recomputed from the integer days, so the offsets are
     always consistent regardless of how the file was produced.
     """
-    records: list[CaseRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         need = {"case_id", "B_int", "E_int", "S_int"}
         if reader.fieldnames is None or not need <= set(reader.fieldnames):
             raise CaseTableError(f"cohort file {path} lacks columns {sorted(need)}")
-        for rownum, row in enumerate(reader, start=1):
-            try:
-                confirmed = row.get("confirmed_int") or None
-                records.append(CaseRecord.from_ints(
-                    row["case_id"], int(row["B_int"]), int(row["E_int"]), int(row["S_int"]),
-                    gender=row.get("gender") or "unknown",
-                    age_group=row.get("age_group") or "unknown",
-                    confirmed_int=int(confirmed) if confirmed is not None else None,
-                    location=row.get("location") or None))
-            except ValueError as exc:
-                raise CaseTableError(f"cohort row {rownum}: {exc}") from None
-    return records
+        return [_record_from_row(rownum, row) for rownum, row in enumerate(reader, start=1)]
 
 
 def write_cohort_json(records: Sequence[CaseRecord], path: str | os.PathLike) -> None:
     write_json(path, [asdict(r) for r in records])
+
+
+def read_cohort(path: str | os.PathLike) -> list[CaseRecord]:
+    """Read a cohort file: JSON (a list of case objects, as written by
+    :func:`write_cohort_json`) when the name ends in .json, else CSV.
+
+    Both formats go through the same row parser, so a bad row raises the
+    same CaseTableError either way.
+    """
+    if not os.fspath(path).endswith(".json"):
+        return read_cohort_csv(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:
+            raise CaseTableError(f"cohort file {path} is not valid JSON: {exc}") from None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise CaseTableError(f"cohort file {path} is not a list of case objects")
+    return [_record_from_row(rownum, row) for rownum, row in enumerate(rows, start=1)]

@@ -169,12 +169,25 @@ def test_discrete_data_from_records():
 
 
 def test_discrete_data_rejects_infeasible_case():
-    config = DiscreteConfig()
-    rec = random_selected_records(1, np.random.default_rng(82))[0]
-    far = dataclasses.replace(rec, case_id="far-1", B_int=0, E_int=3, S_int=40,
+    """from_records drops a case with no infection day within max_incubation
+    days of its onset and counts it; direct construction still raises."""
+    config = DiscreteConfig(strata="gender")
+    recs = random_selected_records(5, np.random.default_rng(82), strata=True)
+    far = dataclasses.replace(recs[0], case_id="far-1", B_int=0, E_int=3, S_int=40,
                               B=0.0, E=3.5, S=40.25)
-    with pytest.raises(ValueError, match="far-1"):
+    other = dataclasses.replace(recs[1], case_id="u-1", gender="unknown")
+    data = DiscreteData.from_records(recs + [far, other], config)
+    assert data.case_ids == [c.case_id for c in recs]
+    assert data.dropped == {"outside_strata": 1, "no_feasible_infection_day": 1}
+    assert data.n_dropped == 2
+    kept = DiscreteData.from_records(recs, config)
+    assert np.array_equal(data.t_idx, kept.t_idx) and np.array_equal(data.t_mask, kept.t_mask)
+    with pytest.raises(ValueError, match="no cases left"):
         DiscreteData.from_records([far], config)
+    with pytest.raises(ValueError, match="far-1"):
+        DiscreteData(b=np.array([0]), e=np.array([3]), s=np.array([40]),
+                     stratum=np.array([0]), case_ids=["far-1"], labels=("all",),
+                     l=config.l, max_incubation=config.max_incubation)
 
 
 def test_log_lik_discrete_matches_enumeration():
@@ -363,7 +376,8 @@ def _uncached_target(coords, data, config, h0):
             return -math.inf
         for s in range(coords.S):
             total += log_prior_h(state.h[s], config.mu, h0)
-        total += bayes._log_lik_discrete_arrays(data, state, config)[0]
+        terms = bayes._scalar_terms(data, state, config)
+        total += -math.inf if terms is None else bayes._h_terms(data, state.h, terms)[0]
         return total if np.isfinite(total) else -math.inf
 
     return log_post

@@ -401,13 +401,28 @@ def test_mcmc_artifacts(mcmc_dir):
     assert entry["lo"] <= entry["mean"] <= entry["hi"]
 
 
+def test_mcmc_on_simulated_cohort_drops_infeasible_cases(tmp_path):
+    """The simulator's default incubation law has a long tail: some cases
+    have no infection day within the model's 30-day incubation support."""
+    src, out = str(tmp_path / "sim"), str(tmp_path / "mcmc")
+    assert cli.main(["simulate", "--n", "500", "--seed", "1", "--out", src]) == 0
+    code = cli.main(["mcmc", "--in", os.path.join(src, "cohort.csv"),
+                     "--steps", "40", "--chains", "2", "--out", out])
+    assert code == 0
+    summary = read_json(out, "mcmc_summary.json")
+    dropped = summary["dropped"]
+    assert dropped["outside_strata"] == 0 and dropped["no_feasible_infection_day"] >= 1
+    assert summary["n_dropped"] == dropped["no_feasible_infection_day"]
+    assert summary["n_cases"] + summary["n_dropped"] == 500
+
+
 def test_mcmc_prior_only_needs_no_input(tmp_path):
     out = str(tmp_path)
     code = cli.main(["mcmc", "--prior-only", "--steps", "800", "--chains", "2",
                      "--seed", "6", "--out", out])
     assert code == 0
     summary = read_json(out, "mcmc_summary.json")
-    assert summary["n_cases"] == 0
+    assert summary["n_cases"] == 0 and summary["dropped"] == {}
 
 
 def test_mcmc_without_input_exits_2(tmp_path, capsys):
@@ -446,6 +461,32 @@ def test_plot_data_sweep_bands(sweep_dir, tmp_path):
     assert len(body) == 18
     banded = [r for r in body if r[4] != ""]
     assert banded and all(float(r[4]) <= float(r[5]) for r in banded)
+
+
+def test_plot_data_sweep_bands_rows_match_bias_demo(sweep_dir, tmp_path):
+    out = str(tmp_path)
+    assert cli.main(["plot-data", "--kind", "sweep-bands",
+                     "--in", os.path.join(sweep_dir, "sweep.json"), "--out", out]) == 0
+    assert read_csv(out, "sweep_bands.csv") == read_csv(sweep_dir, "sweep.csv")
+
+
+@pytest.mark.parametrize("text", ['{"rows": [', '{"cutoffs": []}'])
+def test_plot_data_sweep_bands_bad_input_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "sweep.json"
+    src.write_text(text)
+    code = cli.main(["plot-data", "--kind", "sweep-bands", "--in", str(src),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert str(src) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["onset-fit", "se-density"])
+def test_plot_data_location_no_match_exits_3(sim_dir, tmp_path, kind):
+    code = cli.main(["plot-data", "--kind", kind,
+                     "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--growth-rate", "0.3", "--shape", "1.86", "--rate", "0.33",
+                     "--location", "nowhere", "--out", str(tmp_path)])
+    assert code == 3
 
 
 def test_plot_data_posterior_pmf(mcmc_dir, tmp_path):

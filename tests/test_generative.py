@@ -15,11 +15,8 @@ from scipy import stats
 
 from bets import generative, inference
 from bets.generative import (
-    FullTuple,
     GenerativeParams,
     IncubationDist,
-    discretize,
-    in_selection,
     params_from_theta,
     sample_exported,
     sample_population_arrays,
@@ -207,21 +204,21 @@ def test_acceptance_scales_linearly_in_symptomatic_fraction():
 
 
 # ---------------------------------------------------------------------------
-# Selection set and discretization
+# Selection set
 # ---------------------------------------------------------------------------
 
 def test_in_selection_examples():
-    assert in_selection(FullTuple(0.0, 20.0, 10.0, 15.0))
-    assert not in_selection(FullTuple(0.0, math.inf, 10.0, 15.0))   # never left
-    assert not in_selection(FullTuple(0.0, 20.0, 25.0, 30.0))      # infected after leaving
-    assert not in_selection(FullTuple(0.0, 20.0, 10.0, math.inf))  # never symptomatic
-    assert not in_selection(FullTuple(5.0, 20.0, 3.0, 10.0))       # infected before arrival
-    assert not in_selection(FullTuple(0.0, 60.0, 10.0, 15.0))      # left after the horizon
-
-
-def test_discretize_rounds_up():
-    assert discretize(FullTuple(10.2, 11.0, 3.5, math.inf)) == (11, 11, 4, math.inf)
-    assert discretize(FullTuple(0.0, 7.0, 2.0, 9.0)) == (0, 7, 2, 9)
+    rows = np.array([
+        (0.0, 20.0, 10.0, 15.0),       # exported
+        (0.0, math.inf, 10.0, 15.0),   # never left
+        (0.0, 20.0, 25.0, 30.0),       # infected after leaving
+        (0.0, 20.0, 10.0, math.inf),   # never symptomatic
+        (5.0, 20.0, 3.0, 10.0),        # infected before arrival
+        (0.0, 60.0, 10.0, 15.0),       # left after the horizon
+    ])
+    mask = selection_mask(*rows.T)
+    assert mask.tolist() == [True, False, False, False, False, False]
+    assert [bool(selection_mask(*row)) for row in rows] == mask.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from scipy import integrate, optimize, special, stats
 from bets import likelihood as lk
 from bets.likelihood import (
     DisplayTheta,
-    ExponentialGrowth,
     LikelihoodError,
     ParamTheta,
     gamma_exp_integral,
@@ -242,12 +241,13 @@ def test_quantile_inversion_is_the_full_bracket_brentq_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 def test_exponential_growth_integral():
-    g = ExponentialGrowth(kappa=0.002, r=0.3)
-    ref, _ = integrate.quad(g, 3.0, 17.0)
-    assert g.integral(3.0, 17.0) == pytest.approx(ref, rel=1e-12)
-    assert g.integral(5.0, 5.0) == 0.0
-    tiny = ExponentialGrowth(kappa=0.002, r=1e-12)
-    assert tiny.integral(3.0, 17.0) == pytest.approx(0.002 * 14.0, rel=1e-9)
+    ref, _ = integrate.quad(lambda t: 0.002 * math.exp(0.3 * t), 3.0, 17.0)
+    assert lk._exp_mass(0.002, 0.3, 3.0, 17.0) == pytest.approx(ref, rel=1e-12)
+    assert lk._exp_mass(0.002, 0.3, 5.0, 5.0) == 0.0
+    assert lk._exp_mass(0.002, 0.3, 6.0, 5.0) == 0.0  # b < a
+    assert lk._exp_mass(0.002, 1e-12, 3.0, 17.0) == pytest.approx(0.002 * 14.0, rel=1e-9)
+    got = lk._exp_mass(0.002, 0.3, np.array([3.0, 5.0]), np.array([17.0, 5.0]))
+    assert got[0] == lk._exp_mass(0.002, 0.3, 3.0, 17.0) and got[1] == 0.0
 
 
 def test_gamma_exp_integral_against_quadrature():

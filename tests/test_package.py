@@ -1,0 +1,26 @@
+"""Package-level checks: every exported name resolves."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import bets
+
+MODULES = ["bets"] + [f"bets.{m.name}" for m in pkgutil.iter_modules(bets.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    """A stale __all__ entry would also hide a function from tools that
+    wrap a module's __all__ by name."""
+    mod = importlib.import_module(name)
+    missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_every_layer_is_checked():
+    layers = {"timeline", "generative", "likelihood", "inference", "bayes", "cli"}
+    assert {f"bets.{m}" for m in layers} < set(MODULES)

@@ -342,6 +342,9 @@ def test_cohort_csv_missing_columns(tmp_path):
     path.write_text("case_id,B_int\nx,0\n")
     with pytest.raises(CaseTableError, match="lacks columns"):
         timeline.read_cohort_csv(path)
+    path.write_text("case_id,B_int,E_int,S_int\nx,0,53,56\ny,0\n")  # short row
+    with pytest.raises(CaseTableError, match="cohort row 2 .case y."):
+        timeline.read_cohort_csv(path)
 
 
 def test_cohort_json_structure(tmp_path):
@@ -351,6 +354,39 @@ def test_cohort_json_structure(tmp_path):
     assert [d["case_id"] for d in data] == ["w-1", "v-2"]
     assert data[0]["B"] == 0.0
     assert data[1]["confirmed_int"] is None
+    assert timeline.read_cohort(path) == _sample_records()
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"B_int": 45, "E_int": 41}, "need 0 <= B_int <= E_int"),
+    ({"S_int": "x"}, "invalid literal"),
+    ({"confirmed_int": "soon"}, "invalid literal"),
+])
+def test_cohort_csv_and_json_reject_a_bad_row_alike(tmp_path, bad, match):
+    rows = [{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56},
+            {"case_id": "a-2", "B_int": 41, "E_int": 51, "S_int": 52},
+            {"case_id": "bad-3", "B_int": 0, "E_int": 53, "S_int": 56, **bad}]
+    fields = ["case_id", "B_int", "E_int", "S_int", "confirmed_int"]
+    csv_path = tmp_path / "cohort.csv"
+    csv_path.write_text("\n".join([",".join(fields)] + [
+        ",".join(str(r.get(f, "")) for f in fields) for r in rows]) + "\n")
+    json_path = tmp_path / "cohort.json"
+    json_path.write_text(json.dumps(rows))
+    messages = []
+    for path in (csv_path, json_path):
+        with pytest.raises(CaseTableError, match=match) as exc:
+            timeline.read_cohort(path)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("cohort row 3 (case bad-3): ")
+
+
+def test_read_cohort_json_needs_a_list(tmp_path):
+    path = tmp_path / "cohort.json"
+    for text in ('{"rows": []}', '[{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56}, 7]'):
+        path.write_text(text)
+        with pytest.raises(CaseTableError, match="not a list of case objects"):
+            timeline.read_cohort(path)
 
 
 def test_atomic_write_text(tmp_path):
