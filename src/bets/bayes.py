@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special as sc
 
 from .likelihood import _LN2
-from .timeline import CaseRecord
+from .timeline import QUARANTINE_DAY, CaseRecord
 
 __all__ = [
     "DiscreteConfig",
@@ -60,7 +60,7 @@ class DiscreteConfig:
     definition term by term.
     """
 
-    l: int = 54
+    l: int = QUARANTINE_DAY
     l1: int = 51
     l_chunyun: int = 41
     max_incubation: int = 30

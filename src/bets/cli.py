@@ -169,6 +169,16 @@ def _fit_from_flags(records: list[CaseRecord],
     return inference.mle_fit(records, kind, M=M, fixed=fixed, options=options), records
 
 
+def _theta_from_flags(records: list[CaseRecord], args) -> tuple[float, float, float, dict]:
+    """(r, alpha, beta, fit info) from --growth-rate/--shape/--rate, else from a fit."""
+    if args.growth_rate is None:
+        fit, _ = _fit_from_flags(records, args)
+        return fit.theta.r, fit.theta.alpha, fit.theta.beta, fit.to_dict()
+    if args.shape is None or args.rate is None:
+        raise CliError(2, "--growth-rate needs --shape and --rate too")
+    return args.growth_rate, args.shape, args.rate, {"source": "flags"}
+
+
 def _write_sweep_csv(path: str, rows: list[dict]) -> None:
     """Long-format CSV of bias-sweep rows given as SweepRow.to_dict() dicts."""
     out = []
@@ -252,15 +262,12 @@ def cmd_ci(args) -> int:
     fit, records = _fit_from_flags(
         _filter_location(_load_cohort(args.input), args.location), args)
     param = _PARAM_FLAG[args.param]
-    kind = fit.kind
     if args.method == "profile":
-        ci = inference.profile_ci(records, kind, fit, param, level=args.level, M=fit.M,
-                                  options=inference.FitOptions(seed=args.seed))
+        ci = inference.profile_ci(records, fit, param, level=args.level)
     else:
         ci = inference.bootstrap_ci(
-            records, kind, statistic=param, n_boot=args.n_boot, level=args.level,
-            rng=np.random.default_rng(args.seed), M=fit.M,
-            fixed=_parse_fixed(args.fix), method=args.boot_method,
+            records, fit, param, n_boot=args.n_boot, level=args.level,
+            rng=np.random.default_rng(args.seed), method=args.boot_method,
             n_jobs=args.workers)
     out = _out_dir(args)
     _write_json(os.path.join(out, "ci.json"),
@@ -292,16 +299,7 @@ def cmd_bias_demo(args) -> int:
 
 def cmd_gof(args) -> int:
     records = _filter_location(_load_cohort(args.input), args.location)
-    if args.growth_rate is not None:
-        if args.shape is None or args.rate is None:
-            raise CliError(2, "--growth-rate needs --shape and --rate too")
-        r, alpha, beta = args.growth_rate, args.shape, args.rate
-        fit_info = {"source": "flags"}
-    else:
-        fit, _ = _fit_from_flags(records, args)
-        theta = fit.theta
-        r, alpha, beta = theta.r, theta.alpha, theta.beta
-        fit_info = fit.to_dict()
+    r, alpha, beta, fit_info = _theta_from_flags(records, args)
     gof = inference.gof_onset_marginal(records, r, alpha, beta,
                                        min_expected=args.min_expected)
     out = _out_dir(args)
@@ -387,11 +385,7 @@ def cmd_plot_data(args) -> int:
     out = _out_dir(args)
     if args.kind == "onset-fit":
         records = _filter_location(_load_cohort(args.input), args.location)
-        if args.growth_rate is not None and args.shape is not None and args.rate is not None:
-            r, alpha, beta = args.growth_rate, args.shape, args.rate
-        else:
-            fit, _ = _fit_from_flags(records, args)
-            r, alpha, beta = fit.theta.r, fit.theta.alpha, fit.theta.beta
+        r, alpha, beta, _ = _theta_from_flags(records, args)
         days, observed, expected = inference.onset_fit_table(records, r, alpha, beta)
         rows = [[int(day), timeline.from_epoch(int(day)).isoformat(), int(obs), float(exp)]
                 for day, obs, exp in zip(days, observed, expected)]
@@ -651,7 +645,7 @@ def main(argv=None) -> int:
     except CaseTableError as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LikelihoodError, ValueError, RuntimeError) as exc:

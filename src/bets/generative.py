@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .likelihood import L_DEFAULT, R_SWITCH, _exp_mass, quantiles_to_shape_rate
 from .timeline import CaseRecord
@@ -65,11 +64,6 @@ class IncubationDist:
             return rng.gamma(shape=self.alpha, scale=1.0 / self.beta, size=n)
         return rng.choice(len(self.pmf), size=n, p=np.asarray(self.pmf)).astype(float)
 
-    def mean(self) -> float:
-        if self.pmf is None:
-            return self.alpha / self.beta
-        return float(np.dot(np.arange(len(self.pmf)), self.pmf))
-
 
 @dataclass(frozen=True)
 class GenerativeParams:
@@ -105,23 +99,11 @@ class GenerativeParams:
                 raise ValueError(f"need 0 <= {name} <= 1/L, got {lam}")
         if self.r2 is not None and not 0 < self.l1 < self.L:
             raise ValueError(f"need 0 < l1 < L for two-stage growth, got l1={self.l1}")
-        mass, _ = integrate.quad(self.g, 0.0, self.L,
-                                 points=[self.l1] if self.r2 is not None else None)
+        mass = float(self.growth_mass(0.0, self.L))
         if mass > 1.0 + 1e-9:
             raise ValueError(f"epidemic curve mass over [0, L] is {mass:.4g} > 1")
 
     # -- epidemic curve -----------------------------------------------------
-
-    def g(self, t):
-        """Infection intensity at day t (0 outside [0, L])."""
-        t_arr = np.asarray(t, dtype=float)
-        if self.r2 is None:
-            expo = self.r * t_arr
-        else:
-            expo = np.where(t_arr <= self.l1, self.r * t_arr,
-                            self.r2 * (t_arr - self.l1) + self.r * self.l1)
-        val = np.where((t_arr >= 0) & (t_arr <= self.L), self.kappa * np.exp(expo), 0.0)
-        return float(val) if np.isscalar(t) or t_arr.ndim == 0 else val
 
     def _segments(self):
         """(start, end, coefficient, rate) pieces of the curve on [0, L]."""

@@ -12,11 +12,10 @@ histogram against the exported-resident onset density.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -67,15 +66,20 @@ _FIXABLE = ("rho", "r", "doubling_time", "median_incubation", "q95_incubation")
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs of the simplex search."""
+    """Budget and restarts of the simplex search; seed draws the restart offsets."""
 
     max_eval: int = 50_000
     restarts: int = 3
-    jitter: float = 0.2
     seed: int = 0
-    xatol: float = 1e-8
-    fatol: float = 1e-10
-    boundary: float = 16.0  # |transformed coordinate| beyond this flags a boundary
+
+
+_JITTER = 0.2       # scale of the restart offsets from the start point
+_XATOL = 1e-8
+_FATOL = 1e-10
+_BOUNDARY = 16.0    # |transformed coordinate| beyond this flags a boundary
+
+#: Single start for the many refits of a profile or a bootstrap (no seed drawn).
+_INNER = FitOptions(max_eval=20_000, restarts=0)
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,6 @@ class FitResult:
             "ci": {k: v.to_dict() for k, v in self.ci.items()},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # Transform between display parameters and unconstrained coordinates
@@ -149,7 +150,7 @@ def _sigmoid(x: float) -> float:
 class _ParamMap:
     """Active-coordinate bookkeeping given the likelihood kind and pinned values."""
 
-    def __init__(self, kind: str, fixed: dict | None, L: float = L_DEFAULT):
+    def __init__(self, kind: str, fixed: dict | None):
         fixed = dict(fixed or {})
         unknown = set(fixed) - set(_FIXABLE)
         if unknown:
@@ -160,7 +161,6 @@ class _ParamMap:
             raise ValueError("rho only applies to the unconditional likelihood")
         self.kind = kind
         self.fixed = fixed
-        self.L = L
         if "r" in fixed:
             self.r_pinned: float | None = float(fixed["r"])
         elif "doubling_time" in fixed:
@@ -233,26 +233,26 @@ class _ParamMap:
         return rho, r, med, q95
 
 
-def _log_terms(arrays, index, kind, M, L, rho, r, alpha, beta) -> np.ndarray:
+def _log_terms(arrays, index, kind, M, rho, r, alpha, beta) -> np.ndarray:
     """Per-case log terms of the chosen likelihood kind, NaN read as -inf."""
     b, e, s, resident = arrays
     if kind == "cond":
         lt = cond_log_terms(b, e, s, r, alpha, beta, index)
     elif kind == "uncond":
-        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L, index)
+        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L_DEFAULT, index)
     else:
         lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
     return np.where(np.isnan(lt), -np.inf, lt)
 
 
-def _make_objective(arrays, index, kind: str, M: float | None, pmap: _ParamMap, L: float):
+def _make_objective(arrays, index, kind: str, M: float | None, pmap: _ParamMap):
     def fun(u: np.ndarray) -> float:
         try:
             rho, r, med, q95 = pmap.unpack(u)
             alpha, beta = quantiles_to_shape_rate(med, q95)
             if r < 0 or (kind == "uncond" and not r > 0):
                 return _BIG
-            lt = _log_terms(arrays, index, kind, M, L, rho, r, alpha, beta)
+            lt = _log_terms(arrays, index, kind, M, rho, r, alpha, beta)
         except (ValueError, OverflowError):
             return _BIG
         return -float(np.maximum(lt, _LOG_FLOOR).sum())
@@ -266,8 +266,7 @@ def _make_objective(arrays, index, kind: str, M: float | None, pmap: _ParamMap, 
 
 def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
             init: DisplayTheta | None = None, M: float | None = None,
-            fixed: dict | None = None, options: FitOptions | None = None,
-            L: float = L_DEFAULT) -> FitResult:
+            fixed: dict | None = None, options: FitOptions | None = None) -> FitResult:
     """Maximize the chosen log-likelihood over the free display parameters.
 
     Parameters
@@ -303,10 +302,10 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     options = options or FitOptions()
     arrays = case_arrays(cases)
     index = terms_index(*arrays[:3], M if kind == "cond_trunc" else None)
-    pmap = _ParamMap(kind, fixed, L)
+    pmap = _ParamMap(kind, fixed)
     init = init or DEFAULT_INIT
     u0 = pmap.pack(init)
-    fun = _make_objective(arrays, index, kind, M, pmap, L)
+    fun = _make_objective(arrays, index, kind, M, pmap)
 
     if u0.size == 0:  # everything pinned: nothing to optimize
         val = fun(u0)
@@ -316,9 +315,9 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         per_run = max(options.max_eval // (options.restarts + 1), 200)
         best_x, best_fun, n_eval, success = None, np.inf, 0, False
         for k in range(options.restarts + 1):
-            x0 = u0 if k == 0 else u0 + options.jitter * rng.standard_normal(u0.size)
+            x0 = u0 if k == 0 else u0 + _JITTER * rng.standard_normal(u0.size)
             res = minimize(fun, x0, method="Nelder-Mead",
-                           options={"xatol": options.xatol, "fatol": options.fatol,
+                           options={"xatol": _XATOL, "fatol": _FATOL,
                                     "maxfev": per_run, "maxiter": per_run,
                                     "adaptive": u0.size > 2})
             n_eval += res.nfev
@@ -330,8 +329,8 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     theta = ParamTheta(r=r, alpha=alpha, beta=beta, rho=rho)
     display = DisplayTheta(doubling_time=math.inf if r == 0 else _LN2 / r,
                            median_incubation=med, q95_incubation=q95, rho=rho)
-    at_boundary = bool(np.any(np.abs(np.asarray(best_x)) > options.boundary))
-    n_clamped = int((_log_terms(arrays, index, kind, M, L, rho, r, alpha, beta)
+    at_boundary = bool(np.any(np.abs(np.asarray(best_x)) > _BOUNDARY))
+    n_clamped = int((_log_terms(arrays, index, kind, M, rho, r, alpha, beta)
                      < _LOG_FLOOR).sum())
     converged = bool(success and not at_boundary and best_fun < _BIG)
     message = "ok" if converged else ("boundary" if at_boundary else "search failed")
@@ -344,11 +343,6 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
 # ---------------------------------------------------------------------------
 # Profile-likelihood confidence intervals
 # ---------------------------------------------------------------------------
-
-def _inner_options(options: FitOptions) -> FitOptions:
-    """Single-start options for the many refits of a profile or a bootstrap."""
-    return replace(options, max_eval=20_000, restarts=0)
-
 
 _PROFILE_TOL = 5e-4          # |2 (lhat - lprof) - c| at returned endpoints
 _PROFILE_RANGE = 100.0       # search within [point/100, point*100]
@@ -366,32 +360,35 @@ def _warm_init(display: DisplayTheta, param: str, value: float) -> DisplayTheta:
     return replace(display, **{param: value})
 
 
-def profile_ci(cases: Sequence[CaseRecord], kind: str, fit: FitResult, param: str,
-               level: float = 0.95, M: float | None = None,
-               options: FitOptions | None = None, L: float = L_DEFAULT) -> CIResult:
-    """Invert the likelihood-ratio test for one display parameter.
-
-    Endpoints v solve 2(l_hat - l_profile(v)) = chi2_1(level) to within 5e-4;
-    the search stays within [point/100, point*100] and a side that never
-    crosses inside that range comes back with its bracket flag False.
-    """
+def _check_param(fit: FitResult, param: str) -> None:
+    """Reject a display parameter that the fit does not estimate."""
     allowed = ["doubling_time", "median_incubation", "q95_incubation"] + (
-        ["rho"] if kind == "uncond" else [])
+        ["rho"] if fit.kind == "uncond" else [])
     if param not in allowed:
         raise ValueError(f"param must be one of {allowed}, got {param!r}")
-    if param in fit.fixed:
+    if param in fit.fixed or (param == "doubling_time" and "r" in fit.fixed):
         raise ValueError(f"{param} was pinned in the base fit")
-    if M is None:
-        M = fit.M
-    inner = _inner_options(options or FitOptions())
+
+
+def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
+               level: float = 0.95) -> CIResult:
+    """Invert the likelihood-ratio test for one display parameter of fit.
+
+    The profile refits use the fit's likelihood kind, truncation day and
+    pins.  Endpoints v solve 2(l_hat - l_profile(v)) = chi2_1(level) to
+    within 5e-4; the search stays within [point/100, point*100] and a side
+    that never crosses inside that range comes back with its bracket flag
+    False.
+    """
+    _check_param(fit, param)
     point = getattr(fit.display, param)
     threshold = chi2.ppf(level, 1)
     if threshold == 0.0:
         return CIResult(point, point, level)
 
     def discrepancy(v: float) -> float:
-        sub = mle_fit(cases, kind, init=_warm_init(fit.display, param, v), M=M,
-                      fixed={**fit.fixed, param: v}, options=inner, L=L)
+        sub = mle_fit(cases, fit.kind, init=_warm_init(fit.display, param, v), M=fit.M,
+                      fixed={**fit.fixed, param: v}, options=_INNER)
         return 2.0 * (fit.log_lik - sub.log_lik) - threshold
 
     def solve(direction: int) -> tuple[float, bool]:
@@ -436,70 +433,66 @@ def profile_ci(cases: Sequence[CaseRecord], kind: str, fit: FitResult, param: st
 # Bootstrap
 # ---------------------------------------------------------------------------
 
-def _bootstrap_displays(cases, kind, M, fixed, full: FitResult, n_boot, rng,
-                        options, L, n_jobs) -> tuple[list[DisplayTheta], int]:
+_MAX_FAILURE_RATE = 0.05    # share of failed bootstrap refits tolerated
+
+
+def _refit_star(args) -> DisplayTheta | None:
+    """Refit one resample from the full fit's point; None when it fails."""
+    cases, idx, fit = args
+    try:
+        sub = mle_fit([cases[i] for i in idx], fit.kind, init=fit.display, M=fit.M,
+                      fixed=fit.fixed, options=_INNER)
+    except (ValueError, LikelihoodError):
+        return None
+    return sub.display if sub.converged else None
+
+
+def _bootstrap_displays(cases, fit: FitResult, n_boot: int, rng,
+                        n_jobs: int) -> tuple[list[DisplayTheta], int]:
+    """Displays of the converged refits of n_boot resamples, and the failure count."""
     n = len(cases)
-    inner = _inner_options(options)
-    all_idx = rng.integers(0, n, size=(n_boot, n))
-    args = [(cases, idx, kind, M, fixed, full.display, inner, L) for idx in all_idx]
+    args = [(cases, idx, fit) for idx in rng.integers(0, n, size=(n_boot, n))]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(_refit_star, args, chunksize=max(1, n_boot // (4 * n_jobs))))
+            results = list(pool.map(_refit_star, args,
+                                    chunksize=max(1, n_boot // (4 * n_jobs))))
     else:
-        fits = [_refit_star(a) for a in args]
-    displays = [f.display for f in fits if f.converged]
-    failures = n_boot - len(displays)
-    return displays, failures
+        results = [_refit_star(a) for a in args]
+    displays = [d for d in results if d is not None]
+    return displays, n_boot - len(displays)
 
 
-def _refit_star(args):
-    cases, idx, kind, M, fixed, init, options, L = args
-    try:
-        return mle_fit([cases[i] for i in idx], kind, init=init, M=M, fixed=fixed,
-                       options=options, L=L)
-    except (ValueError, LikelihoodError):
-        dummy = FitResult(theta=ParamTheta(r=0.0, alpha=1.0, beta=1.0),
-                          display=DisplayTheta(1.0, 1.0, 2.0), log_lik=-np.inf,
-                          kind="cond", n_cases=0, converged=False)
-        return dummy
+def _percentile_ci(values, level: float) -> CIResult:
+    """Central percentile interval of the values at the given level."""
+    a = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(values, [a, 100.0 - a])
+    return CIResult(float(lo), float(hi), level)
 
 
-def bootstrap_ci(cases: Sequence[CaseRecord], kind: str,
-                 statistic: Callable[[FitResult], float] | str,
+def bootstrap_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
                  n_boot: int = 1000, level: float = 0.95,
-                 rng: np.random.Generator | None = None, M: float | None = None,
-                 fixed: dict | None = None, method: str = "basic",
-                 options: FitOptions | None = None, L: float = L_DEFAULT,
-                 n_jobs: int = 1, max_failure_rate: float = 0.05) -> CIResult:
-    """Case-resampling bootstrap interval for a scalar statistic of the fit.
+                 rng: np.random.Generator | None = None, method: str = "basic",
+                 n_jobs: int = 1) -> CIResult:
+    """Case-resampling bootstrap interval for one display parameter of fit.
 
-    statistic may be a display-field name ("doubling_time", ...) or any
-    callable FitResult -> float.  method "basic" reflects the percentile
-    interval around the full-data statistic (2*s_hat - percentiles); method
-    "percentile" uses the raw percentiles.  More than max_failure_rate
-    non-converged refits aborts with RuntimeError.
+    Each resample is refitted with the fit's likelihood kind, truncation day
+    and pins, starting from the fit's point.  method "basic" reflects the
+    percentile interval around the fit's value (2*s_hat - percentiles);
+    method "percentile" uses the raw percentiles.  More than 5% of refits
+    failing aborts with RuntimeError.
     """
     if method not in ("basic", "percentile"):
         raise ValueError(f"method must be 'basic' or 'percentile', got {method!r}")
+    _check_param(fit, param)
     rng = rng if rng is not None else np.random.default_rng(0)
-    options = options or FitOptions()
-    if isinstance(statistic, str):
-        name = statistic
-        statistic = lambda f: getattr(f.display, name)  # noqa: E731
-    full = mle_fit(cases, kind, M=M, fixed=fixed, options=options, L=L)
-    s_hat = float(statistic(full))
-    displays, failures = _bootstrap_displays(cases, kind, M, fixed, full, n_boot,
-                                             rng, options, L, n_jobs)
-    if failures > max_failure_rate * n_boot:
+    displays, failures = _bootstrap_displays(cases, fit, n_boot, rng, n_jobs)
+    if failures > _MAX_FAILURE_RATE * n_boot:
         raise RuntimeError(f"bootstrap: {failures}/{n_boot} refits failed to converge")
-    stats = np.array([statistic(FitResult(
-        theta=d.theta(), display=d, log_lik=np.nan, kind=kind, n_cases=len(cases)))
-        for d in displays])
-    a = 100.0 * (1.0 - level) / 2.0
-    lo_p, hi_p = np.percentile(stats, [a, 100.0 - a])
-    if method == "basic":
-        return CIResult(lo=2 * s_hat - float(hi_p), hi=2 * s_hat - float(lo_p), level=level)
-    return CIResult(lo=float(lo_p), hi=float(hi_p), level=level)
+    pct = _percentile_ci([getattr(d, param) for d in displays], level)
+    if method == "percentile":
+        return pct
+    s_hat = getattr(fit.display, param)
+    return CIResult(lo=2 * s_hat - pct.hi, hi=2 * s_hat - pct.lo, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +525,7 @@ class SweepRow:
 def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
                m_offset: int = 7, min_cases: int = 20, bootstrap_b: int = 0,
                level: float = 0.95, rng: np.random.Generator | None = None,
-               options: FitOptions | None = None, L: float = L_DEFAULT,
-               n_jobs: int = 1) -> list[SweepRow]:
+               options: FitOptions | None = None, n_jobs: int = 1) -> list[SweepRow]:
     """Incubation-quantile estimates by confirmation cutoff under three models.
 
     For each cutoff day d (cases confirmed by d):
@@ -563,17 +555,13 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
                 rows.append(SweepRow(cutoff=int(d), model=model, n_cases=len(sub),
                                      fitted=False))
                 continue
-            fit = mle_fit(sub, kind, M=M, fixed=fixed, options=options, L=L)
+            fit = mle_fit(sub, kind, M=M, fixed=fixed, options=options)
             med_ci = q95_ci = None
             if bootstrap_b > 0:
-                displays, failures = _bootstrap_displays(
-                    sub, kind, M, fixed, fit, bootstrap_b, rng, options, L, n_jobs)
-                if failures <= 0.05 * bootstrap_b and displays:
-                    a = 100.0 * (1.0 - level) / 2.0
-                    meds = np.array([x.median_incubation for x in displays])
-                    q95s = np.array([x.q95_incubation for x in displays])
-                    med_ci = CIResult(*map(float, np.percentile(meds, [a, 100 - a])), level)
-                    q95_ci = CIResult(*map(float, np.percentile(q95s, [a, 100 - a])), level)
+                displays, failures = _bootstrap_displays(sub, fit, bootstrap_b, rng, n_jobs)
+                if failures <= _MAX_FAILURE_RATE * bootstrap_b and displays:
+                    med_ci = _percentile_ci([x.median_incubation for x in displays], level)
+                    q95_ci = _percentile_ci([x.q95_incubation for x in displays], level)
             rows.append(SweepRow(cutoff=int(d), model=model, n_cases=len(sub),
                                  fitted=True, median=fit.display.median_incubation,
                                  q95=fit.display.q95_incubation,
@@ -599,8 +587,7 @@ class GofResult:
                 "n_bins": self.n_bins}
 
 
-def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float,
-                    beta: float, L: float = L_DEFAULT):
+def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float, beta: float):
     """(day, observed, expected) per onset day among resident cases.
 
     Expected counts evaluate the exported-resident onset density at the
@@ -615,7 +602,7 @@ def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float,
     for c in cases:
         if c.is_resident:
             obs[c.S_int - full[0]] += 1
-    dens = marginal_s_density(full - 0.5, r, alpha, beta, L)
+    dens = marginal_s_density(full - 0.5, r, alpha, beta)
     total = dens.sum()
     if not total > 0:
         raise ValueError("onset density vanishes on the observed range")
@@ -624,7 +611,7 @@ def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float,
 
 
 def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
-                       beta: float, L: float = L_DEFAULT, min_cases: int = 30,
+                       beta: float, min_cases: int = 30,
                        min_expected: float = 5.0) -> GofResult:
     """Pearson chi-square of resident onset days against the model density.
 
@@ -635,7 +622,7 @@ def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
     n_res = sum(1 for c in cases if c.is_resident)
     if n_res < min_cases:
         raise ValueError(f"need at least {min_cases} resident cases, have {n_res}")
-    _, obs, expected = onset_fit_table(cases, r, alpha, beta, L)
+    _, obs, expected = onset_fit_table(cases, r, alpha, beta)
     pooled_o: list[float] = []
     pooled_e: list[float] = []
     acc_o = acc_e = 0.0

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy import special as sc
 
-from .timeline import CaseRecord
+from .timeline import QUARANTINE_DAY, CaseRecord
 
 __all__ = [
     "L_DEFAULT",
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: Horizon of the selection window (travel-quarantine day).
-L_DEFAULT = 54.0
+L_DEFAULT = float(QUARANTINE_DAY)
 
 #: |r| below this uses the exact r = 0 limiting forms.
 R_SWITCH = 1e-8

@@ -137,7 +137,7 @@ def test_criterion_3_simulation_recovery_uncond():
         for name, true in truth.items():
             err = abs(getattr(fit.display, name) - true) / true
             worst[name] = max(worst[name], err)
-        ci = inference.profile_ci(recs, "uncond", fit, "doubling_time")
+        ci = inference.profile_ci(recs, fit, "doubling_time")
         covered += int(ci.lo <= DOUBLING_TRUE <= ci.hi)
     ok = all(v <= 0.10 for v in worst.values()) and covered >= 17
     _report(3, ok, "worst rel err " + ", ".join(
@@ -167,7 +167,7 @@ def test_criterion_4_bias_demonstration():
         under = naive.display.q95_incubation < Q95_TRUE
         naive_under += int(under)
         adj = inference.mle_fit(kept, "cond_trunc", M=M)
-        ci = inference.profile_ci(kept, "cond_trunc", adj, "q95_incubation", M=M)
+        ci = inference.profile_ci(kept, adj, "q95_incubation")
         joint += int(under and ci.lo <= Q95_TRUE <= ci.hi)
     ok = r0_inflated >= 19 and joint >= 17
     _report(4, ok, f"no-growth median inflated >= 1.5x in {r0_inflated}/20; "

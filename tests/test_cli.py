@@ -151,6 +151,12 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_input_directory_exits_2(tmp_path, capsys):
+    code = cli.main(["fit", "--in", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -304,6 +310,32 @@ def test_ci_bootstrap(sim_dir, tmp_path, capsys):
     assert ci["lo"] < payload["fit"]["display"]["median_incubation"] < ci["hi"]
 
 
+def test_ci_bootstrap_reflects_around_the_reported_fit(sim_dir, tmp_path):
+    """The basic interval mirrors the percentile one around the fit in ci.json,
+    also when --seed moves that fit's restarts."""
+    payloads = {}
+    for method in ("basic", "percentile"):
+        out = str(tmp_path / method)
+        code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
+                         "--likelihood", "cond", "--param", "q95",
+                         "--method", "bootstrap", "--n-boot", "8",
+                         "--boot-method", method, "--seed", "5", "--out", out])
+        assert code == 0
+        payloads[method] = read_json(out, "ci.json")
+    s_hat = payloads["basic"]["fit"]["display"]["q95_incubation"]
+    basic, pct = payloads["basic"]["ci"], payloads["percentile"]["ci"]
+    assert basic["lo"] == pytest.approx(2 * s_hat - pct["hi"], rel=1e-12)
+    assert basic["hi"] == pytest.approx(2 * s_hat - pct["lo"], rel=1e-12)
+
+
+def test_ci_bootstrap_rejects_rho_on_cond_fit(sim_dir, tmp_path, capsys):
+    code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--likelihood", "cond", "--param", "rho",
+                     "--method", "bootstrap", "--n-boot", "4", "--out", str(tmp_path)])
+    assert code == 4
+    assert "param must be one of" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bias-demo / gof
 # ---------------------------------------------------------------------------
@@ -359,6 +391,15 @@ def test_gof_flag_combination_checked(sim_dir, tmp_path):
     code = cli.main(["gof", "--in", os.path.join(sim_dir, "cohort.csv"),
                      "--growth-rate", "0.3", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_plot_data_onset_fit_flag_combination_checked(sim_dir, tmp_path, capsys):
+    code = cli.main(["plot-data", "--kind", "onset-fit",
+                     "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--growth-rate", "0.3", "--shape", "1.86", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--growth-rate needs --shape and --rate" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(str(tmp_path), "onset_fit.csv"))
 
 
 def test_gof_too_few_residents_exits_4(tmp_path, capsys):

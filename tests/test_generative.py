@@ -78,9 +78,11 @@ def test_growth_mass_additive_and_curve_continuous():
     total = float(p.growth_mass(a, b))
     assert total == pytest.approx(
         float(p.growth_mass(a, mid)) + float(p.growth_mass(mid, b)), rel=1e-12)
-    eps = 1e-9
-    assert p.g(40.0 - eps) == pytest.approx(p.g(40.0 + eps), rel=1e-6)
-    assert p.g(-1.0) == 0.0 and p.g(L + 1.0) == 0.0
+    eps = 1e-6  # equal masses just either side of l1: the curve is continuous there
+    assert float(p.growth_mass(mid - eps, mid)) == pytest.approx(
+        float(p.growth_mass(mid, mid + eps)), rel=1e-6)
+    assert float(p.growth_mass(-5.0, 0.0)) == 0.0
+    assert float(p.growth_mass(L, L + 5.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +91,16 @@ def test_growth_mass_additive_and_curve_continuous():
 
 def test_incubation_gamma_moments():
     inc = IncubationDist.gamma(1.86, 0.33)
-    assert inc.mean() == pytest.approx(1.86 / 0.33, rel=1e-12)
     x = inc.sample(np.random.default_rng(1), 200_000)
-    assert x.mean() == pytest.approx(inc.mean(), rel=0.02)
+    assert x.mean() == pytest.approx(1.86 / 0.33, rel=0.02)
 
 
 def test_incubation_discrete_sampling():
     pmf = np.array([0.1, 0.3, 0.4, 0.15, 0.05])
     inc = IncubationDist.discrete(pmf)
     assert inc.kind == "discrete"
-    assert inc.mean() == pytest.approx(float(np.arange(5) @ pmf), rel=1e-12)
     x = inc.sample(np.random.default_rng(2), 20_000).astype(int)
+    assert x.mean() == pytest.approx(float(np.arange(5) @ pmf), rel=0.02)
     counts = np.bincount(x, minlength=5)
     p = stats.chisquare(counts, 20_000 * pmf).pvalue
     assert p > 1e-3

@@ -95,7 +95,7 @@ def test_fit_deterministic(sim_cohort_800):
     records, _ = sim_cohort_800
     a = mle_fit(records, "cond", options=FAST)
     b = mle_fit(records, "cond", options=FAST)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 def test_trunc_fit_uses_cutoff(sim_cohort_800):
@@ -116,7 +116,7 @@ def test_trunc_fit_uses_cutoff(sim_cohort_800):
 def test_profile_ci_inverts_the_likelihood_ratio(sim_cohort_800):
     records, _ = sim_cohort_800
     fit = mle_fit(records, "cond")
-    ci = profile_ci(records, "cond", fit, "median_incubation")
+    ci = profile_ci(records, fit, "median_incubation")
     assert ci.lo < fit.display.median_incubation < ci.hi
     assert ci.lower_bracketed and ci.upper_bracketed
     threshold = chi2.ppf(0.95, 1)
@@ -129,19 +129,20 @@ def test_profile_ci_inverts_the_likelihood_ratio(sim_cohort_800):
 def test_profile_ci_levels_nest(sim_cohort_800):
     records, _ = sim_cohort_800
     fit = mle_fit(records, "cond")
-    wide = profile_ci(records, "cond", fit, "doubling_time", level=0.95)
-    narrow = profile_ci(records, "cond", fit, "doubling_time", level=0.5)
+    wide = profile_ci(records, fit, "doubling_time", level=0.95)
+    narrow = profile_ci(records, fit, "doubling_time", level=0.5)
     assert wide.lo < narrow.lo < narrow.hi < wide.hi
 
 
 def test_profile_ci_validates_param(sim_cohort_800):
     records, _ = sim_cohort_800
     fit = mle_fit(records, "cond", options=FAST)
-    with pytest.raises(ValueError):
-        profile_ci(records, "cond", fit, "rho")      # only for the joint fit
-    pinned = mle_fit(records, "cond", fixed={"doubling_time": 2.5}, options=FAST)
-    with pytest.raises(ValueError):
-        profile_ci(records, "cond", pinned, "doubling_time")
+    with pytest.raises(ValueError, match="param must be one of"):
+        profile_ci(records, fit, "rho")      # only for the joint fit
+    for fixed in ({"doubling_time": 2.5}, {"r": 0.25}):
+        pinned = mle_fit(records, "cond", fixed=fixed, options=FAST)
+        with pytest.raises(ValueError, match="pinned"):
+            profile_ci(records, pinned, "doubling_time")
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +155,50 @@ def small_cohort(sim_cohort_800):
     return records[:150]
 
 
-def test_bootstrap_deterministic_and_reflected(small_cohort):
-    kw = dict(n_boot=30, options=FAST)
-    basic = inference.bootstrap_ci(small_cohort, "cond", "median_incubation",
-                                   rng=np.random.default_rng(5), **kw)
-    again = inference.bootstrap_ci(small_cohort, "cond", "median_incubation",
-                                   rng=np.random.default_rng(5), **kw)
-    assert basic == again
-    pct = inference.bootstrap_ci(small_cohort, "cond", "median_incubation",
-                                 rng=np.random.default_rng(5), method="percentile",
-                                 **kw)
-    s_hat = mle_fit(small_cohort, "cond", options=FAST).display.median_incubation
+@pytest.fixture(scope="module")
+def small_fit(small_cohort):
+    return mle_fit(small_cohort, "cond", options=FAST)
+
+
+def test_bootstrap_deterministic_and_reflected(small_cohort, small_fit):
+    def boot(**kw):
+        return inference.bootstrap_ci(small_cohort, small_fit, "median_incubation",
+                                      n_boot=30, rng=np.random.default_rng(5), **kw)
+
+    basic = boot()
+    assert basic == boot()
+    pct = boot(method="percentile")
+    s_hat = small_fit.display.median_incubation
     assert basic.lo == pytest.approx(2 * s_hat - pct.hi, rel=1e-12)
     assert basic.hi == pytest.approx(2 * s_hat - pct.lo, rel=1e-12)
     assert pct.lo < s_hat < pct.hi
 
 
-def test_bootstrap_constant_statistic(small_cohort):
-    ci = inference.bootstrap_ci(small_cohort, "cond", lambda f: 1.0,
-                                n_boot=12, rng=np.random.default_rng(6),
-                                options=FAST)
-    assert ci.lo == ci.hi == 1.0
+def test_bootstrap_validates_param(small_cohort, small_fit):
+    with pytest.raises(ValueError, match="param must be one of"):
+        inference.bootstrap_ci(small_cohort, small_fit, "rho", n_boot=4)
+    pinned = mle_fit(small_cohort, "cond", fixed={"median_incubation": 5.0}, options=FAST)
+    with pytest.raises(ValueError, match="pinned"):
+        inference.bootstrap_ci(small_cohort, pinned, "median_incubation", n_boot=4)
 
 
-def test_bootstrap_parallel_matches_serial(small_cohort):
-    kw = dict(n_boot=16, options=FAST)
-    serial = inference.bootstrap_ci(small_cohort, "cond", "q95_incubation",
-                                    rng=np.random.default_rng(7), n_jobs=1, **kw)
-    parallel = inference.bootstrap_ci(small_cohort, "cond", "q95_incubation",
-                                      rng=np.random.default_rng(7), n_jobs=2, **kw)
-    assert serial == parallel
+def test_bootstrap_parallel_matches_serial(small_cohort, small_fit):
+    def boot(n_jobs):
+        return inference.bootstrap_ci(small_cohort, small_fit, "q95_incubation", n_boot=16,
+                                      rng=np.random.default_rng(7), n_jobs=n_jobs)
+
+    assert boot(1) == boot(2)
 
 
-def test_bootstrap_validates_method(small_cohort):
+def test_percentile_ci_takes_the_central_share():
+    ci = inference._percentile_ci(np.arange(101.0)[::-1], 0.5)
+    assert (ci.lo, ci.hi, ci.level) == (25.0, 75.0, 0.5)
+
+
+def test_bootstrap_validates_method(small_cohort, small_fit):
     with pytest.raises(ValueError):
-        inference.bootstrap_ci(small_cohort, "cond", "median_incubation",
-                               n_boot=4, method="studentized", options=FAST)
+        inference.bootstrap_ci(small_cohort, small_fit, "median_incubation",
+                               n_boot=4, method="studentized")
 
 
 # ---------------------------------------------------------------------------
