@@ -25,7 +25,6 @@ from .likelihood import (
     log_lik_cond_trunc,
     log_lik_uncond,
     marginal_s_density,
-    marginal_t_density,
     quantiles_to_shape_rate,
     selection_prob_total,
     shape_rate_to_quantiles,
@@ -65,14 +64,12 @@ from .bayes import (
     ChainStore,
     DiscreteConfig,
     NonparamState,
-    ansari_bradley,
     discretized_base_pmf,
     log_lik_discrete,
     log_prior_h,
     log_prior_rest,
     posterior_summaries,
     psrf,
-    rank_location_test,
     rwmh_run,
 )
 
@@ -86,8 +83,8 @@ __all__ = [
     "DisplayTheta", "LikelihoodError", "ParamTheta", "gamma_cdf",
     "gamma_quantile", "growth_bias_correction", "growth_bias_fixed_point",
     "log_lik_cond", "log_lik_cond_trunc", "log_lik_uncond",
-    "marginal_s_density", "marginal_t_density", "quantiles_to_shape_rate",
-    "selection_prob_total", "shape_rate_to_quantiles",
+    "marginal_s_density", "quantiles_to_shape_rate", "selection_prob_total",
+    "shape_rate_to_quantiles",
     # generative
     "GenerativeParams", "IncubationDist", "params_from_theta",
     "sample_exported",
@@ -96,8 +93,7 @@ __all__ = [
     "bias_sweep", "bootstrap_ci", "gof_onset_marginal", "mle_fit",
     "onset_fit_table", "profile_ci",
     # bayes
-    "ChainStore", "DiscreteConfig", "NonparamState", "ansari_bradley",
-    "discretized_base_pmf", "log_lik_discrete", "log_prior_h",
-    "log_prior_rest", "posterior_summaries", "psrf", "rank_location_test",
-    "rwmh_run",
+    "ChainStore", "DiscreteConfig", "NonparamState", "discretized_base_pmf",
+    "log_lik_discrete", "log_prior_h", "log_prior_rest", "posterior_summaries",
+    "psrf", "rwmh_run",
 ]

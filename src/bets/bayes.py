@@ -19,7 +19,7 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy import special as sc
@@ -39,8 +39,6 @@ __all__ = [
     "rwmh_run",
     "psrf",
     "posterior_summaries",
-    "ansari_bradley",
-    "rank_location_test",
 ]
 
 _H_FLOOR = 1e-300
@@ -53,22 +51,25 @@ TAIL_CUTOFFS = (2, 4, 7, 10, 14, 21)
 class DiscreteConfig:
     """Structural choices of the discrete model.
 
-    visitor_weight is the nominal share of visitors in the exposed
-    population; it multiplies both the per-case terms and the normalizer and
-    cancels, so its value is arbitrary (only departure-density ratios are
-    identified) -- it is kept explicit so the likelihood matches its
-    definition term by term.
+    The horizon l (the travel-quarantine day), the two-stage growth break l1,
+    the start of the chunyun travel season l_chunyun, the 0..29 day
+    incubation support (max_incubation = 30) and visitor_weight are fixed
+    model constants, not settable fields.  visitor_weight is the nominal
+    share of visitors in the exposed population; it multiplies both the
+    per-case terms and the normalizer and cancels, so its value is arbitrary
+    (only departure-density ratios are identified) -- it is kept explicit so
+    the likelihood matches its definition term by term.
     """
 
-    l: int = QUARANTINE_DAY
-    l1: int = 51
-    l_chunyun: int = 41
-    max_incubation: int = 30
+    l: ClassVar[int] = QUARANTINE_DAY
+    l1: ClassVar[int] = 51
+    l_chunyun: ClassVar[int] = 41
+    max_incubation: ClassVar[int] = 30
+    visitor_weight: ClassVar[float] = 0.5
     growth: str = "single"          # "single" | "two_stage"
     departure: str = "uniform"      # "uniform" | "geometric"
     mu: float = 1.0
     strata: str = "none"            # "none" | "gender" | "age50"
-    visitor_weight: float = 0.5
 
     def __post_init__(self):
         if self.growth not in ("single", "two_stage"):
@@ -77,12 +78,6 @@ class DiscreteConfig:
             raise ValueError(f"departure must be 'uniform' or 'geometric', got {self.departure!r}")
         if self.strata not in ("none", "gender", "age50"):
             raise ValueError(f"strata must be 'none', 'gender' or 'age50', got {self.strata!r}")
-        if not 0 < self.l1 <= self.l:
-            raise ValueError(f"need 0 < l1 <= l, got l1={self.l1}, l={self.l}")
-        if self.max_incubation < 1:
-            raise ValueError("max_incubation must be >= 1")
-        if not 0 < self.visitor_weight < 1:
-            raise ValueError("visitor_weight must be in (0, 1)")
 
     @property
     def stratum_labels(self) -> tuple[str, ...]:
@@ -538,10 +533,6 @@ class ChainStore:
     acceptance: np.ndarray        # (chains, groups), post-burn-in rates
     step_sizes: np.ndarray        # (chains, groups), frozen values
     group_names: list
-    steps: int
-    burn_in: int
-    thin: int
-    seed: int
     n_cases: int
     n_dropped: int = 0
 
@@ -609,11 +600,16 @@ def _init_state(coords: _Coords, config: DiscreteConfig, h0: np.ndarray,
     return coords.pack(NonparamState(**kwargs))
 
 
+#: Incubation logits moved together in one h* proposal.
+_H_BLOCK_SIZE = 5
+#: Proposals per group between two step-size adaptations during burn-in.
+_ADAPT_WINDOW = 100
+
+
 def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int,
-                    rng: np.random.Generator, u0: np.ndarray, step0: np.ndarray,
-                    adapt: bool, h_block_size: int = 5, adapt_window: int = 100):
+                    rng: np.random.Generator, u0: np.ndarray, step0: np.ndarray):
     """One chain; returns (draw list of u, post-burn acceptance per group,
-    final step sizes per group)."""
+    final step sizes per group).  Step sizes adapt only during burn-in."""
     groups = [coords.scalar_idx] + coords.h_idx
     n_groups = len(groups)
     step = step0.astype(float).copy()
@@ -632,7 +628,7 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
             if gi == 0:
                 coords_sel = idx
             else:
-                take = min(h_block_size, idx.size)
+                take = min(_H_BLOCK_SIZE, idx.size)
                 coords_sel = rng.choice(idx, size=take, replace=False)
             prop = u.copy()
             prop[coords_sel] += step[gi] * rng.standard_normal(coords_sel.size)
@@ -645,7 +641,7 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
             n_window[gi] += 1
             if not in_burn:
                 n_post[gi] += 1
-            if adapt and in_burn and n_window[gi] >= adapt_window:
+            if in_burn and n_window[gi] >= _ADAPT_WINDOW:
                 rate = acc_window[gi] / n_window[gi]
                 if rate < 0.2:
                     step[gi] = max(step[gi] * 0.7, 1e-6)
@@ -660,9 +656,7 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
 
 
 def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8,
-             seed: int = 0, thin: int = 10, prior_only: bool = False,
-             step_scale: float | None = None, adapt: bool = True,
-             init_states: Sequence[NonparamState] | None = None) -> ChainStore:
+             seed: int = 0, thin: int = 10, prior_only: bool = False) -> ChainStore:
     """Sample the discrete model by random-walk Metropolis-Hastings.
 
     Proposals are Gaussian on the unconstrained coordinates: scalars move
@@ -686,38 +680,29 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     h0 = discretized_base_pmf(config.max_incubation)
     target = _make_target(coords, data, config, h0, prior_only)
     burn_in = steps // 2
-    n_groups = 1 + coords.S
     base_step = np.array([0.1] + [0.15] * coords.S)
-    if step_scale is not None:
-        base_step = np.full(n_groups, float(step_scale))
-        adapt = adapt and step_scale > 0
 
     seq = np.random.SeedSequence(seed)
     chain_rngs = [np.random.default_rng(s) for s in seq.spawn(chains)]
     all_draws, all_rates, all_steps = [], [], []
     for ci in range(chains):
         rng = chain_rngs[ci]
-        if init_states is not None:
-            u0 = coords.pack(init_states[ci % len(init_states)])
-            if not np.isfinite(target(u0)):
-                raise RuntimeError(f"chain {ci}: supplied initial state has zero density")
-        else:
-            u0 = None
-            for _ in range(1000):
-                cand = _init_state(coords, config, h0, rng, prior_only)
-                if np.isfinite(target(cand)):
-                    u0 = cand
-                    break
-            if u0 is None:
-                raise RuntimeError(f"chain {ci}: could not find a valid initial state")
+        u0 = None
+        for _ in range(1000):
+            cand = _init_state(coords, config, h0, rng, prior_only)
+            if np.isfinite(target(cand)):
+                u0 = cand
+                break
+        if u0 is None:
+            raise RuntimeError(f"chain {ci}: could not find a valid initial state")
         draws, rates, fstep = _run_chain_impl(coords, target, steps, burn_in, thin,
-                                              rng, u0, base_step, adapt)
+                                              rng, u0, base_step)
         all_draws.append(draws)
         all_rates.append(rates)
         all_steps.append(fstep)
 
     rates_arr = np.asarray(all_rates)
-    if (step_scale is None or step_scale > 0) and np.all(np.nanmax(rates_arr, axis=1) < 0.01):
+    if np.all(np.nanmax(rates_arr, axis=1) < 0.01):
         raise RuntimeError(
             "sampler stuck: post-burn-in acceptance below 1% on every chain; "
             f"rates per chain/group:\n{rates_arr}")
@@ -744,7 +729,6 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     return ChainStore(config=config, scalars=scalars, h=h_arr,
                       acceptance=rates_arr, step_sizes=np.asarray(all_steps),
                       group_names=["scalars"] + [f"h[{lb}]" for lb in config.stratum_labels],
-                      steps=steps, burn_in=burn_in, thin=thin, seed=seed,
                       n_cases=0 if data is None else len(data),
                       n_dropped=0 if data is None else data.n_dropped)
 
@@ -807,64 +791,3 @@ def posterior_summaries(store: ChainStore) -> dict:
             out[f"{name}[diff]"] = summarize(per[0] - per[1])
     return out
 
-
-# ---------------------------------------------------------------------------
-# Rank tests (normal approximation, midranks for ties)
-# ---------------------------------------------------------------------------
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sv = values[order]
-    i = 0
-    while i < len(sv):
-        j = i
-        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def _score_test_pvalue(scores: np.ndarray, m: int) -> float:
-    """Two-sided p-value for the sum of the first m scores under random
-    assignment (finite-population normal approximation)."""
-    total = len(scores)
-    n = total - m
-    stat = float(scores[:m].sum())
-    mean = m * scores.mean()
-    centered = scores - scores.mean()
-    var = m * n * float((centered ** 2).sum()) / (total * (total - 1))
-    if var <= 0:
-        raise ValueError("degenerate scores: all values tied")
-    z = (stat - mean) / math.sqrt(var)
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def _check_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) < 10 or len(y) < 10:
-        raise ValueError(f"need >= 10 observations per sample, got {len(x)}, {len(y)}")
-    return x, y
-
-
-def ansari_bradley(x, y) -> float:
-    """Two-sided dispersion test: are x and y equally spread about a common
-    median?  Ansari-Bradley scores (distance toward the extreme ranks) with
-    midranks for ties, normal approximation."""
-    x, y = _check_samples(x, y)
-    pooled = np.concatenate([x, y])
-    ranks = _midranks(pooled)
-    n_tot = len(pooled)
-    scores = np.minimum(ranks, n_tot + 1 - ranks)
-    return _score_test_pvalue(scores, len(x))
-
-
-def rank_location_test(x, y) -> float:
-    """Two-sided two-sample rank-sum location test (midranks for ties,
-    normal approximation)."""
-    x, y = _check_samples(x, y)
-    pooled = np.concatenate([x, y])
-    scores = _midranks(pooled)
-    return _score_test_pvalue(scores, len(x))

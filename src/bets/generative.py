@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class GenerativeParams:
     departure densities for residents / visitors (each at most 1/L); kappa
     and r (optionally r2 after day l1) define the epidemic curve
     g(t) = kappa e^{rt}; nu the symptomatic fraction; incubation the
-    incubation-period law.
+    incubation-period law.  The horizon L is the travel-quarantine day,
+    L_DEFAULT, for every parameter set.
     """
 
     pi: float
@@ -85,7 +87,7 @@ class GenerativeParams:
     incubation: IncubationDist
     r2: float | None = None
     l1: float = 51.0
-    L: float = L_DEFAULT
+    L: ClassVar[float] = L_DEFAULT
 
     def __post_init__(self):
         if not 0 <= self.pi <= 1:
@@ -149,7 +151,7 @@ def params_from_theta(rho: float, r: float, alpha: float | None = None,
                       beta: float | None = None, *, median: float | None = None,
                       q95: float | None = None, nu: float = 0.8,
                       growth_mass: float = 0.5, r2: float | None = None,
-                      l1: float = 51.0, L: float = L_DEFAULT) -> GenerativeParams:
+                      l1: float = 51.0) -> GenerativeParams:
     """Generative parameters matching an inference parameter point.
 
     Departure densities are set equal (lambda_w = lambda_v = 1/L) so the
@@ -165,13 +167,14 @@ def params_from_theta(rho: float, r: float, alpha: float | None = None,
     if not 0 < growth_mass <= 1:
         raise ValueError(f"need 0 < growth_mass <= 1, got {growth_mass}")
     pi = rho / (1.0 + rho)
-    probe = GenerativeParams(pi=pi, lambda_w=1.0 / L, lambda_v=1.0 / L, kappa=1e-12,
-                             r=r, nu=nu, r2=r2, l1=l1, L=L,
+    lam = 1.0 / L_DEFAULT
+    probe = GenerativeParams(pi=pi, lambda_w=lam, lambda_v=lam, kappa=1e-12,
+                             r=r, nu=nu, r2=r2, l1=l1,
                              incubation=IncubationDist.gamma(alpha, beta))
-    unit_mass = float(probe.growth_mass(0.0, L)) / 1e-12
-    return GenerativeParams(pi=pi, lambda_w=1.0 / L, lambda_v=1.0 / L,
+    unit_mass = float(probe.growth_mass(0.0, L_DEFAULT)) / 1e-12
+    return GenerativeParams(pi=pi, lambda_w=lam, lambda_v=lam,
                             kappa=growth_mass / unit_mass, r=r, nu=nu, r2=r2, l1=l1,
-                            L=L, incubation=IncubationDist.gamma(alpha, beta))
+                            incubation=IncubationDist.gamma(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +215,17 @@ def sample_population_arrays(n: int, params: GenerativeParams,
     return b, e, t, s
 
 
-def selection_mask(b, e, t, s, L: float = L_DEFAULT) -> np.ndarray:
-    """Vectorized membership in the selection set D."""
+def selection_mask(b, e, t, s) -> np.ndarray:
+    """Vectorized membership in the selection set D, L = L_DEFAULT."""
     b = np.asarray(b, float)
     e = np.asarray(e, float)
     t = np.asarray(t, float)
     s = np.asarray(s, float)
-    return (b <= t) & (t <= e) & (e <= L) & (t <= s) & np.isfinite(s)
+    return (b <= t) & (t <= e) & (e <= L_DEFAULT) & (t <= s) & np.isfinite(s)
 
 
 def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
-                    max_draws: int = 1_000_000_000, id_prefix: str = "sim",
+                    max_draws: int = 1_000_000_000,
                     discretize_days: bool = True) -> tuple[list[CaseRecord], float | None]:
     """Rejection-sample m exported cases.
 
@@ -247,7 +250,7 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
                                f"{got}/{m} accepted after {draws} draws")
         batch = int(min(batch, max_draws - draws))
         b, e, t, s = sample_population_arrays(batch, params, rng)
-        keep = selection_mask(b, e, t, s, params.L)
+        keep = selection_mask(b, e, t, s)
         kept_b.append(b[keep])
         kept_e.append(e[keep])
         kept_s.append(s[keep])
@@ -261,13 +264,13 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
     width = len(str(m))
     if discretize_days:
         records = [
-            CaseRecord.from_ints(f"{id_prefix}-{i + 1:0{width}d}",
+            CaseRecord.from_ints(f"sim-{i + 1:0{width}d}",
                                  int(math.ceil(bi)), int(math.ceil(ei)), int(math.ceil(si)))
             for i, (bi, ei, si) in enumerate(zip(b, e, s))
         ]
     else:
         records = [
-            CaseRecord(case_id=f"{id_prefix}-{i + 1:0{width}d}",
+            CaseRecord(case_id=f"sim-{i + 1:0{width}d}",
                        B_int=int(math.ceil(bi)), E_int=int(math.ceil(ei)),
                        S_int=int(math.ceil(si)), B=float(bi), E=float(ei),
                        S=float(si))

@@ -23,7 +23,6 @@ from scipy.stats import chi2
 
 from .likelihood import (
     DisplayTheta,
-    L_DEFAULT,
     LikelihoodError,
     ParamTheta,
     _LN2,
@@ -113,7 +112,6 @@ class FitResult:
     n_clamped: int = 0
     n_eval: int = 0
     message: str = ""
-    ci: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -132,7 +130,6 @@ class FitResult:
             "n_clamped": self.n_clamped,
             "n_eval": self.n_eval,
             "message": self.message,
-            "ci": {k: v.to_dict() for k, v in self.ci.items()},
         }
 
 
@@ -239,7 +236,7 @@ def _log_terms(arrays, index, kind, M, rho, r, alpha, beta) -> np.ndarray:
     if kind == "cond":
         lt = cond_log_terms(b, e, s, r, alpha, beta, index)
     elif kind == "uncond":
-        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L_DEFAULT, index)
+        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
     else:
         lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
     return np.where(np.isnan(lt), -np.inf, lt)
@@ -423,10 +420,8 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
 
     hi_end, hi_ok = solve(+1)
     lo_end, lo_ok = solve(-1)
-    ci = CIResult(lo=lo_end, hi=hi_end, level=level,
-                  lower_bracketed=lo_ok, upper_bracketed=hi_ok)
-    fit.ci[param] = ci
-    return ci
+    return CIResult(lo=lo_end, hi=hi_end, level=level,
+                    lower_bracketed=lo_ok, upper_bracketed=hi_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ the resulting log-likelihoods of (B, E, S) for observed cases:
 * joint in (B, E, S) with the travel-mix rho  -- :func:`log_lik_uncond`
 * additionally right-truncated at S <= M      -- :func:`log_lik_cond_trunc`
 
-plus the selection probability, the marginal densities of infection and onset
-times among exported residents, and the additive growth-rate correction for
-naive curve fits to onset counts.
+plus the selection probability, the marginal onset-time density among
+exported residents, and the additive growth-rate correction for naive curve
+fits to onset counts.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "log_lik_cond",
     "log_lik_uncond",
     "log_lik_cond_trunc",
-    "marginal_t_density",
     "marginal_s_density",
     "growth_bias_correction",
     "growth_bias_fixed_point",
@@ -346,17 +345,17 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
 
 
 def uncond_log_terms(b, e, s, resident, rho: float, r: float,
-                     alpha: float, beta: float, L: float = L_DEFAULT,
-                     index=None) -> np.ndarray:
+                     alpha: float, beta: float, index=None) -> np.ndarray:
     """Log-likelihood terms of (B, E, S) jointly, selection-normalized.
 
     Requires r > 0 (the closed-form selection normalizer is the r >> 1/L
-    approximation).  Residents weigh 1, visitors rho/L, and the shared
-    normalizer is 1 + rho (1 - 2/(rL)).  Returns None-like -inf rows for
-    structurally impossible cases; raises ValueError if the normalizer is
-    not positive (parameters outside the valid region).  index is
-    :func:`terms_index` of (b, e, s), optional.
+    approximation, L = L_DEFAULT).  Residents weigh 1, visitors rho/L, and
+    the shared normalizer is 1 + rho (1 - 2/(rL)).  Returns None-like -inf
+    rows for structurally impossible cases; raises ValueError if the
+    normalizer is not positive (parameters outside the valid region).
+    index is :func:`terms_index` of (b, e, s), optional.
     """
+    L = L_DEFAULT
     if not r > 0:
         raise ValueError(f"unconditional likelihood needs r > 0, got {r}")
     if rho < 0:
@@ -470,10 +469,10 @@ def log_lik_cond(cases: Sequence[CaseRecord], r: float, alpha: float, beta: floa
 
 
 def log_lik_uncond(cases: Sequence[CaseRecord], rho: float, r: float,
-                   alpha: float, beta: float, L: float = L_DEFAULT) -> float:
+                   alpha: float, beta: float) -> float:
     """Sum of joint (B, E, S) log-likelihood terms over the cases."""
     b, e, s, resident = _strict_arrays(cases, alpha, beta)
-    terms = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, L)
+    terms = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta)
     return _sum_strict(terms, cases, "unconditional likelihood")
 
 
@@ -490,24 +489,8 @@ def log_lik_cond_trunc(cases: Sequence[CaseRecord], r: float, alpha: float,
 # Marginal densities among exported residents, and the bias correction
 # ---------------------------------------------------------------------------
 
-def marginal_t_density(t, r: float, L: float = L_DEFAULT, normalized: bool = False):
-    """Density (up to constant) of the infection time among exported residents:
-    exp(r t) (L - t) on [0, L], 0 elsewhere.  With normalized=True the exact
-    normalizing constant (e^{rL} - 1 - rL)/r^2 is applied."""
-    t_arr = np.asarray(t, dtype=float)
-    val = np.where((t_arr >= 0) & (t_arr <= L), np.exp(r * t_arr) * (L - t_arr), 0.0)
-    if normalized:
-        if abs(r) < R_SWITCH:
-            z = L * L / 2.0
-        else:
-            z = (math.expm1(r * L) - r * L) / r ** 2
-        val = val / z
-    return float(val) if np.isscalar(t) or t_arr.ndim == 0 else val
-
-
-def marginal_s_density(s, r: float, alpha: float, beta: float,
-                       L: float = L_DEFAULT):
-    """Unnormalized onset-time density among exported residents.
+def marginal_s_density(s, r: float, alpha: float, beta: float):
+    """Unnormalized onset-time density among exported residents, L = L_DEFAULT.
 
     exp(r s) { (L - s)(1 - H_{a,b+r}((s-L)_+)) + a/(b+r) (1 - H_{a+1,b+r}((s-L)_+)) }.
 
@@ -520,6 +503,7 @@ def marginal_s_density(s, r: float, alpha: float, beta: float,
     rate = beta + r
     if not rate > 0:
         raise ValueError(f"need beta + r > 0, got {rate}")
+    L = L_DEFAULT
     if L <= 4.0 * (alpha + 5.0) / rate:
         warnings.warn("marginal_s_density: approximation degrades for "
                       f"L = {L} <= 4(alpha+5)/(beta+r) = {4 * (alpha + 5) / rate:.3g}",

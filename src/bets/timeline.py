@@ -529,9 +529,13 @@ def _record_row(rec: CaseRecord) -> list[str]:
 def write_cohort_csv(records: Sequence[CaseRecord], path: str | os.PathLike) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
+    # csv quotes only the characters of its line terminator, and a bare \r
+    # in a field would end the row on reading
+    w_cr = csv.writer(buf, lineterminator="\r\n")
     w.writerow(_COHORT_FIELDS)
     for rec in records:
-        w.writerow(_record_row(rec))
+        row = _record_row(rec)
+        (w_cr if any("\r" in f for f in row) else w).writerow(row)
     atomic_write_text(path, buf.getvalue())
 
 

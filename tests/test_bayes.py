@@ -1,4 +1,4 @@
-"""Tests for the discrete-day model: priors, likelihood, sampler, rank tests.
+"""Tests for the discrete-day model: priors, likelihood, sampler, diagnostics.
 
 The likelihood oracle is a pure-Python lattice enumeration (tests/helpers),
 the prior examples are checked by direct arithmetic, and sampler behavior is
@@ -20,14 +20,12 @@ from bets.bayes import (
     DiscreteConfig,
     DiscreteData,
     NonparamState,
-    ansari_bradley,
     discretized_base_pmf,
     log_lik_discrete,
     log_prior_h,
     log_prior_rest,
     posterior_summaries,
     psrf,
-    rank_location_test,
     rwmh_run,
 )
 from helpers import (
@@ -150,8 +148,6 @@ def test_discrete_config_validation():
         DiscreteConfig(departure="weibull")
     with pytest.raises(ValueError):
         DiscreteConfig(strata="city")
-    with pytest.raises(ValueError):
-        DiscreteConfig(l1=0)
     assert DiscreteConfig(strata="gender").stratum_labels == ("male", "female")
 
 
@@ -322,15 +318,25 @@ def test_posterior_summaries_shape(tiny_run):
 
 
 def test_frozen_proposals_accept_everything():
+    """A zero step proposes the current state: every move is accepted, the
+    burn-in adaptation keeps the step at zero, and the chain never moves."""
     recs, _ = discrete_cohort(40, np.random.default_rng(89))
     config = DiscreteConfig()
-    state = uniform_state(config, h=discretized_base_pmf()[None, :])
-    store = rwmh_run(recs, config, steps=600, chains=2, seed=2,
-                     step_scale=0.0, init_states=[state])
-    assert (store.acceptance == 1.0).all()
-    np.testing.assert_allclose(store.scalars["r1"], state.r1, rtol=1e-12)
-    np.testing.assert_allclose(store.h, np.broadcast_to(state.h, store.h.shape),
-                               atol=1e-12)
+    data = DiscreteData.from_records(recs, config)
+    coords = bayes._Coords(config)
+    h0 = discretized_base_pmf()
+    target = bayes._make_target(coords, data, config, h0, prior_only=False)
+    state = uniform_state(config, h=h0[None, :])
+    draws, rates, step = bayes._run_chain_impl(
+        coords, target, 600, 300, 10, np.random.default_rng(2),
+        coords.pack(state), np.zeros(1 + coords.S))
+    assert (rates == 1.0).all()
+    assert (step == 0.0).all()
+    assert len(draws) == 30
+    for u in draws:
+        got = coords.state(u)
+        assert got.r1 == pytest.approx(state.r1, rel=1e-12)
+        np.testing.assert_allclose(got.h, state.h, atol=1e-12)
 
 
 def test_rwmh_input_validation():
@@ -423,7 +429,7 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
     steps = 150
     _, rates, _ = bayes._run_chain_impl(coords, recorded, steps, 0, 1,
                                         np.random.default_rng(5), u0,
-                                        np.array([0.3, 0.15, 0.15]), adapt=False)
+                                        np.array([0.3, 0.15, 0.15]))
     assert 0 < rates[0] < 1  # scalar moves both accepted and rejected
     # one miss per scalar proposal plus the start: every h move hits
     assert len(scalar_calls) == 1 + steps
@@ -440,15 +446,19 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
 
 
 def test_cached_target_leaves_the_chain_unchanged(gender_target):
+    """Same draws, rates and adapted steps with and without the cache, over a
+    burn-in long enough for the step sizes to adapt twice."""
     coords, data, config, h0, u0 = gender_target
+    step0 = np.array([0.1, 0.15, 0.15])
     runs = []
     for target in (bayes._make_target(coords, data, config, h0, prior_only=False),
                    _uncached_target(coords, data, config, h0)):
         draws, rates, step = bayes._run_chain_impl(
-            coords, target, 200, 100, 5, np.random.default_rng(6), u0,
-            np.array([0.1, 0.15, 0.15]), adapt=True, adapt_window=20)
+            coords, target, 300, 2 * bayes._ADAPT_WINDOW + 20, 5,
+            np.random.default_rng(6), u0, step0)
         runs.append((np.array(draws), rates, step))
     (d1, r1, s1), (d2, r2, s2) = runs
+    assert not np.array_equal(s1, step0)  # the adaptation fired
     assert np.array_equal(d1, d2)
     assert np.array_equal(r1, r2) and np.array_equal(s1, s2)
 
@@ -489,44 +499,3 @@ def test_psrf_on_store_requires_functional(tiny_run):
         psrf(tiny_run)
     assert psrf(tiny_run, "kappa") > 0
 
-
-# ---------------------------------------------------------------------------
-# Rank tests
-# ---------------------------------------------------------------------------
-
-def test_rank_location_identical_samples():
-    x = np.arange(30, dtype=float)
-    assert rank_location_test(x, x) == pytest.approx(1.0)
-
-
-def test_rank_location_detects_shift():
-    rng = np.random.default_rng(101)
-    x = rng.standard_normal(80)
-    y = rng.standard_normal(80) + 3.0
-    assert rank_location_test(x, y) < 1e-6
-    assert rank_location_test(y, x) < 1e-6
-
-
-def test_dispersion_test_detects_scale():
-    hits = 0
-    for seed in range(20):
-        rng = np.random.default_rng(200 + seed)
-        x = rng.standard_normal(200)
-        y = 3.0 * rng.standard_normal(200)
-        hits += ansari_bradley(x, y) < 0.01
-    assert hits >= 18
-
-
-def test_dispersion_test_null_is_calm():
-    rng = np.random.default_rng(102)
-    x = rng.standard_normal(150)
-    y = rng.standard_normal(150)
-    p = ansari_bradley(x, y)
-    assert 0.01 < p <= 1.0
-
-
-def test_rank_tests_validation():
-    with pytest.raises(ValueError):
-        rank_location_test(np.arange(5.0), np.arange(20.0))  # too few
-    with pytest.raises(ValueError):
-        ansari_bradley(np.ones(30), np.ones(30))             # all tied

@@ -6,14 +6,17 @@ inspects exit codes, stdout, and the JSON/CSV artifacts.
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
+import re
 
 import pytest
 
 import bets
-from bets import cli, timeline
+from bets import cli, inference, timeline
 
 RAW_HEADER = ("case_id,residence,gender,age,known_contact,cluster,outside,"
               "begin_wuhan,end_wuhan,arrived,symptom,initial,confirmed,location")
@@ -86,7 +89,21 @@ def mcmc_dir(tmp_path_factory) -> str:
 # ---------------------------------------------------------------------------
 
 def test_every_flag_is_documented():
-    cli.check_help_roundtrip()
+    """Every parsed flag is in its subcommand's help text and vice versa."""
+    parser = cli.build_parser()
+    stack = [("bets", parser)]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            stack += list(action.choices.items())
+    for name, sp in stack:
+        documented = set(re.findall(r"--[a-z][a-z0-9-]*", sp.format_help()))
+        parsed = {opt for a in sp._actions for opt in a.option_strings
+                  if opt.startswith("--")}
+        extra = {d for d in documented if d not in parsed
+                 and not any(d in (a.help or "") for a in sp._actions)
+                 and not any(d in (a.metavar or "") for a in sp._actions)}
+        assert parsed <= documented, f"{name}: not in help: {sorted(parsed - documented)}"
+        assert not extra, f"{name}: help mentions unknown flags: {sorted(extra)}"
 
 
 def test_version_flag(capsys):
@@ -308,6 +325,42 @@ def test_ci_bootstrap(sim_dir, tmp_path, capsys):
     assert payload["param"] == "median_incubation"
     ci = payload["ci"]
     assert ci["lo"] < payload["fit"]["display"]["median_incubation"] < ci["hi"]
+
+
+def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
+    """ci.json carries the interval once, at the top level; the fit block
+    is the fit's to_dict() for the profile and the bootstrap alike."""
+    blocks = {}
+    for method in ("profile", "bootstrap"):
+        out = str(tmp_path / method)
+        code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
+                         "--likelihood", "cond", "--param", "q95",
+                         "--method", method, "--n-boot", "4", "--out", out])
+        assert code == 0
+        payload = read_json(out, "ci.json")
+        assert set(payload["ci"]) == {"lo", "hi", "level", "lower_bracketed",
+                                      "upper_bracketed"}
+        blocks[method] = payload["fit"]
+    assert "ci" not in blocks["profile"]
+    assert blocks["profile"] == blocks["bootstrap"]
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_ci_warns_on_a_non_converged_fit(sim_dir, tmp_path, capsys, monkeypatch):
+    real = inference.mle_fit
+
+    def stuck(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False,
+                                   message="boundary")
+
+    monkeypatch.setattr(inference, "mle_fit", stuck)
+    out = str(tmp_path)
+    code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--likelihood", "cond", "--param", "median", "--out", out])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning:") and "boundary" in err[0]
+    assert read_json(out, "ci.json")["fit"]["converged"] is False
 
 
 def test_ci_bootstrap_reflects_around_the_reported_fit(sim_dir, tmp_path):
@@ -581,3 +634,31 @@ def test_plot_data_se_density_unlabeled_json_pools_as_unknown(tmp_path):
     assert code == 0
     _, body = read_csv(str(tmp_path), "se_density.csv")
     assert {r[0] for r in body} == {"unknown"}
+
+
+# ---------------------------------------------------------------------------
+# The README pipeline
+# ---------------------------------------------------------------------------
+
+def test_readme_pipeline(tmp_path):
+    """The README's command-line walk-through, on a small simulated cohort:
+    every step exits 0 on the previous steps' outputs."""
+    work = str(tmp_path)
+    cohort = os.path.join(work, "cohort.csv")
+    steps = [
+        ["simulate", "--n", "200", "--seed", "1", "--confirm-lag", "5"],
+        ["fit", "--in", cohort, "--likelihood", "uncond", "--format", "table"],
+        ["ci", "--in", cohort, "--likelihood", "uncond", "--param", "doubling-time"],
+        ["gof", "--in", cohort, "--likelihood", "uncond"],
+        ["bias-demo", "--in", cohort, "--from", "2020-02-10", "--to", "2020-02-11"],
+        ["mcmc", "--in", cohort, "--steps", "200", "--chains", "2"],
+        ["plot-data", "--kind", "onset-fit", "--in", cohort],
+        ["plot-data", "--kind", "sweep-bands", "--in", os.path.join(work, "sweep.json")],
+        ["plot-data", "--kind", "posterior-pmf", "--in", work],
+        ["plot-data", "--kind", "se-density", "--in", cohort],
+    ]
+    for argv in steps:
+        assert cli.main(argv + ["--out", work]) == 0, argv
+    assert sum(r["fitted"] for r in read_json(work, "sweep.json")["rows"]) == 6
+    for name in ("onset_fit.csv", "sweep_bands.csv", "posterior_pmf.csv", "se_density.csv"):
+        assert len(read_csv(work, name)[1]) > 0

@@ -145,10 +145,6 @@ def test_profile_ci_validates_param(sim_cohort_800):
             profile_ci(records, pinned, "doubling_time")
 
 
-# ---------------------------------------------------------------------------
-# Bootstrap intervals
-# ---------------------------------------------------------------------------
-
 @pytest.fixture(scope="module")
 def small_cohort(sim_cohort_800):
     records, _ = sim_cohort_800
@@ -158,6 +154,17 @@ def small_cohort(sim_cohort_800):
 @pytest.fixture(scope="module")
 def small_fit(small_cohort):
     return mle_fit(small_cohort, "cond", options=FAST)
+
+
+def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
+    before = small_fit.to_dict()
+    profile_ci(small_cohort, small_fit, "q95_incubation")
+    assert small_fit.to_dict() == before
+
+
+# ---------------------------------------------------------------------------
+# Bootstrap intervals
+# ---------------------------------------------------------------------------
 
 
 def test_bootstrap_deterministic_and_reflected(small_cohort, small_fit):

@@ -213,7 +213,7 @@ def test_log_terms_are_the_same_with_and_without_the_index():
             if r >= 0.05:
                 same.append((lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta),
                              lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta,
-                                                 L, index)))
+                                                 index)))
             for plain, indexed in same:
                 assert np.array_equal(plain, indexed)
 
@@ -392,17 +392,6 @@ def test_trunc_zero_growth_branch():
 # Marginal densities
 # ---------------------------------------------------------------------------
 
-def test_marginal_t_density_normalizes():
-    for r in (0.0, 0.1, 0.3):
-        val, _ = integrate.quad(lambda t: lk.marginal_t_density(t, r, normalized=True),
-                                0.0, L)
-        assert val == pytest.approx(1.0, rel=1e-9)
-    assert lk.marginal_t_density(-1.0, 0.3) == 0.0
-    assert lk.marginal_t_density(L + 1.0, 0.3) == 0.0
-    # r = 0: plain triangular shape L - t
-    assert lk.marginal_t_density(10.0, 0.0) == pytest.approx(L - 10.0)
-
-
 def test_marginal_s_density_interior_form():
     r, alpha, beta = 0.3, 1.86, 0.33
     for s in (5.0, 20.0, 40.0, 53.5):
@@ -414,9 +403,9 @@ def test_marginal_s_density_interior_form():
 def test_marginal_s_density_warns_when_window_too_short():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lk.marginal_s_density(5.0, 0.3, 1.86, 0.33)  # L = 54: fine
+        lk.marginal_s_density(5.0, 0.3, 1.86, 0.33)  # 54 > 4(1.86+5)/0.63: fine
         with pytest.raises(RuntimeWarning):
-            lk.marginal_s_density(5.0, 0.05, 5.0, 0.33, L=20.0)
+            lk.marginal_s_density(5.0, 0.05, 5.0, 0.33)  # 54 <= 4(5+5)/0.38
 
 
 # ---------------------------------------------------------------------------

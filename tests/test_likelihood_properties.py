@@ -1,12 +1,15 @@
-"""Property tests of the Gamma reparameterization (needs hypothesis)."""
+"""Property tests of the Gamma reparameterization and the per-case terms
+(needs hypothesis)."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from bets import likelihood as lk
+from bets.timeline import CaseRecord
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -39,3 +42,54 @@ def test_display_round_trips_through_theta(doubling, median, spread, rho):
     assert back.median_incubation == pytest.approx(d.median_incubation, rel=1e-12)
     assert back.q95_incubation == pytest.approx(d.q95_incubation, rel=1e-12)
     assert back.rho == d.rho
+
+
+#: Growth rates around the switch to the exact r = 0 forms, where the two
+#: branches of every per-case term meet.
+_R_NEAR_SWITCH = (0.0, 1e-9, lk.R_SWITCH * (1 - 1e-9), lk.R_SWITCH,
+                  lk.R_SWITCH * (1 + 1e-9), 1e-7)
+
+
+@st.composite
+def _lattice_case(draw):
+    """One case on the cohort day lattice (CaseRecord offsets): stay within
+    the quarantine window, onset no more than 30 days after leaving."""
+    b = draw(st.integers(0, 54))
+    e = draw(st.integers(max(b, 1), 54))
+    s = draw(st.integers(max(b, 1), e + 30))
+    rec = CaseRecord.from_ints("p", b, e, s)
+    return rec.B, rec.E, rec.S
+
+
+_TERM_SETTINGS = dict(max_examples=400, deadline=None)
+_TERM_ARGS = dict(cases=st.lists(_lattice_case(), min_size=1, max_size=8),
+                  r=st.one_of(st.sampled_from(_R_NEAR_SWITCH), st.floats(0.0, 2.0)),
+                  alpha=st.floats(0.3, 30.0), beta=st.floats(0.05, 5.0))
+
+
+@settings(**_TERM_SETTINGS)
+@given(**_TERM_ARGS)
+def test_cond_terms_are_finite(cases, r, alpha, beta):
+    b, e, s = (np.array(x) for x in zip(*cases))
+    assert np.isfinite(lk.cond_log_terms(b, e, s, r, alpha, beta)).all()
+
+
+@settings(**_TERM_SETTINGS)
+@given(**_TERM_ARGS, extra=st.floats(0.0, 200.0))
+def test_trunc_terms_are_finite(cases, r, alpha, beta, extra):
+    """M from the latest onset up to 200 days past it (far beyond every stay)."""
+    b, e, s = (np.array(x) for x in zip(*cases))
+    M = float(s.max()) + extra
+    assert np.isfinite(lk.trunc_log_terms(b, e, s, r, alpha, beta, M)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(0.5, 2.0), alpha=st.floats(0.3, 30.0), beta=st.floats(0.05, 5.0),
+       stay=st.integers(20, 54))
+def test_terms_are_finite_when_r_times_the_stay_is_large(r, alpha, beta, stay):
+    """A resident who stayed until day `stay` with onset the same day:
+    r(E - B) reaches about 108 and e^{rE} about 1e47."""
+    rec = CaseRecord.from_ints("p", 0, stay, stay)
+    b, e, s = np.array([rec.B]), np.array([rec.E]), np.array([rec.S])
+    assert np.isfinite(lk.cond_log_terms(b, e, s, r, alpha, beta)).all()
+    assert np.isfinite(lk.trunc_log_terms(b, e, s, r, alpha, beta, rec.S)).all()

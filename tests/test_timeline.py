@@ -10,6 +10,7 @@ import pytest
 
 from bets import timeline
 from bets.timeline import (
+    QUARANTINE_DAY,
     CaseRecord,
     CaseTableError,
     CohortRules,
@@ -395,3 +396,43 @@ def test_atomic_write_text(tmp_path):
     timeline.atomic_write_text(path, "two")
     assert path.read_text() == "two"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# Cohort file round trips (needs hypothesis)
+# ---------------------------------------------------------------------------
+
+def _record_strategy():
+    """CaseRecords as the package builds them: labels from the parsers'
+    vocabularies, a location that is absent or non-empty, free-text case IDs."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def record(draw):
+        b = draw(st.integers(0, QUARANTINE_DAY))
+        e = draw(st.integers(max(b, 1), QUARANTINE_DAY))
+        s = draw(st.integers(max(b, 1), e + 200))
+        return CaseRecord.from_ints(
+            draw(st.text(min_size=1)), b, e, s,
+            gender=draw(st.sampled_from(["male", "female", "unknown"])),
+            age_group=draw(st.sampled_from(["under50", "over50", "unknown"])),
+            confirmed_int=draw(st.one_of(st.none(), st.integers(-10**6, 10**6))),
+            location=draw(st.one_of(st.none(), st.text(min_size=1))))
+
+    return st.lists(record(), max_size=6)
+
+
+def test_cohort_files_round_trip(tmp_path):
+    """CSV and JSON cohort files read back to equal CaseRecords."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(records=_record_strategy())
+    def check(records):
+        for name, write in (("c.csv", timeline.write_cohort_csv),
+                            ("c.json", timeline.write_cohort_json)):
+            path = tmp_path / name
+            write(records, path)
+            assert timeline.read_cohort(path) == records
+
+    check()
