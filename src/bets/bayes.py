@@ -207,7 +207,8 @@ def _infection_days(b, e, s, l: int, K: int):
 class DiscreteData:
     """Whole-day case arrays plus the per-case incubation index template.
 
-    dropped counts, by reason, the records from_records left out.
+    dropped counts, by reason, the records from_records left out.  The
+    horizon l and the incubation support max_incubation are DiscreteConfig's.
     """
 
     b: np.ndarray
@@ -216,11 +217,11 @@ class DiscreteData:
     stratum: np.ndarray
     case_ids: list
     labels: tuple[str, ...]
-    l: int
-    max_incubation: int
     dropped: dict = field(default_factory=dict)
     t_idx: np.ndarray = field(init=False)
     t_mask: np.ndarray = field(init=False)
+    l: ClassVar[int] = DiscreteConfig.l
+    max_incubation: ClassVar[int] = DiscreteConfig.max_incubation
 
     def __post_init__(self):
         t, self.t_mask = _infection_days(self.b, self.e, self.s, self.l, self.max_incubation)
@@ -253,8 +254,7 @@ class DiscreteData:
         return cls(b=b[keep], e=e[keep], s=s[keep],
                    stratum=np.array([st for _, st in rows])[keep],
                    case_ids=[rows[i][0].case_id for i in keep],
-                   labels=labels, l=config.l, max_incubation=config.max_incubation,
-                   dropped=dropped)
+                   labels=labels, dropped=dropped)
 
     @property
     def n_dropped(self) -> int:

@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import glob
-import io
 import json
 import math
 import os
@@ -69,14 +68,6 @@ def _write_json(path: str, payload: dict, args) -> None:
     payload = dict(payload)
     payload["provenance"] = _provenance(args)
     timeline.write_json(path, payload)
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    timeline.atomic_write_text(path, buf.getvalue())
 
 
 def _parse_day(text: str) -> int:
@@ -188,7 +179,8 @@ def _write_sweep_csv(path: str, rows: list[dict]) -> None:
             band, est = r[f"{quantile}_ci"], r[quantile]
             lo, hi = (band["lo"], band["hi"]) if band else ("", "")
             out.append([day_iso, r["model"], quantile, "" if est is None else est, lo, hi])
-    _write_csv(path, ["date", "model", "quantile", "estimate", "lo", "hi"], out)
+    timeline.atomic_write_text(path, timeline.csv_text(
+        ["date", "model", "quantile", "estimate", "lo", "hi"], out))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +331,8 @@ def cmd_mcmc(args) -> int:
             row += [store.h[ci_, di, si, k] for si in range(len(labels))
                     for k in range(config.max_incubation)]
             rows.append(row)
-        _write_csv(os.path.join(out, f"draws_chain{ci_}.csv"), header, rows)
+        timeline.atomic_write_text(os.path.join(out, f"draws_chain{ci_}.csv"),
+                                   timeline.csv_text(header, rows))
 
     diag: dict = {"acceptance": store.acceptance.tolist(),
                   "step_sizes": store.step_sizes.tolist(),
@@ -391,8 +384,8 @@ def cmd_plot_data(args) -> int:
         days, observed, expected = inference.onset_fit_table(records, r, alpha, beta)
         rows = [[int(day), timeline.from_epoch(int(day)).isoformat(), int(obs), float(exp)]
                 for day, obs, exp in zip(days, observed, expected)]
-        _write_csv(os.path.join(out, "onset_fit.csv"),
-                   ["day", "date", "observed", "expected"], rows)
+        timeline.atomic_write_text(os.path.join(out, "onset_fit.csv"), timeline.csv_text(
+            ["day", "date", "observed", "expected"], rows))
     elif args.kind == "sweep-bands":
         if not os.path.exists(args.input):
             raise CliError(2, f"input file not found: {args.input}")
@@ -421,13 +414,13 @@ def cmd_plot_data(args) -> int:
             vals = np.asarray(pooled[col])
             lo, hi = np.percentile(vals, [2.5, 97.5])
             rows.append([label, int(k), float(vals.mean()), float(lo), float(hi)])
-        _write_csv(os.path.join(out, "posterior_pmf.csv"),
-                   ["stratum", "days", "mean", "lo", "hi"], rows)
+        timeline.atomic_write_text(os.path.join(out, "posterior_pmf.csv"), timeline.csv_text(
+            ["stratum", "days", "mean", "lo", "hi"], rows))
     else:  # se-density
         records = _filter_location(_load_cohort(args.input), args.location)
         rows = _kde_rows(records, args.strata, args.bandwidth, args.grid_step)
-        _write_csv(os.path.join(out, "se_density.csv"),
-                   ["stratum", "x", "density"], rows)
+        timeline.atomic_write_text(os.path.join(out, "se_density.csv"),
+                                   timeline.csv_text(["stratum", "x", "density"], rows))
     print(f"plot data ({args.kind}) -> {out}")
     return 0
 

@@ -27,14 +27,9 @@ from .likelihood import (
     ParamTheta,
     _LN2,
     _LOG_FLOOR,
-    _check_onsets_by,
-    case_arrays,
-    cond_log_terms,
+    case_terms,
     marginal_s_density,
     quantiles_to_shape_rate,
-    terms_index,
-    trunc_log_terms,
-    uncond_log_terms,
 )
 from .timeline import CaseRecord
 
@@ -59,7 +54,6 @@ _BIG = 1e15
 DEFAULT_INIT = DisplayTheta(doubling_time=4.0, median_incubation=5.0,
                             q95_incubation=12.0, rho=0.5)
 
-_KINDS = ("cond", "uncond", "cond_trunc")
 _FIXABLE = ("rho", "r", "doubling_time", "median_incubation", "q95_incubation")
 
 
@@ -156,6 +150,11 @@ class _ParamMap:
             raise ValueError("fix either r or doubling_time, not both")
         if kind != "uncond" and "rho" in fixed:
             raise ValueError("rho only applies to the unconditional likelihood")
+        for name, value in fixed.items():
+            zero_ok, inf_ok = name in ("r", "rho"), name == "doubling_time"
+            if not ((value >= 0 if zero_ok else value > 0) and (inf_ok or value < math.inf)):
+                raise ValueError(f"cannot fix {name}={value}: need {name} "
+                                 f"{'>=' if zero_ok else '>'} 0{'' if inf_ok else ' and finite'}")
         self.kind = kind
         self.fixed = fixed
         if "r" in fixed:
@@ -230,26 +229,12 @@ class _ParamMap:
         return rho, r, med, q95
 
 
-def _log_terms(arrays, index, kind, M, rho, r, alpha, beta) -> np.ndarray:
-    """Per-case log terms of the chosen likelihood kind, NaN read as -inf."""
-    b, e, s, resident = arrays
-    if kind == "cond":
-        lt = cond_log_terms(b, e, s, r, alpha, beta, index)
-    elif kind == "uncond":
-        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
-    else:
-        lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
-    return np.where(np.isnan(lt), -np.inf, lt)
-
-
-def _make_objective(arrays, index, kind: str, M: float | None, pmap: _ParamMap):
+def _make_objective(terms, pmap: _ParamMap):
     def fun(u: np.ndarray) -> float:
         try:
             rho, r, med, q95 = pmap.unpack(u)
             alpha, beta = quantiles_to_shape_rate(med, q95)
-            if r < 0 or (kind == "uncond" and not r > 0):
-                return _BIG
-            lt = _log_terms(arrays, index, kind, M, rho, r, alpha, beta)
+            lt = terms(rho, r, alpha, beta)
         except (ValueError, OverflowError):
             return _BIG
         return -float(np.maximum(lt, _LOG_FLOOR).sum())
@@ -288,21 +273,14 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         boundary of the transformed domain; n_clamped counts cases whose
         likelihood term underflowed at the optimum (should be 0).
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if not cases:
         raise ValueError("no cases to fit")
-    if kind == "cond_trunc":
-        if M is None:
-            raise ValueError("cond_trunc requires the truncation day M")
-        _check_onsets_by(cases, M)
+    terms = case_terms(cases, kind, M)
     options = options or FitOptions()
-    arrays = case_arrays(cases)
-    index = terms_index(*arrays[:3], M if kind == "cond_trunc" else None)
     pmap = _ParamMap(kind, fixed)
     init = init or DEFAULT_INIT
     u0 = pmap.pack(init)
-    fun = _make_objective(arrays, index, kind, M, pmap)
+    fun = _make_objective(terms, pmap)
 
     if u0.size == 0:  # everything pinned: nothing to optimize
         val = fun(u0)
@@ -327,8 +305,7 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     display = DisplayTheta(doubling_time=math.inf if r == 0 else _LN2 / r,
                            median_incubation=med, q95_incubation=q95, rho=rho)
     at_boundary = bool(np.any(np.abs(np.asarray(best_x)) > _BOUNDARY))
-    n_clamped = int((_log_terms(arrays, index, kind, M, rho, r, alpha, beta)
-                     < _LOG_FLOOR).sum())
+    n_clamped = int((terms(rho, r, alpha, beta) < _LOG_FLOOR).sum())
     converged = bool(success and not at_boundary and best_fun < _BIG)
     message = "ok" if converged else ("boundary" if at_boundary else "search failed")
     return FitResult(theta=theta, display=display, log_lik=float(-best_fun),
@@ -606,17 +583,17 @@ def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float, beta: f
 
 
 def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
-                       beta: float, min_cases: int = 30,
-                       min_expected: float = 5.0) -> GofResult:
-    """Pearson chi-square of resident onset days against the model density.
+                       beta: float, min_expected: float = 5.0) -> GofResult:
+    """Pearson chi-square of resident onset days against the model density,
+    over at least 30 resident cases.
 
     Adjacent days are pooled left-to-right until each bin expects at least
     min_expected cases (the trailing remainder merges backwards); the
     statistic is referred to chi-square with bins - 1 degrees of freedom.
     """
     n_res = sum(1 for c in cases if c.is_resident)
-    if n_res < min_cases:
-        raise ValueError(f"need at least {min_cases} resident cases, have {n_res}")
+    if n_res < 30:
+        raise ValueError(f"need at least 30 resident cases, have {n_res}")
     _, obs, expected = onset_fit_table(cases, r, alpha, beta)
     pooled_o: list[float] = []
     pooled_e: list[float] = []

@@ -55,7 +55,7 @@ __all__ = [
     "growth_bias_correction",
     "growth_bias_fixed_point",
     "case_arrays",
-    "terms_index",
+    "case_terms",
     "cond_log_terms",
     "uncond_log_terms",
     "trunc_log_terms",
@@ -202,24 +202,23 @@ def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
 
 def _cdf_index(x_hi, x_lo):
     """(u, i_hi, i_lo): the distinct values u of (x_hi)+ and (x_lo)+ together,
-    with u[i_hi] == (x_hi)+ and u[i_lo] == (x_lo)+ elementwise."""
+    with u[i_hi] == (x_hi)+ and u[i_lo] == (x_lo)+ elementwise.  Every Gamma
+    CDF of the per-case terms is evaluated once per distinct argument this way
+    (cases on integer days share few), the same float as an elementwise call."""
     x_hi = np.maximum(np.asarray(x_hi, dtype=float), 0.0)
     x_lo = np.maximum(np.asarray(x_lo, dtype=float), 0.0)
     u, inv = np.unique(np.concatenate([x_hi.ravel(), x_lo.ravel()]), return_inverse=True)
     return u, inv[:x_hi.size].reshape(x_hi.shape), inv[x_hi.size:].reshape(x_lo.shape)
 
 
-def _gamma_cdf_diff(alpha: float, rate: float, x_hi, x_lo, index=None):
-    """H_{alpha,rate}(x_hi) - H_{alpha,rate}(x_lo), elementwise, x_hi >= x_lo.
+def _gamma_cdf_diff(alpha: float, rate: float, index):
+    """H_{alpha,rate}(x_hi) - H_{alpha,rate}(x_lo), elementwise, x_hi >= x_lo,
+    for index = _cdf_index(x_hi, x_lo).
 
     Uses the upper tail when H(x_lo) > 1/2, avoiding cancellation of
-    nearly-equal CDF values.  The regularized incomplete gammas are evaluated
-    once per distinct argument and gathered back, so each element is the same
-    float as four elementwise calls would give.  index is _cdf_index(x_hi,
-    x_lo), built here when not given; callers evaluating the same arguments
-    at many parameters build it once (see :func:`terms_index`).
+    nearly-equal CDF values.
     """
-    u, i_hi, i_lo = _cdf_index(x_hi, x_lo) if index is None else index
+    u, i_hi, i_lo = index
     z = rate * u
     p, q = sc.gammainc(alpha, z), sc.gammaincc(alpha, z)
     p_lo = p[i_lo]
@@ -258,7 +257,7 @@ def gamma_exp_integral(b: float, e: float, s: float, r: float,
     if upper <= b:
         return 0.0
     rate = beta + r
-    diff = float(_gamma_cdf_diff(alpha, rate, s - b, max(s - e, 0.0)))
+    diff = float(_gamma_cdf_diff(alpha, rate, _cdf_index(s - b, s - e)))
     return (beta / rate) ** alpha * math.exp(r * s) * max(diff, 0.0)
 
 
@@ -296,25 +295,6 @@ def case_arrays(cases: Sequence[CaseRecord]):
     return b, e, s, resident
 
 
-def terms_index(b, e, s, M: float | None = None):
-    """The distinct Gamma CDF arguments of the per-case terms, for reuse.
-
-    Every term evaluates H(S - B) - H((S - E)+), and the truncated terms
-    also H(M - B) - H((M - E)+).  With B, E and S on integer days plus fixed
-    offsets these take far fewer distinct values than there are cases.  The
-    result is the trailing `index` argument of :func:`cond_log_terms`,
-    :func:`uncond_log_terms` and :func:`trunc_log_terms`; building it once
-    per case set spares each later call the deduplication, and the terms come
-    out the same either way.  Without M the truncated terms build their
-    normalizer part on each call.
-    """
-    b = np.asarray(b, float)
-    e = np.asarray(e, float)
-    s = np.asarray(s, float)
-    return (_cdf_index(s - b, s - e),
-            None if M is None else _cdf_index(M - b, M - e))
-
-
 def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
                    index=None) -> np.ndarray:
     """Log-likelihood terms of S | (B, E), case in the selection set.
@@ -326,22 +306,20 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
 
     the r = 0 limit replaces growth weighting by Lebesgue measure on (B, E).
     Invalid cases produce -inf entries (no exception at this level).
-    index is :func:`terms_index` of (b, e, s), optional.
+    index is _cdf_index(s - b, s - e), built here when not given.
     """
-    b = np.asarray(b, float)
-    e = np.asarray(e, float)
-    s = np.asarray(s, float)
-    onset = None if index is None else index[0]
+    b, e, s = (np.asarray(x, float) for x in (b, e, s))
+    index = _cdf_index(s - b, s - e) if index is None else index
+    growth = abs(r) >= R_SWITCH
+    rate = beta + r if growth else beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        if abs(r) < R_SWITCH:
-            diff = _gamma_cdf_diff(alpha, beta, s - b, np.maximum(s - e, 0.0), onset)
-            return np.log(np.clip(diff, 0.0, None)) - np.log(e - b)
-        rate = beta + r
-        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0), onset)
+        log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, index), 0.0, None))
+        if not growth:
+            return log_diff - np.log(e - b)
         # log(e^{rE} - e^{rB}) = rE + log(1 - e^{-r(E-B)}), stable for r(E-B) small
         log_span = r * e + np.log1p(-np.exp(-r * (e - b)))
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
-                + r * s + np.log(np.clip(diff, 0.0, None)) - log_span)
+                + r * s + log_diff - log_span)
 
 
 def uncond_log_terms(b, e, s, resident, rho: float, r: float,
@@ -353,7 +331,7 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     the shared normalizer is 1 + rho (1 - 2/(rL)).  Returns None-like -inf
     rows for structurally impossible cases; raises ValueError if the
     normalizer is not positive (parameters outside the valid region).
-    index is :func:`terms_index` of (b, e, s), optional.
+    index is _cdf_index(s - b, s - e), built here when not given.
     """
     L = L_DEFAULT
     if not r > 0:
@@ -363,22 +341,20 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     denom = 1.0 + rho * (1.0 - 2.0 / (r * L))
     if not denom > 0:
         raise ValueError(f"travel-mix normalizer 1 + rho(1 - 2/(rL)) = {denom:.3g} <= 0")
-    b = np.asarray(b, float)
-    e = np.asarray(e, float)
-    s = np.asarray(s, float)
+    b, e, s = (np.asarray(x, float) for x in (b, e, s))
     resident = np.asarray(resident, bool)
+    index = _cdf_index(s - b, s - e) if index is None else index
     rate = beta + r
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0),
-                               None if index is None else index[0])
+        log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, index), 0.0, None))
         log_w = np.where(resident, 0.0, math.log(rho / L) if rho > 0 else -math.inf)
         return (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
-                + log_w - math.log(denom) + r * (s - L)
-                + np.log(np.clip(diff, 0.0, None)))
+                + log_w - math.log(denom) + r * (s - L) + log_diff)
 
 
-def _trunc_normalizer(x_hi, x_lo, r: float, alpha: float, beta: float, index=None):
-    """Difference of the truncation normalizer Z_r at two points.
+def _trunc_normalizer(index, r: float, alpha: float, beta: float):
+    """Difference Z_r(x_hi) - Z_r(x_lo) of the truncation normalizer, for
+    index = _cdf_index(x_hi, x_lo) with x_hi, x_lo >= 0.
 
     Z_r(x) = r * int_0^x e^{-r u} H_{alpha,beta}(u) du
            = (beta/(beta+r))^alpha H_{a,b+r}(x) - e^{-rx} H_{a,b}(x)   (r != 0),
@@ -386,18 +362,18 @@ def _trunc_normalizer(x_hi, x_lo, r: float, alpha: float, beta: float, index=Non
     Z_0(x) = int_0^x H(u) du = x H_{a,b}(x) - (alpha/beta) H_{a+1,b}(x).
     Computed with the tail-difference trick to dodge cancellation when both
     arguments sit deep in the Gamma upper tail (M far beyond every stay).
-    index is _cdf_index(x_hi, x_lo), optional.
     """
-    x_hi = np.asarray(x_hi, float)
-    x_lo = np.asarray(x_lo, float)
+    u, i_hi, i_lo = index
+    x_hi, x_lo = u[i_hi], u[i_lo]
+    h = sc.gammainc(alpha, beta * u)
+    h_hi, h_lo = h[i_hi], h[i_lo]
     if abs(r) < R_SWITCH:
-        main = x_hi * sc.gammainc(alpha, beta * x_hi) - x_lo * sc.gammainc(alpha, beta * x_lo)
-        corr = alpha / beta * _gamma_cdf_diff(alpha + 1, beta, x_hi, x_lo, index)
+        main = x_hi * h_hi - x_lo * h_lo
+        corr = alpha / beta * _gamma_cdf_diff(alpha + 1, beta, index)
         return main - corr
     rate = beta + r
-    part1 = (beta / rate) ** alpha * _gamma_cdf_diff(alpha, rate, x_hi, x_lo, index)
-    part2 = (np.exp(-r * x_lo) * sc.gammainc(alpha, beta * x_lo)
-             - np.exp(-r * x_hi) * sc.gammainc(alpha, beta * x_hi))
+    part1 = (beta / rate) ** alpha * _gamma_cdf_diff(alpha, rate, index)
+    part2 = np.exp(-r * x_lo) * h_lo - np.exp(-r * x_hi) * h_hi
     return part1 + part2
 
 
@@ -408,81 +384,99 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
     The numerator matches :func:`cond_log_terms`; the normalizer integrates
     onset mass before M over infection times in the stay, i.e.
     Z_r(M - B) - Z_r((M - E)_+) (see :func:`_trunc_normalizer`).  index is
-    :func:`terms_index` of (b, e, s, M), optional.
+    the pair (_cdf_index(s - b, s - e), _cdf_index(M - b, M - e)), built
+    here when not given.
     """
-    b = np.asarray(b, float)
-    e = np.asarray(e, float)
-    s = np.asarray(s, float)
-    onset, trunc = (None, None) if index is None else index
-    x_hi = M - b
-    x_lo = np.maximum(M - e, 0.0)
+    b, e, s = (np.asarray(x, float) for x in (b, e, s))
+    onset, trunc = index or (_cdf_index(s - b, s - e), _cdf_index(M - b, M - e))
+    growth = abs(r) >= R_SWITCH
+    rate = beta + r if growth else beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = _trunc_normalizer(x_hi, x_lo, r, alpha, beta, trunc)
-        log_z = np.log(np.clip(z, 0.0, None))
-        if abs(r) < R_SWITCH:
-            diff = _gamma_cdf_diff(alpha, beta, s - b, np.maximum(s - e, 0.0), onset)
-            return np.log(np.clip(diff, 0.0, None)) - log_z
-        rate = beta + r
-        diff = _gamma_cdf_diff(alpha, rate, s - b, np.maximum(s - e, 0.0), onset)
+        log_z = np.log(np.clip(_trunc_normalizer(trunc, r, alpha, beta), 0.0, None))
+        log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, onset), 0.0, None))
+        if not growth:
+            return log_diff - log_z
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
-                + r * (s - M) + np.log(np.clip(diff, 0.0, None)) - log_z)
+                + r * (s - M) + log_diff - log_z)
+
+
+#: The likelihood kinds of case_terms, and how errors name them.
+_KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
+          "cond_trunc": "truncated likelihood"}
+
+
+def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
+    """Per-case log terms of the cases under likelihood kind "cond", "uncond"
+    or "cond_trunc" (truncated at M; a case with S > M raises LikelihoodError).
+
+    The cases are converted and their Gamma CDF arguments indexed once, here.
+    Returns a function of (rho, r, alpha, beta) giving :func:`cond_log_terms`,
+    :func:`uncond_log_terms` or :func:`trunc_log_terms` with NaN read as -inf.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    if kind == "cond_trunc":
+        if M is None:
+            raise ValueError("cond_trunc requires the truncation day M")
+        late = next((c for c in cases if c.S > M), None)
+        if late is not None:
+            raise LikelihoodError(
+                f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}")
+    b, e, s, resident = case_arrays(cases)
+    index = _cdf_index(s - b, s - e)
+    if kind == "cond_trunc":
+        index = (index, _cdf_index(M - b, M - e))
+
+    def terms(rho: float | None, r: float, alpha: float, beta: float) -> np.ndarray:
+        if kind == "cond":
+            lt = cond_log_terms(b, e, s, r, alpha, beta, index)
+        elif kind == "uncond":
+            lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
+        else:
+            lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
+        return np.where(np.isnan(lt), -np.inf, lt)
+
+    return terms
 
 
 # ---------------------------------------------------------------------------
 # Public case-list log-likelihoods (strict: bad cases raise)
 # ---------------------------------------------------------------------------
 
-def _strict_arrays(cases: Sequence[CaseRecord], alpha: float, beta: float,
-                   r: float | None = None):
-    """case_arrays of a nonempty case list, after the argument checks the
-    strict log-likelihoods share (r is checked when given)."""
+def _strict_sum(cases: Sequence[CaseRecord], kind: str, rho, r: float, alpha: float,
+                beta: float, M: float | None = None) -> float:
+    """Sum of the case_terms of a nonempty case list; LikelihoodError naming
+    the first case whose term is not finite."""
     if not (alpha > 0 and beta > 0):
         raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    if r is not None and r < 0:
+    if kind != "uncond" and r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     if not cases:
         raise ValueError("no cases")
-    return case_arrays(cases)
-
-
-def _sum_strict(terms: np.ndarray, cases: Sequence[CaseRecord], what: str) -> float:
+    terms = case_terms(cases, kind, M)(rho, r, alpha, beta)
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
-        i = int(bad[0])
-        raise LikelihoodError(
-            f"{what}: case {cases[i].case_id} (B={cases[i].B}, E={cases[i].E}, "
-            f"S={cases[i].S}) has non-positive likelihood")
+        c = cases[int(bad[0])]
+        raise LikelihoodError(f"{_KINDS[kind]}: case {c.case_id} (B={c.B}, E={c.E}, "
+                              f"S={c.S}) has non-positive likelihood")
     return float(terms.sum())
-
-
-def _check_onsets_by(cases: Sequence[CaseRecord], M: float) -> None:
-    """LikelihoodError naming the first case with onset after the truncation day M."""
-    late = next((c for c in cases if c.S > M), None)
-    if late is not None:
-        raise LikelihoodError(f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}")
 
 
 def log_lik_cond(cases: Sequence[CaseRecord], r: float, alpha: float, beta: float) -> float:
     """Sum of conditional-on-(B, E) log-likelihood terms over the cases."""
-    b, e, s, _ = _strict_arrays(cases, alpha, beta, r)
-    return _sum_strict(cond_log_terms(b, e, s, r, alpha, beta), cases, "conditional likelihood")
+    return _strict_sum(cases, "cond", None, r, alpha, beta)
 
 
 def log_lik_uncond(cases: Sequence[CaseRecord], rho: float, r: float,
                    alpha: float, beta: float) -> float:
     """Sum of joint (B, E, S) log-likelihood terms over the cases."""
-    b, e, s, resident = _strict_arrays(cases, alpha, beta)
-    terms = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta)
-    return _sum_strict(terms, cases, "unconditional likelihood")
+    return _strict_sum(cases, "uncond", rho, r, alpha, beta)
 
 
 def log_lik_cond_trunc(cases: Sequence[CaseRecord], r: float, alpha: float,
                        beta: float, M: float) -> float:
     """Sum of right-truncated (S <= M) conditional log-likelihood terms."""
-    b, e, s, _ = _strict_arrays(cases, alpha, beta, r)
-    _check_onsets_by(cases, M)
-    return _sum_strict(trunc_log_terms(b, e, s, r, alpha, beta, M), cases,
-                       "truncated likelihood")
+    return _strict_sum(cases, "cond_trunc", None, r, alpha, beta, M)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +526,13 @@ def growth_bias_correction(alpha: float, beta: float, r_ref: float, c: float) ->
     return 1.0 / (alpha / (beta + r_ref) + c / 2.0)
 
 
-def growth_bias_fixed_point(alpha: float, beta: float, r_naive: float, c: float,
-                            tol: float = 1e-8, max_iter: int = 500) -> float:
-    """Self-consistent corrected rate: the solution of r = r_naive + correction(r)."""
+def growth_bias_fixed_point(alpha: float, beta: float, r_naive: float, c: float) -> float:
+    """Self-consistent corrected rate: the solution of r = r_naive + correction(r),
+    iterated until successive rates differ by less than 1e-8 (at most 500 steps)."""
     r = r_naive
-    for _ in range(max_iter):
+    for _ in range(500):
         r_next = r_naive + growth_bias_correction(alpha, beta, r, c)
-        if abs(r_next - r) < tol:
+        if abs(r_next - r) < 1e-8:
             return r_next
         r = r_next
     raise RuntimeError(f"fixed-point correction did not converge from r_naive={r_naive}")

@@ -42,6 +42,7 @@ __all__ = [
     "build_cluster_context",
     "classify_outside",
     "build_cohort",
+    "csv_text",
     "write_cohort_csv",
     "read_cohort_csv",
     "write_cohort_json",
@@ -364,12 +365,11 @@ class CaseRecord:
     @classmethod
     def from_ints(cls, case_id: str, b_int: int, e_int: int, s_int: int,
                   gender: str = "unknown", age_group: str = "unknown",
-                  confirmed_int: int | None = None, location: str | None = None,
-                  horizon: int = QUARANTINE_DAY) -> "CaseRecord":
+                  confirmed_int: int | None = None, location: str | None = None) -> "CaseRecord":
         """Build a record from integer days, applying the sub-day offsets."""
-        if not 0 <= b_int <= e_int <= horizon:
-            raise ValueError(
-                f"case {case_id}: need 0 <= B_int <= E_int <= {horizon}, got ({b_int}, {e_int})")
+        if not 0 <= b_int <= e_int <= QUARANTINE_DAY:
+            raise ValueError(f"case {case_id}: need 0 <= B_int <= E_int <= "
+                             f"{QUARANTINE_DAY}, got ({b_int}, {e_int})")
         b = 0.0 if b_int == 0 else b_int - 0.75
         e = e_int - 0.25
         s = s_int - 0.5
@@ -526,17 +526,22 @@ def _record_row(rec: CaseRecord) -> list[str]:
     return [str(vals[k]) for k in _COHORT_FIELDS]
 
 
-def write_cohort_csv(records: Sequence[CaseRecord], path: str | os.PathLike) -> None:
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header and rows, each line ending in "\n".
+
+    csv quotes only the characters of its line terminator, and a bare \r in a
+    field would end the row on reading, so a row with a string field holding
+    \r ends in "\r\n" instead, which quotes that field."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    # csv quotes only the characters of its line terminator, and a bare \r
-    # in a field would end the row on reading
     w_cr = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(_COHORT_FIELDS)
-    for rec in records:
-        row = _record_row(rec)
-        (w_cr if any("\r" in f for f in row) else w).writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    for row in (header, *rows):
+        (w_cr if any(isinstance(f, str) and "\r" in f for f in row) else w).writerow(row)
+    return buf.getvalue()
+
+
+def write_cohort_csv(records: Sequence[CaseRecord], path: str | os.PathLike) -> None:
+    atomic_write_text(path, csv_text(_COHORT_FIELDS, [_record_row(r) for r in records]))
 
 
 def _record_from_row(rownum: int, row: Mapping) -> CaseRecord:

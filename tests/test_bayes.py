@@ -182,8 +182,7 @@ def test_discrete_data_rejects_infeasible_case():
         DiscreteData.from_records([far], config)
     with pytest.raises(ValueError, match="far-1"):
         DiscreteData(b=np.array([0]), e=np.array([3]), s=np.array([40]),
-                     stratum=np.array([0]), case_ids=["far-1"], labels=("all",),
-                     l=config.l, max_incubation=config.max_incubation)
+                     stratum=np.array([0]), case_ids=["far-1"], labels=("all",))
 
 
 def test_log_lik_discrete_matches_enumeration():

@@ -258,6 +258,17 @@ def test_fit_unknown_fixed_name_exits_4(sim_dir, tmp_path, capsys):
     assert "cannot fix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("likelihood, pair, name", [
+    ("uncond", "doubling-time=0", "doubling_time"), ("cond", "q95=0", "q95_incubation"),
+    ("cond", "r=-0.5", "r"), ("cond", "median=nan", "median_incubation"),
+    ("uncond", "rho=inf", "rho")])
+def test_fit_pin_outside_its_domain_exits_4(sim_dir, tmp_path, capsys, likelihood, pair, name):
+    code = cli.main(["fit", "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--likelihood", likelihood, "--fix", pair, "--out", str(tmp_path)])
+    assert code == 4
+    assert f"cannot fix {name}=" in capsys.readouterr().err
+
+
 def test_location_filter_no_match_exits_3(tmp_path):
     rows = [{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56,
              "location": "Beijing"},
@@ -634,6 +645,19 @@ def test_plot_data_se_density_unlabeled_json_pools_as_unknown(tmp_path):
     assert code == 0
     _, body = read_csv(str(tmp_path), "se_density.csv")
     assert {r[0] for r in body} == {"unknown"}
+
+
+def test_plot_data_se_density_quotes_a_label_holding_a_carriage_return(tmp_path):
+    rows = [{"case_id": f"a-{i}", "B_int": 0, "E_int": 53, "S_int": 50 + i,
+             "gender": "x\ry" if i % 2 else "male"} for i in range(4)]
+    src = tmp_path / "cohort.json"
+    src.write_text(json.dumps(rows))
+    code = cli.main(["plot-data", "--kind", "se-density", "--in", str(src),
+                     "--strata", "gender", "--out", str(tmp_path)])
+    assert code == 0
+    _, body = read_csv(str(tmp_path), "se_density.csv")
+    assert body and all(len(r) == 3 for r in body)
+    assert {r[0] for r in body} == {"male", "x\ry"}
 
 
 # ---------------------------------------------------------------------------

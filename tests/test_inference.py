@@ -71,6 +71,28 @@ def test_fit_rejects_bad_input(sim_cohort_800):
         mle_fit(records, "cond", fixed={"gamma": 1.0})
 
 
+def test_truncated_fit_and_sum_name_the_first_late_case(sim_cohort_800):
+    records = sim_cohort_800[0][:50]
+    M = sorted(c.S for c in records)[-5]
+    late = next(c for c in records if c.S > M)
+    message = f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}"
+    with pytest.raises(lk.LikelihoodError) as fit_err:
+        mle_fit(records, "cond_trunc", M=M)
+    with pytest.raises(lk.LikelihoodError) as sum_err:
+        lk.log_lik_cond_trunc(records, 0.3, 1.86, 0.33, M)
+    assert str(fit_err.value) == str(sum_err.value) == message
+
+
+@pytest.mark.parametrize("fixed", [{"doubling_time": 0.0}, {"q95_incubation": 0.0},
+                                   {"median_incubation": -1.0}, {"r": -0.5},
+                                   {"r": math.nan}, {"doubling_time": math.nan},
+                                   {"r": math.inf}, {"q95_incubation": math.inf}])
+def test_fit_rejects_a_pin_outside_its_domain(sim_cohort_800, fixed):
+    (name, value), = fixed.items()
+    with pytest.raises(ValueError, match=f"cannot fix {name}={value}"):
+        mle_fit(sim_cohort_800[0], "cond", fixed=fixed)
+
+
 def test_fixed_growth_rate(sim_cohort_800):
     records, _ = sim_cohort_800
     fit = mle_fit(records, "cond", fixed={"r": 0.25}, options=FAST)

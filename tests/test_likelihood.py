@@ -174,48 +174,110 @@ def test_cdf_diff_is_the_four_igamma_difference_bit_for_bit():
     rng = np.random.default_rng(3)
     x_hi, x_lo = onset_arrays(400, rng)
     assert len(np.unique(np.concatenate([x_hi, x_lo]))) < 200
+    index = lk._cdf_index(x_hi, x_lo)
     branches = set()
     for _ in range(300):
         alpha = math.exp(rng.uniform(math.log(0.05), math.log(200.0)))
         rate = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
         ref = four_igamma_cdf_diff(alpha, rate, x_hi, x_lo)
-        assert np.array_equal(lk._gamma_cdf_diff(alpha, rate, x_hi, x_lo), ref)
-        index = lk._cdf_index(x_hi, x_lo)
-        assert np.array_equal(lk._gamma_cdf_diff(alpha, rate, None, None, index), ref)
+        assert np.array_equal(lk._gamma_cdf_diff(alpha, rate, index), ref)
         branches |= set(special.gammainc(alpha, rate * x_lo) > 0.5)
     assert branches == {False, True}
     # a scalar pair, as gamma_exp_integral passes it
-    assert lk._gamma_cdf_diff(1.86, 0.4, 7.25, 0.0) == four_igamma_cdf_diff(1.86, 0.4, 7.25, 0.0)
+    assert (lk._gamma_cdf_diff(1.86, 0.4, lk._cdf_index(7.25, 0.0))
+            == four_igamma_cdf_diff(1.86, 0.4, 7.25, 0.0))
 
 
-def test_log_terms_are_the_same_with_and_without_the_index():
-    rng = np.random.default_rng(5)
+def elementwise_trunc_normalizer(x_hi, x_lo, r, alpha, beta):
+    """Z_r(x_hi) - Z_r(x_lo) (see likelihood._trunc_normalizer) from
+    elementwise incomplete gammas."""
+    h_hi = special.gammainc(alpha, beta * x_hi)
+    h_lo = special.gammainc(alpha, beta * x_lo)
+    if abs(r) < lk.R_SWITCH:
+        main = x_hi * h_hi - x_lo * h_lo
+        return main - alpha / beta * four_igamma_cdf_diff(alpha + 1, beta, x_hi, x_lo)
+    rate = beta + r
+    part1 = (beta / rate) ** alpha * four_igamma_cdf_diff(alpha, rate, x_hi, x_lo)
+    return part1 + (np.exp(-r * x_lo) * h_lo - np.exp(-r * x_hi) * h_hi)
+
+
+def lattice_cases(n, rng):
+    """n cases on the cohort day lattice, onsets up to 24 days after leaving."""
     cases = []
-    for i in range(300):
+    for i in range(n):
         b_int = 0 if rng.random() < 0.5 else int(rng.integers(1, 40))
         e_int = int(rng.integers(b_int + 1, 54))
         cases.append(CaseRecord.from_ints(f"c{i}", b_int, e_int,
                                           int(rng.integers(b_int + 1, e_int + 25))))
-    b, e, s, resident = lk.case_arrays(cases)
+    return cases
+
+
+#: Growth rates at 0, around the switch to the exact r = 0 forms, and beyond.
+R_GRID = (0.0, 1e-9, lk.R_SWITCH * (1 - 1e-9), lk.R_SWITCH, lk.R_SWITCH * (1 + 1e-9),
+          1e-7, 0.05, 0.3, 2.0)
+
+
+def test_trunc_normalizer_is_the_elementwise_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    b, e, s, _ = lk.case_arrays(lattice_cases(300, rng))
+    for extra in (0.0, 0.5, 3.0, 40.0, 200.0):
+        M = float(s.max()) + extra
+        x_hi, x_lo = M - b, np.maximum(M - e, 0.0)
+        index = lk._cdf_index(x_hi, x_lo)
+        for r in R_GRID + tuple(rng.uniform(0.0, 2.0, 3)):
+            for _ in range(4):
+                alpha = math.exp(rng.uniform(math.log(0.3), math.log(30.0)))
+                beta = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+                ref = elementwise_trunc_normalizer(x_hi, x_lo, r, alpha, beta)
+                assert np.array_equal(lk._trunc_normalizer(index, r, alpha, beta), ref)
+
+
+def test_log_terms_are_the_same_with_and_without_the_index():
+    rng = np.random.default_rng(5)
+    b, e, s, resident = lk.case_arrays(lattice_cases(300, rng))
     M = float(s.max()) + 3.0
-    onset_only = lk.terms_index(b, e, s)
-    index = lk.terms_index(b, e, s, M)
-    for r in (0.0, 1e-9, 0.05, 0.3):
+    onset = lk._cdf_index(s - b, s - e)
+    trunc = lk._cdf_index(M - b, M - e)
+    for r in R_GRID:
         for alpha, beta in ((0.4, 0.05), (1.86, 0.33), (60.0, 9.0)):
             same = [
                 (lk.cond_log_terms(b, e, s, r, alpha, beta),
-                 lk.cond_log_terms(b, e, s, r, alpha, beta, index)),
+                 lk.cond_log_terms(b, e, s, r, alpha, beta, onset)),
                 (lk.trunc_log_terms(b, e, s, r, alpha, beta, M),
-                 lk.trunc_log_terms(b, e, s, r, alpha, beta, M, index)),
-                (lk.trunc_log_terms(b, e, s, r, alpha, beta, M),
-                 lk.trunc_log_terms(b, e, s, r, alpha, beta, M, onset_only)),
+                 lk.trunc_log_terms(b, e, s, r, alpha, beta, M, (onset, trunc))),
             ]
             if r >= 0.05:
                 same.append((lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta),
                              lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta,
-                                                 index)))
+                                                 onset)))
             for plain, indexed in same:
                 assert np.array_equal(plain, indexed)
+
+
+def test_case_terms_are_the_per_kind_terms_with_nan_read_as_minus_inf():
+    rng = np.random.default_rng(6)
+    # besides lattice cases: a stay of zero length, and an onset before the
+    # stay with M before it too; their cond and truncated terms come out NaN
+    odd = [CaseRecord(case_id="odd-1", B_int=6, E_int=6, S_int=7, B=5.25, E=5.25, S=7.0),
+           CaseRecord(case_id="odd-2", B_int=11, E_int=21, S_int=8, B=10.25, E=20.75, S=7.5)]
+    for cases, M in ((lattice_cases(200, rng), 80.0), (odd, 8.0)):
+        b, e, s, resident = lk.case_arrays(cases)
+        terms = {kind: lk.case_terms(cases, kind, M) for kind in ("cond", "uncond", "cond_trunc")}
+        for r in R_GRID:
+            for alpha, beta in ((0.4, 0.05), (1.86, 0.33), (60.0, 9.0)):
+                expected = {"cond": lk.cond_log_terms(b, e, s, r, alpha, beta),
+                            "cond_trunc": lk.trunc_log_terms(b, e, s, r, alpha, beta, M)}
+                if r >= 0.05:
+                    expected["uncond"] = lk.uncond_log_terms(b, e, s, resident, 0.7, r,
+                                                             alpha, beta)
+                for kind, raw in expected.items():
+                    assert np.isnan(raw).any() == (cases is odd and kind != "uncond")
+                    assert np.array_equal(terms[kind](0.7, r, alpha, beta),
+                                          np.where(np.isnan(raw), -np.inf, raw))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        lk.case_terms(odd, "joint")
+    with pytest.raises(ValueError, match="requires the truncation day"):
+        lk.case_terms(odd, "cond_trunc")
 
 
 def test_quantile_inversion_is_the_full_bracket_brentq_bit_for_bit():

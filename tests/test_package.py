@@ -21,6 +21,14 @@ def test_all_entries_resolve(name):
     assert missing == []
 
 
+def test_inference_reaches_the_terms_only_through_case_terms():
+    """One path from a case list to the per-case terms: likelihood.case_terms."""
+    import bets.inference
+    bound = {"case_arrays", "cond_log_terms", "uncond_log_terms", "trunc_log_terms"}
+    assert bound.isdisjoint(vars(bets.inference))
+    assert bets.inference.case_terms is bets.likelihood.case_terms
+
+
 def test_every_layer_is_checked():
     layers = {"timeline", "generative", "likelihood", "inference", "bayes", "cli"}
     assert {f"bets.{m}" for m in layers} < set(MODULES)

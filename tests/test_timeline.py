@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from datetime import date
@@ -336,6 +338,15 @@ def test_cohort_csv_round_trip(tmp_path):
     timeline.write_cohort_csv(records, path)
     assert path.read_bytes() == first  # deterministic bytes
     assert [p.name for p in tmp_path.iterdir()] == ["cohort.csv"]  # no temp litter
+
+
+def test_csv_text_ends_only_a_carriage_return_row_in_crlf():
+    rows = [[1, 2.5, "a,b"], ['q"', None, 3], ["x\ry", 0.1, "z"]]
+    text = timeline.csv_text(["u", "v", "w"], rows)
+    assert text.startswith('u,v,w\n1,2.5,"a,b"\n"q""",,3\n')
+    assert text.endswith('"x\ry",0.1,z\r\n')
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["u", "v", "w"], ["1", "2.5", "a,b"], ['q"', "", "3"], ["x\ry", "0.1", "z"]]
 
 
 def test_cohort_csv_missing_columns(tmp_path):
