@@ -17,8 +17,6 @@ from .likelihood import (
     DisplayTheta,
     LikelihoodError,
     ParamTheta,
-    gamma_cdf,
-    gamma_quantile,
     growth_bias_correction,
     growth_bias_fixed_point,
     log_lik_cond,
@@ -27,7 +25,6 @@ from .likelihood import (
     marginal_s_density,
     quantiles_to_shape_rate,
     selection_prob_total,
-    shape_rate_to_quantiles,
 )
 from .timeline import (
     CaseRecord,
@@ -80,11 +77,10 @@ __all__ = [
     "RawCase", "build_cohort", "parse_case_table", "read_cohort",
     "read_cohort_csv", "write_cohort_csv",
     # likelihood
-    "DisplayTheta", "LikelihoodError", "ParamTheta", "gamma_cdf",
-    "gamma_quantile", "growth_bias_correction", "growth_bias_fixed_point",
-    "log_lik_cond", "log_lik_cond_trunc", "log_lik_uncond",
-    "marginal_s_density", "quantiles_to_shape_rate", "selection_prob_total",
-    "shape_rate_to_quantiles",
+    "DisplayTheta", "LikelihoodError", "ParamTheta", "growth_bias_correction",
+    "growth_bias_fixed_point", "log_lik_cond", "log_lik_cond_trunc",
+    "log_lik_uncond", "marginal_s_density", "quantiles_to_shape_rate",
+    "selection_prob_total",
     # generative
     "GenerativeParams", "IncubationDist", "params_from_theta",
     "sample_exported",

@@ -13,13 +13,9 @@ Exit codes: 0 success; 2 bad flags, unreadable or unparseable input;
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import glob
-import json
 import math
 import os
-import re
 import sys
 from datetime import date
 
@@ -164,23 +160,10 @@ def _theta_from_flags(records: list[CaseRecord], args) -> tuple[float, float, fl
     """(r, alpha, beta, fit info) from --growth-rate/--shape/--rate, else from a fit."""
     if args.growth_rate is None:
         fit, _ = _fit_from_flags(records, args)
-        return fit.theta.r, fit.theta.alpha, fit.theta.beta, fit.to_dict()
+        return fit.theta.r, fit.theta.alpha, fit.theta.beta, dataclasses.asdict(fit)
     if args.shape is None or args.rate is None:
         raise CliError(2, "--growth-rate needs --shape and --rate too")
     return args.growth_rate, args.shape, args.rate, {"source": "flags"}
-
-
-def _write_sweep_csv(path: str, rows: list[dict]) -> None:
-    """Long-format CSV of bias-sweep rows given as SweepRow.to_dict() dicts."""
-    out = []
-    for r in rows:
-        day_iso = timeline.from_epoch(r["cutoff"]).isoformat()
-        for quantile in ("median", "q95"):
-            band, est = r[f"{quantile}_ci"], r[quantile]
-            lo, hi = (band["lo"], band["hi"]) if band else ("", "")
-            out.append([day_iso, r["model"], quantile, "" if est is None else est, lo, hi])
-    timeline.atomic_write_text(path, timeline.csv_text(
-        ["date", "model", "quantile", "estimate", "lo", "hi"], out))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +180,11 @@ def cmd_ingest(args) -> int:
         keep_outside=args.keep_outside,
         arrival_cutoff=_parse_date_flag(args.arrival_cutoff),
         impute_end_to=_parse_date_flag(args.impute_end_to),
-        require_symptom=not args.keep_asymptomatic,
         reclassify_outside=args.reclassify_outside)
     cohort, report = timeline.build_cohort(raw, rules)
     out = _out_dir(args)
     _write_json(os.path.join(out, "exclusions.json"),
-                {"kept": report.n_kept, **report.to_dict()}, args)
+                {"kept": report.n_kept, **dataclasses.asdict(report)}, args)
     if not cohort:
         raise CliError(3, "all rows excluded; see exclusions.json")
     if args.format == "json":
@@ -233,7 +215,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     fit, _ = _fit_from_flags(_filter_location(_load_cohort(args.input), args.location), args)
     out = _out_dir(args)
-    _write_json(os.path.join(out, "fit.json"), fit.to_dict(), args)
+    _write_json(os.path.join(out, "fit.json"), dataclasses.asdict(fit), args)
     if args.format == "table":
         d = fit.display
         rows = [("log_lik", fit.log_lik), ("doubling_time", d.doubling_time),
@@ -265,8 +247,8 @@ def cmd_ci(args) -> int:
             n_jobs=args.workers)
     out = _out_dir(args)
     _write_json(os.path.join(out, "ci.json"),
-                {"param": param, "method": args.method, "fit": fit.to_dict(),
-                 "ci": ci.to_dict()}, args)
+                {"param": param, "method": args.method, "fit": dataclasses.asdict(fit),
+                 "ci": dataclasses.asdict(ci)}, args)
     print(f"{param} {args.method} CI: [{ci.lo:.4f}, {ci.hi:.4f}] -> {out}")
     return 0
 
@@ -283,9 +265,17 @@ def cmd_bias_demo(args) -> int:
                                 level=args.level, rng=np.random.default_rng(args.seed),
                                 n_jobs=args.workers)
     out = _out_dir(args)
-    dicts = [r.to_dict() for r in rows]
-    _write_json(os.path.join(out, "sweep.json"), {"rows": dicts}, args)
-    _write_sweep_csv(os.path.join(out, "sweep.csv"), dicts)
+    _write_json(os.path.join(out, "sweep.json"),
+                {"rows": [dataclasses.asdict(r) for r in rows]}, args)
+    bands = []
+    for r in rows:
+        day_iso = timeline.from_epoch(r.cutoff).isoformat()
+        for quantile in ("median", "q95"):
+            band, est = getattr(r, f"{quantile}_ci"), getattr(r, quantile)
+            lo, hi = (band.lo, band.hi) if band else ("", "")
+            bands.append([day_iso, r.model, quantile, "" if est is None else est, lo, hi])
+    timeline.atomic_write_text(os.path.join(out, "sweep.csv"), timeline.csv_text(
+        ["date", "model", "quantile", "estimate", "lo", "hi"], bands))
     n_fitted = sum(r.fitted for r in rows)
     print(f"swept {len(cutoffs)} cutoffs x 3 models ({n_fitted} fits) -> {out}")
     return 0
@@ -298,7 +288,7 @@ def cmd_gof(args) -> int:
                                        min_expected=args.min_expected)
     out = _out_dir(args)
     _write_json(os.path.join(out, "gof.json"),
-                {"fit": fit_info, "gof": gof.to_dict()}, args)
+                {"fit": fit_info, "gof": dataclasses.asdict(gof)}, args)
     print(f"onset GOF: chi2={gof.statistic:.3f} dof={gof.dof} p={gof.p_value:.4f} -> {out}")
     return 0
 
@@ -349,6 +339,16 @@ def cmd_mcmc(args) -> int:
                 diag.setdefault("psrf_notes", {})[key] = str(exc)
     _write_json(os.path.join(out, "diagnostics.json"), diag, args)
 
+    pmf = []
+    for label in sorted(labels):
+        si = labels.index(label)
+        for k in range(config.max_incubation):
+            pooled = store.h[:, :, si, k].ravel()  # chain by chain
+            lo, hi = np.percentile(pooled, [2.5, 97.5])
+            pmf.append([label, k, float(pooled.mean()), float(lo), float(hi)])
+    timeline.atomic_write_text(os.path.join(out, "posterior_pmf.csv"), timeline.csv_text(
+        ["stratum", "days", "mean", "lo", "hi"], pmf))
+
     summary = bayes.posterior_summaries(store)
     _write_json(os.path.join(out, "mcmc_summary.json"),
                 {"summaries": summary, "n_cases": store.n_cases,
@@ -378,46 +378,15 @@ def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
 
 def cmd_plot_data(args) -> int:
     out = _out_dir(args)
+    records = _filter_location(_load_cohort(args.input), args.location)
     if args.kind == "onset-fit":
-        records = _filter_location(_load_cohort(args.input), args.location)
         r, alpha, beta, _ = _theta_from_flags(records, args)
         days, observed, expected = inference.onset_fit_table(records, r, alpha, beta)
         rows = [[int(day), timeline.from_epoch(int(day)).isoformat(), int(obs), float(exp)]
                 for day, obs, exp in zip(days, observed, expected)]
         timeline.atomic_write_text(os.path.join(out, "onset_fit.csv"), timeline.csv_text(
             ["day", "date", "observed", "expected"], rows))
-    elif args.kind == "sweep-bands":
-        if not os.path.exists(args.input):
-            raise CliError(2, f"input file not found: {args.input}")
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                _write_sweep_csv(os.path.join(out, "sweep_bands.csv"), json.load(fh)["rows"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CaseTableError(f"sweep file {args.input}: {type(exc).__name__}: {exc}") from None
-    elif args.kind == "posterior-pmf":
-        paths = sorted(glob.glob(os.path.join(args.input, "draws_chain*.csv")))
-        if not paths:
-            raise CliError(2, f"no draws_chain*.csv under {args.input}")
-        pooled: dict[str, list] = {}
-        for path in paths:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                for row in reader:
-                    for col, val in row.items():
-                        m = re.fullmatch(r"h_(.+)_(\d+)", col)
-                        if m:
-                            pooled.setdefault(col, []).append(float(val))
-        rows = []
-        for col in sorted(pooled, key=lambda c: (c.rsplit("_", 1)[0],
-                                                 int(c.rsplit("_", 1)[1]))):
-            label, k = col[2:].rsplit("_", 1)
-            vals = np.asarray(pooled[col])
-            lo, hi = np.percentile(vals, [2.5, 97.5])
-            rows.append([label, int(k), float(vals.mean()), float(lo), float(hi)])
-        timeline.atomic_write_text(os.path.join(out, "posterior_pmf.csv"), timeline.csv_text(
-            ["stratum", "days", "mean", "lo", "hi"], rows))
     else:  # se-density
-        records = _filter_location(_load_cohort(args.input), args.location)
         rows = _kde_rows(records, args.strata, args.bandwidth, args.grid_step)
         timeline.atomic_write_text(os.path.join(out, "se_density.csv"),
                                    timeline.csv_text(["stratum", "x", "density"], rows))
@@ -428,6 +397,29 @@ def cmd_plot_data(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _number(convert, ok, what: str):
+    """An argparse type: convert the text and require ok(value), so an
+    out-of-domain value exits with 2 and a message naming the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE_INT = _number(int, lambda v: v > 0, "a positive integer")
+_NON_NEGATIVE_INT = _number(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_NON_NEGATIVE = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_LEVEL = _number(float, lambda v: 0 < v < 1, "a level strictly between 0 and 1")
+
+_QUARANTINE = timeline.QUARANTINE_DATE.isoformat()
+
 
 def _add_out(p) -> None:
     p.add_argument("--out", default=None, metavar="DIR",
@@ -466,12 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",", help="input field delimiter")
     p.add_argument("--keep-outside", choices=["no", "likely", "yes"], default="no",
                    help="most suspicious outside-infection label to keep")
-    p.add_argument("--arrival-cutoff", default="2020-01-23", metavar="DATE",
+    p.add_argument("--arrival-cutoff", default=_QUARANTINE, metavar="DATE",
                    help="drop cases arriving after this date")
-    p.add_argument("--impute-end-to", default="2020-01-23", metavar="DATE",
+    p.add_argument("--impute-end-to", default=_QUARANTINE, metavar="DATE",
                    help="stay-end imputed to this date when missing")
-    p.add_argument("--keep-asymptomatic", action="store_true",
-                   help="keep cases with no symptom-onset date")
     p.add_argument("--reclassify-outside", action="store_true",
                    help="recompute the outside label from stay and cluster data")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -480,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("simulate", help="draw a synthetic exported-case cohort")
-    p.add_argument("--n", type=int, required=True, help="number of exported cases")
+    p.add_argument("--n", type=_POSITIVE_INT, required=True, help="number of exported cases")
     p.add_argument("--rho", type=float, default=0.45, help="visitor travel-mix parameter")
     p.add_argument("--growth-rate", type=float, default=0.30,
                    help="epidemic growth exponent per day")
@@ -498,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second-stage growth exponent (two-stage epidemic)")
     p.add_argument("--stage-break", type=float, default=51.0,
                    help="day the second growth stage starts")
-    p.add_argument("--confirm-lag", type=float, default=None,
+    p.add_argument("--confirm-lag", type=_NON_NEGATIVE, default=None,
                    help="mean onset-to-confirmation lag; adds Poisson confirmation days")
     _add_seed(p)
     _add_out(p)
@@ -518,11 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter to interval-estimate")
     p.add_argument("--method", choices=["profile", "bootstrap"], default="profile",
                    help="likelihood-ratio inversion or case-resampling bootstrap")
-    p.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p.add_argument("--n-boot", type=int, default=200, help="bootstrap resamples")
+    p.add_argument("--level", type=_LEVEL, default=0.95, help="confidence level")
+    p.add_argument("--n-boot", type=_POSITIVE_INT, default=200, help="bootstrap resamples")
     p.add_argument("--boot-method", choices=["basic", "percentile"], default="basic",
                    help="bootstrap interval construction")
-    p.add_argument("--workers", type=int, default=1, help="parallel refit processes")
+    p.add_argument("--workers", type=_POSITIVE_INT, default=1, help="parallel refit processes")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_ci)
@@ -531,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="incubation estimates by confirmation cutoff, three models")
     p.add_argument("--in", dest="input", required=True, metavar="FILE",
                    help="cohort table with confirmation dates")
-    p.add_argument("--from", dest="date_from", default="2020-01-23", metavar="DATE",
+    p.add_argument("--from", dest="date_from", default=_QUARANTINE, metavar="DATE",
                    help="first confirmation cutoff (inclusive)")
     p.add_argument("--to", dest="date_to", default="2020-02-18", metavar="DATE",
                    help="last confirmation cutoff (inclusive)")
@@ -539,10 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="days subtracted from the cutoff for the onset bound")
     p.add_argument("--min-cases", type=int, default=20,
                    help="skip cutoffs with fewer cases")
-    p.add_argument("--n-boot", type=int, default=0,
+    p.add_argument("--n-boot", type=_NON_NEGATIVE_INT, default=0,
                    help="bootstrap resamples per cutoff for bands (0 = none)")
-    p.add_argument("--level", type=float, default=0.95, help="band level")
-    p.add_argument("--workers", type=int, default=1, help="parallel fit processes")
+    p.add_argument("--level", type=_LEVEL, default=0.95, help="band level")
+    p.add_argument("--workers", type=_POSITIVE_INT, default=1, help="parallel fit processes")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_bias_demo)
@@ -562,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mcmc", help="Bayesian nonparametric fit on whole-day data")
     p.add_argument("--in", dest="input", default=None, metavar="FILE",
                    help="cohort table (optional with --prior-only)")
-    p.add_argument("--steps", type=int, default=80_000, help="iterations per chain")
-    p.add_argument("--chains", type=int, default=8, help="independent chains")
+    p.add_argument("--steps", type=_POSITIVE_INT, default=80_000, help="iterations per chain")
+    p.add_argument("--chains", type=_POSITIVE_INT, default=8, help="independent chains")
     p.add_argument("--mu", type=float, default=1.0, help="prior concentration")
     p.add_argument("--growth", choices=["single", "two-stage"], default="single",
                    help="epidemic curve: one exponent or a break at day 51")
@@ -571,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="departure-day model")
     p.add_argument("--strata", choices=["none", "gender", "age50"], default="none",
                    help="fit a separate incubation pmf per stratum")
-    p.add_argument("--thin", type=int, default=10, help="keep every k-th draw")
+    p.add_argument("--thin", type=_POSITIVE_INT, default=10, help="keep every k-th draw")
     p.add_argument("--prior-only", action="store_true",
                    help="sample the bare prior (no data)")
     _add_seed(p)
@@ -580,10 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="emit long-format CSVs for plotting")
     p.add_argument("--kind", required=True,
-                   choices=["onset-fit", "sweep-bands", "posterior-pmf", "se-density"],
+                   choices=["onset-fit", "se-density"],
                    help="which dataset to emit")
-    p.add_argument("--in", dest="input", required=True, metavar="PATH",
-                   help="cohort table, sweep.json, or MCMC output directory")
+    p.add_argument("--in", dest="input", required=True, metavar="FILE",
+                   help="cohort table (.csv or .json)")
     p.add_argument("--likelihood", choices=["cond", "uncond"], default="uncond",
                    help="fit used for onset-fit expectations")
     p.add_argument("--fix", action="append", metavar="NAME=VALUE",
@@ -596,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None, help="with --growth-rate")
     p.add_argument("--strata", choices=["none", "gender", "age50"], default="gender",
                    help="se-density grouping")
-    p.add_argument("--bandwidth", type=float, default=1.0,
+    p.add_argument("--bandwidth", type=_POSITIVE, default=1.0,
                    help="se-density Gaussian kernel width (days)")
-    p.add_argument("--grid-step", type=float, default=0.25,
+    p.add_argument("--grid-step", type=_POSITIVE, default=0.25,
                    help="se-density evaluation grid step")
     _add_seed(p)
     _add_out(p)

@@ -85,11 +85,6 @@ class CIResult:
     lower_bracketed: bool = True
     upper_bracketed: bool = True
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "level": self.level,
-                "lower_bracketed": self.lower_bracketed,
-                "upper_bracketed": self.upper_bracketed}
-
 
 @dataclass
 class FitResult:
@@ -106,25 +101,6 @@ class FitResult:
     n_clamped: int = 0
     n_eval: int = 0
     message: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": {"rho": self.theta.rho, "r": self.theta.r,
-                      "alpha": self.theta.alpha, "beta": self.theta.beta},
-            "display": {"doubling_time": self.display.doubling_time,
-                        "median_incubation": self.display.median_incubation,
-                        "q95_incubation": self.display.q95_incubation,
-                        "rho": self.display.rho},
-            "log_lik": self.log_lik,
-            "kind": self.kind,
-            "n_cases": self.n_cases,
-            "M": self.M,
-            "fixed": dict(self.fixed),
-            "converged": self.converged,
-            "n_clamped": self.n_clamped,
-            "n_eval": self.n_eval,
-            "message": self.message,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +463,6 @@ class SweepRow:
     median_ci: CIResult | None = None
     q95_ci: CIResult | None = None
 
-    def to_dict(self) -> dict:
-        return {"cutoff": self.cutoff, "model": self.model, "n_cases": self.n_cases,
-                "fitted": self.fitted, "median": self.median, "q95": self.q95,
-                "median_ci": self.median_ci.to_dict() if self.median_ci else None,
-                "q95_ci": self.q95_ci.to_dict() if self.q95_ci else None}
-
 
 def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
                m_offset: int = 7, min_cases: int = 20, bootstrap_b: int = 0,
@@ -552,11 +522,6 @@ class GofResult:
     p_value: float
     n_cases: int
     n_bins: int
-
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "dof": self.dof,
-                "p_value": self.p_value, "n_cases": self.n_cases,
-                "n_bins": self.n_bins}
 
 
 def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float, beta: float):

@@ -42,10 +42,7 @@ __all__ = [
     "LikelihoodError",
     "ParamTheta",
     "DisplayTheta",
-    "gamma_cdf",
-    "gamma_quantile",
     "quantiles_to_shape_rate",
-    "shape_rate_to_quantiles",
     "gamma_exp_integral",
     "selection_prob_total",
     "log_lik_cond",
@@ -102,12 +99,6 @@ class ParamTheta:
         if self.rho is not None and self.rho < 0:
             raise ValueError(f"need rho >= 0, got {self.rho}")
 
-    def display(self) -> "DisplayTheta":
-        med, q95 = shape_rate_to_quantiles(self.alpha, self.beta)
-        doubling = math.inf if self.r == 0 else _LN2 / self.r
-        return DisplayTheta(doubling_time=doubling, median_incubation=med,
-                            q95_incubation=q95, rho=self.rho)
-
 
 @dataclass(frozen=True)
 class DisplayTheta:
@@ -124,39 +115,10 @@ class DisplayTheta:
         if not 0 < self.median_incubation < self.q95_incubation:
             raise ValueError("need 0 < median < q95 of the incubation period")
 
-    def theta(self) -> ParamTheta:
-        r = 0.0 if math.isinf(self.doubling_time) else _LN2 / self.doubling_time
-        alpha, beta = quantiles_to_shape_rate(self.median_incubation, self.q95_incubation)
-        return ParamTheta(r=r, alpha=alpha, beta=beta, rho=self.rho)
-
 
 # ---------------------------------------------------------------------------
 # Gamma distribution helpers
 # ---------------------------------------------------------------------------
-
-def gamma_cdf(alpha: float, beta: float, x):
-    """Gamma(shape alpha, rate beta) CDF, H_{alpha,beta}(x); 0 for x <= 0."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("gamma_cdf: x must be finite")
-    out = sc.gammainc(alpha, beta * np.maximum(arr, 0.0))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def gamma_quantile(alpha: float, beta: float, p):
-    """Inverse of :func:`gamma_cdf` in x."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    out = sc.gammaincinv(alpha, p) / beta
-    return float(out) if np.isscalar(p) else out
-
-
-def shape_rate_to_quantiles(alpha: float, beta: float) -> tuple[float, float]:
-    """(median, 95% quantile) of Gamma(alpha, beta)."""
-    return gamma_quantile(alpha, beta, 0.5), gamma_quantile(alpha, beta, 0.95)
-
 
 _ALPHA_LO, _ALPHA_HI = 1e-3, 1e3
 _LOG_ALPHA_LO, _LOG_ALPHA_HI = math.log(_ALPHA_LO), math.log(_ALPHA_HI)

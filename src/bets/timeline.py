@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 __all__ = [
     "EPOCH_ORIGIN",
     "QUARANTINE_DAY",
+    "QUARANTINE_DATE",
     "INFINITY",
     "CaseTableError",
     "RawCase",
@@ -54,8 +55,10 @@ __all__ = [
 #: Day 0 of the epoch-day scale.
 EPOCH_ORIGIN = date(2019, 11, 30)
 
-#: Epoch day of the Wuhan travel quarantine (January 23, 2020); the horizon L.
+#: Epoch day of the Wuhan travel quarantine (January 23, 2020, QUARANTINE_DATE);
+#: the horizon L.
 QUARANTINE_DAY = 54
+QUARANTINE_DATE = EPOCH_ORIGIN + timedelta(days=QUARANTINE_DAY)
 
 #: Sentinel for events that never happen (never left, never infected, ...).
 INFINITY = math.inf
@@ -287,7 +290,11 @@ def parse_case_table(stream, delimiter: str = ",") -> list[RawCase]:
 # Outside-infection classification
 # ---------------------------------------------------------------------------
 
-_EXPOSURE_WINDOW = (date(2019, 12, 1), date(2020, 1, 23))
+_EXPOSURE_WINDOW = (date(2019, 12, 1), QUARANTINE_DATE)
+
+
+def _is_wuhan_resident(case: RawCase) -> bool:
+    return case.residence.strip().lower() == "wuhan"
 
 
 def _wuhan_stay(case: RawCase) -> tuple[date, date] | None:
@@ -295,11 +302,10 @@ def _wuhan_stay(case: RawCase) -> tuple[date, date] | None:
 
     Returns None when the row records no stay at all.
     """
-    is_resident = case.residence.strip().lower() == "wuhan"
-    if case.begin_wuhan is None and case.end_wuhan is None and not is_resident:
+    if case.begin_wuhan is None and case.end_wuhan is None and not _is_wuhan_resident(case):
         return None
     begin = case.begin_wuhan if case.begin_wuhan is not None else EPOCH_ORIGIN
-    end = case.end_wuhan if case.end_wuhan is not None else _EXPOSURE_WINDOW[1]
+    end = case.end_wuhan if case.end_wuhan is not None else QUARANTINE_DATE
     return begin, end
 
 
@@ -397,9 +403,8 @@ class CohortRules:
     """Inclusion rules applied by :func:`build_cohort`, in order."""
 
     keep_outside: str = "no"
-    arrival_cutoff: date = date(2020, 1, 23)
-    impute_end_to: date = date(2020, 1, 23)
-    require_symptom: bool = True
+    arrival_cutoff: date = QUARANTINE_DATE
+    impute_end_to: date = QUARANTINE_DATE
     reclassify_outside: bool = False  # recompute `outside` from the three rules
 
 
@@ -411,9 +416,6 @@ class ExclusionReport:
     n_kept: int = 0
     excluded: dict[str, int] = field(default_factory=dict)
     missing_symptom_fraction: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _EXCLUSION_ORDER = [
@@ -440,7 +442,6 @@ def build_cohort(cases: Sequence[RawCase],
 
     context = build_cluster_context(cases) if rules.reclassify_outside else {}
     n_after_outside = 0
-    n_missing_symptom = 0
     for case in cases:
         outside = classify_outside(case, context) if rules.reclassify_outside else case.outside
         if outside != rules.keep_outside:
@@ -451,27 +452,20 @@ def build_cohort(cases: Sequence[RawCase],
             counts["arrived_after_cutoff"] += 1
             continue
         if case.symptom is None:
-            n_missing_symptom += 1
-            if rules.require_symptom:
-                counts["missing_symptom"] += 1
-                continue
+            counts["missing_symptom"] += 1
+            continue
 
-        is_resident = case.residence.strip().lower() == "wuhan"
         if case.begin_wuhan is not None:
             b_int = to_epoch(case.begin_wuhan) if case.begin_wuhan >= EPOCH_ORIGIN else 0
-        elif is_resident:
+        elif _is_wuhan_resident(case):
             b_int = 0  # resident with unrecorded begin: exposed from the start
         else:
             counts["unknown_exposure_start"] += 1
             continue
         end = case.end_wuhan if case.end_wuhan is not None else rules.impute_end_to
         try:
-            e_int = to_epoch(end)
-            s_int = to_epoch(case.symptom) if case.symptom is not None else None
-            if s_int is None:
-                raise ValueError("missing symptom")
             record = CaseRecord.from_ints(
-                case.case_id, b_int, e_int, s_int,
+                case.case_id, b_int, to_epoch(end), to_epoch(case.symptom),
                 gender=case.gender, age_group=_age_group(case.age),
                 confirmed_int=to_epoch(case.confirmed) if case.confirmed else None,
                 location=case.location)
@@ -483,7 +477,7 @@ def build_cohort(cases: Sequence[RawCase],
     report.excluded = {k: v for k, v in counts.items() if v > 0}
     report.n_kept = len(cohort)
     if n_after_outside:
-        report.missing_symptom_fraction = n_missing_symptom / n_after_outside
+        report.missing_symptom_fraction = counts["missing_symptom"] / n_after_outside
     return cohort, report
 
 

@@ -13,6 +13,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 import bets
@@ -119,6 +120,46 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--n", "-5"], "--n"),
+    (["simulate", "--n", "0"], "--n"),
+    (["simulate", "--n", "10", "--confirm-lag", "-1"], "--confirm-lag"),
+    (["simulate", "--n", "10", "--confirm-lag", "nan"], "--confirm-lag"),
+    (["ci", "--in", "c.csv", "--param", "median", "--level", "1.5"], "--level"),
+    (["ci", "--in", "c.csv", "--param", "median", "--method", "bootstrap",
+      "--n-boot", "0"], "--n-boot"),
+    (["ci", "--in", "c.csv", "--param", "median", "--workers", "0"], "--workers"),
+    (["bias-demo", "--in", "c.csv", "--n-boot", "-1"], "--n-boot"),
+    (["bias-demo", "--in", "c.csv", "--level", "0"], "--level"),
+    (["bias-demo", "--in", "c.csv", "--workers", "0"], "--workers"),
+    (["mcmc", "--in", "c.csv", "--steps", "0"], "--steps"),
+    (["mcmc", "--in", "c.csv", "--chains", "0"], "--chains"),
+    (["mcmc", "--in", "c.csv", "--thin", "0"], "--thin"),
+    (["plot-data", "--kind", "se-density", "--in", "c.csv", "--bandwidth", "0"], "--bandwidth"),
+    (["plot-data", "--kind", "se-density", "--in", "c.csv", "--grid-step", "0"],
+     "--grid-step"),
+    (["plot-data", "--kind", "se-density", "--in", "c.csv", "--grid-step", "inf"],
+     "--grid-step"),
+])
+def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: need " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_numbers_at_the_edge_of_their_domain_parse():
+    parser = cli.build_parser()
+    args = parser.parse_args(["simulate", "--n", "1", "--confirm-lag", "0"])
+    assert (args.n, args.confirm_lag) == (1, 0.0)
+    args = parser.parse_args(["bias-demo", "--in", "c.csv", "--n-boot", "0",
+                              "--level", "0.999"])
+    assert (args.n_boot, args.level) == (0, 0.999)
+    args = parser.parse_args(["mcmc", "--steps", "1", "--chains", "1", "--thin", "1"])
+    assert (args.steps, args.chains, args.thin) == (1, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -132,6 +173,7 @@ def test_ingest_writes_cohort_and_exclusions(tmp_path, capsys):
     assert sorted(c.case_id for c in cohort) == ["v-2", "w-1", "w-3"]
     excl = read_json(out, "exclusions.json")
     assert excl["kept"] == 3
+    assert excl["excluded"] == {"outside_not_kept": 1, "missing_symptom": 1}
     prov = excl["provenance"]
     assert prov["version"] == bets.__version__
     assert prov["flags"]["keep_outside"] == "no"
@@ -340,7 +382,7 @@ def test_ci_bootstrap(sim_dir, tmp_path, capsys):
 
 def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
     """ci.json carries the interval once, at the top level; the fit block
-    is the fit's to_dict() for the profile and the bootstrap alike."""
+    is the fit's fields for the profile and the bootstrap alike."""
     blocks = {}
     for method in ("profile", "bootstrap"):
         out = str(tmp_path / method)
@@ -483,7 +525,7 @@ def test_gof_too_few_residents_exits_4(tmp_path, capsys):
 
 def test_mcmc_artifacts(mcmc_dir):
     for name in ("draws_chain0.csv", "draws_chain1.csv",
-                 "diagnostics.json", "mcmc_summary.json"):
+                 "diagnostics.json", "mcmc_summary.json", "posterior_pmf.csv"):
         assert os.path.exists(os.path.join(mcmc_dir, name))
     header, body = read_csv(mcmc_dir, "draws_chain0.csv")
     assert header[0] == "draw" and "r1" in header and "h_all_0" in header
@@ -504,6 +546,34 @@ def test_mcmc_artifacts(mcmc_dir):
     assert "p_ge_14" in summary["summaries"]
     entry = summary["summaries"]["doubling_time"]
     assert entry["lo"] <= entry["mean"] <= entry["hi"]
+
+
+def test_mcmc_posterior_pmf_pools_the_chains(sim_dir, tmp_path):
+    """posterior_pmf.csv holds, per stratum in label order and per day, the
+    mean and 95% band of the h draws pooled chain by chain."""
+    src = str(tmp_path / "cohort.csv")
+    cohort = timeline.read_cohort_csv(os.path.join(sim_dir, "cohort.csv"))
+    timeline.write_cohort_csv([dataclasses.replace(c, gender=("male", "female")[i % 2])
+                               for i, c in enumerate(cohort)], src)
+    out = str(tmp_path / "mcmc")
+    assert cli.main(["mcmc", "--in", src, "--strata", "gender", "--steps", "400",
+                     "--chains", "3", "--seed", "2", "--out", out]) == 0
+    header, body = read_csv(out, "posterior_pmf.csv")
+    assert header == ["stratum", "days", "mean", "lo", "hi"]
+    assert [(r[0], int(r[1])) for r in body] == [
+        (label, k) for label in ("female", "male") for k in range(30)]
+    pooled: dict[str, list[float]] = {}
+    for chain in range(3):
+        draws_header, draws = read_csv(out, f"draws_chain{chain}.csv")
+        for i, name in enumerate(draws_header):
+            pooled.setdefault(name, []).extend(float(row[i]) for row in draws)
+    for label, k, mean, lo, hi in body:
+        vals = np.asarray(pooled[f"h_{label}_{k}"])
+        assert float(lo) <= float(mean) <= float(hi)
+        assert [float(mean), float(lo), float(hi)] == [
+            vals.mean(), *np.percentile(vals, [2.5, 97.5])]
+    for label in ("female", "male"):
+        assert sum(float(r[2]) for r in body if r[0] == label) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mcmc_on_simulated_cohort_drops_infeasible_cases(tmp_path):
@@ -557,34 +627,6 @@ def test_plot_data_onset_fit(sim_dir, tmp_path):
     assert days == list(range(days[0], days[-1] + 1))
 
 
-def test_plot_data_sweep_bands(sweep_dir, tmp_path):
-    out = str(tmp_path)
-    code = cli.main(["plot-data", "--kind", "sweep-bands",
-                     "--in", os.path.join(sweep_dir, "sweep.json"), "--out", out])
-    assert code == 0
-    header, body = read_csv(out, "sweep_bands.csv")
-    assert len(body) == 18
-    banded = [r for r in body if r[4] != ""]
-    assert banded and all(float(r[4]) <= float(r[5]) for r in banded)
-
-
-def test_plot_data_sweep_bands_rows_match_bias_demo(sweep_dir, tmp_path):
-    out = str(tmp_path)
-    assert cli.main(["plot-data", "--kind", "sweep-bands",
-                     "--in", os.path.join(sweep_dir, "sweep.json"), "--out", out]) == 0
-    assert read_csv(out, "sweep_bands.csv") == read_csv(sweep_dir, "sweep.csv")
-
-
-@pytest.mark.parametrize("text", ['{"rows": [', '{"cutoffs": []}'])
-def test_plot_data_sweep_bands_bad_input_exits_2(tmp_path, capsys, text):
-    src = tmp_path / "sweep.json"
-    src.write_text(text)
-    code = cli.main(["plot-data", "--kind", "sweep-bands", "--in", str(src),
-                     "--out", str(tmp_path)])
-    assert code == 2
-    assert str(src) in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("kind", ["onset-fit", "se-density"])
 def test_plot_data_location_no_match_exits_3(sim_dir, tmp_path, kind):
     code = cli.main(["plot-data", "--kind", kind,
@@ -594,22 +636,13 @@ def test_plot_data_location_no_match_exits_3(sim_dir, tmp_path, kind):
     assert code == 3
 
 
-def test_plot_data_posterior_pmf(mcmc_dir, tmp_path):
-    out = str(tmp_path)
-    code = cli.main(["plot-data", "--kind", "posterior-pmf", "--in", mcmc_dir,
-                     "--out", out])
-    assert code == 0
-    header, body = read_csv(out, "posterior_pmf.csv")
-    assert header == ["stratum", "days", "mean", "lo", "hi"]
-    assert [int(r[1]) for r in body] == list(range(30))
-    assert all(r[0] == "all" for r in body)
-    assert sum(float(r[2]) for r in body) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_plot_data_posterior_pmf_empty_dir_exits_2(tmp_path):
-    code = cli.main(["plot-data", "--kind", "posterior-pmf",
-                     "--in", str(tmp_path), "--out", str(tmp_path)])
-    assert code == 2
+@pytest.mark.parametrize("kind", ["sweep-bands", "posterior-pmf"])
+def test_plot_data_has_no_second_producer_of_command_outputs(capsys, kind):
+    """sweep.csv (bias-demo) and posterior_pmf.csv (mcmc) have one producer each."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plot-data", "--kind", kind, "--in", "sweep.json"])
+    assert exc.value.code == 2
+    assert "argument --kind" in capsys.readouterr().err
 
 
 def test_plot_data_se_density(sim_dir, tmp_path):
@@ -677,12 +710,10 @@ def test_readme_pipeline(tmp_path):
         ["bias-demo", "--in", cohort, "--from", "2020-02-10", "--to", "2020-02-11"],
         ["mcmc", "--in", cohort, "--steps", "200", "--chains", "2"],
         ["plot-data", "--kind", "onset-fit", "--in", cohort],
-        ["plot-data", "--kind", "sweep-bands", "--in", os.path.join(work, "sweep.json")],
-        ["plot-data", "--kind", "posterior-pmf", "--in", work],
         ["plot-data", "--kind", "se-density", "--in", cohort],
     ]
     for argv in steps:
         assert cli.main(argv + ["--out", work]) == 0, argv
     assert sum(r["fitted"] for r in read_json(work, "sweep.json")["rows"]) == 6
-    for name in ("onset_fit.csv", "sweep_bands.csv", "posterior_pmf.csv", "se_density.csv"):
+    for name in ("onset_fit.csv", "sweep.csv", "posterior_pmf.csv", "se_density.csv"):
         assert len(read_csv(work, name)[1]) > 0

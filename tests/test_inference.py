@@ -117,7 +117,7 @@ def test_fit_deterministic(sim_cohort_800):
     records, _ = sim_cohort_800
     a = mle_fit(records, "cond", options=FAST)
     b = mle_fit(records, "cond", options=FAST)
-    assert a.to_dict() == b.to_dict()
+    assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 def test_trunc_fit_uses_cutoff(sim_cohort_800):
@@ -179,9 +179,9 @@ def small_fit(small_cohort):
 
 
 def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
-    before = small_fit.to_dict()
+    before = dataclasses.asdict(small_fit)
     profile_ci(small_cohort, small_fit, "q95_incubation")
-    assert small_fit.to_dict() == before
+    assert dataclasses.asdict(small_fit) == before
 
 
 # ---------------------------------------------------------------------------

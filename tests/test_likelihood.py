@@ -45,20 +45,23 @@ def random_cases(n: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def test_theta_display_round_trip():
+    """The display quantiles of a Gamma(shape, rate) map back to it."""
     theta = ParamTheta(r=0.3, alpha=1.86, beta=0.33, rho=0.45)
-    disp = theta.display()
-    assert disp.doubling_time == pytest.approx(math.log(2) / 0.3, rel=1e-12)
-    back = disp.theta()
-    assert back.r == pytest.approx(theta.r, rel=1e-9)
-    assert back.alpha == pytest.approx(theta.alpha, rel=1e-9)
-    assert back.beta == pytest.approx(theta.beta, rel=1e-9)
-    assert back.rho == theta.rho
+    med, q95 = special.gammaincinv(theta.alpha, [0.5, 0.95]) / theta.beta
+    disp = DisplayTheta(doubling_time=math.log(2) / theta.r, median_incubation=med,
+                        q95_incubation=q95, rho=theta.rho)
+    alpha, beta = lk.quantiles_to_shape_rate(disp.median_incubation, disp.q95_incubation)
+    assert alpha == pytest.approx(theta.alpha, rel=1e-9)
+    assert beta == pytest.approx(theta.beta, rel=1e-9)
 
 
 def test_theta_zero_growth_maps_to_infinite_doubling():
-    disp = ParamTheta(r=0.0, alpha=2.0, beta=0.5).display()
-    assert math.isinf(disp.doubling_time)
-    assert disp.theta().r == 0.0
+    """A no-growth fit reports r = 0 as an infinite doubling time."""
+    theta = ParamTheta(r=0.0, alpha=2.0, beta=0.5)
+    med, q95 = special.gammaincinv(theta.alpha, [0.5, 0.95]) / theta.beta
+    disp = DisplayTheta(doubling_time=math.inf, median_incubation=med, q95_incubation=q95)
+    assert lk.quantiles_to_shape_rate(disp.median_incubation, disp.q95_incubation) \
+        == pytest.approx((theta.alpha, theta.beta), rel=1e-9)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -86,22 +89,21 @@ def test_display_theta_validation(kwargs):
 # ---------------------------------------------------------------------------
 
 def test_gamma_cdf_matches_scipy():
+    """The CDF difference from 0 is scipy's Gamma CDF, and 0 below 0."""
     xs = np.linspace(-2.0, 30.0, 40)
     for alpha, beta in [(0.7, 0.2), (1.86, 0.33), (9.0, 1.5)]:
         ref = stats.gamma.cdf(xs, alpha, scale=1.0 / beta)
-        got = lk.gamma_cdf(alpha, beta, xs)
+        got = lk._gamma_cdf_diff(alpha, beta, lk._cdf_index(xs, np.zeros_like(xs)))
         np.testing.assert_allclose(got, ref, atol=1e-14)
-    assert lk.gamma_cdf(2.0, 0.5, -3.0) == 0.0
-    with pytest.raises(ValueError):
-        lk.gamma_cdf(0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        lk.gamma_cdf(2.0, 0.5, math.inf)
+        assert np.all(got[xs <= 0] == 0.0)
 
 
 def test_gamma_quantile_inverts_cdf():
-    for p in (0.05, 0.5, 0.95):
-        x = lk.gamma_quantile(1.86, 0.33, p)
-        assert lk.gamma_cdf(1.86, 0.33, x) == pytest.approx(p, abs=1e-12)
+    """The fitted (shape, rate) puts the CDF at 1/2 and 0.95 on the quantiles."""
+    med, q95 = special.gammaincinv(1.86, [0.5, 0.95]) / 0.33
+    alpha, beta = lk.quantiles_to_shape_rate(med, q95)
+    for x, p in ((med, 0.5), (q95, 0.95)):
+        assert special.gammainc(alpha, beta * x) == pytest.approx(p, abs=1e-12)
 
 
 def test_quantile_inversion_round_trip():
@@ -109,7 +111,7 @@ def test_quantile_inversion_round_trip():
     for _ in range(30):
         alpha = rng.uniform(0.3, 12.0)
         beta = rng.uniform(0.05, 3.0)
-        med, q95 = lk.shape_rate_to_quantiles(alpha, beta)
+        med, q95 = special.gammaincinv(alpha, [0.5, 0.95]) / beta
         a2, b2 = lk.quantiles_to_shape_rate(med, q95)
         assert a2 == pytest.approx(alpha, rel=1e-9)
         assert b2 == pytest.approx(beta, rel=1e-9)
@@ -151,8 +153,8 @@ def brentq_quantiles_to_shape_rate(median, q95):
         raise ValueError("no shape")
     alpha = math.exp(optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
     beta = special.gammaincinv(alpha, 0.5) / median
-    if abs(lk.gamma_cdf(alpha, beta, median) - 0.5) > 1e-9 or \
-       abs(lk.gamma_cdf(alpha, beta, q95) - 0.95) > 1e-9:
+    if abs(special.gammainc(alpha, beta * median) - 0.5) > 1e-9 or \
+       abs(special.gammainc(alpha, beta * q95) - 0.95) > 1e-9:
         raise ValueError("inversion failed")
     return alpha, beta
 
@@ -331,7 +333,7 @@ def test_gamma_exp_integral_edge_cases():
     assert gamma_exp_integral(5.0, 9.0, 5.0, 0.3, 2.0, 0.5) == 0.0  # s == b
     # r = 0 reduces to a plain CDF difference
     got = gamma_exp_integral(2.0, 9.0, 12.0, 0.0, 1.86, 0.33)
-    ref = lk.gamma_cdf(1.86, 0.33, 10.0) - lk.gamma_cdf(1.86, 0.33, 3.0)
+    ref = special.gammainc(1.86, 0.33 * 10.0) - special.gammainc(1.86, 0.33 * 3.0)
     assert got == pytest.approx(ref, rel=1e-12)
     with pytest.raises(ValueError):
         gamma_exp_integral(0.0, 5.0, 6.0, -0.5, 2.0, 0.4)
@@ -345,8 +347,8 @@ def test_cond_zero_growth_is_uniform_infection():
     cases = random_cases(40, np.random.default_rng(31))
     got = lk.log_lik_cond(cases, 0.0, 1.86, 0.33)
     ref = sum(
-        math.log(lk.gamma_cdf(1.86, 0.33, c.S - c.B)
-                 - lk.gamma_cdf(1.86, 0.33, max(c.S - c.E, 0.0)))
+        math.log(special.gammainc(1.86, 0.33 * (c.S - c.B))
+                 - special.gammainc(1.86, 0.33 * max(c.S - c.E, 0.0)))
         - math.log(c.E - c.B)
         for c in cases)
     assert got == pytest.approx(ref, rel=1e-12)

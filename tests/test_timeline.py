@@ -60,6 +60,7 @@ def test_epoch_round_trip_and_bounds():
     with pytest.raises(ValueError):
         from_epoch(-1)
     assert timeline.QUARANTINE_DAY == 54
+    assert timeline.QUARANTINE_DATE == from_epoch(54) == date(2020, 1, 23)
 
 
 @pytest.mark.parametrize("text, expected", [
