@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -37,13 +37,15 @@ __all__ = [
     "log_prior_rest",
     "log_lik_discrete",
     "rwmh_run",
+    "headline_functionals",
     "psrf",
+    "summarize",
     "posterior_summaries",
 ]
 
 _H_FLOOR = 1e-300
 
-#: Tail cutoffs (days) reported by posterior_summaries.
+#: Tail cutoffs (days) of the headline functionals.
 TAIL_CUTOFFS = (2, 4, 7, 10, 14, 21)
 
 
@@ -78,6 +80,8 @@ class DiscreteConfig:
             raise ValueError(f"departure must be 'uniform' or 'geometric', got {self.departure!r}")
         if self.strata not in ("none", "gender", "age50"):
             raise ValueError(f"strata must be 'none', 'gender' or 'age50', got {self.strata!r}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be a finite number > 0, got {self.mu!r}")
 
     @property
     def stratum_labels(self) -> tuple[str, ...]:
@@ -151,33 +155,37 @@ def log_prior_h(h_star, mu: float, h0) -> float:
 _R2_LOGNORM = math.log(2.0 * math.sqrt(2.0 * math.pi))  # Normal(0, sd 2) at its mode
 
 
+def _check_state(state: NonparamState, config: DiscreteConfig) -> None:
+    """Raise unless the state sets every scalar the config's models read."""
+    if config.growth == "two_stage" and state.r2 is None:
+        raise ValueError("two_stage growth needs r2")
+    if config.departure == "uniform" and (state.lambda_w is None or state.lambda_v is None):
+        raise ValueError("uniform departure needs lambda_w and lambda_v")
+    if config.departure == "geometric" and state.eta is None:
+        raise ValueError("geometric departure needs eta")
+
+
 def log_prior_rest(state: NonparamState, config: DiscreteConfig) -> float:
     """Joint log-prior of the scalar parameters; -inf off the boxes.
 
     r1 ~ Exp(1); r2 ~ Normal(0, sd 2); kappa ~ U(0,1);
     lambda ~ U(0, 1/L); eta entries ~ U(0,1).
     """
+    _check_state(state, config)
     if state.r1 < 0:
         return -math.inf
     total = -state.r1
     if config.growth == "two_stage":
-        if state.r2 is None:
-            raise ValueError("two_stage growth needs r2")
         total += -0.125 * state.r2 ** 2 - _R2_LOGNORM
     if not 0 < state.kappa < 1:
         return -math.inf
     if config.departure == "uniform":
-        if state.lambda_w is None or state.lambda_v is None:
-            raise ValueError("uniform departure needs lambda_w and lambda_v")
         for lam in (state.lambda_w, state.lambda_v):
             if not 0 < lam < 1.0 / config.l:
                 return -math.inf
             total += math.log(config.l)
-    else:
-        if state.eta is None:
-            raise ValueError("geometric departure needs eta")
-        if np.any(state.eta <= 0) or np.any(state.eta >= 1):
-            return -math.inf
+    elif np.any(state.eta <= 0) or np.any(state.eta >= 1):
+        return -math.inf
     return total
 
 
@@ -282,8 +290,6 @@ def _log_curve(r1: float, r2: float | None, config: DiscreteConfig) -> np.ndarra
     t = np.arange(config.l + 1, dtype=float)
     if config.growth == "single":
         return r1 * t
-    if r2 is None:
-        raise ValueError("two_stage growth needs r2")
     return np.where(t <= config.l1, r1 * t, r1 * config.l1 + r2 * (t - config.l1))
 
 
@@ -303,12 +309,8 @@ def _departure_matrix(state: NonparamState, config: DiscreteConfig) -> np.ndarra
     """P(E* = e | B* = b) on the (b, e) grid, b <= e <= L (lower triangle unused)."""
     T = config.l + 1
     if config.departure == "uniform":
-        if state.lambda_w is None or state.lambda_v is None:
-            raise ValueError("uniform departure needs lambda_w and lambda_v")
         lam_b = np.where(np.arange(T) == 0, state.lambda_w, state.lambda_v)
         return np.repeat(lam_b[:, None], T, axis=1)
-    if state.eta is None:
-        raise ValueError("geometric departure needs eta")
     days = np.arange(T)
     pe = np.empty((T, T))
     for cls_idx, rows in ((0, [0]), (1, list(range(1, T)))):
@@ -380,6 +382,7 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
     if state.h.shape != (len(data.labels), config.max_incubation):
         raise ValueError(f"h must be {(len(data.labels), config.max_incubation)}, "
                          f"got {state.h.shape}")
+    _check_state(state, config)
     terms = _scalar_terms(data, state, config)
     if terms is None:
         return -math.inf
@@ -395,25 +398,42 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
 # Unconstrained parameterization for the sampler
 # ---------------------------------------------------------------------------
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+#: One sampled scalar: its ChainStore name, the maps from its unconstrained
+#: coordinate u to its value and back, and the log-Jacobian of the first map
+#: (None for the identity).
+_Scalar = namedtuple("_Scalar", "name value to_u log_jac")
+
+
+def _box_scalar(name: str, upper: float = 1) -> _Scalar:
+    """A scalar in (0, upper); u is the logit of value / upper."""
+    def to_u(x):
+        p = min(max(x * upper, 1e-15), 1 - 1e-15)
+        return math.log(p / (1 - p))
+    return _Scalar(name, lambda v: float(sc.expit(v)) / upper, to_u,
+                   lambda v: -float(np.logaddexp(0.0, v)) - float(np.logaddexp(0.0, -v)))
+
+
+#: Store names of the geometric departure hazards, in NonparamState.eta.flat
+#: order: [resident, visitor] x [before, after chunyun].
+_ETA_NAMES = ("eta_w1", "eta_w2", "eta_v1", "eta_v2")
 
 
 class _Coords:
-    """Layout of the unconstrained vector u for a given config."""
+    """Layout of the unconstrained vector u for a given config: the sampled
+    scalars first, then each stratum's incubation logits."""
 
     def __init__(self, config: DiscreteConfig):
-        self.config = config
-        names = ["log_r1"]
+        scalars = [_Scalar("r1", math.exp, lambda x: math.log(max(x, 1e-300)),
+                           lambda v: v)]  # d r1 / d log r1 = r1
         if config.growth == "two_stage":
-            names.append("r2")
-        names.append("logit_kappa")
+            scalars.append(_Scalar("r2", float, float, None))
+        scalars.append(_box_scalar("kappa"))
         if config.departure == "uniform":
-            names += ["logit_lw", "logit_lv"]
+            scalars += [_box_scalar("lambda_w", config.l), _box_scalar("lambda_v", config.l)]
         else:
-            names += ["logit_ew1", "logit_ew2", "logit_ev1", "logit_ev2"]
-        self.scalar_names = names
-        self.n_scalars = len(names)
+            scalars += [_box_scalar(name) for name in _ETA_NAMES]
+        self.scalars = scalars
+        self.n_scalars = len(scalars)
         self.K = config.max_incubation
         self.S = config.n_strata
         self.h_block = self.K - 1  # last logit pinned to 0
@@ -422,48 +442,27 @@ class _Coords:
         self.h_idx = [self.n_scalars + s * self.h_block + np.arange(self.h_block)
                       for s in range(self.S)]
 
-    def state(self, u: np.ndarray) -> NonparamState:
-        c = self.config
-        vals = dict(zip(self.scalar_names, u[:self.n_scalars]))
+    def h(self, u: np.ndarray) -> np.ndarray:
+        """The (strata, K) incubation pmfs: a softmax of each stratum's logits."""
         h = np.empty((self.S, self.K))
         for s in range(self.S):
             y = np.concatenate([u[self.h_idx[s]], [0.0]])
             y = y - _logsumexp(y)
             h[s] = np.exp(y)
-        kwargs = dict(h=h, r1=math.exp(vals["log_r1"]),
-                      kappa=float(sc.expit(vals["logit_kappa"])))
-        if c.growth == "two_stage":
-            kwargs["r2"] = vals["r2"]
-        if c.departure == "uniform":
-            kwargs["lambda_w"] = float(sc.expit(vals["logit_lw"])) / c.l
-            kwargs["lambda_v"] = float(sc.expit(vals["logit_lv"])) / c.l
-        else:
-            kwargs["eta"] = np.array([
-                [sc.expit(vals["logit_ew1"]), sc.expit(vals["logit_ew2"])],
-                [sc.expit(vals["logit_ev1"]), sc.expit(vals["logit_ev2"])]])
-        return NonparamState(**kwargs)
+        return h
+
+    def state(self, u: np.ndarray) -> NonparamState:
+        values = {s.name: s.value(x) for s, x in zip(self.scalars, u)}
+        eta = [values.pop(name) for name in _ETA_NAMES if name in values]
+        return NonparamState(h=self.h(u), eta=np.reshape(eta, (2, 2)) if eta else None,
+                             **values)
 
     def pack(self, state: NonparamState) -> np.ndarray:
-        c = self.config
-
-        def logit(p):
-            p = min(max(p, 1e-15), 1 - 1e-15)
-            return math.log(p / (1 - p))
-
-        vals = {"log_r1": math.log(max(state.r1, 1e-300)),
-                "logit_kappa": logit(state.kappa)}
-        if c.growth == "two_stage":
-            vals["r2"] = state.r2
-        if c.departure == "uniform":
-            vals["logit_lw"] = logit(state.lambda_w * c.l)
-            vals["logit_lv"] = logit(state.lambda_v * c.l)
-        else:
-            vals["logit_ew1"] = logit(state.eta[0, 0])
-            vals["logit_ew2"] = logit(state.eta[0, 1])
-            vals["logit_ev1"] = logit(state.eta[1, 0])
-            vals["logit_ev2"] = logit(state.eta[1, 1])
+        values = dict(vars(state))
+        if state.eta is not None:
+            values.update(zip(_ETA_NAMES, state.eta.flat))
         u = np.empty(self.size)
-        u[:self.n_scalars] = [vals[n] for n in self.scalar_names]
+        u[:self.n_scalars] = [s.to_u(values[s.name]) for s in self.scalars]
         h = np.maximum(np.atleast_2d(state.h), 1e-15)
         for s in range(self.S):
             y = np.log(h[s])
@@ -472,12 +471,7 @@ class _Coords:
 
     def log_jacobian(self, u: np.ndarray, state: NonparamState) -> float:
         """log |du -> d(natural)| so the u-space target matches the natural prior."""
-        vals = dict(zip(self.scalar_names, u[:self.n_scalars]))
-        total = vals["log_r1"]  # d r1 / d log r1 = r1
-        for name in self.scalar_names:
-            if name.startswith("logit_"):
-                v = vals[name]
-                total += -float(_softplus(v)) - float(_softplus(-v))
+        total = sum(s.log_jac(x) for s, x in zip(self.scalars, u) if s.log_jac is not None)
         total += float(np.sum(np.log(np.maximum(state.h, _H_FLOOR))))
         return total
 
@@ -543,34 +537,6 @@ class ChainStore:
     @property
     def n_draws(self) -> int:
         return self.h.shape[1]
-
-    def _stratum_index(self, stratum: str | int | None) -> int:
-        labels = self.config.stratum_labels
-        if stratum is None:
-            if len(labels) > 1:
-                raise ValueError(f"stratified store: pick a stratum from {labels}")
-            return 0
-        if isinstance(stratum, str):
-            return labels.index(stratum)
-        return int(stratum)
-
-    def functional_values(self, name: str, stratum: str | int | None = None) -> np.ndarray:
-        """(chains, draws) array of a named functional of the state.
-
-        Names: any stored scalar ("r1", "r2", "kappa", ...), "doubling_time",
-        "mean_incubation", or "p_ge_<c>" for tail mass at >= c days.
-        """
-        if name in self.scalars:
-            return self.scalars[name]
-        if name == "doubling_time":
-            return _LN2 / self.scalars["r1"]
-        k = np.arange(self.config.max_incubation)
-        if name == "mean_incubation":
-            return (self.h[:, :, self._stratum_index(stratum), :] * k).sum(axis=-1)
-        if name.startswith("p_ge_"):
-            c = int(name[5:])
-            return self.h[:, :, self._stratum_index(stratum), :][:, :, k >= c].sum(axis=-1)
-        raise ValueError(f"unknown functional {name!r}")
 
 
 def _init_state(coords: _Coords, config: DiscreteConfig, h0: np.ndarray,
@@ -708,24 +674,14 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
             f"rates per chain/group:\n{rates_arr}")
 
     n_draws = min(len(d) for d in all_draws)
-    scalar_names = coords.scalar_names
-    nat_names = {"log_r1": "r1", "logit_kappa": "kappa", "r2": "r2",
-                 "logit_lw": "lambda_w", "logit_lv": "lambda_v",
-                 "logit_ew1": "eta_w1", "logit_ew2": "eta_w2",
-                 "logit_ev1": "eta_v1", "logit_ev2": "eta_v2"}
-    scalars = {nat_names[n]: np.empty((chains, n_draws)) for n in scalar_names}
+    scalars = {s.name: np.empty((chains, n_draws)) for s in coords.scalars}
     h_arr = np.empty((chains, n_draws, coords.S, coords.K))
     for ci in range(chains):
         for di in range(n_draws):
-            state = coords.state(all_draws[ci][di])
-            h_arr[ci, di] = state.h
-            vals = {"r1": state.r1, "kappa": state.kappa, "r2": state.r2,
-                    "lambda_w": state.lambda_w, "lambda_v": state.lambda_v}
-            if state.eta is not None:
-                vals.update(eta_w1=state.eta[0, 0], eta_w2=state.eta[0, 1],
-                            eta_v1=state.eta[1, 0], eta_v2=state.eta[1, 1])
-            for n in scalar_names:
-                scalars[nat_names[n]][ci, di] = vals[nat_names[n]]
+            u = all_draws[ci][di]
+            h_arr[ci, di] = coords.h(u)
+            for s, x in zip(coords.scalars, u):
+                scalars[s.name][ci, di] = s.value(x)
     return ChainStore(config=config, scalars=scalars, h=h_arr,
                       acceptance=rates_arr, step_sizes=np.asarray(all_steps),
                       group_names=["scalars"] + [f"h[{lb}]" for lb in config.stratum_labels],
@@ -737,17 +693,47 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
 # Diagnostics and summaries
 # ---------------------------------------------------------------------------
 
-def psrf(chains, functional: str | None = None,
-         stratum: str | int | None = None) -> float:
+def headline_functionals(store: ChainStore) -> dict[str, np.ndarray]:
+    """(chains, draws) draws of each headline functional, by key.
+
+    Keys, in order: "r1", "doubling_time", "r2" (two-stage growth only),
+    then "mean_incubation" and "p_ge_<c>" (P(incubation >= c days)) for each
+    c in TAIL_CUTOFFS.  Mean incubation is sum(k h*(k)) on whole days, with
+    no half-day shift.  A stratified store keys the incubation functionals
+    "name[stratum]" per stratum, plus "name[diff]" for the first stratum
+    minus the second.
+    """
+    r1 = store.scalars["r1"]
+    out = {"r1": r1, "doubling_time": _LN2 / r1}
+    if "r2" in store.scalars:
+        out["r2"] = store.scalars["r2"]
+    k = np.arange(store.config.max_incubation)
+    labels = store.config.stratum_labels
+    per_stratum = [store.h[:, :, i, :] for i in range(len(labels))]
+    incubation = {"mean_incubation": [(h * k).sum(axis=-1) for h in per_stratum]}
+    for c in TAIL_CUTOFFS:
+        incubation[f"p_ge_{c}"] = [h[:, :, k >= c].sum(axis=-1) for h in per_stratum]
+    for name, values in incubation.items():
+        if len(labels) == 1:
+            out[name] = values[0]
+        else:
+            out.update((f"{name}[{lb}]", v) for lb, v in zip(labels, values))
+            out[f"{name}[diff]"] = values[0] - values[1]
+    return out
+
+
+def psrf(chains, functional: str | None = None) -> float:
     """Gelman-Rubin potential scale reduction factor of a functional.
 
-    chains: a ChainStore plus a functional name, or directly a
+    chains: a ChainStore plus a headline_functionals key, or directly a
     (n_chains, n_draws) matrix.  R-hat = sqrt(((n-1)/n W + B/n) / W).
     """
     if isinstance(chains, ChainStore):
-        if functional is None:
-            raise ValueError("give a functional name with a ChainStore")
-        mat = chains.functional_values(functional, stratum)
+        functionals = headline_functionals(chains)
+        if functional not in functionals:
+            raise ValueError(f"with a ChainStore, give one of {list(functionals)}, "
+                             f"got {functional!r}")
+        mat = functionals[functional]
     else:
         mat = np.atleast_2d(np.asarray(chains, dtype=float))
     m, n = mat.shape
@@ -762,32 +748,15 @@ def psrf(chains, functional: str | None = None,
     return math.sqrt(((n - 1) / n * w + b_over_n) / w)
 
 
+def summarize(values: np.ndarray) -> dict:
+    """Mean and central 95% interval (2.5 and 97.5 percentiles) of draws,
+    pooled chain by chain."""
+    flat = np.reshape(values, -1)
+    lo, hi = np.percentile(flat, [2.5, 97.5])
+    return {"mean": float(flat.mean()), "lo": float(lo), "hi": float(hi)}
+
+
 def posterior_summaries(store: ChainStore) -> dict:
-    """Posterior means and central 95% credible intervals of the headline
-    functionals, pooled over chains.
-
-    Mean incubation is sum(k h*(k)) on whole days, with no half-day shift.
-    Stratified stores add per-stratum entries and first-minus-second
-    differences, keyed "name[stratum]" and "name[diff]".
-    """
-    def summarize(values: np.ndarray) -> dict:
-        flat = values.reshape(-1)
-        lo, hi = np.percentile(flat, [2.5, 97.5])
-        return {"mean": float(flat.mean()), "lo": float(lo), "hi": float(hi)}
-
-    out = {"r1": summarize(store.functional_values("r1")),
-           "doubling_time": summarize(store.functional_values("doubling_time"))}
-    if "r2" in store.scalars:
-        out["r2"] = summarize(store.scalars["r2"])
-    labels = store.config.stratum_labels
-    names = ["mean_incubation"] + [f"p_ge_{c}" for c in TAIL_CUTOFFS]
-    for name in names:
-        if len(labels) == 1:
-            out[name] = summarize(store.functional_values(name, 0))
-        else:
-            per = [store.functional_values(name, i) for i in range(len(labels))]
-            for lb, vals in zip(labels, per):
-                out[f"{name}[{lb}]"] = summarize(vals)
-            out[f"{name}[diff]"] = summarize(per[0] - per[1])
-    return out
+    """summarize of each headline functional, keyed as headline_functionals."""
+    return {key: summarize(values) for key, values in headline_functionals(store).items()}
 

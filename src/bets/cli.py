@@ -317,10 +317,8 @@ def cmd_mcmc(args) -> int:
     for ci_ in range(store.n_chains):
         rows = []
         for di in range(store.n_draws):
-            row = [di] + [store.scalars[nm][ci_, di] for nm in scalar_names]
-            row += [store.h[ci_, di, si, k] for si in range(len(labels))
-                    for k in range(config.max_incubation)]
-            rows.append(row)
+            rows.append([di, *(store.scalars[nm][ci_, di] for nm in scalar_names),
+                         *store.h[ci_, di].ravel()])  # strata-major, as the header
         timeline.atomic_write_text(os.path.join(out, f"draws_chain{ci_}.csv"),
                                    timeline.csv_text(header, rows))
 
@@ -328,24 +326,22 @@ def cmd_mcmc(args) -> int:
                   "step_sizes": store.step_sizes.tolist(),
                   "groups": store.group_names, "n_draws": store.n_draws,
                   "psrf": {}}
-    for name in _MCMC_FUNCTIONALS:
-        strata = [None] if name in store.scalars or name == "doubling_time" else labels
-        for st in strata:
-            key = name if st is None or len(labels) == 1 else f"{name}[{st}]"
-            try:
-                diag["psrf"][key] = bayes.psrf(store, name, st)
-            except ValueError as exc:
-                diag["psrf"][key] = None
-                diag.setdefault("psrf_notes", {})[key] = str(exc)
+    for key, values in bayes.headline_functionals(store).items():
+        if key.partition("[")[0] not in _MCMC_FUNCTIONALS or key.endswith("[diff]"):
+            continue
+        try:
+            diag["psrf"][key] = bayes.psrf(values)
+        except ValueError as exc:
+            diag["psrf"][key] = None
+            diag.setdefault("psrf_notes", {})[key] = str(exc)
     _write_json(os.path.join(out, "diagnostics.json"), diag, args)
 
     pmf = []
     for label in sorted(labels):
         si = labels.index(label)
         for k in range(config.max_incubation):
-            pooled = store.h[:, :, si, k].ravel()  # chain by chain
-            lo, hi = np.percentile(pooled, [2.5, 97.5])
-            pmf.append([label, k, float(pooled.mean()), float(lo), float(hi)])
+            band = bayes.summarize(store.h[:, :, si, k])
+            pmf.append([label, k, band["mean"], band["lo"], band["hi"]])
     timeline.atomic_write_text(os.path.join(out, "posterior_pmf.csv"), timeline.csv_text(
         ["stratum", "days", "mean", "lo", "hi"], pmf))
 
@@ -416,6 +412,8 @@ _POSITIVE_INT = _number(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE_INT = _number(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _NON_NEGATIVE = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_FINITE = _number(float, math.isfinite, "a finite number")
+_FRACTION = _number(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _LEVEL = _number(float, lambda v: 0 < v < 1, "a level strictly between 0 and 1")
 
 _QUARANTINE = timeline.QUARANTINE_DATE.isoformat()
@@ -442,6 +440,15 @@ def _add_fit_flags(p, kinds=("cond", "uncond", "cond-trunc")) -> None:
                    help="pin a parameter (rho, doubling-time, median, q95, r)")
     p.add_argument("--location", default=None,
                    help="keep only cases confirmed at this location")
+
+
+def _add_theta_flags(p) -> None:
+    """The flags _theta_from_flags reads: a cond or uncond fit, or a given theta."""
+    _add_fit_flags(p, kinds=("cond", "uncond"))
+    p.add_argument("--growth-rate", type=float, default=None,
+                   help="skip fitting; use this growth exponent")
+    p.add_argument("--shape", type=float, default=None, help="with --growth-rate")
+    p.add_argument("--rate", type=float, default=None, help="with --growth-rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,20 +478,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a synthetic exported-case cohort")
     p.add_argument("--n", type=_POSITIVE_INT, required=True, help="number of exported cases")
-    p.add_argument("--rho", type=float, default=0.45, help="visitor travel-mix parameter")
-    p.add_argument("--growth-rate", type=float, default=0.30,
+    p.add_argument("--rho", type=_NON_NEGATIVE, default=0.45, help="visitor travel-mix parameter")
+    p.add_argument("--growth-rate", type=_FINITE, default=0.30,
                    help="epidemic growth exponent per day")
-    p.add_argument("--shape", type=float, default=1.86, help="incubation gamma shape")
-    p.add_argument("--rate", type=float, default=0.33, help="incubation gamma rate")
-    p.add_argument("--median", type=float, default=None,
+    p.add_argument("--shape", type=_POSITIVE, default=1.86, help="incubation gamma shape")
+    p.add_argument("--rate", type=_POSITIVE, default=0.33, help="incubation gamma rate")
+    p.add_argument("--median", type=_POSITIVE, default=None,
                    help="incubation median (with --q95, replaces shape/rate)")
-    p.add_argument("--q95", type=float, default=None,
+    p.add_argument("--q95", type=_POSITIVE, default=None,
                    help="incubation 95th percentile (with --median)")
-    p.add_argument("--symptomatic", type=float, default=0.8,
+    p.add_argument("--symptomatic", type=_FRACTION, default=0.8,
                    help="fraction of infections that develop symptoms")
-    p.add_argument("--infected-mass", type=float, default=0.5,
+    p.add_argument("--infected-mass", type=_FRACTION, default=0.5,
                    help="total infection probability over the whole window")
-    p.add_argument("--late-growth-rate", type=float, default=None,
+    p.add_argument("--late-growth-rate", type=_FINITE, default=None,
                    help="second-stage growth exponent (two-stage epidemic)")
     p.add_argument("--stage-break", type=float, default=51.0,
                    help="day the second growth stage starts")
@@ -538,11 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bias_demo)
 
     p = sub.add_parser("gof", help="chi-square fit of the resident onset-day histogram")
-    _add_fit_flags(p, kinds=("cond", "uncond"))
-    p.add_argument("--growth-rate", type=float, default=None,
-                   help="skip fitting; use this growth exponent")
-    p.add_argument("--shape", type=float, default=None, help="with --growth-rate")
-    p.add_argument("--rate", type=float, default=None, help="with --growth-rate")
+    _add_theta_flags(p)
     p.add_argument("--min-expected", type=float, default=5.0,
                    help="minimum expected count per pooled bin")
     _add_seed(p)
@@ -554,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cohort table (optional with --prior-only)")
     p.add_argument("--steps", type=_POSITIVE_INT, default=80_000, help="iterations per chain")
     p.add_argument("--chains", type=_POSITIVE_INT, default=8, help="independent chains")
-    p.add_argument("--mu", type=float, default=1.0, help="prior concentration")
+    p.add_argument("--mu", type=_POSITIVE, default=1.0, help="prior concentration")
     p.add_argument("--growth", choices=["single", "two-stage"], default="single",
                    help="epidemic curve: one exponent or a break at day 51")
     p.add_argument("--departure", choices=["uniform", "geometric"], default="uniform",
@@ -572,18 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["onset-fit", "se-density"],
                    help="which dataset to emit")
-    p.add_argument("--in", dest="input", required=True, metavar="FILE",
-                   help="cohort table (.csv or .json)")
-    p.add_argument("--likelihood", choices=["cond", "uncond"], default="uncond",
-                   help="fit used for onset-fit expectations")
-    p.add_argument("--fix", action="append", metavar="NAME=VALUE",
-                   help="pin a parameter for the onset-fit fit")
-    p.add_argument("--location", default=None,
-                   help="keep only cases confirmed at this location")
-    p.add_argument("--growth-rate", type=float, default=None,
-                   help="onset-fit: skip fitting; use this growth exponent")
-    p.add_argument("--shape", type=float, default=None, help="with --growth-rate")
-    p.add_argument("--rate", type=float, default=None, help="with --growth-rate")
+    _add_theta_flags(p)
     p.add_argument("--strata", choices=["none", "gender", "age50"], default="gender",
                    help="se-density grouping")
     p.add_argument("--bandwidth", type=_POSITIVE, default=1.0,

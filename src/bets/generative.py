@@ -1,7 +1,7 @@
 """Forward simulator of the exported-case process.
 
 Draws full (B, E, T, S) tuples for the exposed population -- stay begin, stay
-end, infection time, symptom onset, any of which may be INFINITY when the
+end, infection time, symptom onset, any of which may be infinite when the
 event never happens -- and filters them through the selection set
 
     D = {B <= T <= E <= L, T <= S < infinity}
@@ -166,6 +166,8 @@ def params_from_theta(rho: float, r: float, alpha: float | None = None,
         alpha, beta = quantiles_to_shape_rate(median, q95)
     if not 0 < growth_mass <= 1:
         raise ValueError(f"need 0 < growth_mass <= 1, got {growth_mass}")
+    if not rho >= 0:
+        raise ValueError(f"need rho >= 0 (visitor travel mix), got {rho}")
     pi = rho / (1.0 + rho)
     lam = 1.0 / L_DEFAULT
     probe = GenerativeParams(pi=pi, lambda_w=lam, lambda_v=lam, kappa=1e-12,
@@ -224,14 +226,17 @@ def selection_mask(b, e, t, s) -> np.ndarray:
     return (b <= t) & (t <= e) & (e <= L_DEFAULT) & (t <= s) & np.isfinite(s)
 
 
+#: Population draws after which sample_exported gives up.
+_MAX_DRAWS = 1_000_000_000
+
+
 def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
-                    max_draws: int = 1_000_000_000,
                     discretize_days: bool = True) -> tuple[list[CaseRecord], float | None]:
     """Rejection-sample m exported cases.
 
     Returns the CaseRecords (integer days by ceiling, then the standard
     sub-day offsets) and the realized acceptance rate m/draws (None when
-    m = 0).  Aborts if more than max_draws population draws would be needed.
+    m = 0).  Aborts if more than _MAX_DRAWS population draws would be needed.
     With discretize_days=False the records keep the exact continuous event
     times (integer fields still hold the ceilings); day-rounding plus the
     fixed sub-day offsets shifts growth-rate estimates by a few percent, so
@@ -245,10 +250,10 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
     got, draws = 0, 0
     batch = max(4096, 2 * m)
     while got < m:
-        if draws >= max_draws:
+        if draws >= _MAX_DRAWS:
             raise RuntimeError("selection probability too small: "
                                f"{got}/{m} accepted after {draws} draws")
-        batch = int(min(batch, max_draws - draws))
+        batch = int(min(batch, _MAX_DRAWS - draws))
         b, e, t, s = sample_population_arrays(batch, params, rng)
         keep = selection_mask(b, e, t, s)
         kept_b.append(b[keep])

@@ -38,7 +38,6 @@ from .timeline import QUARANTINE_DAY, CaseRecord
 __all__ = [
     "L_DEFAULT",
     "R_SWITCH",
-    "TERM_FLOOR",
     "LikelihoodError",
     "ParamTheta",
     "DisplayTheta",
@@ -64,9 +63,9 @@ L_DEFAULT = float(QUARANTINE_DAY)
 #: |r| below this uses the exact r = 0 limiting forms.
 R_SWITCH = 1e-8
 
-#: Per-case likelihood terms are floored here when clamping is requested.
-TERM_FLOOR = 1e-300
-_LOG_FLOOR = math.log(TERM_FLOOR)
+#: Log of the floor (1e-300) per-case likelihood terms are clamped to when
+#: clamping is requested.
+_LOG_FLOOR = math.log(1e-300)
 
 _LN2 = math.log(2.0)
 

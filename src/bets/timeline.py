@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import re
 import tempfile
@@ -30,7 +29,6 @@ __all__ = [
     "EPOCH_ORIGIN",
     "QUARANTINE_DAY",
     "QUARANTINE_DATE",
-    "INFINITY",
     "CaseTableError",
     "RawCase",
     "CaseRecord",
@@ -59,9 +57,6 @@ EPOCH_ORIGIN = date(2019, 11, 30)
 #: the horizon L.
 QUARANTINE_DAY = 54
 QUARANTINE_DATE = EPOCH_ORIGIN + timedelta(days=QUARANTINE_DAY)
-
-#: Sentinel for events that never happen (never left, never infected, ...).
-INFINITY = math.inf
 
 
 class CaseTableError(ValueError):

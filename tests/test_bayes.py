@@ -131,6 +131,21 @@ def test_log_prior_rest_two_stage_normal_term():
         log_prior_rest(uniform_state(single), double)  # missing r2
 
 
+@pytest.mark.parametrize("config, overrides, message", [
+    (DiscreteConfig(growth="two_stage"), {}, "two_stage growth needs r2"),
+    (DiscreteConfig(), dict(lambda_v=None), "uniform departure needs lambda_w and lambda_v"),
+    (DiscreteConfig(departure="geometric"), {}, "geometric departure needs eta"),
+])
+def test_state_must_fit_its_config(config, overrides, message):
+    """Both public entries reject a state that lacks a scalar the config reads."""
+    state = uniform_state(config, **overrides)
+    recs, _ = discrete_cohort(20, np.random.default_rng(93))
+    with pytest.raises(ValueError, match=message):
+        log_prior_rest(state, config)
+    with pytest.raises(ValueError, match=message):
+        log_lik_discrete(recs, state, config)
+
+
 def test_nonparam_state_validation():
     with pytest.raises(ValueError):
         NonparamState(h=np.full(30, 0.5), r1=0.1, kappa=0.5)  # rows must sum to 1
@@ -148,6 +163,9 @@ def test_discrete_config_validation():
         DiscreteConfig(departure="weibull")
     with pytest.raises(ValueError):
         DiscreteConfig(strata="city")
+    for mu in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be"):
+            DiscreteConfig(mu=mu)
     assert DiscreteConfig(strata="gender").stratum_labels == ("male", "female")
 
 
@@ -296,15 +314,37 @@ def test_rwmh_store_structure(tiny_run):
 
 def test_functional_values(tiny_run):
     store = tiny_run
-    np.testing.assert_allclose(store.functional_values("doubling_time"),
+    got = bayes.headline_functionals(store)
+    assert list(got) == ["r1", "doubling_time", "mean_incubation"] + [
+        f"p_ge_{c}" for c in bayes.TAIL_CUTOFFS]
+    assert got["r1"] is store.scalars["r1"]
+    np.testing.assert_allclose(got["doubling_time"],
                                math.log(2) / store.scalars["r1"], rtol=1e-12)
     k = np.arange(30)
-    np.testing.assert_allclose(store.functional_values("mean_incubation"),
+    np.testing.assert_allclose(got["mean_incubation"],
                                (store.h[:, :, 0, :] * k).sum(axis=-1), rtol=1e-12)
-    np.testing.assert_allclose(store.functional_values("p_ge_14"),
+    np.testing.assert_allclose(got["p_ge_14"],
                                store.h[:, :, 0, 14:].sum(axis=-1), atol=1e-14)
-    with pytest.raises(ValueError):
-        store.functional_values("median_incubation")
+    for values in got.values():
+        assert values.shape == (store.n_chains, store.n_draws)
+
+
+def test_headline_functionals_of_a_stratified_store():
+    """Per-stratum keys in label order, then the first-minus-second gap."""
+    rng = np.random.default_rng(94)
+    h = rng.dirichlet(np.ones(30), size=(2, 3, 2))
+    store = bayes.ChainStore(
+        config=DiscreteConfig(strata="gender"), scalars={"r1": rng.uniform(0.1, 0.3, (2, 3))},
+        h=h, acceptance=np.ones((2, 3)), step_sizes=np.ones((2, 3)),
+        group_names=["scalars", "h[male]", "h[female]"], n_cases=0)
+    got = bayes.headline_functionals(store)
+    names = ["mean_incubation"] + [f"p_ge_{c}" for c in bayes.TAIL_CUTOFFS]
+    assert list(got) == ["r1", "doubling_time"] + [
+        f"{name}[{suffix}]" for name in names for suffix in ("male", "female", "diff")]
+    k = np.arange(30)
+    np.testing.assert_allclose(got["mean_incubation[female]"], h[:, :, 1] @ k, rtol=1e-12)
+    np.testing.assert_allclose(got["p_ge_2[diff]"],
+                               h[:, :, 0, 2:].sum(-1) - h[:, :, 1, 2:].sum(-1), atol=1e-14)
 
 
 def test_posterior_summaries_shape(tiny_run):
@@ -496,5 +536,8 @@ def test_psrf_validation():
 def test_psrf_on_store_requires_functional(tiny_run):
     with pytest.raises(ValueError):
         psrf(tiny_run)
-    assert psrf(tiny_run, "kappa") > 0
+    for unknown in ("kappa", "median_incubation"):  # not headline functionals
+        with pytest.raises(ValueError, match="give one of"):
+            psrf(tiny_run, unknown)
+    assert psrf(tiny_run, "r1") == psrf(tiny_run.scalars["r1"]) > 0
 

@@ -140,6 +140,18 @@ def test_missing_subcommand_is_a_usage_error(capsys):
      "--grid-step"),
     (["plot-data", "--kind", "se-density", "--in", "c.csv", "--grid-step", "inf"],
      "--grid-step"),
+    (["simulate", "--n", "10", "--rho", "-1"], "--rho"),
+    (["simulate", "--n", "10", "--rho", "-0.5"], "--rho"),
+    (["simulate", "--n", "10", "--shape", "-1"], "--shape"),
+    (["simulate", "--n", "10", "--rate", "0"], "--rate"),
+    (["simulate", "--n", "10", "--median", "0", "--q95", "4"], "--median"),
+    (["simulate", "--n", "10", "--median", "5", "--q95", "-4"], "--q95"),
+    (["simulate", "--n", "10", "--symptomatic", "0"], "--symptomatic"),
+    (["simulate", "--n", "10", "--infected-mass", "2"], "--infected-mass"),
+    (["simulate", "--n", "10", "--growth-rate", "nan"], "--growth-rate"),
+    (["simulate", "--n", "10", "--late-growth-rate", "inf"], "--late-growth-rate"),
+    (["mcmc", "--in", "c.csv", "--mu", "0"], "--mu"),
+    (["mcmc", "--in", "c.csv", "--mu", "-1"], "--mu"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -153,6 +165,10 @@ def test_numbers_at_the_edge_of_their_domain_parse():
     parser = cli.build_parser()
     args = parser.parse_args(["simulate", "--n", "1", "--confirm-lag", "0"])
     assert (args.n, args.confirm_lag) == (1, 0.0)
+    args = parser.parse_args(["simulate", "--n", "1", "--rho", "0", "--symptomatic", "1",
+                              "--infected-mass", "1", "--growth-rate", "-0.1"])
+    assert (args.rho, args.symptomatic, args.infected_mass, args.growth_rate) == (
+        0.0, 1.0, 1.0, -0.1)
     args = parser.parse_args(["bias-demo", "--in", "c.csv", "--n-boot", "0",
                               "--level", "0.999"])
     assert (args.n_boot, args.level) == (0, 0.999)
@@ -546,6 +562,21 @@ def test_mcmc_artifacts(mcmc_dir):
     assert "p_ge_14" in summary["summaries"]
     entry = summary["summaries"]["doubling_time"]
     assert entry["lo"] <= entry["mean"] <= entry["hi"]
+
+
+def test_mcmc_stratified_psrf_is_per_stratum(tmp_path):
+    """With 100 draws per chain every psrf is a number: one per growth
+    functional, one per stratum for each incubation functional."""
+    out = str(tmp_path)
+    assert cli.main(["mcmc", "--prior-only", "--strata", "gender", "--steps", "2000",
+                     "--chains", "2", "--seed", "8", "--out", out]) == 0
+    diag = read_json(out, "diagnostics.json")
+    assert diag["n_draws"] == 100
+    assert set(diag["psrf"]) == {
+        "r1", "doubling_time", "mean_incubation[male]", "mean_incubation[female]",
+        "p_ge_14[male]", "p_ge_14[female]"}
+    assert all(np.isfinite(v) for v in diag["psrf"].values())
+    assert "psrf_notes" not in diag
 
 
 def test_mcmc_posterior_pmf_pools_the_chains(sim_dir, tmp_path):

@@ -61,6 +61,9 @@ def test_params_from_theta_validation():
         params_from_theta(0.45, 0.3)                # no incubation law at all
     with pytest.raises(ValueError):
         params_from_theta(0.45, 0.3, 1.86, 0.33, growth_mass=1.5)
+    for rho in (-1.0, -0.5, math.nan):  # -1 divided by zero
+        with pytest.raises(ValueError, match="need rho >= 0"):
+            params_from_theta(rho, 0.3, 1.86, 0.33)
 
 
 def test_generative_params_validation():
@@ -226,15 +229,16 @@ def test_in_selection_examples():
 # Exported-case sampler
 # ---------------------------------------------------------------------------
 
-def test_sample_exported_empty_and_invalid():
+def test_sample_exported_empty_and_invalid(monkeypatch):
     p = reference_params()
     assert sample_exported(0, p, np.random.default_rng(0)) == ([], None)
     with pytest.raises(ValueError):
         sample_exported(10, reference_params(nu=0.0), np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_exported(10, reference_params(kappa=0.0), np.random.default_rng(0))
+    monkeypatch.setattr(generative, "_MAX_DRAWS", 20)
     with pytest.raises(RuntimeError):
-        sample_exported(10, p, np.random.default_rng(0), max_draws=20)
+        sample_exported(10, p, np.random.default_rng(0))
 
 
 def test_sample_exported_deterministic():
