@@ -48,6 +48,13 @@ _H_FLOOR = 1e-300
 #: Tail cutoffs (days) of the headline functionals.
 TAIL_CUTOFFS = (2, 4, 7, 10, 14, 21)
 
+#: Each stratification: its stratum labels, and the key that reads a case's label.
+STRATA = {
+    "none": (("all",), lambda c: "all"),
+    "gender": (("male", "female"), lambda c: c.gender),
+    "age50": (("under50", "over50"), lambda c: c.age_group),
+}
+
 
 @dataclass(frozen=True)
 class DiscreteConfig:
@@ -78,15 +85,15 @@ class DiscreteConfig:
             raise ValueError(f"growth must be 'single' or 'two_stage', got {self.growth!r}")
         if self.departure not in ("uniform", "geometric"):
             raise ValueError(f"departure must be 'uniform' or 'geometric', got {self.departure!r}")
-        if self.strata not in ("none", "gender", "age50"):
-            raise ValueError(f"strata must be 'none', 'gender' or 'age50', got {self.strata!r}")
+        if self.strata not in STRATA:
+            *rest, last = map(repr, STRATA)
+            raise ValueError(f"strata must be {', '.join(rest)} or {last}, got {self.strata!r}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be a finite number > 0, got {self.mu!r}")
 
     @property
     def stratum_labels(self) -> tuple[str, ...]:
-        return {"none": ("all",), "gender": ("male", "female"),
-                "age50": ("under50", "over50")}[self.strata]
+        return STRATA[self.strata][0]
 
     @property
     def n_strata(self) -> int:
@@ -193,13 +200,6 @@ def log_prior_rest(state: NonparamState, config: DiscreteConfig) -> float:
 # Discrete data and likelihood
 # ---------------------------------------------------------------------------
 
-_STRATUM_KEY = {
-    "none": lambda c: "all",
-    "gender": lambda c: c.gender,
-    "age50": lambda c: c.age_group,
-}
-
-
 def _infection_days(b, e, s, l: int, K: int):
     """(t, mask): each case's candidate infection days S* - k, k = 0..K-1,
     and which of them fall within its stay and within 0..L."""
@@ -248,8 +248,7 @@ class DiscreteData:
         """Data of the records in the config's strata that have a feasible
         infection day (one within max_incubation days before onset, during
         the stay); the others are dropped and counted by reason."""
-        key = _STRATUM_KEY[config.strata]
-        labels = config.stratum_labels
+        labels, key = STRATA[config.strata]
         rows = [(c, labels.index(key(c))) for c in cases if key(c) in labels]
         b, e, s = (np.array([getattr(c, f) for c, _ in rows], dtype=int)
                    for f in ("B_int", "E_int", "S_int"))
@@ -568,26 +567,30 @@ def _init_state(coords: _Coords, config: DiscreteConfig, h0: np.ndarray,
 
 #: Incubation logits moved together in one h* proposal.
 _H_BLOCK_SIZE = 5
-#: Proposals per group between two step-size adaptations during burn-in.
+#: Burn-in steps between two step-size adaptations.
 _ADAPT_WINDOW = 100
 
 
 def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int,
                     rng: np.random.Generator, u0: np.ndarray, step0: np.ndarray):
     """One chain; returns (draw list of u, post-burn acceptance per group,
-    final step sizes per group).  Step sizes adapt only during burn-in."""
+    final step sizes per group).
+
+    Each step proposes every group once, in order.  After every
+    _ADAPT_WINDOW-th burn-in step, each group's step size adapts to its
+    acceptance over those steps: x0.7 below 20%, x1.4 above 40%, kept within
+    [1e-6, 50].  A partial last window does not adapt, and the step sizes
+    are frozen after burn-in.
+    """
     groups = [coords.scalar_idx] + coords.h_idx
-    n_groups = len(groups)
     step = step0.astype(float).copy()
     u = u0.copy()
     lp = target(u)
     if not np.isfinite(lp):
         raise RuntimeError("initial state has zero posterior density")
     draws: list[np.ndarray] = []
-    acc_window = np.zeros(n_groups)
-    n_window = np.zeros(n_groups)
-    acc_post = np.zeros(n_groups)
-    n_post = np.zeros(n_groups)
+    acc_window = np.zeros(len(groups))
+    acc_post = np.zeros(len(groups))
     for it in range(steps):
         in_burn = it < burn_in
         for gi, idx in enumerate(groups):
@@ -601,24 +604,15 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
             lp_prop = target(prop)
             if math.log(max(rng.random(), 1e-300)) < lp_prop - lp:
                 u, lp = prop, lp_prop
-                acc_window[gi] += 1
-                if not in_burn:
-                    acc_post[gi] += 1
-            n_window[gi] += 1
-            if not in_burn:
-                n_post[gi] += 1
-            if in_burn and n_window[gi] >= _ADAPT_WINDOW:
-                rate = acc_window[gi] / n_window[gi]
-                if rate < 0.2:
-                    step[gi] = max(step[gi] * 0.7, 1e-6)
-                elif rate > 0.4:
-                    step[gi] = min(step[gi] * 1.4, 50.0)
-                acc_window[gi] = n_window[gi] = 0.0
+                (acc_window if in_burn else acc_post)[gi] += 1
+        if in_burn and (it + 1) % _ADAPT_WINDOW == 0:
+            rate = acc_window / _ADAPT_WINDOW
+            step[rate < 0.2] = np.maximum(step[rate < 0.2] * 0.7, 1e-6)
+            step[rate > 0.4] = np.minimum(step[rate > 0.4] * 1.4, 50.0)
+            acc_window[:] = 0.0
         if it >= burn_in and (it - burn_in) % thin == 0:
             draws.append(u.copy())
-    with np.errstate(invalid="ignore"):
-        rates = np.where(n_post > 0, acc_post / np.maximum(n_post, 1), np.nan)
-    return draws, rates, step
+    return draws, acc_post / (steps - burn_in), step
 
 
 def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8,
@@ -648,9 +642,12 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     burn_in = steps // 2
     base_step = np.array([0.1] + [0.15] * coords.S)
 
+    n_draws = len(range(burn_in, steps, thin))
+    scalars = {s.name: np.empty((chains, n_draws)) for s in coords.scalars}
+    h_arr = np.empty((chains, n_draws, coords.S, coords.K))
     seq = np.random.SeedSequence(seed)
     chain_rngs = [np.random.default_rng(s) for s in seq.spawn(chains)]
-    all_draws, all_rates, all_steps = [], [], []
+    all_rates, all_steps = [], []
     for ci in range(chains):
         rng = chain_rngs[ci]
         u0 = None
@@ -663,25 +660,18 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
             raise RuntimeError(f"chain {ci}: could not find a valid initial state")
         draws, rates, fstep = _run_chain_impl(coords, target, steps, burn_in, thin,
                                               rng, u0, base_step)
-        all_draws.append(draws)
+        h_arr[ci] = [coords.h(u) for u in draws]
+        for i, s in enumerate(coords.scalars):
+            scalars[s.name][ci] = [s.value(u[i]) for u in draws]
         all_rates.append(rates)
         all_steps.append(fstep)
 
     rates_arr = np.asarray(all_rates)
-    if np.all(np.nanmax(rates_arr, axis=1) < 0.01):
+    if np.all(rates_arr.max(axis=1) < 0.01):
         raise RuntimeError(
             "sampler stuck: post-burn-in acceptance below 1% on every chain; "
             f"rates per chain/group:\n{rates_arr}")
 
-    n_draws = min(len(d) for d in all_draws)
-    scalars = {s.name: np.empty((chains, n_draws)) for s in coords.scalars}
-    h_arr = np.empty((chains, n_draws, coords.S, coords.K))
-    for ci in range(chains):
-        for di in range(n_draws):
-            u = all_draws[ci][di]
-            h_arr[ci, di] = coords.h(u)
-            for s, x in zip(coords.scalars, u):
-                scalars[s.name][ci, di] = s.value(x)
     return ChainStore(config=config, scalars=scalars, h=h_arr,
                       acceptance=rates_arr, step_sizes=np.asarray(all_steps),
                       group_names=["scalars"] + [f"h[{lb}]" for lb in config.stratum_labels],

@@ -357,7 +357,7 @@ def cmd_mcmc(args) -> int:
 
 def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
               step: float) -> list:
-    key = bayes._STRATUM_KEY[strata]
+    key = bayes.STRATA[strata][1]
     groups: dict[str, list[float]] = {}
     for c in records:
         groups.setdefault(key(c), []).append(c.S - c.E)
@@ -415,6 +415,8 @@ _NON_NEGATIVE = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 
 _FINITE = _number(float, math.isfinite, "a finite number")
 _FRACTION = _number(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _LEVEL = _number(float, lambda v: 0 < v < 1, "a level strictly between 0 and 1")
+_STAGE_DAY = _number(float, lambda v: 0 < v < timeline.QUARANTINE_DAY,
+                     f"a day strictly between 0 and {timeline.QUARANTINE_DAY}")
 
 _QUARANTINE = timeline.QUARANTINE_DATE.isoformat()
 
@@ -425,7 +427,8 @@ def _add_out(p) -> None:
 
 
 def _add_seed(p) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (echoed in outputs)")
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0,
+                   help="random seed (echoed in outputs)")
 
 
 def _add_fit_flags(p, kinds=("cond", "uncond", "cond-trunc")) -> None:
@@ -445,10 +448,10 @@ def _add_fit_flags(p, kinds=("cond", "uncond", "cond-trunc")) -> None:
 def _add_theta_flags(p) -> None:
     """The flags _theta_from_flags reads: a cond or uncond fit, or a given theta."""
     _add_fit_flags(p, kinds=("cond", "uncond"))
-    p.add_argument("--growth-rate", type=float, default=None,
+    p.add_argument("--growth-rate", type=_FINITE, default=None,
                    help="skip fitting; use this growth exponent")
-    p.add_argument("--shape", type=float, default=None, help="with --growth-rate")
-    p.add_argument("--rate", type=float, default=None, help="with --growth-rate")
+    p.add_argument("--shape", type=_POSITIVE, default=None, help="with --growth-rate")
+    p.add_argument("--rate", type=_POSITIVE, default=None, help="with --growth-rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total infection probability over the whole window")
     p.add_argument("--late-growth-rate", type=_FINITE, default=None,
                    help="second-stage growth exponent (two-stage epidemic)")
-    p.add_argument("--stage-break", type=float, default=51.0,
+    p.add_argument("--stage-break", type=_STAGE_DAY, default=51.0,
                    help="day the second growth stage starts")
     p.add_argument("--confirm-lag", type=_NON_NEGATIVE, default=None,
                    help="mean onset-to-confirmation lag; adds Poisson confirmation days")
@@ -534,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="last confirmation cutoff (inclusive)")
     p.add_argument("--m-offset", type=int, default=7,
                    help="days subtracted from the cutoff for the onset bound")
-    p.add_argument("--min-cases", type=int, default=20,
+    p.add_argument("--min-cases", type=_POSITIVE_INT, default=20,
                    help="skip cutoffs with fewer cases")
     p.add_argument("--n-boot", type=_NON_NEGATIVE_INT, default=0,
                    help="bootstrap resamples per cutoff for bands (0 = none)")
@@ -546,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gof", help="chi-square fit of the resident onset-day histogram")
     _add_theta_flags(p)
-    p.add_argument("--min-expected", type=float, default=5.0,
+    p.add_argument("--min-expected", type=_POSITIVE, default=5.0,
                    help="minimum expected count per pooled bin")
     _add_seed(p)
     _add_out(p)
@@ -562,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epidemic curve: one exponent or a break at day 51")
     p.add_argument("--departure", choices=["uniform", "geometric"], default="uniform",
                    help="departure-day model")
-    p.add_argument("--strata", choices=["none", "gender", "age50"], default="none",
+    p.add_argument("--strata", choices=list(bayes.STRATA), default="none",
                    help="fit a separate incubation pmf per stratum")
     p.add_argument("--thin", type=_POSITIVE_INT, default=10, help="keep every k-th draw")
     p.add_argument("--prior-only", action="store_true",
@@ -576,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["onset-fit", "se-density"],
                    help="which dataset to emit")
     _add_theta_flags(p)
-    p.add_argument("--strata", choices=["none", "gender", "age50"], default="gender",
+    p.add_argument("--strata", choices=list(bayes.STRATA), default="gender",
                    help="se-density grouping")
     p.add_argument("--bandwidth", type=_POSITIVE, default=1.0,
                    help="se-density Gaussian kernel width (days)")

@@ -115,7 +115,12 @@ def _sigmoid(x: float) -> float:
 
 
 class _ParamMap:
-    """Active-coordinate bookkeeping given the likelihood kind and pinned values."""
+    """The free coordinates of a fit, given the likelihood kind and the pins.
+
+    The free values are, in order: log doubling time; log median; the log of
+    q95 - median, or the logit of median / q95 when only q95 is pinned; log
+    rho (uncond only).
+    """
 
     def __init__(self, kind: str, fixed: dict | None):
         fixed = dict(fixed or {})
@@ -131,91 +136,54 @@ class _ParamMap:
             if not ((value >= 0 if zero_ok else value > 0) and (inf_ok or value < math.inf)):
                 raise ValueError(f"cannot fix {name}={value}: need {name} "
                                  f"{'>=' if zero_ok else '>'} 0{'' if inf_ok else ' and finite'}")
-        self.kind = kind
-        self.fixed = fixed
         if "r" in fixed:
-            self.r_pinned: float | None = float(fixed["r"])
+            self.r: float | None = float(fixed["r"])
         elif "doubling_time" in fixed:
-            self.r_pinned = _LN2 / float(fixed["doubling_time"])
+            self.r = _LN2 / float(fixed["doubling_time"])
         else:
-            self.r_pinned = None
-        if kind == "uncond" and self.r_pinned is not None and not self.r_pinned > 0:
+            self.r = None
+        if kind == "uncond" and self.r is not None and not self.r > 0:
             raise ValueError("unconditional likelihood needs r > 0")
-        self.med_pinned = fixed.get("median_incubation")
-        self.q95_pinned = fixed.get("q95_incubation")
-        if self.med_pinned is not None and self.q95_pinned is not None \
-                and not 0 < self.med_pinned < self.q95_pinned:
+        self.med = fixed.get("median_incubation")
+        self.q95 = fixed.get("q95_incubation")
+        if self.med is not None and self.q95 is not None and not 0 < self.med < self.q95:
             raise ValueError("pinned incubation quantiles must satisfy 0 < median < q95")
-        self.rho_pinned = fixed.get("rho") if kind == "uncond" else None
+        self.rho = fixed.get("rho")
         self.has_rho = kind == "uncond"
-
-        names: list[str] = []
-        if self.r_pinned is None:
-            names.append("log_doubling")
-        if self.med_pinned is None and self.q95_pinned is None:
-            names += ["log_median", "log_spread"]
-        elif self.med_pinned is None:  # q95 pinned
-            names.append("logit_median_frac")
-        elif self.q95_pinned is None:  # median pinned
-            names.append("log_spread")
-        if self.has_rho and self.rho_pinned is None:
-            names.append("log_rho")
-        self.names = names
 
     def pack(self, d: DisplayTheta) -> np.ndarray:
         u = []
-        for name in self.names:
-            if name == "log_doubling":
-                u.append(math.log(d.doubling_time))
-            elif name == "log_median":
-                u.append(math.log(d.median_incubation))
-            elif name == "log_spread":
-                med = self.med_pinned if self.med_pinned is not None else d.median_incubation
-                u.append(math.log(max(d.q95_incubation - med, 1e-9)))
-            elif name == "logit_median_frac":
-                frac = min(max(d.median_incubation / self.q95_pinned, 1e-12), 1 - 1e-12)
-                u.append(math.log(frac / (1.0 - frac)))
-            elif name == "log_rho":
-                rho = d.rho if d.rho is not None else DEFAULT_INIT.rho
-                u.append(math.log(max(rho, 1e-9)))
+        if self.r is None:
+            u.append(math.log(d.doubling_time))
+        if self.q95 is None:
+            med = self.med
+            if med is None:
+                med = d.median_incubation
+                u.append(math.log(med))
+            u.append(math.log(max(d.q95_incubation - med, 1e-9)))
+        elif self.med is None:
+            frac = min(max(d.median_incubation / self.q95, 1e-12), 1 - 1e-12)
+            u.append(math.log(frac / (1.0 - frac)))
+        if self.has_rho and self.rho is None:
+            rho = d.rho if d.rho is not None else DEFAULT_INIT.rho
+            u.append(math.log(max(rho, 1e-9)))
         return np.asarray(u, dtype=float)
 
     def unpack(self, u: np.ndarray) -> tuple[float | None, float, float, float]:
         """-> (rho, r, median, q95); raises Over/ValueError off the valid domain."""
-        vals = dict(zip(self.names, u))
-        if self.r_pinned is not None:
-            r = self.r_pinned
-        else:
-            r = _LN2 / math.exp(vals["log_doubling"])
-        if self.med_pinned is not None and self.q95_pinned is not None:
-            med, q95 = self.med_pinned, self.q95_pinned
-        elif self.med_pinned is not None:
-            med = self.med_pinned
-            q95 = med + math.exp(vals["log_spread"])
-        elif self.q95_pinned is not None:
-            q95 = self.q95_pinned
-            med = q95 * _sigmoid(vals["logit_median_frac"])
-        else:
-            med = math.exp(vals["log_median"])
-            q95 = med + math.exp(vals["log_spread"])
+        free = iter(u)
+        r = self.r if self.r is not None else _LN2 / math.exp(next(free))
+        med, q95 = self.med, self.q95
+        if q95 is None:
+            if med is None:
+                med = math.exp(next(free))
+            q95 = med + math.exp(next(free))
+        elif med is None:
+            med = q95 * _sigmoid(next(free))
+        rho = None
         if self.has_rho:
-            rho = self.rho_pinned if self.rho_pinned is not None else math.exp(vals["log_rho"])
-        else:
-            rho = None
+            rho = self.rho if self.rho is not None else math.exp(next(free))
         return rho, r, med, q95
-
-
-def _make_objective(terms, pmap: _ParamMap):
-    def fun(u: np.ndarray) -> float:
-        try:
-            rho, r, med, q95 = pmap.unpack(u)
-            alpha, beta = quantiles_to_shape_rate(med, q95)
-            lt = terms(rho, r, alpha, beta)
-        except (ValueError, OverflowError):
-            return _BIG
-        return -float(np.maximum(lt, _LOG_FLOOR).sum())
-
-    return fun
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +222,16 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     terms = case_terms(cases, kind, M)
     options = options or FitOptions()
     pmap = _ParamMap(kind, fixed)
-    init = init or DEFAULT_INIT
-    u0 = pmap.pack(init)
-    fun = _make_objective(terms, pmap)
+    u0 = pmap.pack(init or DEFAULT_INIT)
+
+    def fun(u: np.ndarray) -> float:
+        try:
+            rho, r, med, q95 = pmap.unpack(u)
+            alpha, beta = quantiles_to_shape_rate(med, q95)
+            lt = terms(rho, r, alpha, beta)
+        except (ValueError, OverflowError):
+            return _BIG
+        return -float(np.maximum(lt, _LOG_FLOOR).sum())
 
     if u0.size == 0:  # everything pinned: nothing to optimize
         val = fun(u0)

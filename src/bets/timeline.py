@@ -387,10 +387,14 @@ class CaseRecord:
         return self.B_int == 0
 
 
-def _age_group(age: int | None, cut: int = 50) -> str:
+#: Age (years) from which a case is in the "over50" group.
+_AGE_CUT = 50
+
+
+def _age_group(age: int | None) -> str:
     if age is None:
         return "unknown"
-    return "under50" if age < cut else "over50"
+    return "under50" if age < _AGE_CUT else "over50"
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,32 @@ def test_frozen_proposals_accept_everything():
         np.testing.assert_allclose(got.h, state.h, atol=1e-12)
 
 
+@pytest.mark.parametrize("burn_in", [3 * bayes._ADAPT_WINDOW - 1, 3 * bayes._ADAPT_WINDOW,
+                                     3 * bayes._ADAPT_WINDOW + 50])
+@pytest.mark.parametrize("accept", [True, False])
+def test_step_sizes_adapt_once_per_full_burn_in_window(burn_in, accept):
+    """Every group adapts after each full burn-in window and never after:
+    a target that accepts every move scales the steps by 1.4 per window, one
+    that rejects every move by 0.7; the post-burn-in rates are 1 and 0."""
+    config = DiscreteConfig(strata="gender")
+    coords = bayes._Coords(config)
+    u0 = np.zeros(coords.size)
+
+    def target(u):
+        return 0.0 if accept or np.array_equal(u, u0) else -math.inf
+
+    step0 = np.array([0.1, 0.15, 0.2])
+    steps, thin = burn_in + 75, 10
+    draws, rates, step = bayes._run_chain_impl(coords, target, steps, burn_in, thin,
+                                               np.random.default_rng(7), u0, step0)
+    want = step0.copy()
+    for _ in range(burn_in // bayes._ADAPT_WINDOW):
+        want = want * (1.4 if accept else 0.7)
+    assert np.array_equal(step, want)
+    assert np.array_equal(rates, np.full(1 + coords.S, 1.0 if accept else 0.0))
+    assert len(draws) == len(range(burn_in, steps, thin))
+
+
 def test_rwmh_input_validation():
     recs, _ = discrete_cohort(10, np.random.default_rng(90))
     with pytest.raises(ValueError):

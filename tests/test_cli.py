@@ -152,6 +152,25 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["simulate", "--n", "10", "--late-growth-rate", "inf"], "--late-growth-rate"),
     (["mcmc", "--in", "c.csv", "--mu", "0"], "--mu"),
     (["mcmc", "--in", "c.csv", "--mu", "-1"], "--mu"),
+    (["simulate", "--n", "10", "--seed", "-1"], "--seed"),
+    (["mcmc", "--in", "c.csv", "--seed", "-1"], "--seed"),
+    (["gof", "--in", "c.csv", "--growth-rate", "nan", "--shape", "1.86", "--rate", "0.33"],
+     "--growth-rate"),
+    (["plot-data", "--kind", "onset-fit", "--in", "c.csv", "--growth-rate", "inf",
+      "--shape", "1.86", "--rate", "0.33"], "--growth-rate"),
+    (["gof", "--in", "c.csv", "--growth-rate", "0.3", "--shape", "0", "--rate", "0.33"],
+     "--shape"),
+    (["gof", "--in", "c.csv", "--growth-rate", "0.3", "--shape", "1.86", "--rate", "inf"],
+     "--rate"),
+    (["gof", "--in", "c.csv", "--min-expected", "-1"], "--min-expected"),
+    (["gof", "--in", "c.csv", "--min-expected", "0"], "--min-expected"),
+    (["bias-demo", "--in", "c.csv", "--min-cases", "0"], "--min-cases"),
+    (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "60"],
+     "--stage-break"),
+    (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "54"],
+     "--stage-break"),
+    (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "0"],
+     "--stage-break"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -172,8 +191,29 @@ def test_numbers_at_the_edge_of_their_domain_parse():
     args = parser.parse_args(["bias-demo", "--in", "c.csv", "--n-boot", "0",
                               "--level", "0.999"])
     assert (args.n_boot, args.level) == (0, 0.999)
-    args = parser.parse_args(["mcmc", "--steps", "1", "--chains", "1", "--thin", "1"])
-    assert (args.steps, args.chains, args.thin) == (1, 1, 1)
+    args = parser.parse_args(["mcmc", "--steps", "1", "--chains", "1", "--thin", "1",
+                              "--seed", "0"])
+    assert (args.steps, args.chains, args.thin, args.seed) == (1, 1, 1, 0)
+    args = parser.parse_args(["simulate", "--n", "1", "--stage-break", "0.5"])
+    assert args.stage_break == 0.5
+    args = parser.parse_args(["simulate", "--n", "1", "--stage-break", "53.5"])
+    assert args.stage_break == 53.5
+    args = parser.parse_args(["bias-demo", "--in", "c.csv", "--min-cases", "1"])
+    assert args.min_cases == 1
+    args = parser.parse_args(["gof", "--in", "c.csv", "--growth-rate", "-0.1", "--shape",
+                              "1e-3", "--rate", "1e-3", "--min-expected", "1e-3"])
+    assert (args.growth_rate, args.shape, args.rate, args.min_expected) == (
+        -0.1, 1e-3, 1e-3, 1e-3)
+
+
+def test_no_flag_parses_a_bare_float():
+    """A bare float accepts nan and inf: every float flag checks its domain."""
+    parser = cli.build_parser()
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    bare = [f"{name} {action.option_strings[0]}"
+            for name, sp in subparsers.choices.items() for action in sp._actions
+            if action.type is float]
+    assert bare == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ calibration of estimator accuracy lives in the acceptance suite.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +112,49 @@ def test_fixed_display_parameter(sim_cohort_800):
     assert fit.theta.r == pytest.approx(math.log(2) / 2.5, rel=1e-12)
     pinned = mle_fit(records, "cond", fixed={"median_incubation": 5.0}, options=FAST)
     assert pinned.display.median_incubation == pytest.approx(5.0, rel=1e-9)
+
+
+def _pin_patterns(kind: str):
+    """Every allowed set of pins: growth free, by r (0 too for cond) or by
+    doubling time; each quantile free or pinned; rho free or pinned (uncond)."""
+    growth = [{}, {"r": 0.2}, {"doubling_time": 2.5}] + ([{"r": 0.0}] if kind == "cond" else [])
+    rho = (None, 0.4) if kind == "uncond" else (None,)
+    for g, med, q95, rh in itertools.product(growth, (None, 5.0), (None, 14.0), rho):
+        pins = dict(g)
+        for name, value in (("median_incubation", med), ("q95_incubation", q95), ("rho", rh)):
+            if value is not None:
+                pins[name] = value
+        yield pins
+
+
+@pytest.mark.parametrize("kind", ["cond", "uncond"])
+def test_param_map_round_trips_every_pin_pattern(kind):
+    """pack gives one coordinate per free value and unpack inverts it; a
+    pinned value comes back exactly."""
+    base = lk.DisplayTheta(doubling_time=3.0, median_incubation=4.5, q95_incubation=12.0,
+                           rho=0.6 if kind == "uncond" else None)
+    patterns = list(_pin_patterns(kind))
+    assert len(patterns) == (24 if kind == "uncond" else 16)
+    for pins in patterns:
+        d = dataclasses.replace(base, **{k: v for k, v in pins.items() if k != "r"})
+        if "r" in pins:
+            r = pins["r"]
+            d = dataclasses.replace(d, doubling_time=lk._LN2 / r if r else math.inf)
+        pmap = inference._ParamMap(kind, pins)
+        u = pmap.pack(d)
+        n_free = (("r" not in pins and "doubling_time" not in pins)
+                  + ("median_incubation" not in pins) + ("q95_incubation" not in pins)
+                  + (kind == "uncond" and "rho" not in pins))
+        assert u.shape == (n_free,), pins
+        rho, r, med, q95 = pmap.unpack(u)
+        want_r = pins.get("r", lk._LN2 / d.doubling_time)
+        for name, got, want in (("rho", rho, d.rho), ("r", r, want_r),
+                                ("median_incubation", med, d.median_incubation),
+                                ("q95_incubation", q95, d.q95_incubation)):
+            if name in pins or (name == "r" and "doubling_time" in pins) or want is None:
+                assert got == want, (pins, name)
+            else:
+                assert got == pytest.approx(want, rel=1e-12), (pins, name)
 
 
 def test_fit_deterministic(sim_cohort_800):
