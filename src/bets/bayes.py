@@ -176,7 +176,8 @@ def log_prior_rest(state: NonparamState, config: DiscreteConfig) -> float:
     """Joint log-prior of the scalar parameters; -inf off the boxes.
 
     r1 ~ Exp(1); r2 ~ Normal(0, sd 2); kappa ~ U(0,1);
-    lambda ~ U(0, 1/L); eta entries ~ U(0,1).
+    lambda ~ U(0, 1/L); eta entries ~ U(0,1).  Only the scalar fields of
+    state are read, so the sampler passes its h*-free _ScalarState.
     """
     _check_state(state, config)
     if state.r1 < 0:
@@ -213,10 +214,18 @@ def _infection_days(b, e, s, l: int, K: int):
 
 @dataclass
 class DiscreteData:
-    """Whole-day case arrays plus the per-case incubation index template.
+    """Whole-day case arrays plus the index of their distinct cases.
 
-    dropped counts, by reason, the records from_records left out.  The
-    horizon l and the incubation support max_incubation are DiscreteConfig's.
+    A case's likelihood term depends only on its (B*, E*, S*, stratum)
+    tuple, so it is evaluated once per distinct tuple.  The distinct rows
+    are sorted by stratum, then B*, E*, S*: first holds each row's first
+    case, inverse each case's row, rows the slice of rows of each stratum,
+    and t_idx each row's candidate infection days S* - k
+    (k = 0..max_incubation-1) as indices into the epidemic curve on 0..L,
+    with the days outside the stay or outside 0..L pointing at day L + 1,
+    where the curve is 0.  dropped counts, by reason, the records
+    from_records left out.  The horizon l and the incubation support
+    max_incubation are DiscreteConfig's.
     """
 
     b: np.ndarray
@@ -226,21 +235,28 @@ class DiscreteData:
     case_ids: list
     labels: tuple[str, ...]
     dropped: dict = field(default_factory=dict)
+    first: np.ndarray = field(init=False)
+    inverse: np.ndarray = field(init=False)
+    rows: list = field(init=False)
     t_idx: np.ndarray = field(init=False)
-    t_mask: np.ndarray = field(init=False)
     l: ClassVar[int] = DiscreteConfig.l
     max_incubation: ClassVar[int] = DiscreteConfig.max_incubation
 
     def __post_init__(self):
-        t, self.t_mask = _infection_days(self.b, self.e, self.s, self.l, self.max_incubation)
-        empty = ~self.t_mask.any(axis=1)
+        t, mask = _infection_days(self.b, self.e, self.s, self.l, self.max_incubation)
+        empty = ~mask.any(axis=1)
         if np.any(empty):
             i = int(np.flatnonzero(empty)[0])
             raise ValueError(
                 f"case {self.case_ids[i]}: no feasible infection day for "
                 f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) "
                 f"with incubation < {self.max_incubation}")
-        self.t_idx = np.clip(t, 0, self.l)
+        tuples = np.stack([self.stratum, self.b, self.e, self.s], axis=1)
+        _, self.first, self.inverse = np.unique(tuples, axis=0, return_index=True,
+                                                return_inverse=True)
+        ends = np.searchsorted(self.stratum[self.first], np.arange(len(self.labels) + 1))
+        self.rows = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
+        self.t_idx = np.where(mask, t, self.l + 1)[self.first]
 
     @classmethod
     def from_records(cls, cases: Sequence[CaseRecord],
@@ -329,13 +345,18 @@ def _stay_weights(config: DiscreteConfig) -> np.ndarray:
     return p
 
 
+#: The b <= e half of the (b, e) grid on 0..L.
+_UPPER = np.triu(np.ones((DiscreteConfig.l + 1, DiscreteConfig.l + 1), dtype=bool))
+
+
 def _scalar_terms(data: DiscreteData, state: NonparamState,
                   config: DiscreteConfig) -> tuple | None:
-    """The part of the likelihood that does not involve h*: (G, w, log P(D)).
+    """The part of the likelihood that does not involve h*: ([(G, w) of
+    each stratum], log P(D)).
 
-    G[i, k] is g*(S*_i - k) on case i's feasible infection days and 0 off
-    them, w[i] = P(B*_i) P(E*_i | B*_i), and P(D) is the selection
-    normalizer.  None for a zero-density state.
+    Over a stratum's distinct rows, G[i, k] is g*(S*_i - k) on row i's
+    feasible infection days and 0 off them, w[i] = P(B*_i) P(E*_i | B*_i),
+    and P(D) is the selection normalizer.  None for a zero-density state.
     """
     g = _growth_curve(state, config)
     if g is None:
@@ -347,23 +368,32 @@ def _scalar_terms(data: DiscreteData, state: NonparamState,
     T = config.l + 1
     cum_g = np.concatenate([[0.0], np.cumsum(g)])
     interval_g = cum_g[None, 1:] - cum_g[:T, None]   # [b, e] inclusive mass
-    upper = np.triu(np.ones((T, T), dtype=bool))
-    norm = float((pb[:, None] * pe * interval_g * upper).sum())
+    norm = float((pb[:, None] * pe * interval_g * _UPPER).sum())
     if not norm > 0:
         return None
-    return g[data.t_idx] * data.t_mask, pb[data.b] * pe[data.b, data.e], math.log(norm)
+    G = np.append(g, 0.0)[data.t_idx]
+    b, e = data.b[data.first], data.e[data.first]
+    w = pb[b] * pe[b, e]
+    return [(G[rows], w[rows]) for rows in data.rows], math.log(norm)
 
 
-def _h_terms(data: DiscreteData, h: np.ndarray, terms: tuple) -> tuple[float, int | None]:
-    """(log-likelihood, index of first zero-numerator case or None) given the
-    h*-free terms of _scalar_terms."""
-    G, w, log_norm = terms
-    conv = (G * np.maximum(h[data.stratum], 0.0)).sum(axis=1)
-    num = w * conv
-    zero = num <= 0
-    if np.any(zero):
+def _log_num(G: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """log(w * sum_k G[:, k] h(k)) on one stratum's distinct rows: the log
+    numerator of their cases, -inf where it is zero."""
+    num = w * (G * h).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(num)
+
+
+def _h_terms(data: DiscreteData, log_nums: list, log_norm: float) -> tuple[float, int | None]:
+    """(log-likelihood, index of first zero-numerator case or None) from
+    each stratum's _log_num and the log P(D) of _scalar_terms.  The rows'
+    terms are summed case by case, in case order."""
+    log_num = np.concatenate(log_nums)[data.inverse]
+    zero = log_num == -math.inf
+    if zero.any():
         return -math.inf, int(np.flatnonzero(zero)[0])
-    return float(np.log(num).sum() - len(data) * log_norm), None
+    return float(log_num.sum() - len(data) * log_norm), None
 
 
 def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> float:
@@ -385,7 +415,9 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
     terms = _scalar_terms(data, state, config)
     if terms is None:
         return -math.inf
-    val, bad = _h_terms(data, state.h, terms)
+    blocks, log_norm = terms
+    val, bad = _h_terms(data, [_log_num(G, w, h) for (G, w), h in zip(blocks, state.h)],
+                        log_norm)
     if bad is not None:
         warnings.warn(f"case {data.case_ids[bad]} has zero likelihood "
                       f"(B*={data.b[bad]}, E*={data.e[bad]}, S*={data.s[bad]})",
@@ -416,6 +448,18 @@ def _box_scalar(name: str, upper: float = 1) -> _Scalar:
 #: order: [resident, visitor] x [before, after chunyun].
 _ETA_NAMES = ("eta_w1", "eta_w2", "eta_v1", "eta_v2")
 
+#: The scalar fields of a NonparamState, without h* and unvalidated: what
+#: the sampler's target hands to log_prior_rest and _scalar_terms.
+_ScalarState = namedtuple("_ScalarState", "r1 kappa r2 lambda_w lambda_v eta",
+                          defaults=(None,) * 4)
+
+
+def _pmf(logits: np.ndarray) -> np.ndarray:
+    """One stratum's incubation pmf: a softmax of its free logits and a last
+    logit pinned to 0."""
+    y = np.concatenate([logits, [0.0]])
+    return np.exp(y - _logsumexp(y))
+
 
 class _Coords:
     """Layout of the unconstrained vector u for a given config: the sampled
@@ -438,23 +482,24 @@ class _Coords:
         self.h_block = self.K - 1  # last logit pinned to 0
         self.size = self.n_scalars + self.S * self.h_block
         self.scalar_idx = np.arange(self.n_scalars)
-        self.h_idx = [self.n_scalars + s * self.h_block + np.arange(self.h_block)
-                      for s in range(self.S)]
+        self.h_slices = [slice(self.n_scalars + s * self.h_block,
+                               self.n_scalars + (s + 1) * self.h_block)
+                         for s in range(self.S)]
+        self.h_idx = [np.arange(sl.start, sl.stop) for sl in self.h_slices]
 
     def h(self, u: np.ndarray) -> np.ndarray:
         """The (strata, K) incubation pmfs: a softmax of each stratum's logits."""
-        h = np.empty((self.S, self.K))
-        for s in range(self.S):
-            y = np.concatenate([u[self.h_idx[s]], [0.0]])
-            y = y - _logsumexp(y)
-            h[s] = np.exp(y)
-        return h
+        return np.array([_pmf(u[sl]) for sl in self.h_slices])
 
-    def state(self, u: np.ndarray) -> NonparamState:
+    def scalar_state(self, u: np.ndarray) -> _ScalarState:
         values = {s.name: s.value(x) for s, x in zip(self.scalars, u)}
         eta = [values.pop(name) for name in _ETA_NAMES if name in values]
-        return NonparamState(h=self.h(u), eta=np.reshape(eta, (2, 2)) if eta else None,
-                             **values)
+        return _ScalarState(eta=np.reshape(eta, (2, 2)) if eta else None, **values)
+
+    def scalar_log_jacobian(self, u: np.ndarray) -> float:
+        """log |d(scalars) / du| of the scalar block, so that the u-space
+        target matches the natural prior."""
+        return sum(s.log_jac(x) for s, x in zip(self.scalars, u) if s.log_jac is not None)
 
     def pack(self, state: NonparamState) -> np.ndarray:
         values = dict(vars(state))
@@ -468,46 +513,68 @@ class _Coords:
             u[self.h_idx[s]] = y[:-1] - y[-1]
         return u
 
-    def log_jacobian(self, u: np.ndarray, state: NonparamState) -> float:
-        """log |du -> d(natural)| so the u-space target matches the natural prior."""
-        total = sum(s.log_jac(x) for s, x in zip(self.scalars, u) if s.log_jac is not None)
-        total += float(np.sum(np.log(np.maximum(state.h, _H_FLOOR))))
-        return total
+
+def _last_two(fn):
+    """fn memoized on a bytes key passed before its arguments, for the last
+    two keys asked for."""
+    cache: OrderedDict[bytes, object] = OrderedDict()
+
+    def memo(key: bytes, *args):
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+        value = cache[key] = fn(*args)
+        if len(cache) > 2:
+            cache.popitem(last=False)
+        return value
+
+    return memo
 
 
 def _make_target(coords: _Coords, data: DiscreteData | None,
                  config: DiscreteConfig, h0: np.ndarray, prior_only: bool):
     """The sampler's log-posterior on u.
 
-    The h*-free half of the likelihood depends only on the scalar block of
-    u, so it is kept for the last two scalar blocks seen (the chain's
-    current state and its latest proposal): an h* move reuses it.
+    Each piece is kept for the last two values (the chain's current state
+    and its latest proposal) of the part of u it reads: the scalar block's
+    state, log-Jacobian and h*-free likelihood terms; each stratum's pmf,
+    log pmf and prior; and each stratum's log numerators, which read both.
+    A scalar move thus leaves the pmfs alone, and an h* move recomputes
+    only its own stratum.  The pieces are added up in one fixed order, so
+    a value does not depend on what was kept.
     """
     n_scalars = coords.n_scalars
-    cache: OrderedDict[bytes, tuple | None] = OrderedDict()
 
-    def scalar_terms(u: np.ndarray, state: NonparamState) -> tuple | None:
-        key = u[:n_scalars].tobytes()
-        if key in cache:
-            cache.move_to_end(key)
-        else:
-            cache[key] = _scalar_terms(data, state, config)
-            if len(cache) > 2:
-                cache.popitem(last=False)
-        return cache[key]
+    def pmf_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        h = _pmf(logits)
+        return h, np.log(np.maximum(h, _H_FLOOR)), log_prior_h(h, config.mu, h0)
+
+    scalar_block = _last_two(lambda u: (coords.scalar_state(u), coords.scalar_log_jacobian(u)))
+    scalar_terms = _last_two(lambda state: _scalar_terms(data, state, config))
+    strata = [(sl, _last_two(pmf_terms), _last_two(_log_num)) for sl in coords.h_slices]
 
     def log_post(u: np.ndarray) -> float:
-        state = coords.state(u)
-        total = coords.log_jacobian(u, state)
+        key = u[:n_scalars].tobytes()
+        state, total = scalar_block(key, u)
+        h_keys = [u[sl].tobytes() for sl, _, _ in strata]
+        pmfs = [memo(h_key, u[sl]) for (sl, memo, _), h_key in zip(strata, h_keys)]
+        # log |d(natural) / du|: the scalars', then each pmf's sum of log h*
+        total += float(np.concatenate([log_h for _, log_h, _ in pmfs]).sum())
         total += log_prior_rest(state, config)
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             return -math.inf
-        for s in range(coords.S):
-            total += log_prior_h(state.h[s], config.mu, h0)
+        for _, _, log_prior in pmfs:
+            total += log_prior
         if not prior_only:
-            terms = scalar_terms(u, state)
-            total += -math.inf if terms is None else _h_terms(data, state.h, terms)[0]
-        return total if np.isfinite(total) else -math.inf
+            terms = scalar_terms(key, state)
+            if terms is None:
+                return -math.inf
+            blocks, log_norm = terms
+            log_nums = [memo(key + h_key, G, w, h)
+                        for (_, _, memo), h_key, (G, w), (h, _, _)
+                        in zip(strata, h_keys, blocks, pmfs)]
+            total += _h_terms(data, log_nums, log_norm)[0]
+        return total if math.isfinite(total) else -math.inf
 
     return log_post
 

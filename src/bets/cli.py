@@ -115,9 +115,14 @@ def _parse_fixed(pairs: list[str] | None) -> dict:
 
 
 def _build_params(args) -> generative.GenerativeParams:
-    """--median and --q95 together replace --shape and --rate."""
+    """--median and --q95 together replace --shape and --rate; --stage-break
+    needs --late-growth-rate."""
     if (args.median is None) != (args.q95 is None):
         raise CliError(2, "give both --median and --q95 (or neither)")
+    if args.stage_break is None:
+        args.stage_break = generative.GenerativeParams.l1  # echoed in the provenance
+    elif args.late_growth_rate is None:
+        raise CliError(2, "--stage-break needs --late-growth-rate")
     shape, rate = (args.shape, args.rate) if args.median is None else (None, None)
     return generative.params_from_theta(
         args.rho, args.growth_rate, shape, rate, median=args.median, q95=args.q95,
@@ -496,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total infection probability over the whole window")
     p.add_argument("--late-growth-rate", type=_FINITE, default=None,
                    help="second-stage growth exponent (two-stage epidemic)")
-    p.add_argument("--stage-break", type=_STAGE_DAY, default=51.0,
-                   help="day the second growth stage starts")
+    p.add_argument("--stage-break", type=_STAGE_DAY, default=None,
+                   help="day the second growth stage starts (default 51; "
+                        "with --late-growth-rate)")
     p.add_argument("--confirm-lag", type=_NON_NEGATIVE, default=None,
                    help="mean onset-to-confirmation lag; adds Poisson confirmation days")
     _add_seed(p)

@@ -301,9 +301,10 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
 
     The profile refits use the fit's likelihood kind, truncation day and
     pins.  Endpoints v solve 2(l_hat - l_profile(v)) = chi2_1(level) to
-    within 5e-4; the search stays within [point/100, point*100] and a side
-    that never crosses inside that range comes back with its bracket flag
-    False.
+    within 5e-4; the search stays within [point/100, point*100].  A side
+    that never crosses inside that range, or whose search meets a profile
+    refit that fails (does not converge, or has no valid warm start), comes
+    back at the end of that range with its bracket flag False.
     """
     _check_param(fit, param)
     point = getattr(fit.display, param)
@@ -311,10 +312,14 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     if threshold == 0.0:
         return CIResult(point, point, level)
 
-    def discrepancy(v: float) -> float:
-        sub = mle_fit(cases, fit.kind, init=_warm_init(fit.display, param, v), M=fit.M,
-                      fixed={**fit.fixed, param: v}, options=_INNER)
-        return 2.0 * (fit.log_lik - sub.log_lik) - threshold
+    def discrepancy(v: float) -> float | None:
+        """2(l_hat - l_profile(v)) - threshold, or None when the refit fails."""
+        try:
+            sub = mle_fit(cases, fit.kind, init=_warm_init(fit.display, param, v), M=fit.M,
+                          fixed={**fit.fixed, param: v}, options=_INNER)
+        except (ValueError, LikelihoodError):
+            return None
+        return 2.0 * (fit.log_lik - sub.log_lik) - threshold if sub.converged else None
 
     def solve(direction: int) -> tuple[float, bool]:
         v_in = point
@@ -327,6 +332,8 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
             if hit_limit:
                 v = limit
             d = discrepancy(v)
+            if d is None:
+                return limit, False
             if d > 0:
                 v_out = v
                 break
@@ -338,6 +345,8 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
         for _ in range(200):
             mid = math.sqrt(lo * hi)
             d = discrepancy(mid)
+            if d is None:
+                return limit, False
             if abs(d) <= _PROFILE_TOL:
                 return mid, True
             if (d > 0) == (direction > 0):

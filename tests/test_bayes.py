@@ -195,7 +195,9 @@ def test_discrete_data_rejects_infeasible_case():
     assert data.dropped == {"outside_strata": 1, "no_feasible_infection_day": 1}
     assert data.n_dropped == 2
     kept = DiscreteData.from_records(recs, config)
-    assert np.array_equal(data.t_idx, kept.t_idx) and np.array_equal(data.t_mask, kept.t_mask)
+    for index in ("first", "inverse", "t_idx"):
+        assert np.array_equal(getattr(data, index), getattr(kept, index))
+    assert data.rows == kept.rows
     with pytest.raises(ValueError, match="no cases left"):
         DiscreteData.from_records([far], config)
     with pytest.raises(ValueError, match="far-1"):
@@ -204,9 +206,11 @@ def test_discrete_data_rejects_infeasible_case():
 
 
 def test_log_lik_discrete_matches_enumeration():
+    """Also on repeated cases, which the likelihood evaluates once."""
     rng = np.random.default_rng(83)
     for config in (DiscreteConfig(), DiscreteConfig(departure="geometric")):
         recs = random_selected_records(25, rng)
+        recs += [dataclasses.replace(c, case_id=c.case_id + "-twin") for c in recs[:10]]
         state = random_discrete_state(rng, config)
         got = log_lik_discrete(recs, state, config)
         ref = brute_log_lik_discrete(recs, state, config)
@@ -233,6 +237,30 @@ def test_log_lik_discrete_warns_on_zero_numerator():
     state = uniform_state(config, h=h)
     with pytest.warns(RuntimeWarning, match="gap-1"):
         assert log_lik_discrete([case], state, config) == -math.inf
+
+
+def test_zero_likelihood_warning_names_the_first_case_in_case_order():
+    """Cases are evaluated once per distinct (B*, E*, S*, stratum) tuple, in
+    stratum order; the warning still names the first offending case of the
+    input, with its own whole days."""
+    config = DiscreteConfig(strata="gender")
+    rec = random_selected_records(1, np.random.default_rng(85))[0]
+
+    def case(case_id, gender, b, e, s):
+        return dataclasses.replace(rec, case_id=case_id, gender=gender, B_int=b, E_int=e,
+                                   S_int=s, B=float(b), E=e + 0.5, S=s + 0.25)
+
+    recs = [case("ok-1", "male", 0, 10, 5), case("gap-b", "female", 0, 5, 10),
+            case("gap-a", "male", 0, 3, 9), case("gap-b2", "female", 0, 5, 10),
+            case("ok-2", "male", 0, 10, 5)]
+    data = DiscreteData.from_records(recs, config)
+    assert len(data.first) == 3
+    h = np.zeros((2, 30))
+    h[:, 0] = 1.0  # onset on the day of infection: S* must fall within the stay
+    with pytest.warns(RuntimeWarning) as caught:
+        assert log_lik_discrete(data, uniform_state(config, h=h), config) == -math.inf
+    assert [str(w.message) for w in caught] == [
+        "case gap-b has zero likelihood (B*=0, E*=5, S*=10)"]
 
 
 def test_log_lik_discrete_validates_h_shape():
@@ -373,9 +401,8 @@ def test_frozen_proposals_accept_everything():
     assert (step == 0.0).all()
     assert len(draws) == 30
     for u in draws:
-        got = coords.state(u)
-        assert got.r1 == pytest.approx(state.r1, rel=1e-12)
-        np.testing.assert_allclose(got.h, state.h, atol=1e-12)
+        assert coords.scalar_state(u).r1 == pytest.approx(state.r1, rel=1e-12)
+        np.testing.assert_allclose(coords.h(u), state.h, atol=1e-12)
 
 
 @pytest.mark.parametrize("burn_in", [3 * bayes._ADAPT_WINDOW - 1, 3 * bayes._ADAPT_WINDOW,
@@ -437,19 +464,10 @@ def test_indistinguishable_strata_have_no_gap():
 
 
 def _uncached_target(coords, data, config, h0):
-    """The sampler's log-posterior recomputed from scratch at every u, adding
-    its terms in the same order as the cached target."""
+    """The sampler's log-posterior evaluated by a target built anew at every
+    u, so that nothing is reused between evaluations."""
     def log_post(u):
-        state = coords.state(u)
-        total = coords.log_jacobian(u, state)
-        total += log_prior_rest(state, config)
-        if not np.isfinite(total):
-            return -math.inf
-        for s in range(coords.S):
-            total += log_prior_h(state.h[s], config.mu, h0)
-        terms = bayes._scalar_terms(data, state, config)
-        total += -math.inf if terms is None else bayes._h_terms(data, state.h, terms)[0]
-        return total if np.isfinite(total) else -math.inf
+        return bayes._make_target(coords, data, config, h0, prior_only=False)(u)
 
     return log_post
 
@@ -475,14 +493,16 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
     """Every value of the cached target equals a from-scratch evaluation, on
     a chain whose rejected scalar proposals push entries out of the cache."""
     coords, data, config, h0, u0 = gender_target
-    scalar_calls = []
-    real = bayes._scalar_terms
+    scalar_calls, pmf_calls = [], []
 
-    def counted(*args):
-        scalar_calls.append(1)
-        return real(*args)
+    def counted(real, calls):
+        def fn(*args):
+            calls.append(1)
+            return real(*args)
+        return fn
 
-    monkeypatch.setattr(bayes, "_scalar_terms", counted)
+    monkeypatch.setattr(bayes, "_scalar_terms", counted(bayes._scalar_terms, scalar_calls))
+    monkeypatch.setattr(bayes, "_pmf", counted(bayes._pmf, pmf_calls))
     target = bayes._make_target(coords, data, config, h0, prior_only=False)
     visited = []
 
@@ -498,7 +518,10 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
     assert 0 < rates[0] < 1  # scalar moves both accepted and rejected
     # one miss per scalar proposal plus the start: every h move hits
     assert len(scalar_calls) == 1 + steps
+    # each stratum's pmf once at the start and once per move of its logits
+    assert len(pmf_calls) == coords.S * (1 + steps)
     assert len(visited) == 1 + steps * (1 + coords.S)
+    monkeypatch.undo()
     fresh = _uncached_target(coords, data, config, h0)
     for u, lp in visited:
         assert lp == fresh(u)
@@ -526,6 +549,80 @@ def test_cached_target_leaves_the_chain_unchanged(gender_target):
     assert not np.array_equal(s1, step0)  # the adaptation fired
     assert np.array_equal(d1, d2)
     assert np.array_equal(r1, r2) and np.array_equal(s1, s2)
+
+
+def _public_log_post(coords, data, config, h0, u, prior_only=False):
+    """The sampler's target at u from the public pieces, added in the
+    target's order: the log-Jacobian of the map from u, the priors of the
+    scalars and of every stratum's pmf, and the log-likelihood."""
+    h = coords.h(u)
+    state = NonparamState(h=h, **coords.scalar_state(u)._asdict())
+    total = coords.scalar_log_jacobian(u) + float(np.log(np.maximum(h, 1e-300)).sum())
+    total += log_prior_rest(state, config)
+    for row in h:
+        total += log_prior_h(row, config.mu, h0)
+    return total if prior_only else total + log_lik_discrete(data, state, config)
+
+
+@pytest.mark.parametrize("strata", ["none", "gender", "age50"])
+@pytest.mark.parametrize("departure", ["uniform", "geometric"])
+@pytest.mark.parametrize("growth", ["single", "two_stage"])
+def test_target_matches_the_public_pieces(growth, departure, strata):
+    """On a cohort with repeated whole-day cases, the target, which evaluates
+    each distinct case once, equals the sum of the public pieces bit for
+    bit, and agrees with them on -inf for an oversized curve and for a case
+    with zero likelihood."""
+    config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
+    rng = np.random.default_rng(98)
+    base = random_selected_records(30, rng, strata=True)
+    twins = [dataclasses.replace(c, case_id=c.case_id + "-twin") for c in base[::2]]
+    swapped = [dataclasses.replace(c, case_id=c.case_id + "-swap",
+                                   gender={"male": "female", "female": "male"}[c.gender],
+                                   age_group={"under50": "over50", "over50": "under50"}[
+                                       c.age_group]) for c in base[:5]]
+    data = DiscreteData.from_records(base + twins + swapped, config)
+    assert len(data.first) < len(data)
+    coords = bayes._Coords(config)
+    h0 = discretized_base_pmf()
+    target = bayes._make_target(coords, data, config, h0, prior_only=False)
+    prior = bayes._make_target(coords, None, config, h0, prior_only=True)
+    u0 = coords.pack(random_discrete_state(rng, config))
+    n_finite = 0
+    for _ in range(15):
+        u = u0 + 0.1 * rng.standard_normal(coords.size)
+        want = _public_log_post(coords, data, config, h0, u)
+        got = target(u)
+        if want == -math.inf:
+            assert got == -math.inf
+        else:
+            n_finite += 1
+            assert got == want
+        assert prior(u) == _public_log_post(coords, data, config, h0, u, prior_only=True)
+    assert n_finite >= 10
+
+    heavy = u0.copy()
+    heavy[0], heavy[coords.scalars.index(next(
+        s for s in coords.scalars if s.name == "kappa"))] = math.log(0.5), 20.0
+    assert _public_log_post(coords, data, config, h0, heavy) == -math.inf
+    assert target(heavy) == -math.inf
+
+    # every pmf all on day 0: only a case with onset during its stay is possible
+    first_only = u0.copy()
+    for sl in coords.h_slices:
+        first_only[sl] = -1000.0
+        first_only[sl.start] = 1000.0
+    np.testing.assert_array_equal(coords.h(first_only)[:, 1:], 0.0)
+    during = [c for c in base if c.S_int <= c.E_int]
+    gap = dataclasses.replace(during[0], case_id="gap-1", B_int=0, E_int=5, S_int=10,
+                              B=0.0, E=5.5, S=10.25)
+    gap_data = DiscreteData.from_records(during + [gap] + during + [gap], config)
+    with pytest.warns(RuntimeWarning, match="case gap-1 has zero likelihood"):
+        assert _public_log_post(coords, gap_data, config, h0, first_only) == -math.inf
+    gap_target = bayes._make_target(coords, gap_data, config, h0, prior_only=False)
+    assert gap_target(first_only) == -math.inf
+    during_data = DiscreteData.from_records(during, config)
+    assert bayes._make_target(coords, during_data, config, h0, prior_only=False)(
+        first_only) == _public_log_post(coords, during_data, config, h0, first_only)
 
 
 # ---------------------------------------------------------------------------

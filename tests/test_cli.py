@@ -298,6 +298,26 @@ def test_simulate_artifacts(sim_dir):
     assert all(c.confirmed_int is None for c in cohort)
 
 
+def test_simulate_stage_break_needs_a_late_growth_rate(tmp_path, capsys):
+    """--stage-break alone exits 2 naming the flag and writes nothing; with
+    --late-growth-rate it sets the break, and without either the cohort is
+    one-stage with the generative default break of day 51."""
+    out = tmp_path / "alone"
+    assert cli.main(["simulate", "--n", "10", "--stage-break", "30", "--out", str(out)]) == 2
+    assert "--stage-break needs --late-growth-rate" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+    two = str(tmp_path / "two")
+    assert cli.main(["simulate", "--n", "10", "--stage-break", "30",
+                     "--late-growth-rate", "0.1", "--out", two]) == 0
+    params = read_json(two, "simulate.json")["params"]
+    assert (params["stage_break"], params["late_growth_rate"]) == (30.0, 0.1)
+    one = str(tmp_path / "one")
+    assert cli.main(["simulate", "--n", "10", "--out", one]) == 0
+    meta = read_json(one, "simulate.json")
+    assert (meta["params"]["stage_break"], meta["params"]["late_growth_rate"]) == (51.0, None)
+    assert meta["provenance"]["flags"]["stage_break"] == 51.0
+
+
 def test_simulate_confirm_lag_adds_confirmation_days(lag_dir):
     cohort = timeline.read_cohort_csv(os.path.join(lag_dir, "cohort.csv"))
     assert all(c.confirmed_int is not None and c.confirmed_int >= c.S_int
@@ -434,6 +454,22 @@ def test_ci_bootstrap(sim_dir, tmp_path, capsys):
     assert payload["param"] == "median_incubation"
     ci = payload["ci"]
     assert ci["lo"] < payload["fit"]["display"]["median_incubation"] < ci["hi"]
+
+
+def test_ci_profile_side_past_a_failed_refit_is_unbracketed(tmp_path):
+    """On this cohort the truncated median profile is flat upward: its
+    refits stop converging and then have no Gamma-shaped warm start.  That
+    side ends unbracketed at the search limit instead of failing the run."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
+    out = str(tmp_path / "ci")
+    assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), "--likelihood",
+                     "cond-trunc", "--truncate-at", "50", "--param", "median",
+                     "--out", out]) == 0
+    payload = read_json(out, "ci.json")
+    ci, point = payload["ci"], payload["fit"]["display"]["median_incubation"]
+    assert ci["lower_bracketed"] and not ci["upper_bracketed"]
+    assert ci["lo"] < point and ci["hi"] == pytest.approx(100 * point, rel=1e-12)
 
 
 def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):

@@ -222,6 +222,30 @@ def small_fit(small_cohort):
     return mle_fit(small_cohort, "cond", options=FAST)
 
 
+@pytest.mark.parametrize("failure", ["not_converged", "no_warm_start"])
+def test_profile_side_past_a_failed_refit_is_unbracketed(small_cohort, small_fit,
+                                                          monkeypatch, failure):
+    """A refit above the point that does not converge (here with log-lik
+    -inf, which would otherwise read as a crossing) or that raises ends the
+    upper side at the search limit, unbracketed; the lower side is as before."""
+    real = inference.mle_fit
+    point = small_fit.display.q95_incubation
+
+    def mle_fit(cases, kind, fixed=None, **kwargs):
+        if fixed and fixed.get("q95_incubation", point) > point:
+            if failure == "no_warm_start":
+                raise lk.LikelihoodError("quantile ratio 1.03 has no Gamma shape")
+            return dataclasses.replace(small_fit, log_lik=-math.inf, converged=False)
+        return real(cases, kind, fixed=fixed, **kwargs)
+
+    want = profile_ci(small_cohort, small_fit, "q95_incubation")
+    monkeypatch.setattr(inference, "mle_fit", mle_fit)
+    got = profile_ci(small_cohort, small_fit, "q95_incubation")
+    assert (got.hi, got.upper_bracketed) == (point * 100, False)
+    assert (got.lo, got.lower_bracketed) == (want.lo, want.lower_bracketed)
+    assert want.upper_bracketed
+
+
 def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
     before = dataclasses.asdict(small_fit)
     profile_ci(small_cohort, small_fit, "q95_incubation")
