@@ -231,7 +231,8 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
             lt = terms(rho, r, alpha, beta)
         except (ValueError, OverflowError):
             return _BIG
-        return -float(np.maximum(lt, _LOG_FLOOR).sum())
+        val = -float(np.maximum(lt, _LOG_FLOOR).sum())
+        return val if math.isfinite(val) else _BIG
 
     if u0.size == 0:  # everything pinned: nothing to optimize
         val = fun(u0)
@@ -436,7 +437,9 @@ _SWEEP_MODELS = ("r0", "growth", "growth_trunc")
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (cutoff day, model) cell of the bias sweep."""
+    """One (cutoff day, model) cell of the bias sweep.  converged and message
+    are the fit's (None when the cell is not fitted): a cell whose search
+    stopped at the boundary still reports its median and q95."""
 
     cutoff: int
     model: str
@@ -446,6 +449,8 @@ class SweepRow:
     q95: float | None = None
     median_ci: CIResult | None = None
     q95_ci: CIResult | None = None
+    converged: bool | None = None
+    message: str | None = None
 
 
 def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
@@ -491,7 +496,8 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
             rows.append(SweepRow(cutoff=int(d), model=model, n_cases=len(sub),
                                  fitted=True, median=fit.display.median_incubation,
                                  q95=fit.display.q95_incubation,
-                                 median_ci=med_ci, q95_ci=q95_ci))
+                                 median_ci=med_ci, q95_ci=q95_ci,
+                                 converged=fit.converged, message=fit.message))
     return rows
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 from scipy import special as sc
 
 from .timeline import QUARANTINE_DAY, CaseRecord
@@ -122,39 +122,63 @@ class DisplayTheta:
 _ALPHA_LO, _ALPHA_HI = 1e-3, 1e3
 _LOG_ALPHA_LO, _LOG_ALPHA_HI = math.log(_ALPHA_LO), math.log(_ALPHA_HI)
 
+#: The probabilities of the incubation quantiles that the fits report.
+_PROBS = np.array([0.5, 0.95])
 
-def _quantile_ratio(log_a: float) -> float:
-    """q95/median of Gamma(exp(log_a), rate), which does not depend on the rate."""
-    a = math.exp(log_a)
-    return sc.gammaincinv(a, 0.95) / sc.gammaincinv(a, 0.5)
+#: Log-shape nodes spanning exactly [log 1e-3, log 1e3] (np.exp of the ends is
+#: bitwise math.exp of them), and q95/median of the Gamma at each, which does
+#: not depend on the rate and falls strictly as the shape grows.
+_LOG_ALPHA_NODES = np.linspace(_LOG_ALPHA_LO, _LOG_ALPHA_HI, 4001)
+_Q_NODES = sc.gammaincinv(np.exp(_LOG_ALPHA_NODES)[:, None], _PROBS)
+_RATIO_NODES = _Q_NODES[:, 1] / _Q_NODES[:, 0]
+#: -log of the node ratios, increasing, for searchsorted.
+_NEG_LOG_RATIO_NODES = -np.log(_RATIO_NODES)
 
-
-#: The quantile ratio at the two ends of the shape bracket, computed once.
-_RATIO_AT_ENDS = {log_a: _quantile_ratio(log_a) for log_a in (_LOG_ALPHA_LO, _LOG_ALPHA_HI)}
+#: Secant steps stop once the next step in log shape is this small.
+_XTOL = 1e-14
+_MAX_STEPS = 30
 
 
 def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
     """Invert (median, q95) to the unique Gamma (shape, rate).
 
-    Uses the scale-free quantile ratio q95/median, which is strictly
-    decreasing in the shape, for 1-D root finding; the rate then follows from
-    the median.  Raises ValueError if no shape in [1e-3, 1e3] matches.
+    The scale-free ratio q95/median falls strictly as the shape grows, so the
+    shape solves log(q95(a)/median(a)) = log(q95/median) in log a.  The root
+    is bracketed by two nodes of a table built at import; interpolating
+    between them seeds a secant iteration, each step one vectorized
+    gammaincinv(a, [0.5, 0.95]) call, which stops once the next step is below
+    1e-14 in log a (3 calls typically, 4 at most on the fit range).  The
+    rate is the last step's Gamma median over the given median.  Raises
+    ValueError if no shape in [1e-3, 1e3] matches (the ratio is checked
+    against the table's two end ratios) or if the CDF at the given quantiles
+    misses 0.5 or 0.95 by more than 1e-9.
     """
     if not (0 < median < q95) or not (math.isfinite(median) and math.isfinite(q95)):
         raise ValueError(f"need 0 < median < q95, got ({median}, {q95})")
     ratio = q95 / median
-
-    def f(log_a: float) -> float:
-        at_end = _RATIO_AT_ENDS.get(log_a)
-        return (_quantile_ratio(log_a) if at_end is None else at_end) - ratio
-
-    lo, hi = _LOG_ALPHA_LO, _LOG_ALPHA_HI
-    if not (f(lo) > 0 > f(hi)):  # f decreasing: needs f(lo) > 0 > f(hi)
+    if not _RATIO_NODES[0] > ratio > _RATIO_NODES[-1]:
         raise ValueError(f"quantile ratio {ratio:.6g} has no Gamma shape in "
                          f"[{_ALPHA_LO}, {_ALPHA_HI}]")
-    log_a = optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    alpha = math.exp(log_a)
-    beta = sc.gammaincinv(alpha, 0.5) / median
+    target = math.log(ratio)
+    j = min(max(int(np.searchsorted(_NEG_LOG_RATIO_NODES, -target)), 1),
+            _LOG_ALPHA_NODES.size - 1)
+    # gap(x) = log(q95/median of shape e^x) - target; the first step from the
+    # two bracketing nodes is the table's linear interpolation
+    x_prev, gap_prev = _LOG_ALPHA_NODES[j - 1], -_NEG_LOG_RATIO_NODES[j - 1] - target
+    x, gap = _LOG_ALPHA_NODES[j], -_NEG_LOG_RATIO_NODES[j] - target
+    step = gap * (x - x_prev) / (gap - gap_prev)
+    for _ in range(_MAX_STEPS):
+        x_prev, gap_prev = x, gap
+        x -= step
+        alpha = math.exp(x)
+        q50, q95_alpha = sc.gammaincinv(alpha, _PROBS)
+        gap = math.log(q95_alpha / q50) - target
+        if gap == gap_prev:
+            break
+        step = gap * (x - x_prev) / (gap - gap_prev)
+        if abs(step) <= _XTOL:
+            break
+    beta = q50 / median
     if abs(sc.gammainc(alpha, beta * median) - 0.5) > 1e-9 or \
        abs(sc.gammainc(alpha, beta * q95) - 0.95) > 1e-9:
         raise ValueError(f"quantile inversion failed for ({median}, {q95})")
@@ -344,7 +368,9 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
 
     The numerator matches :func:`cond_log_terms`; the normalizer integrates
     onset mass before M over infection times in the stay, i.e.
-    Z_r(M - B) - Z_r((M - E)_+) (see :func:`_trunc_normalizer`).  index is
+    Z_r(M - B) - Z_r((M - E)_+) (see :func:`_trunc_normalizer`).  A case
+    whose normalizer is not positive (it underflows to 0 far in the Gamma
+    lower tail, where the numerator may not) gets NaN, never +inf.  index is
     the pair (_cdf_index(s - b, s - e), _cdf_index(M - b, M - e)), built
     here when not given.
     """
@@ -353,7 +379,8 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
     growth = abs(r) >= R_SWITCH
     rate = beta + r if growth else beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_z = np.log(np.clip(_trunc_normalizer(trunc, r, alpha, beta), 0.0, None))
+        z = _trunc_normalizer(trunc, r, alpha, beta)
+        log_z = np.log(np.where(z > 0, z, np.nan))
         log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, onset), 0.0, None))
         if not growth:
             return log_diff - log_z

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +473,21 @@ def test_ci_profile_side_past_a_failed_refit_is_unbracketed(tmp_path):
     assert ci["lo"] < point and ci["hi"] == pytest.approx(100 * point, rel=1e-12)
 
 
+def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys):
+    """The same profile: no refit hands the simplex a non-finite objective
+    (a truncated term read as +inf once did), so SciPy prints no
+    RuntimeWarning."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), "--likelihood",
+                         "cond-trunc", "--truncate-at", "50", "--param", "median",
+                         "--out", str(tmp_path / "ci")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
     """ci.json carries the interval once, at the top level; the fit block
     is the fit's fields for the profile and the bootstrap alike."""
@@ -544,6 +560,7 @@ def test_bias_demo_rows_and_bands(sweep_dir):
     assert {r["model"] for r in rows} == {"r0", "growth", "growth_trunc"}
     fitted = [r for r in rows if r["fitted"]]
     assert len(fitted) == 9
+    assert all(isinstance(r["converged"], bool) and r["message"] for r in fitted)
     banded = [r for r in fitted if r["median_ci"] is not None]
     assert banded  # cells whose resamples all converged carry bands
     assert all(r["median_ci"]["lo"] <= r["median"] <= r["median_ci"]["hi"]

@@ -334,6 +334,29 @@ def test_bias_sweep_bootstrap_bands(sim_cohort_800):
         assert r.q95_ci.lo <= r.q95_ci.hi
 
 
+def test_bias_sweep_marks_a_non_converged_cell(sim_cohort_800, monkeypatch):
+    """A truncated fit that stops at the boundary is reported with its
+    estimates, flagged by converged and message."""
+    records, _ = sim_cohort_800
+    cases = with_confirmation(records[:250], np.random.default_rng(9))
+    real = inference.mle_fit
+
+    def boundary_when_truncated(sub, kind, **kwargs):
+        fit = real(sub, kind, **kwargs)
+        if kind != "cond_trunc":
+            return fit
+        return dataclasses.replace(fit, converged=False, message="boundary")
+
+    monkeypatch.setattr(inference, "mle_fit", boundary_when_truncated)
+    rows = inference.bias_sweep(cases, [30, 75], min_cases=25, options=FAST)
+    status = {(r.cutoff, r.model): (r.fitted, r.converged, r.message) for r in rows}
+    assert status == {(30, m): (False, None, None) for m in ("r0", "growth", "growth_trunc")} | {
+        (75, "r0"): (True, True, "ok"), (75, "growth"): (True, True, "ok"),
+        (75, "growth_trunc"): (True, False, "boundary")}
+    stuck = rows[-1]
+    assert stuck.median is not None and stuck.q95 is not None
+
+
 def test_bias_sweep_requires_confirmation_days(sim_cohort_800):
     records, _ = sim_cohort_800
     with pytest.raises(ValueError, match="confirmed_int"):

@@ -139,9 +139,10 @@ def four_igamma_cdf_diff(alpha, rate, x_hi, x_lo):
 
 
 def brentq_quantiles_to_shape_rate(median, q95):
-    """The full-bracket brentq inversion, f evaluated afresh at both ends."""
+    """The full-bracket brentq inversion, f evaluated afresh at both ends,
+    raising the library inversion's errors."""
     if not (0 < median < q95) or not (math.isfinite(median) and math.isfinite(q95)):
-        raise ValueError("bad pair")
+        raise ValueError(f"need 0 < median < q95, got ({median}, {q95})")
     ratio = q95 / median
 
     def f(log_a):
@@ -150,12 +151,12 @@ def brentq_quantiles_to_shape_rate(median, q95):
 
     lo, hi = math.log(1e-3), math.log(1e3)
     if not (f(lo) > 0 > f(hi)):
-        raise ValueError("no shape")
+        raise ValueError(f"quantile ratio {ratio:.6g} has no Gamma shape in [0.001, 1000.0]")
     alpha = math.exp(optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
     beta = special.gammaincinv(alpha, 0.5) / median
     if abs(special.gammainc(alpha, beta * median) - 0.5) > 1e-9 or \
        abs(special.gammainc(alpha, beta * q95) - 0.95) > 1e-9:
-        raise ValueError("inversion failed")
+        raise ValueError(f"quantile inversion failed for ({median}, {q95})")
     return alpha, beta
 
 
@@ -282,22 +283,64 @@ def test_case_terms_are_the_per_kind_terms_with_nan_read_as_minus_inf():
         lk.case_terms(odd, "cond_trunc")
 
 
-def test_quantile_inversion_is_the_full_bracket_brentq_bit_for_bit():
+def _quantile_pairs(rng, n):
+    """(median, q95) pairs with q95/median - 1 log-uniform on [1e-3, 1e4], so
+    that some ratios lie beyond those of every shape in [1e-3, 1e3]; then the
+    pairs one ulp either side of the two end ratios."""
+    for _ in range(n):
+        median = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+        yield median, median * (1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+    for a in (1e-3, 1e3):
+        end = special.gammaincinv(a, 0.95) / special.gammaincinv(a, 0.5)
+        for q95 in (end, np.nextafter(end, 0.0), np.nextafter(end, np.inf)):
+            yield 1.0, float(q95)
+
+
+def test_quantile_inversion_matches_the_brentq_reference():
+    """Shape and rate within 1e-11 of the full-bracket brentq, and the same
+    pairs rejected with the same message."""
     rng = np.random.default_rng(17)
     n_ok = n_err = 0
-    for _ in range(1500):
-        median = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
-        q95 = median * (1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+    for median, q95 in _quantile_pairs(rng, 1500):
         try:
             ref = brentq_quantiles_to_shape_rate(median, q95)
-        except ValueError:
-            with pytest.raises(ValueError):
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
                 lk.quantiles_to_shape_rate(median, q95)
+            assert str(got.value) == str(err)
             n_err += 1
             continue
-        assert lk.quantiles_to_shape_rate(median, q95) == ref
+        assert lk.quantiles_to_shape_rate(median, q95) == pytest.approx(ref, rel=1e-11)
         n_ok += 1
     assert n_ok >= 1000 and n_err > 0
+
+
+class _CountingSpecial:
+    """scipy.special with its gammaincinv calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+    def gammaincinv(self, *args):
+        self.calls += 1
+        return special.gammaincinv(*args)
+
+
+def test_quantile_inversion_takes_few_gammaincinv_calls(monkeypatch):
+    """At most 8 gammaincinv calls per inversion over the fitted shapes
+    (0.3 to 30), against about 22 for the full-bracket brentq."""
+    counting = _CountingSpecial()
+    monkeypatch.setattr(lk, "sc", counting)
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        alpha = math.exp(rng.uniform(math.log(0.3), math.log(30.0)))
+        median, q95 = special.gammaincinv(alpha, [0.5, 0.95]) / rng.uniform(0.05, 3.0)
+        before = counting.calls
+        lk.quantiles_to_shape_rate(median, q95)
+        assert counting.calls - before <= 8
 
 
 # ---------------------------------------------------------------------------

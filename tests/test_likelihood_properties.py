@@ -13,7 +13,7 @@ from bets import likelihood as lk
 from bets.timeline import CaseRecord
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def _log_uniform(lo: float, hi: float):
@@ -48,14 +48,18 @@ _R_NEAR_SWITCH = (0.0, 1e-9, lk.R_SWITCH * (1 - 1e-9), lk.R_SWITCH,
 
 
 @st.composite
-def _lattice_case(draw):
+def _lattice_record(draw):
     """One case on the cohort day lattice (CaseRecord offsets): stay within
     the quarantine window, onset no more than 30 days after leaving."""
     b = draw(st.integers(0, 54))
     e = draw(st.integers(max(b, 1), 54))
     s = draw(st.integers(max(b, 1), e + 30))
-    rec = CaseRecord.from_ints("p", b, e, s)
-    return rec.B, rec.E, rec.S
+    return CaseRecord.from_ints("p", b, e, s)
+
+
+def _lattice_case():
+    """(B, E, S) of a _lattice_record."""
+    return _lattice_record().map(lambda rec: (rec.B, rec.E, rec.S))
 
 
 _TERM_SETTINGS = dict(max_examples=400, deadline=None)
@@ -90,3 +94,37 @@ def test_terms_are_finite_when_r_times_the_stay_is_large(r, alpha, beta, stay):
     b, e, s = np.array([rec.B]), np.array([rec.E]), np.array([rec.S])
     assert np.isfinite(lk.cond_log_terms(b, e, s, r, alpha, beta)).all()
     assert np.isfinite(lk.trunc_log_terms(b, e, s, r, alpha, beta, rec.S)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_log_uniform(1e-3, 1e3), beta=_log_uniform(1e-2, 1e2))
+def test_quantile_inversion_puts_the_cdf_on_its_quantiles(alpha, beta):
+    """The fitted Gamma puts probability 0.5 and 0.95 below the given median
+    and q95, to 1e-13, over the whole shape range."""
+    median, q95 = special.gammaincinv(alpha, [0.5, 0.95]) / beta
+    a2, b2 = lk.quantiles_to_shape_rate(median, q95)
+    assert abs(special.gammainc(a2, b2 * median) - 0.5) <= 1e-13
+    assert abs(special.gammainc(a2, b2 * q95) - 0.95) <= 1e-13
+
+
+@settings(max_examples=400, deadline=None)
+@given(cases=st.lists(_lattice_record(), min_size=1, max_size=8),
+       kind=st.sampled_from(("cond", "uncond", "cond_trunc")),
+       r=st.one_of(st.just(0.0), st.floats(0.1, 1.0)),
+       alpha=_log_uniform(1e-3, 1e3), median=_log_uniform(0.5, 1e3),
+       extra=st.floats(0.0, 30.0))
+# a resident of a simulated cohort (stay to day 53, onset day 46) truncated
+# at M = 50, where the truncation normalizer underflows to 0 first
+@example(cases=[CaseRecord.from_ints("p", 0, 53, 46)], kind="cond_trunc",
+         r=0.87463126859291, alpha=562.9655125790198, median=925.7517199258116,
+         extra=4.5)
+def test_case_terms_are_never_plus_inf(cases, kind, r, alpha, median, extra):
+    """Over the search's whole shape range, a term whose likelihood
+    underflows is -inf (invalid), never +inf: far in the Gamma lower tail the
+    truncation normalizer reaches 0 before the onset numerator does."""
+    if kind == "uncond" and r == 0.0:
+        r = 0.1
+    M = max(c.S for c in cases) + extra
+    beta = special.gammaincinv(alpha, 0.5) / median
+    terms = lk.case_terms(cases, kind, M)(0.7, r, alpha, beta)
+    assert not (terms == np.inf).any()
