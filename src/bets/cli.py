@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first confirmation cutoff (inclusive)")
     p.add_argument("--to", dest="date_to", default="2020-02-18", metavar="DATE",
                    help="last confirmation cutoff (inclusive)")
-    p.add_argument("--m-offset", type=int, default=7,
+    p.add_argument("--m-offset", type=_NON_NEGATIVE_INT, default=7,
                    help="days subtracted from the cutoff for the onset bound")
     p.add_argument("--min-cases", type=_POSITIVE_INT, default=20,
                    help="skip cutoffs with fewer cases")

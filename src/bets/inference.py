@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy import special as sc
 from scipy.optimize import minimize
-from scipy.stats import chi2
 
 from .likelihood import (
     DisplayTheta,
@@ -275,6 +275,12 @@ _PROFILE_RANGE = 100.0       # search within [point/100, point*100]
 _PROFILE_STEP = 1.35
 
 
+def _chi2_ppf_1(level: float) -> float:
+    """The level quantile of chi-square with 1 dof, computed as
+    scipy.stats.chi2.ppf does (bit for bit) without importing scipy.stats."""
+    return 2.0 * sc.gammaincinv(0.5, level)
+
+
 def _warm_init(display: DisplayTheta, param: str, value: float) -> DisplayTheta:
     """Shift the fitted display point so pinning param=value stays valid."""
     if param == "median_incubation":
@@ -309,7 +315,7 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     """
     _check_param(fit, param)
     point = getattr(fit.display, param)
-    threshold = chi2.ppf(level, 1)
+    threshold = _chi2_ppf_1(level)
     if threshold == 0.0:
         return CIResult(point, point, level)
 
@@ -467,6 +473,8 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
     Cells with fewer than min_cases cases are reported unfitted.  With
     bootstrap_b > 0, percentile bootstrap bands are attached.
     """
+    if m_offset < 0:
+        raise ValueError(f"m_offset must be >= 0, got {m_offset}")
     if any(c.confirmed_int is None for c in cases):
         raise ValueError("bias_sweep needs confirmed_int on every case")
     options = options or FitOptions()
@@ -537,6 +545,12 @@ def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float, beta: f
     return full, obs, expected
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail of chi-square with dof degrees of freedom at stat >= 0,
+    equal bit for bit to scipy.stats.chi2.sf there."""
+    return float(sc.chdtrc(dof, stat))
+
+
 def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
                        beta: float, min_expected: float = 5.0) -> GofResult:
     """Pearson chi-square of resident onset days against the model density,
@@ -568,5 +582,5 @@ def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
     o_arr, e_arr = np.array(pooled_o), np.array(pooled_e)
     stat = float(((o_arr - e_arr) ** 2 / e_arr).sum())
     dof = len(pooled_e) - 1
-    return GofResult(statistic=stat, dof=dof, p_value=float(chi2.sf(stat, dof)),
+    return GofResult(statistic=stat, dof=dof, p_value=_chi2_sf(stat, dof),
                      n_cases=int(o_arr.sum()), n_bins=len(pooled_e))

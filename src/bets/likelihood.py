@@ -17,9 +17,9 @@ the resulting log-likelihoods of (B, E, S) for observed cases:
 * joint in (B, E, S) with the travel-mix rho  -- :func:`log_lik_uncond`
 * additionally right-truncated at S <= M      -- :func:`log_lik_cond_trunc`
 
-plus the selection probability, the marginal onset-time density among
-exported residents, and the additive growth-rate correction for naive curve
-fits to onset counts.
+plus the closed-form selection probability, the marginal onset-time density
+among exported residents, and the additive growth-rate correction for naive
+curve fits to onset counts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sc
 
 from .timeline import QUARANTINE_DAY, CaseRecord
@@ -248,23 +247,15 @@ def gamma_exp_integral(b: float, e: float, s: float, r: float,
 
 def selection_prob_total(pi: float, lambda_w: float, lambda_v: float,
                          kappa: float, nu: float, r: float,
-                         L: float = L_DEFAULT) -> tuple[float, float]:
-    """Total selection probability P(D): (closed-form approximation, exact).
-
-    The approximation, valid for r >> 1/L, is
-    nu * kappa * exp(rL) / r^2 * [(1-pi) lambda_W + pi lambda_V (1 - 2/(rL))];
-    the exact value integrates the per-stay probability over the (B, E) law
-    by adaptive quadrature.
+                         L: float = L_DEFAULT) -> float:
+    """Closed-form approximation to the total selection probability P(D),
+    valid for r >> 1/L:
+    nu * kappa * exp(rL) / r^2 * [(1-pi) lambda_W + pi lambda_V (1 - 2/(rL))].
     """
     if not r > 0:
         raise ValueError(f"approximation requires r > 0, got {r}")
-    approx = nu * kappa * math.exp(r * L) / r ** 2 * (
+    return nu * kappa * math.exp(r * L) / r ** 2 * (
         (1 - pi) * lambda_w + pi * lambda_v * (1 - 2 / (r * L)))
-    resident, _ = integrate.quad(lambda e: _exp_mass(kappa, r, 0.0, e), 0.0, L)
-    visitor, _ = integrate.dblquad(lambda e, b: _exp_mass(kappa, r, b, e),
-                                   0.0, L, lambda b: b, lambda b: L)
-    exact = nu * ((1 - pi) * lambda_w * resident + pi * lambda_v / L * visitor)
-    return approx, exact
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,22 @@ def test_profile_ci_inverts_the_likelihood_ratio(sim_cohort_800):
             threshold, abs=5e-3)
 
 
+def test_chi2_quantile_and_tail_are_scipy_stats_bit_for_bit():
+    """profile_ci's threshold and gof_onset_marginal's p-value equal
+    scipy.stats.chi2 exactly on every input bets can pass them: a level in
+    (0, 1), and dof >= 2 with stat >= 0.  chdtrc and chi2.sf differ only at
+    stat < 0 (NaN against 1), which a Pearson statistic never reaches."""
+    levels = np.concatenate([np.linspace(0.0, 1.0, 20_001)[1:-1],
+                             [1e-300, 1e-12, 0.5, 0.95, 0.99, 1.0 - 2.0 ** -53]])
+    expected = chi2.ppf(levels, 1)
+    assert [inference._chi2_ppf_1(float(q)) for q in levels] == expected.tolist()
+    dofs = np.arange(2, 61)
+    stats = np.concatenate([[0.0, 1e-300, 1e-8, 5e-324], np.linspace(0.0, 200.0, 301)[1:],
+                            [1e3, 1e4, math.inf]])
+    got = [[inference._chi2_sf(float(x), int(k)) for x in stats] for k in dofs]
+    assert got == chi2.sf(stats[None, :], dofs[:, None]).tolist()
+
+
 def test_profile_ci_levels_nest(sim_cohort_800):
     records, _ = sim_cohort_800
     fit = mle_fit(records, "cond")
@@ -361,6 +377,14 @@ def test_bias_sweep_requires_confirmation_days(sim_cohort_800):
     records, _ = sim_cohort_800
     with pytest.raises(ValueError, match="confirmed_int"):
         inference.bias_sweep(records[:50], [60], options=FAST)
+
+
+def test_bias_sweep_rejects_a_negative_m_offset(sim_cohort_800):
+    """M = d - m_offset must not pass the cutoff d."""
+    records, _ = sim_cohort_800
+    cases = with_confirmation(records[:50], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="m_offset"):
+        inference.bias_sweep(cases, [60], m_offset=-30, options=FAST)
 
 
 # ---------------------------------------------------------------------------

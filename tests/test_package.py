@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,15 @@ def test_inference_reaches_the_terms_only_through_case_terms():
 def test_every_layer_is_checked():
     layers = {"timeline", "generative", "likelihood", "inference", "bayes", "cli"}
     assert {f"bets.{m}" for m in layers} < set(MODULES)
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    """Every bets command imports bets.cli first; scipy.stats and
+    scipy.integrate would add about half a second to each start.  A fresh
+    interpreter is needed because the test modules import scipy.stats."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
+    probe = ("import sys, bets.cli; print(' '.join(m for m in sys.modules "
+             "if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.split() == []
