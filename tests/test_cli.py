@@ -166,13 +166,13 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["gof", "--in", "c.csv", "--min-expected", "-1"], "--min-expected"),
     (["gof", "--in", "c.csv", "--min-expected", "0"], "--min-expected"),
     (["bias-demo", "--in", "c.csv", "--min-cases", "0"], "--min-cases"),
-    (["bias-demo", "--in", "c.csv", "--m-offset", "-30"], "--m-offset"),
     (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "60"],
      "--stage-break"),
     (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "54"],
      "--stage-break"),
     (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "0"],
      "--stage-break"),
+    (["bias-demo", "--in", "c.csv", "--m-offset", "-30"], "--m-offset"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
