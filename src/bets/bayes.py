@@ -38,6 +38,7 @@ __all__ = [
     "log_lik_discrete",
     "rwmh_run",
     "headline_functionals",
+    "psrf_functionals",
     "psrf",
     "summarize",
     "posterior_summaries",
@@ -54,6 +55,10 @@ STRATA = {
     "gender": (("male", "female"), lambda c: c.gender),
     "age50": (("under50", "over50"), lambda c: c.age_group),
 }
+#: The epidemic-curve models: one exponent, or a second one after day l1.
+GROWTH = ("single", "two_stage")
+#: The departure-day models: uniform hazard, or geometric with a chunyun break.
+DEPARTURE = ("uniform", "geometric")
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,17 @@ class DiscreteConfig:
     l_chunyun: ClassVar[int] = 41
     max_incubation: ClassVar[int] = 30
     visitor_weight: ClassVar[float] = 0.5
-    growth: str = "single"          # "single" | "two_stage"
-    departure: str = "uniform"      # "uniform" | "geometric"
+    growth: str = "single"          # one of GROWTH
+    departure: str = "uniform"      # one of DEPARTURE
     mu: float = 1.0
-    strata: str = "none"            # "none" | "gender" | "age50"
+    strata: str = "none"            # a key of STRATA
 
     def __post_init__(self):
-        if self.growth not in ("single", "two_stage"):
-            raise ValueError(f"growth must be 'single' or 'two_stage', got {self.growth!r}")
-        if self.departure not in ("uniform", "geometric"):
-            raise ValueError(f"departure must be 'uniform' or 'geometric', got {self.departure!r}")
-        if self.strata not in STRATA:
-            *rest, last = map(repr, STRATA)
-            raise ValueError(f"strata must be {', '.join(rest)} or {last}, got {self.strata!r}")
+        for what, choices in (("growth", GROWTH), ("departure", DEPARTURE), ("strata", STRATA)):
+            value = getattr(self, what)
+            if value not in choices:
+                *rest, last = map(repr, choices)
+                raise ValueError(f"{what} must be {', '.join(rest)} or {last}, got {value!r}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be a finite number > 0, got {self.mu!r}")
 
@@ -107,6 +110,10 @@ def discretized_base_pmf(max_incubation: int = 30, shape: float = 9.0,
     k = np.arange(max_incubation + 1)
     cell = sc.gammainc(shape, rate * k[1:]) - sc.gammainc(shape, rate * k[:-1])
     return cell / cell.sum()
+
+
+#: The prior's base pmf h0 on the model's incubation support.
+_H0 = discretized_base_pmf(DiscreteConfig.max_incubation)
 
 
 @dataclass
@@ -201,9 +208,10 @@ def log_prior_rest(state: NonparamState, config: DiscreteConfig) -> float:
 # Discrete data and likelihood
 # ---------------------------------------------------------------------------
 
-def _infection_days(b, e, s, l: int, K: int):
+def _infection_days(b, e, s):
     """(t, mask): each case's candidate infection days S* - k, k = 0..K-1,
     and which of them fall within its stay and within 0..L."""
+    l, K = DiscreteConfig.l, DiscreteConfig.max_incubation
     if np.any((b < 0) | (b > e) | (e > l)):
         raise ValueError("need 0 <= B* <= E* <= L for every case")
     if np.any(s < b):
@@ -239,24 +247,22 @@ class DiscreteData:
     inverse: np.ndarray = field(init=False)
     rows: list = field(init=False)
     t_idx: np.ndarray = field(init=False)
-    l: ClassVar[int] = DiscreteConfig.l
-    max_incubation: ClassVar[int] = DiscreteConfig.max_incubation
 
     def __post_init__(self):
-        t, mask = _infection_days(self.b, self.e, self.s, self.l, self.max_incubation)
+        t, mask = _infection_days(self.b, self.e, self.s)
         empty = ~mask.any(axis=1)
         if np.any(empty):
             i = int(np.flatnonzero(empty)[0])
             raise ValueError(
                 f"case {self.case_ids[i]}: no feasible infection day for "
                 f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) "
-                f"with incubation < {self.max_incubation}")
+                f"with incubation < {DiscreteConfig.max_incubation}")
         tuples = np.stack([self.stratum, self.b, self.e, self.s], axis=1)
         _, self.first, self.inverse = np.unique(tuples, axis=0, return_index=True,
                                                 return_inverse=True)
         ends = np.searchsorted(self.stratum[self.first], np.arange(len(self.labels) + 1))
         self.rows = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
-        self.t_idx = np.where(mask, t, self.l + 1)[self.first]
+        self.t_idx = np.where(mask, t, DiscreteConfig.l + 1)[self.first]
 
     @classmethod
     def from_records(cls, cases: Sequence[CaseRecord],
@@ -268,7 +274,7 @@ class DiscreteData:
         rows = [(c, labels.index(key(c))) for c in cases if key(c) in labels]
         b, e, s = (np.array([getattr(c, f) for c, _ in rows], dtype=int)
                    for f in ("B_int", "E_int", "S_int"))
-        feasible = _infection_days(b, e, s, config.l, config.max_incubation)[1].any(axis=1)
+        feasible = _infection_days(b, e, s)[1].any(axis=1)
         dropped = {"outside_strata": len(cases) - len(rows),
                    "no_feasible_infection_day": int((~feasible).sum())}
         if not feasible.any():
@@ -337,13 +343,9 @@ def _departure_matrix(state: NonparamState, config: DiscreteConfig) -> np.ndarra
     return pe
 
 
-def _stay_weights(config: DiscreteConfig) -> np.ndarray:
-    """P(B* = b) for b = 0..L: resident atom and uniform visitor spread."""
-    T = config.l + 1
-    p = np.full(T, config.visitor_weight / config.l)
-    p[0] = 1.0 - config.visitor_weight
-    return p
-
+#: P(B* = b) for b = 0..L: resident atom and uniform visitor spread.
+_STAY_WEIGHTS = np.full(DiscreteConfig.l + 1, DiscreteConfig.visitor_weight / DiscreteConfig.l)
+_STAY_WEIGHTS[0] = 1.0 - DiscreteConfig.visitor_weight
 
 #: The b <= e half of the (b, e) grid on 0..L.
 _UPPER = np.triu(np.ones((DiscreteConfig.l + 1, DiscreteConfig.l + 1), dtype=bool))
@@ -362,18 +364,17 @@ def _scalar_terms(data: DiscreteData, state: NonparamState,
     if g is None:
         return None
     pe = _departure_matrix(state, config)
-    pb = _stay_weights(config)
 
     # selection normalizer: sum over b <= e of P(b) P(e|b) * cumulative g on [b, e]
     T = config.l + 1
     cum_g = np.concatenate([[0.0], np.cumsum(g)])
     interval_g = cum_g[None, 1:] - cum_g[:T, None]   # [b, e] inclusive mass
-    norm = float((pb[:, None] * pe * interval_g * _UPPER).sum())
+    norm = float((_STAY_WEIGHTS[:, None] * pe * interval_g * _UPPER).sum())
     if not norm > 0:
         return None
     G = np.append(g, 0.0)[data.t_idx]
     b, e = data.b[data.first], data.e[data.first]
-    w = pb[b] * pe[b, e]
+    w = _STAY_WEIGHTS[b] * pe[b, e]
     return [(G[rows], w[rows]) for rows in data.rows], math.log(norm)
 
 
@@ -481,11 +482,9 @@ class _Coords:
         self.S = config.n_strata
         self.h_block = self.K - 1  # last logit pinned to 0
         self.size = self.n_scalars + self.S * self.h_block
-        self.scalar_idx = np.arange(self.n_scalars)
         self.h_slices = [slice(self.n_scalars + s * self.h_block,
                                self.n_scalars + (s + 1) * self.h_block)
                          for s in range(self.S)]
-        self.h_idx = [np.arange(sl.start, sl.stop) for sl in self.h_slices]
 
     def h(self, u: np.ndarray) -> np.ndarray:
         """The (strata, K) incubation pmfs: a softmax of each stratum's logits."""
@@ -508,9 +507,9 @@ class _Coords:
         u = np.empty(self.size)
         u[:self.n_scalars] = [s.to_u(values[s.name]) for s in self.scalars]
         h = np.maximum(np.atleast_2d(state.h), 1e-15)
-        for s in range(self.S):
-            y = np.log(h[s])
-            u[self.h_idx[s]] = y[:-1] - y[-1]
+        for sl, row in zip(self.h_slices, h):
+            y = np.log(row)
+            u[sl] = y[:-1] - y[-1]
         return u
 
 
@@ -531,9 +530,8 @@ def _last_two(fn):
     return memo
 
 
-def _make_target(coords: _Coords, data: DiscreteData | None,
-                 config: DiscreteConfig, h0: np.ndarray, prior_only: bool):
-    """The sampler's log-posterior on u.
+def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteConfig):
+    """The sampler's log-posterior on u; the bare prior when data is None.
 
     Each piece is kept for the last two values (the chain's current state
     and its latest proposal) of the part of u it reads: the scalar block's
@@ -547,7 +545,7 @@ def _make_target(coords: _Coords, data: DiscreteData | None,
 
     def pmf_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         h = _pmf(logits)
-        return h, np.log(np.maximum(h, _H_FLOOR)), log_prior_h(h, config.mu, h0)
+        return h, np.log(np.maximum(h, _H_FLOOR)), log_prior_h(h, config.mu, _H0)
 
     scalar_block = _last_two(lambda u: (coords.scalar_state(u), coords.scalar_log_jacobian(u)))
     scalar_terms = _last_two(lambda state: _scalar_terms(data, state, config))
@@ -565,7 +563,7 @@ def _make_target(coords: _Coords, data: DiscreteData | None,
             return -math.inf
         for _, _, log_prior in pmfs:
             total += log_prior
-        if not prior_only:
+        if data is not None:
             terms = scalar_terms(key, state)
             if terms is None:
                 return -math.inf
@@ -592,9 +590,13 @@ class ChainStore:
     h: np.ndarray                 # (chains, draws, strata, K)
     acceptance: np.ndarray        # (chains, groups), post-burn-in rates
     step_sizes: np.ndarray        # (chains, groups), frozen values
-    group_names: list
     n_cases: int
     n_dropped: int = 0
+
+    @property
+    def group_names(self) -> list[str]:
+        """The proposal groups, in the column order of acceptance and step_sizes."""
+        return ["scalars"] + [f"h[{lb}]" for lb in self.config.stratum_labels]
 
     @property
     def n_chains(self) -> int:
@@ -605,14 +607,14 @@ class ChainStore:
         return self.h.shape[1]
 
 
-def _init_state(coords: _Coords, config: DiscreteConfig, h0: np.ndarray,
-                rng: np.random.Generator, prior_only: bool) -> np.ndarray:
+def _init_state(coords: _Coords, config: DiscreteConfig, rng: np.random.Generator,
+                prior_only: bool) -> np.ndarray:
     """Overdispersed start: h ~ Dirichlet(mu h0) jittered, scalars from priors
     (kappa from its conditional prior given the curve constraint)."""
     c = config
     h = np.empty((coords.S, coords.K))
     for s in range(coords.S):
-        draw = rng.dirichlet(np.maximum(c.mu * h0, 1e-3))
+        draw = rng.dirichlet(np.maximum(c.mu * _H0, 1e-3))
         draw = np.maximum(draw, 1e-8)
         logits = np.log(draw) + 0.3 * rng.standard_normal(coords.K)
         h[s] = np.exp(logits - _logsumexp(logits))
@@ -649,7 +651,8 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
     [1e-6, 50].  A partial last window does not adapt, and the step sizes
     are frozen after burn-in.
     """
-    groups = [coords.scalar_idx] + coords.h_idx
+    groups = [slice(0, coords.n_scalars)] + coords.h_slices
+    take = min(_H_BLOCK_SIZE, coords.h_block)
     step = step0.astype(float).copy()
     u = u0.copy()
     lp = target(u)
@@ -660,14 +663,13 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
     acc_post = np.zeros(len(groups))
     for it in range(steps):
         in_burn = it < burn_in
-        for gi, idx in enumerate(groups):
-            if gi == 0:
-                coords_sel = idx
-            else:
-                take = min(_H_BLOCK_SIZE, idx.size)
-                coords_sel = rng.choice(idx, size=take, replace=False)
+        for gi, sl in enumerate(groups):
             prop = u.copy()
-            prop[coords_sel] += step[gi] * rng.standard_normal(coords_sel.size)
+            if gi == 0:
+                prop[sl] += step[gi] * rng.standard_normal(coords.n_scalars)
+            else:
+                sel = sl.start + rng.choice(coords.h_block, size=take, replace=False)
+                prop[sel] += step[gi] * rng.standard_normal(take)
             lp_prop = target(prop)
             if math.log(max(rng.random(), 1e-300)) < lp_prop - lp:
                 u, lp = prop, lp_prop
@@ -704,8 +706,7 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
         if not cases:
             raise ValueError("no cases (use prior_only=True to sample the prior)")
         data = cases if isinstance(cases, DiscreteData) else DiscreteData.from_records(cases, config)
-    h0 = discretized_base_pmf(config.max_incubation)
-    target = _make_target(coords, data, config, h0, prior_only)
+    target = _make_target(coords, data, config)
     burn_in = steps // 2
     base_step = np.array([0.1] + [0.15] * coords.S)
 
@@ -719,7 +720,7 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
         rng = chain_rngs[ci]
         u0 = None
         for _ in range(1000):
-            cand = _init_state(coords, config, h0, rng, prior_only)
+            cand = _init_state(coords, config, rng, prior_only)
             if np.isfinite(target(cand)):
                 u0 = cand
                 break
@@ -741,7 +742,6 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
 
     return ChainStore(config=config, scalars=scalars, h=h_arr,
                       acceptance=rates_arr, step_sizes=np.asarray(all_steps),
-                      group_names=["scalars"] + [f"h[{lb}]" for lb in config.stratum_labels],
                       n_cases=0 if data is None else len(data),
                       n_dropped=0 if data is None else data.n_dropped)
 
@@ -777,6 +777,17 @@ def headline_functionals(store: ChainStore) -> dict[str, np.ndarray]:
             out.update((f"{name}[{lb}]", v) for lb, v in zip(labels, values))
             out[f"{name}[diff]"] = values[0] - values[1]
     return out
+
+
+#: The headline functionals that get an R-hat: every stratum's, not the gaps.
+_PSRF_FUNCTIONALS = ("r1", "doubling_time", "mean_incubation", "p_ge_14")
+
+
+def psrf_functionals(store: ChainStore) -> dict[str, np.ndarray]:
+    """The headline_functionals entries of _PSRF_FUNCTIONALS, each stratum's
+    but no "[diff]" gap: the draws whose R-hat `bets mcmc` reports."""
+    return {key: values for key, values in headline_functionals(store).items()
+            if key.partition("[")[0] in _PSRF_FUNCTIONALS and not key.endswith("[diff]")}
 
 
 def psrf(chains, functional: str | None = None) -> float:

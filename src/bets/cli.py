@@ -22,10 +22,10 @@ from datetime import date
 import numpy as np
 
 from . import __version__, bayes, generative, inference, timeline
-from .likelihood import LikelihoodError
+from .likelihood import _KINDS, LikelihoodError
 from .timeline import CaseRecord, CaseTableError
 
-_KIND_FLAG = {"cond": "cond", "uncond": "uncond", "cond-trunc": "cond_trunc"}
+_KIND_FLAG = {kind.replace("_", "-"): kind for kind in _KINDS}
 _PARAM_FLAG = {"rho": "rho", "doubling-time": "doubling_time",
                "median": "median_incubation", "q95": "q95_incubation"}
 
@@ -48,22 +48,11 @@ def _out_dir(args) -> str:
     return out
 
 
-def _provenance(args) -> dict:
-    flags = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        if isinstance(value, date):
-            value = value.isoformat()
-        flags[key] = value
-    return {"version": __version__, "seed": getattr(args, "seed", None),
-            "flags": flags}
-
-
 def _write_json(path: str, payload: dict, args) -> None:
-    payload = dict(payload)
-    payload["provenance"] = _provenance(args)
-    timeline.write_json(path, payload)
+    """payload plus the {version, seed, flags} provenance of the command."""
+    flags = {key: value for key, value in vars(args).items() if key != "func"}
+    provenance = {"version": __version__, "seed": getattr(args, "seed", None), "flags": flags}
+    timeline.write_json(path, {**payload, "provenance": provenance})
 
 
 def _parse_day(text: str) -> int:
@@ -131,11 +120,8 @@ def _build_params(args) -> generative.GenerativeParams:
 
 
 def _params_dict(p: generative.GenerativeParams) -> dict:
-    inc = {"kind": p.incubation.kind}
-    if p.incubation.kind == "gamma":
-        inc.update(shape=p.incubation.alpha, rate=p.incubation.beta)
-    else:
-        inc["pmf"] = list(p.incubation.pmf)
+    """simulate.json's parameters; simulate draws Gamma incubation only."""
+    inc = {"kind": p.incubation.kind, "shape": p.incubation.alpha, "rate": p.incubation.beta}
     return {"visitor_fraction": p.pi, "leave_rate_resident": p.lambda_w,
             "leave_rate_visitor": p.lambda_v, "growth_scale": p.kappa,
             "growth_rate": p.r, "late_growth_rate": p.r2,
@@ -298,9 +284,6 @@ def cmd_gof(args) -> int:
     return 0
 
 
-_MCMC_FUNCTIONALS = ("r1", "doubling_time", "mean_incubation", "p_ge_14")
-
-
 def cmd_mcmc(args) -> int:
     config = bayes.DiscreteConfig(
         growth=args.growth.replace("-", "_"), departure=args.departure,
@@ -331,9 +314,7 @@ def cmd_mcmc(args) -> int:
                   "step_sizes": store.step_sizes.tolist(),
                   "groups": store.group_names, "n_draws": store.n_draws,
                   "psrf": {}}
-    for key, values in bayes.headline_functionals(store).items():
-        if key.partition("[")[0] not in _MCMC_FUNCTIONALS or key.endswith("[diff]"):
-            continue
+    for key, values in bayes.psrf_functionals(store).items():
         try:
             diag["psrf"][key] = bayes.psrf(values)
         except ValueError as exc:
@@ -436,7 +417,7 @@ def _add_seed(p) -> None:
                    help="random seed (echoed in outputs)")
 
 
-def _add_fit_flags(p, kinds=("cond", "uncond", "cond-trunc")) -> None:
+def _add_fit_flags(p, kinds=tuple(_KIND_FLAG)) -> None:
     p.add_argument("--in", dest="input", required=True, metavar="FILE",
                    help="cohort table (.csv or .json)")
     p.add_argument("--likelihood", choices=list(kinds), default="uncond",
@@ -567,9 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_POSITIVE_INT, default=80_000, help="iterations per chain")
     p.add_argument("--chains", type=_POSITIVE_INT, default=8, help="independent chains")
     p.add_argument("--mu", type=_POSITIVE, default=1.0, help="prior concentration")
-    p.add_argument("--growth", choices=["single", "two-stage"], default="single",
-                   help="epidemic curve: one exponent or a break at day 51")
-    p.add_argument("--departure", choices=["uniform", "geometric"], default="uniform",
+    p.add_argument("--growth", choices=[g.replace("_", "-") for g in bayes.GROWTH],
+                   default="single", help="epidemic curve: one exponent or a break at day 51")
+    p.add_argument("--departure", choices=list(bayes.DEPARTURE), default="uniform",
                    help="departure-day model")
     p.add_argument("--strata", choices=list(bayes.STRATA), default="none",
                    help="fit a separate incubation pmf per stratum")

@@ -266,6 +266,17 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
                      message=message)
 
 
+def _refit(cases: Sequence[CaseRecord], fit: FitResult, init: DisplayTheta,
+           fixed: dict) -> FitResult | None:
+    """An inner refit of fit's likelihood kind and truncation day from init
+    with these pins; None when it raises or does not converge."""
+    try:
+        sub = mle_fit(cases, fit.kind, init=init, M=fit.M, fixed=fixed, options=_INNER)
+    except (ValueError, LikelihoodError):
+        return None
+    return sub if sub.converged else None
+
+
 # ---------------------------------------------------------------------------
 # Profile-likelihood confidence intervals
 # ---------------------------------------------------------------------------
@@ -321,12 +332,8 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
 
     def discrepancy(v: float) -> float | None:
         """2(l_hat - l_profile(v)) - threshold, or None when the refit fails."""
-        try:
-            sub = mle_fit(cases, fit.kind, init=_warm_init(fit.display, param, v), M=fit.M,
-                          fixed={**fit.fixed, param: v}, options=_INNER)
-        except (ValueError, LikelihoodError):
-            return None
-        return 2.0 * (fit.log_lik - sub.log_lik) - threshold if sub.converged else None
+        sub = _refit(cases, fit, _warm_init(fit.display, param, v), {**fit.fixed, param: v})
+        return None if sub is None else 2.0 * (fit.log_lik - sub.log_lik) - threshold
 
     def solve(direction: int) -> tuple[float, bool]:
         v_in = point
@@ -378,12 +385,8 @@ _MAX_FAILURE_RATE = 0.05    # share of failed bootstrap refits tolerated
 def _refit_star(args) -> DisplayTheta | None:
     """Refit one resample from the full fit's point; None when it fails."""
     cases, idx, fit = args
-    try:
-        sub = mle_fit([cases[i] for i in idx], fit.kind, init=fit.display, M=fit.M,
-                      fixed=fit.fixed, options=_INNER)
-    except (ValueError, LikelihoodError):
-        return None
-    return sub.display if sub.converged else None
+    sub = _refit([cases[i] for i in idx], fit, fit.display, fit.fixed)
+    return None if sub is None else sub.display
 
 
 def _bootstrap_displays(cases, fit: FitResult, n_boot: int, rng,

@@ -21,7 +21,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
 
@@ -484,8 +484,8 @@ def build_cohort(cases: Sequence[RawCase],
 # Cohort I/O
 # ---------------------------------------------------------------------------
 
-_COHORT_FIELDS = ["case_id", "B_int", "E_int", "S_int", "B", "E", "S",
-                  "gender", "age_group", "confirmed_int", "location"]
+#: The cohort table's columns: CaseRecord's fields, in order.
+_COHORT_FIELDS = [f.name for f in fields(CaseRecord)]
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -509,14 +509,9 @@ def write_json(path: str | os.PathLike, obj) -> None:
 
 
 def _record_row(rec: CaseRecord) -> list[str]:
-    vals = {
-        "case_id": rec.case_id, "B_int": rec.B_int, "E_int": rec.E_int,
-        "S_int": rec.S_int, "B": repr(rec.B), "E": repr(rec.E), "S": repr(rec.S),
-        "gender": rec.gender, "age_group": rec.age_group,
-        "confirmed_int": "" if rec.confirmed_int is None else rec.confirmed_int,
-        "location": rec.location or "",
-    }
-    return [str(vals[k]) for k in _COHORT_FIELDS]
+    """One cohort row: each field's str (a float's repr), "" for None."""
+    values = (getattr(rec, k) for k in _COHORT_FIELDS)
+    return ["" if v is None else str(v) for v in values]
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

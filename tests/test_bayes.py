@@ -363,8 +363,7 @@ def test_headline_functionals_of_a_stratified_store():
     h = rng.dirichlet(np.ones(30), size=(2, 3, 2))
     store = bayes.ChainStore(
         config=DiscreteConfig(strata="gender"), scalars={"r1": rng.uniform(0.1, 0.3, (2, 3))},
-        h=h, acceptance=np.ones((2, 3)), step_sizes=np.ones((2, 3)),
-        group_names=["scalars", "h[male]", "h[female]"], n_cases=0)
+        h=h, acceptance=np.ones((2, 3)), step_sizes=np.ones((2, 3)), n_cases=0)
     got = bayes.headline_functionals(store)
     names = ["mean_incubation"] + [f"p_ge_{c}" for c in bayes.TAIL_CUTOFFS]
     assert list(got) == ["r1", "doubling_time"] + [
@@ -392,7 +391,7 @@ def test_frozen_proposals_accept_everything():
     data = DiscreteData.from_records(recs, config)
     coords = bayes._Coords(config)
     h0 = discretized_base_pmf()
-    target = bayes._make_target(coords, data, config, h0, prior_only=False)
+    target = bayes._make_target(coords, data, config)
     state = uniform_state(config, h=h0[None, :])
     draws, rates, step = bayes._run_chain_impl(
         coords, target, 600, 300, 10, np.random.default_rng(2),
@@ -447,6 +446,18 @@ def test_two_stage_run_exposes_second_rate():
     assert "r2" in posterior_summaries(store)
 
 
+def test_geometric_two_stage_run_draws_hazards_in_the_unit_interval():
+    """Geometric departure samples the four leave hazards, each in (0, 1),
+    next to two-stage growth's second rate."""
+    recs, _ = discrete_cohort(60, np.random.default_rng(91))
+    config = DiscreteConfig(growth="two_stage", departure="geometric")
+    store = rwmh_run(recs, config, steps=1000, chains=2, seed=4)
+    eta = ["eta_w1", "eta_w2", "eta_v1", "eta_v2"]
+    assert set(store.scalars) == {"r1", "r2", "kappa", *eta}
+    for name in eta:
+        assert ((store.scalars[name] > 0) & (store.scalars[name] < 1)).all()
+
+
 def test_indistinguishable_strata_have_no_gap():
     """Duplicate every case into both gender strata: posterior differences
     must straddle zero."""
@@ -463,11 +474,11 @@ def test_indistinguishable_strata_have_no_gap():
     assert "mean_incubation[male]" in summ and "mean_incubation[female]" in summ
 
 
-def _uncached_target(coords, data, config, h0):
+def _uncached_target(coords, data, config):
     """The sampler's log-posterior evaluated by a target built anew at every
     u, so that nothing is reused between evaluations."""
     def log_post(u):
-        return bayes._make_target(coords, data, config, h0, prior_only=False)(u)
+        return bayes._make_target(coords, data, config)(u)
 
     return log_post
 
@@ -480,19 +491,18 @@ def gender_target():
     config = DiscreteConfig(strata="gender")
     data = DiscreteData.from_records(recs, config)
     coords = bayes._Coords(config)
-    h0 = discretized_base_pmf()
-    fresh = _uncached_target(coords, data, config, h0)
+    fresh = _uncached_target(coords, data, config)
     rng = np.random.default_rng(94)
-    u0 = bayes._init_state(coords, config, h0, rng, prior_only=False)
+    u0 = bayes._init_state(coords, config, rng, prior_only=False)
     while not np.isfinite(fresh(u0)):
-        u0 = bayes._init_state(coords, config, h0, rng, prior_only=False)
-    return coords, data, config, h0, u0
+        u0 = bayes._init_state(coords, config, rng, prior_only=False)
+    return coords, data, config, u0
 
 
 def test_cached_target_is_exact(gender_target, monkeypatch):
     """Every value of the cached target equals a from-scratch evaluation, on
     a chain whose rejected scalar proposals push entries out of the cache."""
-    coords, data, config, h0, u0 = gender_target
+    coords, data, config, u0 = gender_target
     scalar_calls, pmf_calls = [], []
 
     def counted(real, calls):
@@ -503,7 +513,7 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
 
     monkeypatch.setattr(bayes, "_scalar_terms", counted(bayes._scalar_terms, scalar_calls))
     monkeypatch.setattr(bayes, "_pmf", counted(bayes._pmf, pmf_calls))
-    target = bayes._make_target(coords, data, config, h0, prior_only=False)
+    target = bayes._make_target(coords, data, config)
     visited = []
 
     def recorded(u):
@@ -522,7 +532,7 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
     assert len(pmf_calls) == coords.S * (1 + steps)
     assert len(visited) == 1 + steps * (1 + coords.S)
     monkeypatch.undo()
-    fresh = _uncached_target(coords, data, config, h0)
+    fresh = _uncached_target(coords, data, config)
     for u, lp in visited:
         assert lp == fresh(u)
     # the key covers every scalar: a move of any single one misses
@@ -536,11 +546,11 @@ def test_cached_target_is_exact(gender_target, monkeypatch):
 def test_cached_target_leaves_the_chain_unchanged(gender_target):
     """Same draws, rates and adapted steps with and without the cache, over a
     burn-in long enough for the step sizes to adapt twice."""
-    coords, data, config, h0, u0 = gender_target
+    coords, data, config, u0 = gender_target
     step0 = np.array([0.1, 0.15, 0.15])
     runs = []
-    for target in (bayes._make_target(coords, data, config, h0, prior_only=False),
-                   _uncached_target(coords, data, config, h0)):
+    for target in (bayes._make_target(coords, data, config),
+                   _uncached_target(coords, data, config)):
         draws, rates, step = bayes._run_chain_impl(
             coords, target, 300, 2 * bayes._ADAPT_WINDOW + 20, 5,
             np.random.default_rng(6), u0, step0)
@@ -584,8 +594,8 @@ def test_target_matches_the_public_pieces(growth, departure, strata):
     assert len(data.first) < len(data)
     coords = bayes._Coords(config)
     h0 = discretized_base_pmf()
-    target = bayes._make_target(coords, data, config, h0, prior_only=False)
-    prior = bayes._make_target(coords, None, config, h0, prior_only=True)
+    target = bayes._make_target(coords, data, config)
+    prior = bayes._make_target(coords, None, config)
     u0 = coords.pack(random_discrete_state(rng, config))
     n_finite = 0
     for _ in range(15):
@@ -618,10 +628,10 @@ def test_target_matches_the_public_pieces(growth, departure, strata):
     gap_data = DiscreteData.from_records(during + [gap] + during + [gap], config)
     with pytest.warns(RuntimeWarning, match="case gap-1 has zero likelihood"):
         assert _public_log_post(coords, gap_data, config, h0, first_only) == -math.inf
-    gap_target = bayes._make_target(coords, gap_data, config, h0, prior_only=False)
+    gap_target = bayes._make_target(coords, gap_data, config)
     assert gap_target(first_only) == -math.inf
     during_data = DiscreteData.from_records(during, config)
-    assert bayes._make_target(coords, during_data, config, h0, prior_only=False)(
+    assert bayes._make_target(coords, during_data, config)(
         first_only) == _public_log_post(coords, during_data, config, h0, first_only)
 
 

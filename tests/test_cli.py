@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import bets
-from bets import cli, inference, timeline
+from bets import bayes, cli, inference, likelihood, timeline
 
 RAW_HEADER = ("case_id,residence,gender,age,known_contact,cluster,outside,"
               "begin_wuhan,end_wuhan,arrived,symptom,initial,confirmed,location")
@@ -106,6 +106,22 @@ def test_every_flag_is_documented():
                  and not any(d in (a.metavar or "") for a in sp._actions)}
         assert parsed <= documented, f"{name}: not in help: {sorted(parsed - documented)}"
         assert not extra, f"{name}: help mentions unknown flags: {sorted(extra)}"
+
+
+def test_model_choices_are_the_library_tables():
+    """The likelihood, growth, departure and strata choices are read from the
+    library's tables, with "-" for "_" in the flag values."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(cmd, dest):
+        return [c.replace("-", "_") for c in
+                next(a.choices for a in subs[cmd]._actions if a.dest == dest)]
+
+    assert choices("fit", "likelihood") == list(likelihood._KINDS)
+    assert choices("mcmc", "growth") == list(bayes.GROWTH)
+    assert choices("mcmc", "departure") == list(bayes.DEPARTURE)
+    assert choices("mcmc", "strata") == list(bayes.STRATA)
 
 
 def test_version_flag(capsys):
@@ -355,6 +371,24 @@ def test_fit_table_output(sim_dir, tmp_path, capsys):
                      "q95_incubation"]
     for ln in lines:
         float(ln.split()[-1])
+
+
+def test_fit_with_every_parameter_pinned_evaluates_once(tmp_path):
+    """With r, median and q95 all pinned there is nothing to search: the fit
+    evaluates the likelihood once, at the pins, and reports that value.  The
+    cohort comes from a simulation without growth."""
+    sim, out = str(tmp_path / "sim"), str(tmp_path / "fit")
+    assert cli.main(["simulate", "--n", "200", "--growth-rate", "0", "--seed", "2",
+                     "--out", sim]) == 0
+    cohort = os.path.join(sim, "cohort.csv")
+    assert cli.main(["fit", "--in", cohort, "--likelihood", "cond", "--fix", "r=0",
+                     "--fix", "median=5", "--fix", "q95=12", "--out", out]) == 0
+    fit = read_json(out, "fit.json")
+    assert fit["n_eval"] == 1 and fit["converged"]
+    assert fit["fixed"] == {"r": 0.0, "median_incubation": 5.0, "q95_incubation": 12.0}
+    alpha, beta = likelihood.quantiles_to_shape_rate(5.0, 12.0)
+    want = likelihood.log_lik_cond(timeline.read_cohort_csv(cohort), 0.0, alpha, beta)
+    assert fit["log_lik"] == want == pytest.approx(-739.267494539047, rel=1e-12)
 
 
 def test_fit_trunc_needs_cutoff(sim_dir, tmp_path, capsys):

@@ -92,6 +92,18 @@ def test_growth_mass_additive_and_curve_continuous():
 # Incubation laws
 # ---------------------------------------------------------------------------
 
+def test_mass_inversion_without_growth():
+    """At r = 0 the curve is flat and the inversion takes its linear branch:
+    growth_mass(a, _invert_mass(a, m)) gives m back."""
+    p = params_from_theta(0.45, 0.0, 1.86, 0.33)
+    rng = np.random.default_rng(12)
+    a = rng.uniform(0.0, L, 500)
+    m = rng.uniform(0.0, 1.0, 500) * p.growth_mass(a, L)
+    t = p._invert_mass(a, m)
+    assert np.all((a <= t) & (t <= L))
+    np.testing.assert_allclose(p.growth_mass(a, t), m, rtol=1e-12, atol=1e-16)
+
+
 def test_incubation_gamma_moments():
     inc = IncubationDist.gamma(1.86, 0.33)
     x = inc.sample(np.random.default_rng(1), 200_000)
