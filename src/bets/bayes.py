@@ -24,8 +24,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 from scipy import special as sc
 
-from .likelihood import _LN2
-from .timeline import QUARANTINE_DAY, CaseRecord
+from .timeline import AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord
 
 __all__ = [
     "DiscreteConfig",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 _H_FLOOR = 1e-300
+_LN2 = math.log(2.0)
 
 #: Tail cutoffs (days) of the headline functionals.
 TAIL_CUTOFFS = (2, 4, 7, 10, 14, 21)
@@ -52,8 +52,8 @@ TAIL_CUTOFFS = (2, 4, 7, 10, 14, 21)
 #: Each stratification: its stratum labels, and the key that reads a case's label.
 STRATA = {
     "none": (("all",), lambda c: "all"),
-    "gender": (("male", "female"), lambda c: c.gender),
-    "age50": (("under50", "over50"), lambda c: c.age_group),
+    "gender": (GENDERS, lambda c: c.gender),
+    "age50": (AGE_GROUPS, lambda c: c.age_group),
 }
 #: The epidemic-curve models: one exponent, or a second one after day l1.
 GROWTH = ("single", "two_stage")
@@ -76,7 +76,7 @@ class DiscreteConfig:
     """
 
     l: ClassVar[int] = QUARANTINE_DAY
-    l1: ClassVar[int] = 51
+    l1: ClassVar[int] = STAGE_BREAK_DAY
     l_chunyun: ClassVar[int] = 41
     max_incubation: ClassVar[int] = 30
     visitor_weight: ClassVar[float] = 0.5

@@ -22,10 +22,10 @@ from datetime import date
 import numpy as np
 
 from . import __version__, bayes, generative, inference, timeline
-from .likelihood import _KINDS, LikelihoodError
+from .likelihood import KINDS, LikelihoodError, quantiles_to_shape_rate
 from .timeline import CaseRecord, CaseTableError
 
-_KIND_FLAG = {kind.replace("_", "-"): kind for kind in _KINDS}
+_KIND_FLAG = {kind.replace("_", "-"): kind for kind in KINDS}
 _PARAM_FLAG = {"rho": "rho", "doubling-time": "doubling_time",
                "median": "median_incubation", "q95": "q95_incubation"}
 
@@ -56,14 +56,14 @@ def _write_json(path: str, payload: dict, args) -> None:
 
 
 def _parse_day(text: str) -> int:
-    """Epoch day from an integer literal or a calendar date."""
+    """Epoch day from an integer literal or a calendar date (ValueError if neither)."""
     try:
         return int(text)
     except ValueError:
         pass
     parsed = timeline.parse_date(text)
     if parsed is None:
-        raise CliError(2, f"cannot read {text!r} as a date or day number")
+        raise ValueError(f"no date in {text!r}")
     return timeline.to_epoch(parsed)
 
 
@@ -112,11 +112,14 @@ def _build_params(args) -> generative.GenerativeParams:
         args.stage_break = generative.GenerativeParams.l1  # echoed in the provenance
     elif args.late_growth_rate is None:
         raise CliError(2, "--stage-break needs --late-growth-rate")
-    shape, rate = (args.shape, args.rate) if args.median is None else (None, None)
+    shape, rate = args.shape, args.rate
+    if args.median is not None:
+        if not args.median < args.q95:
+            raise CliError(2, f"--median ({args.median}) must be below --q95 ({args.q95})")
+        shape, rate = quantiles_to_shape_rate(args.median, args.q95)
     return generative.params_from_theta(
-        args.rho, args.growth_rate, shape, rate, median=args.median, q95=args.q95,
-        nu=args.symptomatic, growth_mass=args.infected_mass,
-        r2=args.late_growth_rate, l1=args.stage_break)
+        args.rho, args.growth_rate, shape, rate, nu=args.symptomatic,
+        growth_mass=args.infected_mass, r2=args.late_growth_rate, l1=args.stage_break)
 
 
 def _params_dict(p: generative.GenerativeParams) -> dict:
@@ -208,12 +211,8 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     _write_json(os.path.join(out, "fit.json"), dataclasses.asdict(fit), args)
     if args.format == "table":
-        d = fit.display
-        rows = [("log_lik", fit.log_lik), ("doubling_time", d.doubling_time),
-                ("median_incubation", d.median_incubation),
-                ("q95_incubation", d.q95_incubation)]
-        if d.rho is not None:
-            rows.append(("rho", d.rho))
+        rows = [("log_lik", fit.log_lik)] + [
+            (k, v) for k, v in dataclasses.asdict(fit.display).items() if v is not None]
         width = max(len(k) for k, _ in rows)
         for k, v in rows:
             print(f"{k:<{width}}  {v:.4f}")
@@ -382,11 +381,12 @@ def cmd_plot_data(args) -> int:
 
 def _number(convert, ok, what: str):
     """An argparse type: convert the text and require ok(value), so an
-    out-of-domain value exits with 2 and a message naming the flag."""
+    out-of-domain value exits with 2 and a message naming the flag.  _DATE
+    checks the date but keeps the text as typed, which the provenance echoes."""
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, OverflowError):
             value = None
         if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
@@ -403,6 +403,9 @@ _FRACTION = _number(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _LEVEL = _number(float, lambda v: 0 < v < 1, "a level strictly between 0 and 1")
 _STAGE_DAY = _number(float, lambda v: 0 < v < timeline.QUARANTINE_DAY,
                      f"a day strictly between 0 and {timeline.QUARANTINE_DAY}")
+_DATE = _number(lambda text: _parse_date_flag(text) and text, bool,
+                f"a day number >= 0 or a date on or after {timeline.EPOCH_ORIGIN.isoformat()}")
+
 
 _QUARANTINE = timeline.QUARANTINE_DATE.isoformat()
 
@@ -423,7 +426,7 @@ def _add_fit_flags(p, kinds=tuple(_KIND_FLAG)) -> None:
     p.add_argument("--likelihood", choices=list(kinds), default="uncond",
                    help="which selection-adjusted likelihood to maximize")
     if "cond-trunc" in kinds:
-        p.add_argument("--truncate-at", default=None, metavar="DAY",
+        p.add_argument("--truncate-at", type=_DATE, default=None, metavar="DAY",
                        help="onset cutoff (date or day number) for cond-trunc")
     p.add_argument("--fix", action="append", metavar="NAME=VALUE",
                    help="pin a parameter (rho, doubling-time, median, q95, r)")
@@ -454,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",", help="input field delimiter")
     p.add_argument("--keep-outside", choices=["no", "likely", "yes"], default="no",
                    help="most suspicious outside-infection label to keep")
-    p.add_argument("--arrival-cutoff", default=_QUARANTINE, metavar="DATE",
+    p.add_argument("--arrival-cutoff", type=_DATE, default=_QUARANTINE, metavar="DATE",
                    help="drop cases arriving after this date")
-    p.add_argument("--impute-end-to", default=_QUARANTINE, metavar="DATE",
+    p.add_argument("--impute-end-to", type=_DATE, default=_QUARANTINE, metavar="DATE",
                    help="stay-end imputed to this date when missing")
     p.add_argument("--reclassify-outside", action="store_true",
                    help="recompute the outside label from stay and cluster data")
@@ -483,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--late-growth-rate", type=_FINITE, default=None,
                    help="second-stage growth exponent (two-stage epidemic)")
     p.add_argument("--stage-break", type=_STAGE_DAY, default=None,
-                   help="day the second growth stage starts (default 51; "
-                        "with --late-growth-rate)")
+                   help=f"day the second growth stage starts (default "
+                        f"{timeline.STAGE_BREAK_DAY}; with --late-growth-rate)")
     p.add_argument("--confirm-lag", type=_NON_NEGATIVE, default=None,
                    help="mean onset-to-confirmation lag; adds Poisson confirmation days")
     _add_seed(p)
@@ -518,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="incubation estimates by confirmation cutoff, three models")
     p.add_argument("--in", dest="input", required=True, metavar="FILE",
                    help="cohort table with confirmation dates")
-    p.add_argument("--from", dest="date_from", default=_QUARANTINE, metavar="DATE",
+    p.add_argument("--from", dest="date_from", type=_DATE, default=_QUARANTINE, metavar="DATE",
                    help="first confirmation cutoff (inclusive)")
-    p.add_argument("--to", dest="date_to", default="2020-02-18", metavar="DATE",
+    p.add_argument("--to", dest="date_to", type=_DATE, default="2020-02-18", metavar="DATE",
                    help="last confirmation cutoff (inclusive)")
     p.add_argument("--m-offset", type=_NON_NEGATIVE_INT, default=7,
                    help="days subtracted from the cutoff for the onset bound")
@@ -549,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=_POSITIVE_INT, default=8, help="independent chains")
     p.add_argument("--mu", type=_POSITIVE, default=1.0, help="prior concentration")
     p.add_argument("--growth", choices=[g.replace("_", "-") for g in bayes.GROWTH],
-                   default="single", help="epidemic curve: one exponent or a break at day 51")
+                   default="single", help="epidemic curve: one exponent or a break at "
+                                          f"day {timeline.STAGE_BREAK_DAY}")
     p.add_argument("--departure", choices=list(bayes.DEPARTURE), default="uniform",
                    help="departure-day model")
     p.add_argument("--strata", choices=list(bayes.STRATA), default="none",

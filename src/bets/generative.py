@@ -20,8 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .likelihood import L_DEFAULT, R_SWITCH, _exp_mass, quantiles_to_shape_rate
-from .timeline import CaseRecord
+from .likelihood import L_DEFAULT, R_SWITCH
+from .timeline import STAGE_BREAK_DAY, CaseRecord
 
 __all__ = [
     "IncubationDist",
@@ -66,6 +66,16 @@ class IncubationDist:
         return rng.choice(len(self.pmf), size=n, p=np.asarray(self.pmf)).astype(float)
 
 
+def _exp_mass(coef: float, rate: float, a, b) -> np.ndarray:
+    """Integral of coef*e^{rate t} over [a, b] (vectorized, 0 when b <= a)."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    width = np.maximum(b - a, 0.0)
+    if abs(rate) < R_SWITCH:
+        return coef * width
+    return coef / rate * np.exp(rate * a) * np.expm1(rate * width)
+
+
 @dataclass(frozen=True)
 class GenerativeParams:
     """Full parameter set of the population process.
@@ -86,7 +96,7 @@ class GenerativeParams:
     nu: float
     incubation: IncubationDist
     r2: float | None = None
-    l1: float = 51.0
+    l1: float = float(STAGE_BREAK_DAY)
     L: ClassVar[float] = L_DEFAULT
 
     def __post_init__(self):
@@ -147,23 +157,15 @@ class GenerativeParams:
         return t
 
 
-def params_from_theta(rho: float, r: float, alpha: float | None = None,
-                      beta: float | None = None, *, median: float | None = None,
-                      q95: float | None = None, nu: float = 0.8,
-                      growth_mass: float = 0.5, r2: float | None = None,
-                      l1: float = 51.0) -> GenerativeParams:
+def params_from_theta(rho: float, r: float, alpha: float, beta: float, *,
+                      nu: float = 0.8, growth_mass: float = 0.5, r2: float | None = None,
+                      l1: float = float(STAGE_BREAK_DAY)) -> GenerativeParams:
     """Generative parameters matching an inference parameter point.
 
     Departure densities are set equal (lambda_w = lambda_v = 1/L) so the
     travel mix rho = pi/(1-pi) determines the visitor fraction; kappa is
     scaled so the epidemic curve integrates to `growth_mass` over [0, L].
     """
-    if (alpha is None) != (beta is None):
-        raise ValueError("give both alpha and beta or neither")
-    if alpha is None:
-        if median is None or q95 is None:
-            raise ValueError("need (alpha, beta) or (median, q95)")
-        alpha, beta = quantiles_to_shape_rate(median, q95)
     if not 0 < growth_mass <= 1:
         raise ValueError(f"need 0 < growth_mass <= 1, got {growth_mass}")
     if not rho >= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,6 @@ from .likelihood import (
     DisplayTheta,
     LikelihoodError,
     ParamTheta,
-    _LN2,
-    _LOG_FLOOR,
     case_terms,
     marginal_s_density,
     quantiles_to_shape_rate,
@@ -49,6 +47,10 @@ __all__ = [
 ]
 
 _BIG = 1e15
+_LN2 = math.log(2.0)
+
+#: Log of the floor (1e-300) that mle_fit clamps each per-case term to.
+_LOG_FLOOR = math.log(1e-300)
 
 #: Interior, plausible starting point used when no init is given.
 DEFAULT_INIT = DisplayTheta(doubling_time=4.0, median_incubation=5.0,
@@ -108,6 +110,9 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: float) -> float:
+    """The logistic function.  Not scipy.special.expit: the two differ in the
+    last bit on 22,919 of 100,000 uniform draws on [-20, 20], which would
+    move the q95-pinned profile fits that read median / q95 through it."""
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
@@ -305,8 +310,7 @@ def _warm_init(display: DisplayTheta, param: str, value: float) -> DisplayTheta:
 
 def _check_param(fit: FitResult, param: str) -> None:
     """Reject a display parameter that the fit does not estimate."""
-    allowed = ["doubling_time", "median_incubation", "q95_incubation"] + (
-        ["rho"] if fit.kind == "uncond" else [])
+    allowed = [f.name for f in fields(DisplayTheta) if f.name != "rho" or fit.kind == "uncond"]
     if param not in allowed:
         raise ValueError(f"param must be one of {allowed}, got {param!r}")
     if param in fit.fixed or (param == "doubling_time" and "r" in fit.fixed):
@@ -465,7 +469,7 @@ class SweepRow:
 def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
                m_offset: int = 7, min_cases: int = 20, bootstrap_b: int = 0,
                level: float = 0.95, rng: np.random.Generator | None = None,
-               options: FitOptions | None = None, n_jobs: int = 1) -> list[SweepRow]:
+               n_jobs: int = 1) -> list[SweepRow]:
     """Incubation-quantile estimates by confirmation cutoff under three models.
 
     For each cutoff day d (cases confirmed by d):
@@ -480,8 +484,7 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
         raise ValueError(f"m_offset must be >= 0, got {m_offset}")
     if any(c.confirmed_int is None for c in cases):
         raise ValueError("bias_sweep needs confirmed_int on every case")
-    options = options or FitOptions()
-    rng = rng if rng is not None else np.random.default_rng(options.seed)
+    rng = rng if rng is not None else np.random.default_rng(0)
     rows: list[SweepRow] = []
     for d in cutoffs:
         by_d = [c for c in cases if c.confirmed_int <= d]
@@ -497,7 +500,7 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
                 rows.append(SweepRow(cutoff=int(d), model=model, n_cases=len(sub),
                                      fitted=False))
                 continue
-            fit = mle_fit(sub, kind, M=M, fixed=fixed, options=options)
+            fit = mle_fit(sub, kind, M=M, fixed=fixed)
             med_ci = q95_ci = None
             if bootstrap_b > 0:
                 displays, failures = _bootstrap_displays(sub, fit, bootstrap_b, rng, n_jobs)

@@ -51,6 +51,7 @@ __all__ = [
     "growth_bias_fixed_point",
     "case_arrays",
     "case_terms",
+    "KINDS",
     "cond_log_terms",
     "uncond_log_terms",
     "trunc_log_terms",
@@ -61,12 +62,6 @@ L_DEFAULT = float(QUARANTINE_DAY)
 
 #: |r| below this uses the exact r = 0 limiting forms.
 R_SWITCH = 1e-8
-
-#: Log of the floor (1e-300) per-case likelihood terms are clamped to when
-#: clamping is requested.
-_LOG_FLOOR = math.log(1e-300)
-
-_LN2 = math.log(2.0)
 
 
 class LikelihoodError(ValueError):
@@ -212,18 +207,8 @@ def _gamma_cdf_diff(alpha: float, rate: float, index):
 
 
 # ---------------------------------------------------------------------------
-# Growth curve and selection probabilities
+# Growth-weighted onset integral and selection probability
 # ---------------------------------------------------------------------------
-
-def _exp_mass(coef: float, rate: float, a, b) -> np.ndarray:
-    """Integral of coef*e^{rate t} over [a, b] (vectorized, 0 when b <= a)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    width = np.maximum(b - a, 0.0)
-    if abs(rate) < R_SWITCH:
-        return coef * width
-    return coef / rate * np.exp(rate * a) * np.expm1(rate * width)
-
 
 def gamma_exp_integral(b: float, e: float, s: float, r: float,
                        alpha: float, beta: float) -> float:
@@ -380,7 +365,7 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
 
 
 #: The likelihood kinds of case_terms, and how errors name them.
-_KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
+KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
           "cond_trunc": "truncated likelihood"}
 
 
@@ -392,8 +377,8 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     Returns a function of (rho, r, alpha, beta) giving :func:`cond_log_terms`,
     :func:`uncond_log_terms` or :func:`trunc_log_terms` with NaN read as -inf.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
     if kind == "cond_trunc":
         if M is None:
             raise ValueError("cond_trunc requires the truncation day M")
@@ -436,7 +421,7 @@ def _strict_sum(cases: Sequence[CaseRecord], kind: str, rho, r: float, alpha: fl
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         c = cases[int(bad[0])]
-        raise LikelihoodError(f"{_KINDS[kind]}: case {c.case_id} (B={c.B}, E={c.E}, "
+        raise LikelihoodError(f"{KINDS[kind]}: case {c.case_id} (B={c.B}, E={c.E}, "
                               f"S={c.S}) has non-positive likelihood")
     return float(terms.sum())
 

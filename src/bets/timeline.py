@@ -29,6 +29,9 @@ __all__ = [
     "EPOCH_ORIGIN",
     "QUARANTINE_DAY",
     "QUARANTINE_DATE",
+    "STAGE_BREAK_DAY",
+    "GENDERS",
+    "AGE_GROUPS",
     "CaseTableError",
     "RawCase",
     "CaseRecord",
@@ -57,6 +60,13 @@ EPOCH_ORIGIN = date(2019, 11, 30)
 #: the horizon L.
 QUARANTINE_DAY = 54
 QUARANTINE_DATE = EPOCH_ORIGIN + timedelta(days=QUARANTINE_DAY)
+
+#: Epoch day the second stage of two-stage growth starts (January 20, 2020).
+STAGE_BREAK_DAY = 51
+
+#: A case's known labels, in the order of a stratified fit's gap (first minus second).
+GENDERS = ("male", "female")
+AGE_GROUPS = ("under50", "over50")
 
 
 class CaseTableError(ValueError):
@@ -141,58 +151,38 @@ def _norm_header(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.strip().lower()).strip("_")
 
 
+#: RawCase's fields name the raw table's columns; all but location are required.
+_REQUIRED_COLUMNS = [f.name for f in fields(RawCase) if f.name != "location"]
 _COLUMN_ALIASES = {
-    "case_id": "case_id",
+    **{f.name: f.name for f in fields(RawCase)},
     "case": "case_id",
     "id": "case_id",
-    "residence": "residence",
-    "gender": "gender",
     "sex": "gender",
-    "age": "age",
-    "known_contact": "known_contact",
     "contact": "known_contact",
-    "cluster": "cluster",
-    "outside": "outside",
-    "begin_wuhan": "begin_wuhan",
     "begin_of_stay_in_wuhan": "begin_wuhan",
-    "end_wuhan": "end_wuhan",
     "end_of_stay_in_wuhan": "end_wuhan",
-    "arrived": "arrived",
     "arrival": "arrived",
-    "symptom": "symptom",
     "symptom_onset": "symptom",
-    "initial": "initial",
     "initial_symptom": "initial",
-    "confirmed": "confirmed",
     "confirmation": "confirmed",
-    "location": "location",
     "province": "location",
     "city": "location",
     "reported_in": "location",
 }
-
-_REQUIRED_COLUMNS = [
-    "case_id", "residence", "gender", "age", "known_contact", "cluster",
-    "outside", "begin_wuhan", "end_wuhan", "arrived", "symptom", "initial",
-    "confirmed",
-]
 
 _TRUE_STRINGS = {"yes", "y", "true", "1"}
 
 
 def _parse_gender(text: str) -> str:
     t = text.strip().lower()
-    if t in ("male", "m"):
-        return "male"
-    if t in ("female", "f"):
-        return "female"
+    for label in GENDERS:
+        if t in (label, label[0]):
+            return label
     return "unknown"
 
 
 def _parse_outside(text: str) -> str:
     t = text.strip().lower()
-    if t in ("yes", "likely", "no"):
-        return t
     return "no" if t in _MISSING else t
 
 
@@ -387,14 +377,14 @@ class CaseRecord:
         return self.B_int == 0
 
 
-#: Age (years) from which a case is in the "over50" group.
+#: Age (years) from which a case is in the older age group, AGE_GROUPS[1].
 _AGE_CUT = 50
 
 
 def _age_group(age: int | None) -> str:
     if age is None:
         return "unknown"
-    return "under50" if age < _AGE_CUT else "over50"
+    return AGE_GROUPS[age >= _AGE_CUT]
 
 
 @dataclass(frozen=True)

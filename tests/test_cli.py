@@ -118,7 +118,7 @@ def test_model_choices_are_the_library_tables():
         return [c.replace("-", "_") for c in
                 next(a.choices for a in subs[cmd]._actions if a.dest == dest)]
 
-    assert choices("fit", "likelihood") == list(likelihood._KINDS)
+    assert choices("fit", "likelihood") == list(likelihood.KINDS)
     assert choices("mcmc", "growth") == list(bayes.GROWTH)
     assert choices("mcmc", "departure") == list(bayes.DEPARTURE)
     assert choices("mcmc", "strata") == list(bayes.STRATA)
@@ -189,6 +189,13 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["simulate", "--n", "10", "--late-growth-rate", "0.1", "--stage-break", "0"],
      "--stage-break"),
     (["bias-demo", "--in", "c.csv", "--m-offset", "-30"], "--m-offset"),
+    (["bias-demo", "--in", "c.csv", "--from", "foo"], "--from"),
+    (["bias-demo", "--in", "c.csv", "--from", "0", "--to", "-1"], "--to"),
+    (["fit", "--in", "c.csv", "--likelihood", "cond-trunc", "--truncate-at", "2020-13-45"],
+     "--truncate-at"),
+    (["ingest", "--in", "raw.csv", "--arrival-cutoff", "foo"], "--arrival-cutoff"),
+    (["ingest", "--in", "raw.csv", "--impute-end-to", "2019-01-01"], "--impute-end-to"),
+    (["ingest", "--in", "raw.csv", "--arrival-cutoff", "99999999999"], "--arrival-cutoff"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -336,6 +343,26 @@ def test_simulate_stage_break_needs_a_late_growth_rate(tmp_path, capsys):
     assert meta["provenance"]["flags"]["stage_break"] == 51.0
 
 
+def test_simulate_median_and_q95_set_the_incubation_law(tmp_path, capsys):
+    """--median/--q95 give the Gamma law quantiles_to_shape_rate inverts them
+    to; a median not below the q95 exits 2 naming both flags, and a ratio no
+    Gamma shape in [1e-3, 1e3] reaches exits 4 with the library's message."""
+    out = str(tmp_path / "ok")
+    assert cli.main(["simulate", "--n", "10", "--median", "5", "--q95", "12",
+                     "--out", out]) == 0
+    inc = read_json(out, "simulate.json")["params"]["incubation"]
+    assert (inc["shape"], inc["rate"]) == likelihood.quantiles_to_shape_rate(5.0, 12.0)
+    bad = tmp_path / "bad"
+    assert cli.main(["simulate", "--n", "10", "--median", "5", "--q95", "4",
+                     "--out", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "--median" in err and "--q95" in err
+    assert not bad.exists()
+    assert cli.main(["simulate", "--n", "10", "--median", "5", "--q95", "5.0001",
+                     "--out", str(bad)]) == 4
+    assert "has no Gamma shape" in capsys.readouterr().err
+
+
 def test_simulate_confirm_lag_adds_confirmation_days(lag_dir):
     cohort = timeline.read_cohort_csv(os.path.join(lag_dir, "cohort.csv"))
     assert all(c.confirmed_int is not None and c.confirmed_int >= c.S_int
@@ -391,6 +418,13 @@ def test_fit_with_every_parameter_pinned_evaluates_once(tmp_path):
     assert fit["log_lik"] == want == pytest.approx(-739.267494539047, rel=1e-12)
 
 
+def test_fit_truncated_before_every_onset_exits_3(sim_dir, tmp_path, capsys):
+    code = cli.main(["fit", "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--likelihood", "cond-trunc", "--truncate-at", "0", "--out", str(tmp_path)])
+    assert code == 3
+    assert "no cases at or before the truncation day" in capsys.readouterr().err
+
+
 def test_fit_trunc_needs_cutoff(sim_dir, tmp_path, capsys):
     code = cli.main(["fit", "--in", os.path.join(sim_dir, "cohort.csv"),
                      "--likelihood", "cond-trunc", "--out", str(tmp_path)])
@@ -421,6 +455,18 @@ def test_fit_pin_outside_its_domain_exits_4(sim_dir, tmp_path, capsys, likelihoo
                      "--likelihood", likelihood, "--fix", pair, "--out", str(tmp_path)])
     assert code == 4
     assert f"cannot fix {name}=" in capsys.readouterr().err
+
+
+def test_location_filter_keeps_only_that_locations_cases(sim_dir, tmp_path):
+    records = timeline.read_cohort_csv(os.path.join(sim_dir, "cohort.csv"))
+    records = [dataclasses.replace(c, location="Beijing" if i % 3 else "Shanghai")
+               for i, c in enumerate(records)]
+    src = str(tmp_path / "cohort.csv")
+    timeline.write_cohort_csv(records, src)
+    assert cli.main(["fit", "--in", src, "--likelihood", "cond", "--location", "Shanghai",
+                     "--out", str(tmp_path)]) == 0
+    n_shanghai = sum(c.location == "Shanghai" for c in records)
+    assert read_json(str(tmp_path), "fit.json")["n_cases"] == n_shanghai < len(records)
 
 
 def test_location_filter_no_match_exits_3(tmp_path):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from bets import generative, inference
 from bets.generative import (
@@ -46,19 +46,10 @@ def test_params_from_theta_wiring():
     assert p.pi == pytest.approx(0.45 / 1.45, rel=1e-12)
     assert p.lambda_w == p.lambda_v == pytest.approx(1.0 / L, rel=1e-12)
     assert float(p.growth_mass(0.0, L)) == pytest.approx(0.5, rel=1e-9)
-    assert p.incubation.kind == "gamma"
-    # quantile route lands on the same law
-    med, q95 = (float(stats.gamma.ppf(q, 1.86, scale=1 / 0.33)) for q in (0.5, 0.95))
-    q = params_from_theta(0.45, 0.30, median=med, q95=q95)
-    assert q.incubation.alpha == pytest.approx(1.86, rel=1e-8)
-    assert q.incubation.beta == pytest.approx(0.33, rel=1e-8)
+    assert (p.incubation.kind, p.incubation.alpha, p.incubation.beta) == ("gamma", 1.86, 0.33)
 
 
 def test_params_from_theta_validation():
-    with pytest.raises(ValueError):
-        params_from_theta(0.45, 0.3, 1.86)          # alpha without beta
-    with pytest.raises(ValueError):
-        params_from_theta(0.45, 0.3)                # no incubation law at all
     with pytest.raises(ValueError):
         params_from_theta(0.45, 0.3, 1.86, 0.33, growth_mass=1.5)
     for rho in (-1.0, -0.5, math.nan):  # -1 divided by zero
@@ -73,6 +64,17 @@ def test_generative_params_validation():
         reference_params(lambda_w=2.0 / L)   # departure density above 1/L
     with pytest.raises(ValueError):
         reference_params(kappa=1.0)          # curve mass over the window > 1
+
+
+def test_exponential_growth_integral():
+    ref, _ = integrate.quad(lambda t: 0.002 * math.exp(0.3 * t), 3.0, 17.0)
+    exp_mass = generative._exp_mass
+    assert exp_mass(0.002, 0.3, 3.0, 17.0) == pytest.approx(ref, rel=1e-12)
+    assert exp_mass(0.002, 0.3, 5.0, 5.0) == 0.0
+    assert exp_mass(0.002, 0.3, 6.0, 5.0) == 0.0  # b < a
+    assert exp_mass(0.002, 1e-12, 3.0, 17.0) == pytest.approx(0.002 * 14.0, rel=1e-9)
+    got = exp_mass(0.002, 0.3, np.array([3.0, 5.0]), np.array([17.0, 5.0]))
+    assert got[0] == exp_mass(0.002, 0.3, 3.0, 17.0) and got[1] == 0.0
 
 
 def test_growth_mass_additive_and_curve_continuous():

@@ -139,7 +139,7 @@ def test_param_map_round_trips_every_pin_pattern(kind):
         d = dataclasses.replace(base, **{k: v for k, v in pins.items() if k != "r"})
         if "r" in pins:
             r = pins["r"]
-            d = dataclasses.replace(d, doubling_time=lk._LN2 / r if r else math.inf)
+            d = dataclasses.replace(d, doubling_time=inference._LN2 / r if r else math.inf)
         pmap = inference._ParamMap(kind, pins)
         u = pmap.pack(d)
         n_free = (("r" not in pins and "doubling_time" not in pins)
@@ -147,7 +147,7 @@ def test_param_map_round_trips_every_pin_pattern(kind):
                   + (kind == "uncond" and "rho" not in pins))
         assert u.shape == (n_free,), pins
         rho, r, med, q95 = pmap.unpack(u)
-        want_r = pins.get("r", lk._LN2 / d.doubling_time)
+        want_r = pins.get("r", inference._LN2 / d.doubling_time)
         for name, got, want in (("rho", rho, d.rho), ("r", r, want_r),
                                 ("median_incubation", med, d.median_incubation),
                                 ("q95_incubation", q95, d.q95_incubation)):
@@ -262,6 +262,19 @@ def test_profile_side_past_a_failed_refit_is_unbracketed(small_cohort, small_fit
     assert want.upper_bracketed
 
 
+def test_profile_ci_on_a_flat_profile_ends_at_the_search_range(small_cohort, small_fit,
+                                                               monkeypatch):
+    """A profile that never crosses the threshold (every refit here returns
+    the base fit) ends each side at the edge of the search range,
+    unbracketed."""
+    monkeypatch.setattr(inference, "_refit", lambda cases, fit, init, fixed:
+                        dataclasses.replace(small_fit))
+    point = small_fit.display.median_incubation
+    got = profile_ci(small_cohort, small_fit, "median_incubation")
+    assert (got.lo, got.lower_bracketed) == (point / 100, False)
+    assert (got.hi, got.upper_bracketed) == (point * 100, False)
+
+
 def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
     before = dataclasses.asdict(small_fit)
     profile_ci(small_cohort, small_fit, "q95_incubation")
@@ -322,7 +335,7 @@ def test_bias_sweep_rows(sim_cohort_800):
     records, _ = sim_cohort_800
     cases = with_confirmation(records[:400], np.random.default_rng(8))
     cutoffs = [40, 60, 75]
-    rows = inference.bias_sweep(cases, cutoffs, min_cases=25, options=FAST)
+    rows = inference.bias_sweep(cases, cutoffs, min_cases=25)
     assert len(rows) == len(cutoffs) * 3
     assert [r.cutoff for r in rows[:3]] == [40, 40, 40]
     assert {r.model for r in rows[:3]} == {"r0", "growth", "growth_trunc"}
@@ -342,7 +355,7 @@ def test_bias_sweep_bootstrap_bands(sim_cohort_800):
     records, _ = sim_cohort_800
     cases = with_confirmation(records[:250], np.random.default_rng(9))
     rows = inference.bias_sweep(cases, [75], min_cases=25, bootstrap_b=15,
-                                rng=np.random.default_rng(10), options=FAST)
+                                rng=np.random.default_rng(10))
     fitted = [r for r in rows if r.fitted]
     assert fitted
     for r in fitted:
@@ -364,7 +377,7 @@ def test_bias_sweep_marks_a_non_converged_cell(sim_cohort_800, monkeypatch):
         return dataclasses.replace(fit, converged=False, message="boundary")
 
     monkeypatch.setattr(inference, "mle_fit", boundary_when_truncated)
-    rows = inference.bias_sweep(cases, [30, 75], min_cases=25, options=FAST)
+    rows = inference.bias_sweep(cases, [30, 75], min_cases=25)
     status = {(r.cutoff, r.model): (r.fitted, r.converged, r.message) for r in rows}
     assert status == {(30, m): (False, None, None) for m in ("r0", "growth", "growth_trunc")} | {
         (75, "r0"): (True, True, "ok"), (75, "growth"): (True, True, "ok"),
@@ -376,7 +389,7 @@ def test_bias_sweep_marks_a_non_converged_cell(sim_cohort_800, monkeypatch):
 def test_bias_sweep_requires_confirmation_days(sim_cohort_800):
     records, _ = sim_cohort_800
     with pytest.raises(ValueError, match="confirmed_int"):
-        inference.bias_sweep(records[:50], [60], options=FAST)
+        inference.bias_sweep(records[:50], [60])
 
 
 def test_bias_sweep_rejects_a_negative_m_offset(sim_cohort_800):
@@ -384,7 +397,7 @@ def test_bias_sweep_rejects_a_negative_m_offset(sim_cohort_800):
     records, _ = sim_cohort_800
     cases = with_confirmation(records[:50], np.random.default_rng(0))
     with pytest.raises(ValueError, match="m_offset"):
-        inference.bias_sweep(cases, [60], m_offset=-30, options=FAST)
+        inference.bias_sweep(cases, [60], m_offset=-30)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, special, stats
+from scipy import optimize, special, stats
 
 from bets import likelihood as lk
 from bets.likelihood import (
@@ -344,18 +344,8 @@ def test_quantile_inversion_takes_few_gammaincinv_calls(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Growth curve and the growth-onset integral
+# The growth-onset integral
 # ---------------------------------------------------------------------------
-
-def test_exponential_growth_integral():
-    ref, _ = integrate.quad(lambda t: 0.002 * math.exp(0.3 * t), 3.0, 17.0)
-    assert lk._exp_mass(0.002, 0.3, 3.0, 17.0) == pytest.approx(ref, rel=1e-12)
-    assert lk._exp_mass(0.002, 0.3, 5.0, 5.0) == 0.0
-    assert lk._exp_mass(0.002, 0.3, 6.0, 5.0) == 0.0  # b < a
-    assert lk._exp_mass(0.002, 1e-12, 3.0, 17.0) == pytest.approx(0.002 * 14.0, rel=1e-9)
-    got = lk._exp_mass(0.002, 0.3, np.array([3.0, 5.0]), np.array([17.0, 5.0]))
-    assert got[0] == lk._exp_mass(0.002, 0.3, 3.0, 17.0) and got[1] == 0.0
-
 
 def test_gamma_exp_integral_against_quadrature():
     rng = np.random.default_rng(21)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -30,6 +32,50 @@ def test_inference_reaches_the_terms_only_through_case_terms():
     bound = {"case_arrays", "cond_log_terms", "uncond_log_terms", "trunc_log_terms"}
     assert bound.isdisjoint(vars(bets.inference))
     assert bets.inference.case_terms is bets.likelihood.case_terms
+
+
+def _bets_imports(module: str) -> dict[str, set[str]]:
+    """{bets module: the names taken from it} of one module's source; a
+    module imported whole (`from . import timeline`) maps to no names, and
+    a name taken from the package itself is listed under "__init__"."""
+    src = os.path.dirname(bets.__file__)
+    with open(os.path.join(src, f"{module}.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("bets."):
+                    found.setdefault(alias.name.removeprefix("bets."), set())
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "bets"
+                                                   or node.module.startswith("bets.")):
+            base = (node.module or "").removeprefix("bets").lstrip(".")
+            for alias in node.names:
+                if base:
+                    found.setdefault(base, set()).add(alias.name)
+                elif os.path.exists(os.path.join(src, f"{alias.name}.py")):
+                    found.setdefault(alias.name, set())
+                else:
+                    found.setdefault("__init__", set()).add(alias.name)
+    return found
+
+
+@pytest.mark.parametrize("module", [m.removeprefix("bets.") for m in MODULES[1:]])
+def test_no_private_name_crosses_a_module(module):
+    """Each decision has one owner module; the others read it by a public name."""
+    private = {f"{other}.{name}" for other, names in _bets_imports(module).items()
+               for name in names if name.startswith("_") and not name.endswith("__")}
+    assert private == set()
+
+
+def test_the_model_and_the_sampler_stay_off_the_estimators():
+    """bayes reads only timeline; the generative model (the tests' oracle)
+    takes only the horizon and the r = 0 switch from likelihood, and its
+    incubation law is given by shape and rate alone."""
+    assert set(_bets_imports("bayes")) == {"timeline"}
+    assert _bets_imports("generative")["likelihood"] == {"L_DEFAULT", "R_SWITCH"}
+    params = inspect.signature(bets.generative.params_from_theta).parameters
+    assert {"median", "q95"}.isdisjoint(params)
 
 
 def test_every_layer_is_checked():

@@ -157,8 +157,18 @@ def test_parse_case_table_row_errors_carry_row_number():
     with pytest.raises(CaseTableError, match="row 1.*confirmed"):
         parse_case_table(make_table(
             "a-1,Wuhan,m,30,no,,no,,20-Jan,21-Jan,22-Jan,,not-a-date,"))
+    with pytest.raises(CaseTableError, match="row 1: missing confirmed date"):
+        parse_case_table(make_table("a-1,Wuhan,m,30,no,,no,,20-Jan,21-Jan,22-Jan,,,"))
     with pytest.raises(CaseTableError, match="empty table"):
         parse_case_table("")
+
+
+def test_parse_case_table_reads_unusable_cells_as_their_defaults():
+    """An unrecognized gender reads "unknown", an outside cell holding a
+    missing marker "no", and an unparseable age None."""
+    (case,) = parse_case_table(make_table(
+        "a-1,Wuhan,x,thirty,no,,NA,,20-Jan,21-Jan,22-Jan,,25-Jan,"))
+    assert (case.gender, case.outside, case.age) == ("unknown", "no", None)
 
 
 def test_parse_case_table_unparseable_optional_dates_become_none():
@@ -408,6 +418,14 @@ def test_atomic_write_text(tmp_path):
     timeline.atomic_write_text(path, "two")
     assert path.read_text() == "two"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_text_leaves_no_file_when_the_write_fails(tmp_path):
+    """Text that UTF-8 cannot encode (a lone surrogate) raises, and neither
+    the target nor the temporary file is left behind."""
+    with pytest.raises(UnicodeEncodeError):
+        timeline.atomic_write_text(tmp_path / "out.txt", "lone \ud800 surrogate")
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
