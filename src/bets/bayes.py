@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -513,66 +513,49 @@ class _Coords:
         return u
 
 
-def _last_two(fn):
-    """fn memoized on a bytes key passed before its arguments, for the last
-    two keys asked for."""
-    cache: OrderedDict[bytes, object] = OrderedDict()
-
-    def memo(key: bytes, *args):
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
-        value = cache[key] = fn(*args)
-        if len(cache) > 2:
-            cache.popitem(last=False)
-        return value
-
-    return memo
-
-
 def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteConfig):
     """The sampler's log-posterior on u; the bare prior when data is None.
 
-    Each piece is kept for the last two values (the chain's current state
-    and its latest proposal) of the part of u it reads: the scalar block's
-    state, log-Jacobian and h*-free likelihood terms; each stratum's pmf,
-    log pmf and prior; and each stratum's log numerators, which read both.
-    A scalar move thus leaves the pmfs alone, and an h* move recomputes
-    only its own stratum.  The pieces are added up in one fixed order, so
-    a value does not depend on what was kept.
+    target(u, parts=None, group=None) returns (value, parts), where parts
+    are the pieces the value was summed from: the scalar block's state and
+    log-Jacobian; each stratum's pmf, log pmf and prior; the h*-free
+    likelihood terms; and each stratum's log numerators.  Given the parts
+    of a state that differs from u only in proposal group `group` (0 the
+    scalars, 1 + s stratum s's logits), only the pieces that read that
+    group are recomputed: a scalar move keeps the pmfs, and a move of
+    stratum s keeps all but its pmf piece and log numerators.  parts is
+    None when the value is -inf.  The pieces are added up in one fixed
+    order, so a value does not depend on what was reused.
     """
-    n_scalars = coords.n_scalars
-
-    def pmf_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        h = _pmf(logits)
-        return h, np.log(np.maximum(h, _H_FLOOR)), log_prior_h(h, config.mu, _H0)
-
-    scalar_block = _last_two(lambda u: (coords.scalar_state(u), coords.scalar_log_jacobian(u)))
-    scalar_terms = _last_two(lambda state: _scalar_terms(data, state, config))
-    strata = [(sl, _last_two(pmf_terms), _last_two(_log_num)) for sl in coords.h_slices]
-
-    def log_post(u: np.ndarray) -> float:
-        key = u[:n_scalars].tobytes()
-        state, total = scalar_block(key, u)
-        h_keys = [u[sl].tobytes() for sl, _, _ in strata]
-        pmfs = [memo(h_key, u[sl]) for (sl, memo, _), h_key in zip(strata, h_keys)]
+    def log_post(u: np.ndarray, parts: tuple | None = None, group: int | None = None):
+        new_scalars = parts is None or group == 0
+        scalar, pmfs, terms, log_nums = parts or (None, [None] * coords.S, None, [None] * coords.S)
+        pmfs, log_nums = list(pmfs), list(log_nums)
+        moved = range(coords.S) if parts is None else range(group - 1, group) if group else ()
+        for s in moved:
+            h = _pmf(u[coords.h_slices[s]])
+            pmfs[s] = h, np.log(np.maximum(h, _H_FLOOR)), log_prior_h(h, config.mu, _H0)
+        if new_scalars:
+            scalar = coords.scalar_state(u), coords.scalar_log_jacobian(u)
+        state, total = scalar
         # log |d(natural) / du|: the scalars', then each pmf's sum of log h*
         total += float(np.concatenate([log_h for _, log_h, _ in pmfs]).sum())
         total += log_prior_rest(state, config)
         if not math.isfinite(total):
-            return -math.inf
+            return -math.inf, None
         for _, _, log_prior in pmfs:
             total += log_prior
         if data is not None:
-            terms = scalar_terms(key, state)
-            if terms is None:
-                return -math.inf
-            blocks, log_norm = terms
-            log_nums = [memo(key + h_key, G, w, h)
-                        for (_, _, memo), h_key, (G, w), (h, _, _)
-                        in zip(strata, h_keys, blocks, pmfs)]
-            total += _h_terms(data, log_nums, log_norm)[0]
-        return total if math.isfinite(total) else -math.inf
+            if new_scalars:
+                terms = _scalar_terms(data, state, config)
+                if terms is None:
+                    return -math.inf, None
+            for s in range(coords.S) if new_scalars else moved:
+                log_nums[s] = _log_num(*terms[0][s], pmfs[s][0])
+            total += _h_terms(data, log_nums, terms[1])[0]
+        if not math.isfinite(total):
+            return -math.inf, None
+        return total, (scalar, pmfs, terms, log_nums)
 
     return log_post
 
@@ -645,7 +628,11 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
     """One chain; returns (draw list of u, post-burn acceptance per group,
     final step sizes per group).
 
-    Each step proposes every group once, in order.  After every
+    Each step proposes every group once, in order.  The chain keeps the
+    current state's target parts (scalar state and log-Jacobian, each
+    stratum's pmf pieces, the h*-free likelihood terms and each stratum's
+    log numerators) and hands them to the target with the moved group, so
+    a proposal recomputes only what reads that group.  After every
     _ADAPT_WINDOW-th burn-in step, each group's step size adapts to its
     acceptance over those steps: x0.7 below 20%, x1.4 above 40%, kept within
     [1e-6, 50].  A partial last window does not adapt, and the step sizes
@@ -655,7 +642,7 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
     take = min(_H_BLOCK_SIZE, coords.h_block)
     step = step0.astype(float).copy()
     u = u0.copy()
-    lp = target(u)
+    lp, parts = target(u)
     if not np.isfinite(lp):
         raise RuntimeError("initial state has zero posterior density")
     draws: list[np.ndarray] = []
@@ -670,9 +657,9 @@ def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int
             else:
                 sel = sl.start + rng.choice(coords.h_block, size=take, replace=False)
                 prop[sel] += step[gi] * rng.standard_normal(take)
-            lp_prop = target(prop)
+            lp_prop, parts_prop = target(prop, parts, gi)
             if math.log(max(rng.random(), 1e-300)) < lp_prop - lp:
-                u, lp = prop, lp_prop
+                u, lp, parts = prop, lp_prop, parts_prop
                 (acc_window if in_burn else acc_post)[gi] += 1
         if in_burn and (it + 1) % _ADAPT_WINDOW == 0:
             rate = acc_window / _ADAPT_WINDOW
@@ -721,7 +708,7 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
         u0 = None
         for _ in range(1000):
             cand = _init_state(coords, config, rng, prior_only)
-            if np.isfinite(target(cand)):
+            if np.isfinite(target(cand)[0]):
                 u0 = cand
                 break
         if u0 is None:

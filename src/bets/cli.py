@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from datetime import date
 
 import numpy as np
@@ -134,8 +135,9 @@ def _params_dict(p: generative.GenerativeParams) -> dict:
 
 def _fit_from_flags(records: list[CaseRecord],
                     args) -> tuple[inference.FitResult, list[CaseRecord]]:
-    """The fit the flags ask for, and the records it was fitted to (those
-    with onset by the truncation day, for cond-trunc)."""
+    """The fit the flags ask for, warning when it did not converge, and the
+    records it was fitted to (those with onset by the truncation day, for
+    cond-trunc)."""
     kind = _KIND_FLAG[args.likelihood]
     M = None
     if kind == "cond_trunc":
@@ -147,7 +149,11 @@ def _fit_from_flags(records: list[CaseRecord],
             raise CliError(3, "no cases at or before the truncation day")
     fixed = _parse_fixed(getattr(args, "fix", None))
     options = inference.FitOptions(seed=args.seed)
-    return inference.mle_fit(records, kind, M=M, fixed=fixed, options=options), records
+    fit = inference.mle_fit(records, kind, M=M, fixed=fixed, options=options)
+    if not fit.converged:
+        print(f"warning: the {args.likelihood} fit did not converge ({fit.message})",
+              file=sys.stderr)
+    return fit, records
 
 
 def _theta_from_flags(records: list[CaseRecord], args) -> tuple[float, float, float, dict]:
@@ -225,8 +231,6 @@ def cmd_fit(args) -> int:
 def cmd_ci(args) -> int:
     fit, records = _fit_from_flags(
         _filter_location(_load_cohort(args.input), args.location), args)
-    if not fit.converged:
-        print(f"warning: the base fit did not converge ({fit.message})", file=sys.stderr)
     param = _PARAM_FLAG[args.param]
     if args.method == "profile":
         ci = inference.profile_ci(records, fit, param, level=args.level)
@@ -586,20 +590,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except CaseTableError as exc:
-        print(f"error: cannot parse input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LikelihoodError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():
+        # a library warning reaches stderr as one line, without its source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
+        except CaseTableError as exc:
+            print(f"error: cannot parse input: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (LikelihoodError, ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ oracle used throughout the test-suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -269,18 +269,10 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
     e = np.concatenate(kept_e)[:m]
     s = np.concatenate(kept_s)[:m]
     width = len(str(m))
-    if discretize_days:
-        records = [
-            CaseRecord.from_ints(f"sim-{i + 1:0{width}d}",
-                                 int(math.ceil(bi)), int(math.ceil(ei)), int(math.ceil(si)))
-            for i, (bi, ei, si) in enumerate(zip(b, e, s))
-        ]
-    else:
-        records = [
-            CaseRecord(case_id=f"sim-{i + 1:0{width}d}",
-                       B_int=int(math.ceil(bi)), E_int=int(math.ceil(ei)),
-                       S_int=int(math.ceil(si)), B=float(bi), E=float(ei),
-                       S=float(si))
-            for i, (bi, ei, si) in enumerate(zip(b, e, s))
-        ]
+    records = [CaseRecord.from_ints(f"sim-{i + 1:0{width}d}", int(math.ceil(bi)),
+                                    int(math.ceil(ei)), int(math.ceil(si)))
+               for i, (bi, ei, si) in enumerate(zip(b, e, s))]
+    if not discretize_days:
+        records = [replace(rec, B=float(bi), E=float(ei), S=float(si))
+                   for rec, bi, ei, si in zip(records, b, e, s)]
     return records, m / draws

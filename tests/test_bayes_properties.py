@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
 
 from bets import bayes
+from helpers import random_selected_records
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -32,3 +35,37 @@ def vectors(draw):
 @given(vectors())
 def test_logsumexp_is_scipys_bit_for_bit(x):
     assert bayes._logsumexp(x) == float(special.logsumexp(x))
+
+
+_CONFIGS = [bayes.DiscreteConfig(growth=g, departure=d, strata=s)
+            for g in bayes.GROWTH for d in bayes.DEPARTURE for s in bayes.STRATA]
+_RECORDS = random_selected_records(40, np.random.default_rng(12), strata=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=st.sampled_from(_CONFIGS), prior_only=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 0.5, 3.0]),
+       n_moves=st.integers(1, 3))
+def test_a_move_reuses_only_the_parts_its_group_does_not_read(config, prior_only, seed,
+                                                               spread, n_moves):
+    """From a random start, each move of one random group evaluated with the
+    current state's parts gives the from-scratch value bit for bit, and its
+    parts serve the next move; parts are None exactly when the value is
+    -inf."""
+    coords = bayes._Coords(config)
+    data = None if prior_only else bayes.DiscreteData.from_records(_RECORDS, config)
+    target = bayes._make_target(coords, data, config)
+    rng = np.random.default_rng(seed)
+    u = (bayes._init_state(coords, config, rng, prior_only)
+         + spread * rng.standard_normal(coords.size))
+    lp, parts = target(u)
+    for _ in range(n_moves):
+        assert (parts is None) == (lp == -math.inf)
+        group = int(rng.integers(1 + coords.S))
+        sl = slice(0, coords.n_scalars) if group == 0 else coords.h_slices[group - 1]
+        moved = u.copy()
+        moved[sl] += rng.exponential(1.0) * rng.standard_normal(sl.stop - sl.start)
+        lp, parts = target(moved, parts, group)
+        assert lp == target(moved)[0]
+        u = moved
+    assert (parts is None) == (lp == -math.inf)

@@ -556,17 +556,14 @@ def test_ci_profile_side_past_a_failed_refit_is_unbracketed(tmp_path):
 
 def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys):
     """The same profile: no refit hands the simplex a non-finite objective
-    (a truncated term read as +inf once did), so SciPy prints no
-    RuntimeWarning."""
+    (a truncated term read as +inf once did), so SciPy raises no
+    RuntimeWarning and stderr holds no warning line."""
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), "--likelihood",
-                         "cond-trunc", "--truncate-at", "50", "--param", "median",
-                         "--out", str(tmp_path / "ci")]) == 0
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), "--likelihood",
+                     "cond-trunc", "--truncate-at", "50", "--param", "median",
+                     "--out", str(tmp_path / "ci")]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
@@ -588,7 +585,13 @@ def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
-def test_ci_warns_on_a_non_converged_fit(sim_dir, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, output", [
+    (["fit"], "fit.json"), (["ci", "--param", "median"], "ci.json"), (["gof"], "gof.json"),
+    (["plot-data", "--kind", "onset-fit"], None)], ids=["fit", "ci", "gof", "plot-data"])
+def test_ci_warns_on_a_non_converged_fit(sim_dir, tmp_path, capsys, monkeypatch,
+                                         command, output):
+    """Every command that fits prints one warning line on stderr when the
+    fit did not converge, and still writes its output."""
     real = inference.mle_fit
 
     def stuck(*args, **kwargs):
@@ -597,12 +600,16 @@ def test_ci_warns_on_a_non_converged_fit(sim_dir, tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(inference, "mle_fit", stuck)
     out = str(tmp_path)
-    code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
-                     "--likelihood", "cond", "--param", "median", "--out", out])
+    code = cli.main([*command, "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--likelihood", "cond", "--out", out])
     assert code == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning:") and "boundary" in err[0]
-    assert read_json(out, "ci.json")["fit"]["converged"] is False
+    if output is None:
+        assert os.path.exists(os.path.join(out, "onset_fit.csv"))
+    else:
+        payload = read_json(out, output)
+        assert payload.get("fit", payload)["converged"] is False  # fit.json is the fit
 
 
 def test_ci_bootstrap_reflects_around_the_reported_fit(sim_dir, tmp_path):
@@ -681,6 +688,22 @@ def test_gof_with_explicit_parameters(sim_dir, tmp_path, capsys):
     assert payload["fit"] == {"source": "flags"}
     assert 0.0 <= payload["gof"]["p_value"] <= 1.0
     assert payload["gof"]["dof"] == payload["gof"]["n_bins"] - 1
+
+
+def test_library_warning_reaches_stderr_as_one_line(sim_dir, tmp_path, capsys):
+    """A warning raised inside a subcommand prints as one "warning:" line,
+    without the source line; the warning hook is restored afterwards."""
+    hook = warnings.showwarning
+    code = cli.main(["gof", "--in", os.path.join(sim_dir, "cohort.csv"),
+                     "--growth-rate", "0", "--shape", "0.3", "--rate", "0.013",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: marginal_s_density: approximation degrades for L = 54.0 "
+        "<= 4(alpha+5)/(beta+r) = 1.63e+03"]
+    assert captured.out.startswith("onset GOF")
+    assert warnings.showwarning is hook
 
 
 def test_gof_flag_combination_checked(sim_dir, tmp_path):
