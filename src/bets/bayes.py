@@ -160,10 +160,14 @@ def log_prior_h(h_star, mu: float, h0) -> float:
     h0 = np.asarray(h0, dtype=float)
     if h.shape != h0.shape:
         raise ValueError(f"h and h0 shapes differ: {h.shape} vs {h0.shape}")
-    log_h = np.log(h)
-    tilt = float(((mu * h0 - 1.0) * log_h).sum())
-    curv = 2.0 * log_h[1:-1] - log_h[:-2] - log_h[2:]
-    return tilt + float(np.minimum(curv, 0.0).sum())
+    return float(_log_prior_h(np.log(h), mu * h0 - 1.0))
+
+
+def _log_prior_h(log_h: np.ndarray, tilt: np.ndarray) -> np.ndarray:
+    """log_prior_h over the last axis of log(max(h*, _H_FLOOR)), with the
+    tilt weights mu*h0 - 1."""
+    curv = 2.0 * log_h[..., 1:-1] - log_h[..., :-2] - log_h[..., 2:]
+    return (tilt * log_h).sum(axis=-1) + np.minimum(curv, 0.0).sum(axis=-1)
 
 
 _R2_LOGNORM = math.log(2.0 * math.sqrt(2.0 * math.pi))  # Normal(0, sd 2) at its mode
@@ -231,9 +235,12 @@ class DiscreteData:
     and t_idx each row's candidate infection days S* - k
     (k = 0..max_incubation-1) as indices into the epidemic curve on 0..L,
     with the days outside the stay or outside 0..L pointing at day L + 1,
-    where the curve is 0.  dropped counts, by reason, the records
-    from_records left out.  The horizon l and the incubation support
-    max_incubation are DiscreteConfig's.
+    where the curve is 0.  Rows whose t_idx are equal share their sum over
+    infection days, so each stratum's distinct t_idx rows are kept once:
+    windows[s] holds them and rowmap[s] each of the stratum's rows' index
+    into them (windows[s][rowmap[s]] is t_idx[rows[s]]).  dropped counts, by
+    reason, the records from_records left out.  The horizon l and the
+    incubation support max_incubation are DiscreteConfig's.
     """
 
     b: np.ndarray
@@ -247,6 +254,9 @@ class DiscreteData:
     inverse: np.ndarray = field(init=False)
     rows: list = field(init=False)
     t_idx: np.ndarray = field(init=False)
+    windows: list = field(init=False)
+    rowmap: list = field(init=False)
+    _gathers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t, mask = _infection_days(self.b, self.e, self.s)
@@ -263,6 +273,11 @@ class DiscreteData:
         ends = np.searchsorted(self.stratum[self.first], np.arange(len(self.labels) + 1))
         self.rows = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
         self.t_idx = np.where(mask, t, DiscreteConfig.l + 1)[self.first]
+        self.windows, self.rowmap = [], []
+        for rows in self.rows:
+            windows, rowmap = np.unique(self.t_idx[rows], axis=0, return_inverse=True)
+            self.windows.append(windows)
+            self.rowmap.append(rowmap.ravel())
 
     @classmethod
     def from_records(cls, cases: Sequence[CaseRecord],
@@ -293,108 +308,152 @@ class DiscreteData:
         return len(self.b)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) of a 1-D array, rounded exactly as scipy.special.logsumexp
-    rounds it: the terms at the maximum are left out of the shifted sum and
-    counted back through log(n_max)."""
-    m = x.max()
-    at_max = x == m
-    rest = np.exp(x - m)
-    rest[at_max] = 0.0
-    n_max = np.count_nonzero(at_max)
-    return float(np.log1p(rest.sum() / n_max) + np.log(n_max) + m)
+# The likelihood below works on a batch of states at once, one row per state
+# (the sampler's chains): every array has the chain axis first, reductions run
+# over the contiguous last axis only and gathers are 1-D takes on flat
+# indices, so each row is rounded exactly as the same state alone.
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, each row rounded exactly as
+    scipy.special.logsumexp rounds it: the terms at the maximum are left out
+    of the shifted sum and counted back through log(n_max)."""
+    m = x.max(axis=-1)
+    at_max = x == m[..., None]
+    rest = np.where(at_max, 0.0, np.exp(x - m[..., None]))
+    n_max = at_max.sum(axis=-1)
+    return np.log1p(rest.sum(axis=-1) / n_max) + np.log(n_max) + m
 
 
-def _log_curve(r1: float, r2: float | None, config: DiscreteConfig) -> np.ndarray:
+def _log_curve(r1, r2, config: DiscreteConfig) -> np.ndarray:
     """Exponent of the epidemic curve on t = 0..L: r1*t, or r1 up to day l1
-    and r2 after it for two-stage growth."""
+    and r2 after it for two-stage growth; one row per entry of r1 and r2."""
     t = np.arange(config.l + 1, dtype=float)
+    r1 = np.asarray(r1, dtype=float)[..., None]
     if config.growth == "single":
         return r1 * t
+    r2 = np.asarray(r2, dtype=float)[..., None]
     return np.where(t <= config.l1, r1 * t, r1 * config.l1 + r2 * (t - config.l1))
 
 
-def _growth_curve(state: NonparamState, config: DiscreteConfig) -> np.ndarray | None:
-    """g*(t) on t = 0..L, or None when sum(g*) > 1 (rejected state)."""
-    expo = _log_curve(state.r1, state.r2, config)
-    if not state.kappa > 0:
-        return None
-    log_g = math.log(state.kappa) + expo
-    total = _logsumexp(log_g)
-    if total > 1e-9:  # sum g* > 1: outside the support
-        return None
-    return np.exp(log_g)
-
-
-def _departure_matrix(state: NonparamState, config: DiscreteConfig) -> np.ndarray:
-    """P(E* = e | B* = b) on the (b, e) grid, b <= e <= L (lower triangle unused)."""
+def _departure_matrix(eta: np.ndarray, config: DiscreteConfig) -> np.ndarray:
+    """P(E* = e | B* = b) of the geometric departure model on the (b, e)
+    grid, b <= e <= L (lower triangle unused), for a (chains, 2, 2) batch of
+    leave hazards."""
     T = config.l + 1
-    if config.departure == "uniform":
-        lam_b = np.where(np.arange(T) == 0, state.lambda_w, state.lambda_v)
-        return np.repeat(lam_b[:, None], T, axis=1)
-    days = np.arange(T)
-    pe = np.empty((T, T))
-    for cls_idx, rows in ((0, [0]), (1, list(range(1, T)))):
-        haz = np.where(days < config.l_chunyun, state.eta[cls_idx, 0], state.eta[cls_idx, 1])
-        with np.errstate(divide="ignore"):
-            cum = np.concatenate([[0.0], np.cumsum(np.log1p(-haz))])
-        log_pe = np.log(haz)[None, :] + cum[None, :-1] - cum[np.array(rows)][:, None]
-        pe[rows, :] = np.exp(log_pe)
-    return pe
+    haz = np.where(np.arange(T) < config.l_chunyun, eta[:, :, :1], eta[:, :, 1:])
+    cum = np.cumsum(np.log1p(-haz), axis=2)
+    cum = np.concatenate([np.zeros(cum.shape[:2] + (1,)), cum], axis=2)
+    head = np.log(haz) + cum[:, :, :-1]
+    log_pe = np.empty((len(eta), T, T))
+    log_pe[:, :1] = head[:, :1] - cum[:, :1, :1]             # residents: B* = 0
+    log_pe[:, 1:] = head[:, 1:] - cum[:, 1, 1:T, None]       # visitors: B* >= 1
+    return np.exp(log_pe)
 
 
 #: P(B* = b) for b = 0..L: resident atom and uniform visitor spread.
 _STAY_WEIGHTS = np.full(DiscreteConfig.l + 1, DiscreteConfig.visitor_weight / DiscreteConfig.l)
 _STAY_WEIGHTS[0] = 1.0 - DiscreteConfig.visitor_weight
 
-#: The b <= e half of the (b, e) grid on 0..L.
-_UPPER = np.triu(np.ones((DiscreteConfig.l + 1, DiscreteConfig.l + 1), dtype=bool))
+#: The b <= e half of the (b, e) grid on 0..L, as 1s among 0s.
+_UPPER = np.triu(np.ones((DiscreteConfig.l + 1, DiscreteConfig.l + 1)))
 
 
-def _scalar_terms(data: DiscreteData, state: NonparamState,
-                  config: DiscreteConfig) -> tuple | None:
-    """The part of the likelihood that does not involve h*: ([(G, w) of
-    each stratum], log P(D)).
+def _chain_flat(index: np.ndarray, n_chains: int, stride: int) -> np.ndarray:
+    """Indices into the flattened (n_chains, stride) array that pick index
+    in every row, so one 1-D take gathers them for all chains."""
+    return (np.arange(n_chains)[:, None] * stride + np.ravel(index)).ravel()
 
-    Over a stratum's distinct rows, G[i, k] is g*(S*_i - k) on row i's
-    feasible infection days and 0 off them, w[i] = P(B*_i) P(E*_i | B*_i),
-    and P(D) is the selection normalizer.  None for a zero-density state.
+
+class _Gathers:
+    """The flat gather indices of a batch of n chains on one data set: each
+    row's stay weight (w), each stratum's products g*(t) h*(k) on its
+    windows from the (T + 1, K) table of all of them (products), its rows
+    from its windows (rowmap), and each case from the rows (cases).  Get
+    them from _gathers, which builds them once per data set and batch size."""
+
+    def __init__(self, data: DiscreteData, config: DiscreteConfig, n: int):
+        T, K = config.l + 1, config.max_incubation
+        self.products = [_chain_flat(w * K + np.arange(K), n, (T + 1) * K)
+                         for w in data.windows]
+        b, e = data.b[data.first], data.e[data.first]
+        self.w = (_chain_flat(b, n, T) if config.departure == "uniform"
+                  else _chain_flat(b * T + e, n, T * T))
+        self.rowmap = [_chain_flat(m, n, len(w)) for m, w in zip(data.rowmap, data.windows)]
+        self.cases = _chain_flat(data.inverse, n, len(data.first))
+        self.rows = data.rows
+        self.n_rows, self.n_cases = len(data.first), len(data)
+
+
+def _gathers(data: DiscreteData, config: DiscreteConfig, n: int) -> _Gathers:
+    """The data's _Gathers for a batch of n chains under config's departure
+    model, built on first use."""
+    key = n, config.departure
+    if key not in data._gathers:
+        data._gathers[key] = _Gathers(data, config, n)
+    return data._gathers[key]
+
+
+def _scalar_terms(states: Sequence, config: DiscreteConfig, gathers: _Gathers) -> tuple:
+    """The part of the likelihood that does not involve h*, for a batch of
+    states: (ok, curve, w, log P(D)), one row per state.
+
+    curve[c] is g*(t) on t = 0..L followed by a 0 (the day L + 1 that
+    t_idx points infeasible days at), w[c, i] = P(B*_i) P(E*_i | B*_i) on
+    the distinct rows, and P(D) is the selection normalizer.  ok is False
+    for a zero-density state (sum(g*) > 1 or P(D) = 0): its log P(D) is nan,
+    so any log-likelihood summed from it is too, and its other entries are
+    meaningless.  Call it with floating-point errors ignored.
     """
-    g = _growth_curve(state, config)
-    if g is None:
-        return None
-    pe = _departure_matrix(state, config)
+    n, T = len(states), config.l + 1
+    kappa = [s.kappa for s in states]
+    log_kappa = np.array([math.log(k) if k > 0 else 0.0 for k in kappa])
+    r2 = [s.r2 for s in states] if config.growth == "two_stage" else None
+    log_g = log_kappa[:, None] + _log_curve([s.r1 for s in states], r2, config)
+    ok = np.greater(kappa, 0) & ~(_logsumexp(log_g) > 1e-9)  # else sum g* > 1
+    g = np.exp(log_g)
 
     # selection normalizer: sum over b <= e of P(b) P(e|b) * cumulative g on [b, e]
-    T = config.l + 1
-    cum_g = np.concatenate([[0.0], np.cumsum(g)])
-    interval_g = cum_g[None, 1:] - cum_g[:T, None]   # [b, e] inclusive mass
-    norm = float((_STAY_WEIGHTS[:, None] * pe * interval_g * _UPPER).sum())
-    if not norm > 0:
-        return None
-    G = np.append(g, 0.0)[data.t_idx]
-    b, e = data.b[data.first], data.e[data.first]
-    w = _STAY_WEIGHTS[b] * pe[b, e]
-    return [(G[rows], w[rows]) for rows in data.rows], math.log(norm)
+    cum_g = np.concatenate([np.zeros((n, 1)), np.cumsum(g, axis=1)], axis=1)
+    mass = cum_g[:, None, 1:] - cum_g[:, :T, None]   # [b, e] inclusive mass
+    if config.departure == "uniform":
+        lam_b = np.where(np.arange(T) == 0, np.array([[s.lambda_w] for s in states]),
+                         np.array([[s.lambda_v] for s in states]))
+        stay = _STAY_WEIGHTS * lam_b                  # P(b) P(e|b), the same for every e
+        mass *= stay[:, :, None]
+    else:
+        stay = _STAY_WEIGHTS[:, None] * _departure_matrix(np.array([s.eta for s in states]),
+                                                          config)
+        mass *= stay
+    mass *= _UPPER
+    norm = mass.reshape(n, -1).sum(axis=1)
+    ok &= norm > 0
+    log_norm = np.array([math.log(x) if good else math.nan
+                         for x, good in zip(norm.tolist(), ok.tolist())])
+    w = stay.ravel().take(gathers.w).reshape(n, -1)
+    return ok, np.concatenate([g, np.zeros((n, 1))], axis=1), w, log_norm
 
 
-def _log_num(G: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """log(w * sum_k G[:, k] h(k)) on one stratum's distinct rows: the log
-    numerator of their cases, -inf where it is zero."""
-    num = w * (G * h).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        return np.log(num)
+def _log_nums(gathers: _Gathers, curve: np.ndarray, w: np.ndarray, h: np.ndarray,
+              strata, out: np.ndarray) -> None:
+    """Write into out[:, rows of s], for each stratum s in strata, log(w *
+    sum_k curve(t_k) h_s(k)) on its distinct rows: their cases' log
+    numerators, -inf where zero.  Each window's products are gathered from
+    the table of every curve(t) h_s(k), summed once, and the sums gathered
+    to the rows.  Call it with floating-point errors ignored."""
+    n = len(h)
+    for s in strata:
+        table = curve[:, :, None] * h[:, s, None, :]
+        sums = table.ravel().take(gathers.products[s]).reshape(
+            n, -1, h.shape[-1]).sum(axis=2)
+        rows = gathers.rows[s]
+        out[:, rows] = np.log(w[:, rows] * sums.ravel().take(gathers.rowmap[s]).reshape(n, -1))
 
 
-def _h_terms(data: DiscreteData, log_nums: list, log_norm: float) -> tuple[float, int | None]:
-    """(log-likelihood, index of first zero-numerator case or None) from
-    each stratum's _log_num and the log P(D) of _scalar_terms.  The rows'
-    terms are summed case by case, in case order."""
-    log_num = np.concatenate(log_nums)[data.inverse]
-    zero = log_num == -math.inf
-    if zero.any():
-        return -math.inf, int(np.flatnonzero(zero)[0])
-    return float(log_num.sum() - len(data) * log_norm), None
+def _log_lik(gathers: _Gathers, log_num: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    """Each chain's log-likelihood from its rows' log numerators and its
+    log P(D): the cases' terms summed case by case, in case order."""
+    cases = log_num.ravel().take(gathers.cases).reshape(len(log_num), -1)
+    return cases.sum(axis=1) - gathers.n_cases * log_norm
 
 
 def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> float:
@@ -406,23 +465,29 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
     symptomatic fraction cancels and is omitted; the normalizer does not
     involve h*, so it is shared across strata.  States with sum(g*) > 1
     return -inf (outside the support); a case with zero numerator also
-    yields -inf, with a warning naming the case.
+    yields -inf, with a warning naming the case.  This is the sampler's
+    batch likelihood with one chain.
     """
     data = cases if isinstance(cases, DiscreteData) else DiscreteData.from_records(cases, config)
     if state.h.shape != (len(data.labels), config.max_incubation):
         raise ValueError(f"h must be {(len(data.labels), config.max_incubation)}, "
                          f"got {state.h.shape}")
     _check_state(state, config)
-    terms = _scalar_terms(data, state, config)
-    if terms is None:
-        return -math.inf
-    blocks, log_norm = terms
-    val, bad = _h_terms(data, [_log_num(G, w, h) for (G, w), h in zip(blocks, state.h)],
-                        log_norm)
-    if bad is not None:
+    gathers = _gathers(data, config, 1)
+    with np.errstate(all="ignore"):
+        ok, curve, w, log_norm = _scalar_terms([state], config, gathers)
+        if not ok[0]:
+            return -math.inf
+        log_num = np.empty((1, gathers.n_rows))
+        _log_nums(gathers, curve, w, state.h[None], range(len(data.labels)), log_num)
+        val = float(_log_lik(gathers, log_num, log_norm)[0])
+    zero = np.flatnonzero(log_num[0, data.inverse] == -math.inf)
+    if zero.size:
+        bad = int(zero[0])
         warnings.warn(f"case {data.case_ids[bad]} has zero likelihood "
                       f"(B*={data.b[bad]}, E*={data.e[bad]}, S*={data.s[bad]})",
                       RuntimeWarning, stacklevel=2)
+        return -math.inf
     return val
 
 
@@ -436,13 +501,31 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
 _Scalar = namedtuple("_Scalar", "name value to_u log_jac")
 
 
+def _expit(v: float) -> float:
+    """scipy.special.expit(v), 1 / (1 + exp(-v)), with the math module and
+    rounded the same way: 0 where exp(-v) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def _log1p_exp(v: float) -> float:
+    """numpy.logaddexp(0.0, v), with the math module and rounded the same way."""
+    if v == 0:
+        return _LN2
+    if v < 0:
+        return math.log1p(math.exp(v))
+    return v + math.log1p(math.exp(-v))
+
+
 def _box_scalar(name: str, upper: float = 1) -> _Scalar:
     """A scalar in (0, upper); u is the logit of value / upper."""
     def to_u(x):
         p = min(max(x * upper, 1e-15), 1 - 1e-15)
         return math.log(p / (1 - p))
-    return _Scalar(name, lambda v: float(sc.expit(v)) / upper, to_u,
-                   lambda v: -float(np.logaddexp(0.0, v)) - float(np.logaddexp(0.0, -v)))
+    return _Scalar(name, lambda v: _expit(v) / upper, to_u,
+                   lambda v: -_log1p_exp(v) - _log1p_exp(-v))
 
 
 #: Store names of the geometric departure hazards, in NonparamState.eta.flat
@@ -456,10 +539,10 @@ _ScalarState = namedtuple("_ScalarState", "r1 kappa r2 lambda_w lambda_v eta",
 
 
 def _pmf(logits: np.ndarray) -> np.ndarray:
-    """One stratum's incubation pmf: a softmax of its free logits and a last
-    logit pinned to 0."""
-    y = np.concatenate([logits, [0.0]])
-    return np.exp(y - _logsumexp(y))
+    """Incubation pmfs over the last axis: a softmax of the free logits and
+    a last logit pinned to 0."""
+    y = np.concatenate([logits, np.zeros(logits.shape[:-1] + (1,))], axis=-1)
+    return np.exp(y - _logsumexp(y)[..., None])
 
 
 class _Coords:
@@ -487,15 +570,16 @@ class _Coords:
                          for s in range(self.S)]
 
     def h(self, u: np.ndarray) -> np.ndarray:
-        """The (strata, K) incubation pmfs: a softmax of each stratum's logits."""
-        return np.array([_pmf(u[sl]) for sl in self.h_slices])
+        """The (..., strata, K) incubation pmfs of points u (..., size): a
+        softmax of each stratum's logits."""
+        return _pmf(u[..., self.n_scalars:].reshape(u.shape[:-1] + (self.S, self.h_block)))
 
-    def scalar_state(self, u: np.ndarray) -> _ScalarState:
+    def scalar_state(self, u) -> _ScalarState:
         values = {s.name: s.value(x) for s, x in zip(self.scalars, u)}
         eta = [values.pop(name) for name in _ETA_NAMES if name in values]
         return _ScalarState(eta=np.reshape(eta, (2, 2)) if eta else None, **values)
 
-    def scalar_log_jacobian(self, u: np.ndarray) -> float:
+    def scalar_log_jacobian(self, u) -> float:
         """log |d(scalars) / du| of the scalar block, so that the u-space
         target matches the natural prior."""
         return sum(s.log_jac(x) for s, x in zip(self.scalars, u) if s.log_jac is not None)
@@ -513,49 +597,114 @@ class _Coords:
         return u
 
 
-def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteConfig):
-    """The sampler's log-posterior on u; the bare prior when data is None.
+@dataclass
+class _Parts:
+    """A batch of chains' points u (chains, size) and the pieces their
+    log-posteriors were summed from, one row per chain: the scalar states
+    and log-Jacobians; each stratum's pmf, log pmf and prior, and the sum of
+    the log pmfs; the h*-free likelihood terms of _scalar_terms (curve, w,
+    log_norm); and every distinct row's log numerator.  A field is None when
+    the target does not use it."""
 
-    target(u, parts=None, group=None) returns (value, parts), where parts
-    are the pieces the value was summed from: the scalar block's state and
-    log-Jacobian; each stratum's pmf, log pmf and prior; the h*-free
-    likelihood terms; and each stratum's log numerators.  Given the parts
-    of a state that differs from u only in proposal group `group` (0 the
-    scalars, 1 + s stratum s's logits), only the pieces that read that
-    group are recomputed: a scalar move keeps the pmfs, and a move of
-    stratum s keeps all but its pmf piece and log numerators.  parts is
-    None when the value is -inf.  The pieces are added up in one fixed
-    order, so a value does not depend on what was reused.
+    u: np.ndarray
+    states: list | None = None
+    log_jac: np.ndarray | None = None
+    h: np.ndarray | None = None
+    log_h: np.ndarray | None = None
+    prior_h: np.ndarray | None = None
+    log_h_sum: np.ndarray | None = None
+    curve: np.ndarray | None = None
+    w: np.ndarray | None = None
+    log_norm: np.ndarray | None = None
+    log_num: np.ndarray | None = None
+
+    def moved(self, **changes) -> "_Parts":
+        """These parts with some fields replaced; the others are shared."""
+        return _Parts(**{**vars(self), **changes})
+
+    def merge(self, other: "_Parts", into: np.ndarray, take: np.ndarray) -> None:
+        """Copy other's rows `take` into this batch's rows `into`, in place;
+        a field other shares with this batch is left as it is.  When every
+        row of both is copied, this batch adopts other's fields instead."""
+        adopt = len(into) == len(self.u) == len(other.u)
+        for name, mine in vars(self).items():
+            theirs = getattr(other, name)
+            if mine is theirs:
+                continue
+            if adopt:
+                setattr(self, name, theirs)
+            elif isinstance(mine, list):
+                for i, j in zip(into.tolist(), take.tolist()):
+                    mine[i] = theirs[j]
+            else:
+                mine[into] = theirs[take]
+
+
+def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteConfig):
+    """The sampler's log-posterior on a batch of points; the bare prior when
+    data is None.
+
+    target(u, parts=None, group=None) takes points u (chains, size) and
+    returns (values, parts): each chain's log-posterior and the _Parts it
+    was summed from.  Given the parts of points that differ from u only in
+    proposal group `group` (0 the scalars, 1 + s stratum s's logits), only
+    the pieces that read that group are recomputed: a scalar move
+    recomputes the scalar states, the curve, the normalizer and every
+    stratum's log numerators and keeps the pmfs; a move of stratum s
+    recomputes s's pmf piece and log numerators and keeps the rest.  A
+    chain's value is -inf where its density is zero, and stays -inf under a
+    move that keeps the piece that made it zero.  Each chain's pieces are
+    added up in one fixed order, so its value depends neither on what was
+    reused nor on the other chains, and log_prior_rest is called once per
+    chain.
     """
-    def log_post(u: np.ndarray, parts: tuple | None = None, group: int | None = None):
+    tilt = config.mu * _H0 - 1.0
+
+    def pmf_parts(logits):
+        h = _pmf(logits)
+        log_h = np.log(np.maximum(h, _H_FLOOR))
+        return h, log_h, _log_prior_h(log_h, tilt)
+
+    def log_post(u: np.ndarray, parts: _Parts | None = None, group: int | None = None):
+        n = len(u)
         new_scalars = parts is None or group == 0
-        scalar, pmfs, terms, log_nums = parts or (None, [None] * coords.S, None, [None] * coords.S)
-        pmfs, log_nums = list(pmfs), list(log_nums)
-        moved = range(coords.S) if parts is None else range(group - 1, group) if group else ()
-        for s in moved:
-            h = _pmf(u[coords.h_slices[s]])
-            pmfs[s] = h, np.log(np.maximum(h, _H_FLOOR)), log_prior_h(h, config.mu, _H0)
+        if parts is None:
+            h, log_h, prior_h = pmf_parts(u[:, coords.n_scalars:].reshape(
+                n, coords.S, coords.h_block))
+            parts = _Parts(u, h=h, log_h=log_h, prior_h=prior_h)
+        elif group == 0:
+            parts = parts.moved(u=u)
+        else:
+            s = group - 1
+            h, log_h, prior_h = parts.h.copy(), parts.log_h.copy(), parts.prior_h.copy()
+            h[:, s], log_h[:, s], prior_h[:, s] = pmf_parts(u[:, coords.h_slices[s]])
+            parts = parts.moved(u=u, h=h, log_h=log_h, prior_h=prior_h)
+        if group != 0:  # every pmf is new, or one stratum's moved
+            parts.log_h_sum = parts.log_h.reshape(n, -1).sum(axis=1)
         if new_scalars:
-            scalar = coords.scalar_state(u), coords.scalar_log_jacobian(u)
-        state, total = scalar
-        # log |d(natural) / du|: the scalars', then each pmf's sum of log h*
-        total += float(np.concatenate([log_h for _, log_h, _ in pmfs]).sum())
-        total += log_prior_rest(state, config)
-        if not math.isfinite(total):
-            return -math.inf, None
-        for _, _, log_prior in pmfs:
-            total += log_prior
-        if data is not None:
-            if new_scalars:
-                terms = _scalar_terms(data, state, config)
-                if terms is None:
-                    return -math.inf, None
-            for s in range(coords.S) if new_scalars else moved:
-                log_nums[s] = _log_num(*terms[0][s], pmfs[s][0])
-            total += _h_terms(data, log_nums, terms[1])[0]
-        if not math.isfinite(total):
-            return -math.inf, None
-        return total, (scalar, pmfs, terms, log_nums)
+            rows = u[:, :coords.n_scalars].tolist()
+            parts.states = [coords.scalar_state(x) for x in rows]
+            parts.log_jac = np.array([coords.scalar_log_jacobian(x) for x in rows])
+        with np.errstate(all="ignore"):
+            # log |d(natural) / du|: the scalars', then each pmf's sum of log h*
+            total = parts.log_jac + parts.log_h_sum
+            total += [log_prior_rest(state, config) for state in parts.states]
+            for s in range(coords.S):
+                total += parts.prior_h[:, s]
+            if data is not None:
+                gathers = _gathers(data, config, n)
+                if new_scalars:
+                    ok, parts.curve, parts.w, parts.log_norm = _scalar_terms(
+                        parts.states, config, gathers)
+                    parts.log_num = np.empty((n, gathers.n_rows))
+                    total[~ok] = -math.inf
+                else:
+                    parts.log_num = parts.log_num.copy()
+                _log_nums(gathers, parts.curve, parts.w, parts.h,
+                          range(coords.S) if new_scalars else (group - 1,), parts.log_num)
+                total += _log_lik(gathers, parts.log_num, parts.log_norm)
+        total[~np.isfinite(total)] = -math.inf
+        return total, parts
 
     return log_post
 
@@ -617,57 +766,88 @@ def _init_state(coords: _Coords, config: DiscreteConfig, rng: np.random.Generato
     return coords.pack(NonparamState(**kwargs))
 
 
+def _find_starts(coords: _Coords, config: DiscreteConfig, target, rngs: list,
+                 prior_only: bool) -> tuple[np.ndarray, _Parts]:
+    """Each chain's start and its target value and parts: candidates drawn
+    from the chain's own generator until one has finite density, the
+    chains still searching evaluated as one batch."""
+    searching = np.arange(len(rngs))
+    lp = parts = None
+    for _ in range(1000):
+        cand = np.array([_init_state(coords, config, rngs[c], prior_only) for c in searching])
+        lp_cand, found = target(cand)
+        ok = np.isfinite(lp_cand)
+        if parts is None:
+            lp, parts = lp_cand, found
+        else:
+            lp[searching[ok]] = lp_cand[ok]
+            parts.merge(found, searching[ok], np.flatnonzero(ok))
+        searching = searching[~ok]
+        if not searching.size:
+            return lp, parts
+    raise RuntimeError(f"chain {searching[0]}: could not find a valid initial state")
+
+
 #: Incubation logits moved together in one h* proposal.
 _H_BLOCK_SIZE = 5
 #: Burn-in steps between two step-size adaptations.
 _ADAPT_WINDOW = 100
 
 
-def _run_chain_impl(coords: _Coords, target, steps: int, burn_in: int, thin: int,
-                    rng: np.random.Generator, u0: np.ndarray, step0: np.ndarray):
-    """One chain; returns (draw list of u, post-burn acceptance per group,
-    final step sizes per group).
+def _run_chains(coords: _Coords, target, steps: int, burn_in: int, thin: int, rngs: list,
+                lp: np.ndarray, parts: _Parts, step0: np.ndarray):
+    """Advance a batch of chains in lockstep from their starts' target
+    values lp and parts, both updated in place (parts.u too); returns (draws
+    of u (chains, draws, size), post-burn acceptance (chains, groups), final
+    step sizes (chains, groups)).
 
-    Each step proposes every group once, in order.  The chain keeps the
-    current state's target parts (scalar state and log-Jacobian, each
-    stratum's pmf pieces, the h*-free likelihood terms and each stratum's
-    log numerators) and hands them to the target with the moved group, so
-    a proposal recomputes only what reads that group.  After every
-    _ADAPT_WINDOW-th burn-in step, each group's step size adapts to its
-    acceptance over those steps: x0.7 below 20%, x1.4 above 40%, kept within
-    [1e-6, 50].  A partial last window does not adapt, and the step sizes
-    are frozen after burn-in.
+    Each step proposes every group once, in order, for all chains at once.
+    Each chain draws from its own generator, in the order it would alone:
+    the block of logits (h* groups), the normal step, then, after the batch
+    target has valued every proposal, the uniform that accepts or rejects
+    it; so no chain's draws depend on another's.  The target recomputes
+    only what reads the moved group, and the accepted chains take the
+    proposal's rows of the parts.  After every _ADAPT_WINDOW-th burn-in
+    step, each chain's step size of each group adapts to its acceptance
+    over those steps: x0.7 below 20%, x1.4 above 40%, kept within [1e-6,
+    50].  A partial last window does not adapt, and the step sizes are
+    frozen after burn-in.
     """
+    if not np.isfinite(lp).all():
+        raise RuntimeError("initial state has zero posterior density")
     groups = [slice(0, coords.n_scalars)] + coords.h_slices
     take = min(_H_BLOCK_SIZE, coords.h_block)
-    step = step0.astype(float).copy()
-    u = u0.copy()
-    lp, parts = target(u)
-    if not np.isfinite(lp):
-        raise RuntimeError("initial state has zero posterior density")
-    draws: list[np.ndarray] = []
-    acc_window = np.zeros(len(groups))
-    acc_post = np.zeros(len(groups))
+    chain = np.arange(len(rngs))[:, None]
+    step = np.tile(np.asarray(step0, dtype=float), (len(rngs), 1))
+    draws = np.empty((len(rngs), len(range(burn_in, steps, thin)), coords.size))
+    acc_window = np.zeros(step.shape)
+    acc_post = np.zeros(step.shape)
     for it in range(steps):
         in_burn = it < burn_in
         for gi, sl in enumerate(groups):
-            prop = u.copy()
+            prop = parts.u.copy()
             if gi == 0:
-                prop[sl] += step[gi] * rng.standard_normal(coords.n_scalars)
+                prop[:, sl] += step[:, :1] * [rng.standard_normal(coords.n_scalars)
+                                              for rng in rngs]
             else:
-                sel = sl.start + rng.choice(coords.h_block, size=take, replace=False)
-                prop[sel] += step[gi] * rng.standard_normal(take)
-            lp_prop, parts_prop = target(prop, parts, gi)
-            if math.log(max(rng.random(), 1e-300)) < lp_prop - lp:
-                u, lp, parts = prop, lp_prop, parts_prop
-                (acc_window if in_burn else acc_post)[gi] += 1
+                sel = [sl.start + rng.choice(coords.h_block, size=take, replace=False)
+                       for rng in rngs]
+                prop[chain, sel] += step[:, gi:gi + 1] * [rng.standard_normal(take)
+                                                          for rng in rngs]
+            lp_prop, moved = target(prop, parts, gi)
+            accept = np.flatnonzero([math.log(max(rng.random(), 1e-300)) < gain
+                                     for rng, gain in zip(rngs, (lp_prop - lp).tolist())])
+            if accept.size:
+                lp[accept] = lp_prop[accept]
+                parts.merge(moved, accept, accept)
+                (acc_window if in_burn else acc_post)[accept, gi] += 1
         if in_burn and (it + 1) % _ADAPT_WINDOW == 0:
             rate = acc_window / _ADAPT_WINDOW
             step[rate < 0.2] = np.maximum(step[rate < 0.2] * 0.7, 1e-6)
             step[rate > 0.4] = np.minimum(step[rate > 0.4] * 1.4, 50.0)
             acc_window[:] = 0.0
         if it >= burn_in and (it - burn_in) % thin == 0:
-            draws.append(u.copy())
+            draws[:, (it - burn_in) // thin] = parts.u
     return draws, acc_post / (steps - burn_in), step
 
 
@@ -682,6 +862,13 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     steps.  With prior_only=True the likelihood (and its curve-mass
     constraint) is dropped, leaving the bare prior as the target.
 
+    The chains run in lockstep as one batch: every proposal group is
+    evaluated for all chains at once, each stratum's sums over infection
+    days once per distinct window of days (DiscreteData.windows).  Each
+    chain draws from its own generator, spawned from seed, so chain i's
+    draws are the same whatever the number of chains, and each start is
+    evaluated once, in the start search.
+
     Raises RuntimeError if every chain's post-burn-in acceptance collapses
     below 1% (after adaptation), or if an initial state cannot be found.
     """
@@ -694,41 +881,21 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
             raise ValueError("no cases (use prior_only=True to sample the prior)")
         data = cases if isinstance(cases, DiscreteData) else DiscreteData.from_records(cases, config)
     target = _make_target(coords, data, config)
-    burn_in = steps // 2
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
+    lp, parts = _find_starts(coords, config, target, rngs, prior_only)
     base_step = np.array([0.1] + [0.15] * coords.S)
-
-    n_draws = len(range(burn_in, steps, thin))
-    scalars = {s.name: np.empty((chains, n_draws)) for s in coords.scalars}
-    h_arr = np.empty((chains, n_draws, coords.S, coords.K))
-    seq = np.random.SeedSequence(seed)
-    chain_rngs = [np.random.default_rng(s) for s in seq.spawn(chains)]
-    all_rates, all_steps = [], []
-    for ci in range(chains):
-        rng = chain_rngs[ci]
-        u0 = None
-        for _ in range(1000):
-            cand = _init_state(coords, config, rng, prior_only)
-            if np.isfinite(target(cand)[0]):
-                u0 = cand
-                break
-        if u0 is None:
-            raise RuntimeError(f"chain {ci}: could not find a valid initial state")
-        draws, rates, fstep = _run_chain_impl(coords, target, steps, burn_in, thin,
-                                              rng, u0, base_step)
-        h_arr[ci] = [coords.h(u) for u in draws]
-        for i, s in enumerate(coords.scalars):
-            scalars[s.name][ci] = [s.value(u[i]) for u in draws]
-        all_rates.append(rates)
-        all_steps.append(fstep)
-
-    rates_arr = np.asarray(all_rates)
-    if np.all(rates_arr.max(axis=1) < 0.01):
+    draws, rates, step = _run_chains(coords, target, steps, steps // 2, thin, rngs, lp, parts,
+                                     base_step)
+    scalars = {s.name: np.empty(draws.shape[:2]) for s in coords.scalars}
+    for i, s in enumerate(coords.scalars):
+        scalars[s.name][:] = [[s.value(x) for x in row] for row in draws[:, :, i].tolist()]
+    if np.all(rates.max(axis=1) < 0.01):
         raise RuntimeError(
             "sampler stuck: post-burn-in acceptance below 1% on every chain; "
-            f"rates per chain/group:\n{rates_arr}")
+            f"rates per chain/group:\n{rates}")
 
-    return ChainStore(config=config, scalars=scalars, h=h_arr,
-                      acceptance=rates_arr, step_sizes=np.asarray(all_steps),
+    return ChainStore(config=config, scalars=scalars, h=coords.h(draws),
+                      acceptance=rates, step_sizes=step,
                       n_cases=0 if data is None else len(data),
                       n_dropped=0 if data is None else data.n_dropped)
 

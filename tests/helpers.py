@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -141,6 +142,187 @@ def brute_log_lik_discrete(records, state, config):
         num *= p_b(c.B_int) * p_e(c.B_int, c.E_int)
         total += math.log(num) - math.log(norm)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Per-chain reference of the sampler's target
+# ---------------------------------------------------------------------------
+# The discrete sampler's log-posterior as one chain evaluated it before the
+# chains ran as a batch, kept verbatim: one state at a time, the departure
+# matrix in full, each distinct row's own sum over infection days, and the
+# SciPy/NumPy scalar maps.  The batch target must equal it bit for bit.
+
+_H_FLOOR = 1e-300
+
+
+def _ref_logsumexp(x):
+    m = x.max()
+    at_max = x == m
+    rest = np.exp(x - m)
+    rest[at_max] = 0.0
+    n_max = np.count_nonzero(at_max)
+    return float(np.log1p(rest.sum() / n_max) + np.log(n_max) + m)
+
+
+def _ref_log_curve(r1, r2, config):
+    t = np.arange(config.l + 1, dtype=float)
+    if config.growth == "single":
+        return r1 * t
+    return np.where(t <= config.l1, r1 * t, r1 * config.l1 + r2 * (t - config.l1))
+
+
+def _ref_growth_curve(state, config):
+    expo = _ref_log_curve(state.r1, state.r2, config)
+    if not state.kappa > 0:
+        return None
+    log_g = math.log(state.kappa) + expo
+    total = _ref_logsumexp(log_g)
+    if total > 1e-9:  # sum g* > 1: outside the support
+        return None
+    return np.exp(log_g)
+
+
+def _ref_departure_matrix(state, config):
+    T = config.l + 1
+    if config.departure == "uniform":
+        lam_b = np.where(np.arange(T) == 0, state.lambda_w, state.lambda_v)
+        return np.repeat(lam_b[:, None], T, axis=1)
+    days = np.arange(T)
+    pe = np.empty((T, T))
+    for cls_idx, rows in ((0, [0]), (1, list(range(1, T)))):
+        haz = np.where(days < config.l_chunyun, state.eta[cls_idx, 0], state.eta[cls_idx, 1])
+        with np.errstate(divide="ignore"):
+            cum = np.concatenate([[0.0], np.cumsum(np.log1p(-haz))])
+        log_pe = np.log(haz)[None, :] + cum[None, :-1] - cum[np.array(rows)][:, None]
+        pe[rows, :] = np.exp(log_pe)
+    return pe
+
+
+def _ref_stay_weights(config):
+    weights = np.full(config.l + 1, config.visitor_weight / config.l)
+    weights[0] = 1.0 - config.visitor_weight
+    return weights
+
+
+def _ref_scalar_terms(data, state, config):
+    g = _ref_growth_curve(state, config)
+    if g is None:
+        return None
+    pe = _ref_departure_matrix(state, config)
+    T = config.l + 1
+    stay = _ref_stay_weights(config)
+    upper = np.triu(np.ones((T, T), dtype=bool))
+    cum_g = np.concatenate([[0.0], np.cumsum(g)])
+    interval_g = cum_g[None, 1:] - cum_g[:T, None]
+    norm = float((stay[:, None] * pe * interval_g * upper).sum())
+    if not norm > 0:
+        return None
+    G = np.append(g, 0.0)[data.t_idx]
+    b, e = data.b[data.first], data.e[data.first]
+    w = stay[b] * pe[b, e]
+    return [(G[rows], w[rows]) for rows in data.rows], math.log(norm)
+
+
+def _ref_log_num(G, w, h):
+    num = w * (G * h).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(num)
+
+
+def _ref_h_terms(data, log_nums, log_norm):
+    log_num = np.concatenate(log_nums)[data.inverse]
+    zero = log_num == -math.inf
+    if zero.any():
+        return -math.inf, int(np.flatnonzero(zero)[0])
+    return float(log_num.sum() - len(data) * log_norm), None
+
+
+def _ref_log_prior_h(h_star, mu, h0):
+    h = np.maximum(np.asarray(h_star, dtype=float), _H_FLOOR)
+    log_h = np.log(h)
+    tilt = float(((mu * h0 - 1.0) * log_h).sum())
+    curv = 2.0 * log_h[1:-1] - log_h[:-2] - log_h[2:]
+    return tilt + float(np.minimum(curv, 0.0).sum())
+
+
+def _ref_pmf(logits):
+    y = np.concatenate([logits, [0.0]])
+    return np.exp(y - _ref_logsumexp(y))
+
+
+def _ref_scalar_maps(config):
+    """(name, value, log-Jacobian) of each sampled scalar, in u order."""
+    def box(name, upper=1):
+        return (name, lambda v: float(special.expit(v)) / upper,
+                lambda v: -float(np.logaddexp(0.0, v)) - float(np.logaddexp(0.0, -v)))
+    maps = [("r1", math.exp, lambda v: v)]
+    if config.growth == "two_stage":
+        maps.append(("r2", float, None))
+    maps.append(box("kappa"))
+    if config.departure == "uniform":
+        maps += [box("lambda_w", config.l), box("lambda_v", config.l)]
+    else:
+        maps += [box(name) for name in ("eta_w1", "eta_w2", "eta_v1", "eta_v2")]
+    return maps
+
+
+def reference_target(data, config):
+    """The per-chain log-posterior on one point u (1-D): target(u, parts=None,
+    group=None) -> (value, parts), parts None when the value is -inf; data
+    None gives the bare prior."""
+    from bets.bayes import DiscreteConfig, discretized_base_pmf, log_prior_rest
+
+    h0 = discretized_base_pmf(DiscreteConfig.max_incubation)
+    maps = _ref_scalar_maps(config)
+    n_scalars, h_block = len(maps), config.max_incubation - 1
+    n_strata = config.n_strata
+    h_slices = [slice(n_scalars + s * h_block, n_scalars + (s + 1) * h_block)
+                for s in range(n_strata)]
+
+    def scalar_state(u):
+        values = {name: value(x) for (name, value, _), x in zip(maps, u)}
+        eta = [values.pop(name) for name in ("eta_w1", "eta_w2", "eta_v1", "eta_v2")
+               if name in values]
+        fields = dict(r2=None, lambda_w=None, lambda_v=None, eta=None)
+        fields.update(values)
+        if eta:
+            fields["eta"] = np.reshape(eta, (2, 2))
+        return SimpleNamespace(**fields)
+
+    def scalar_log_jacobian(u):
+        return sum(jac(x) for (_, _, jac), x in zip(maps, u) if jac is not None)
+
+    def log_post(u, parts=None, group=None):
+        new_scalars = parts is None or group == 0
+        scalar, pmfs, terms, log_nums = parts or (None, [None] * n_strata, None,
+                                                  [None] * n_strata)
+        pmfs, log_nums = list(pmfs), list(log_nums)
+        moved = range(n_strata) if parts is None else range(group - 1, group) if group else ()
+        for s in moved:
+            h = _ref_pmf(u[h_slices[s]])
+            pmfs[s] = h, np.log(np.maximum(h, _H_FLOOR)), _ref_log_prior_h(h, config.mu, h0)
+        if new_scalars:
+            scalar = scalar_state(u), scalar_log_jacobian(u)
+        state, total = scalar
+        total += float(np.concatenate([log_h for _, log_h, _ in pmfs]).sum())
+        total += log_prior_rest(state, config)
+        if not math.isfinite(total):
+            return -math.inf, None
+        for _, _, log_prior in pmfs:
+            total += log_prior
+        if data is not None:
+            if new_scalars:
+                terms = _ref_scalar_terms(data, state, config)
+                if terms is None:
+                    return -math.inf, None
+            for s in range(n_strata) if new_scalars else moved:
+                log_nums[s] = _ref_log_num(*terms[0][s], pmfs[s][0])
+            total += _ref_h_terms(data, log_nums, terms[1])[0]
+        if not math.isfinite(total):
+            return -math.inf, None
+        return total, (scalar, pmfs, terms, log_nums)
+
+    return log_post
 
 
 # ---------------------------------------------------------------------------

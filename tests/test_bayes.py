@@ -33,6 +33,7 @@ from helpers import (
     discrete_cohort,
     random_discrete_state,
     random_selected_records,
+    reference_target,
 )
 
 
@@ -203,6 +204,20 @@ def test_discrete_data_rejects_infeasible_case():
     with pytest.raises(ValueError, match="far-1"):
         DiscreteData(b=np.array([0]), e=np.array([3]), s=np.array([40]),
                      stratum=np.array([0]), case_ids=["far-1"], labels=("all",))
+
+
+def test_discrete_data_windows_give_back_each_rows_days():
+    """Each stratum's distinct windows of candidate infection days, indexed
+    by its rows' rowmap, reproduce the rows' t_idx exactly; the windows are
+    distinct and fewer than the rows."""
+    config = DiscreteConfig(strata="gender")
+    recs = random_selected_records(300, np.random.default_rng(80), strata=True)
+    data = DiscreteData.from_records(recs, config)
+    for windows, rowmap, rows in zip(data.windows, data.rowmap, data.rows):
+        assert rowmap.shape == (rows.stop - rows.start,)
+        assert np.array_equal(windows[rowmap], data.t_idx[rows])
+        assert len(np.unique(windows, axis=0)) == len(windows)
+    assert sum(len(w) for w in data.windows) < len(data.first)
 
 
 def test_log_lik_discrete_matches_enumeration():
@@ -384,8 +399,9 @@ def test_posterior_summaries_shape(tiny_run):
 
 
 def test_frozen_proposals_accept_everything():
-    """A zero step proposes the current state: every move is accepted, the
-    burn-in adaptation keeps the step at zero, and the chain never moves."""
+    """A zero step proposes the current state: every move of every chain is
+    accepted, the burn-in adaptation keeps the step at zero, and no chain
+    moves."""
     recs, _ = discrete_cohort(40, np.random.default_rng(89))
     config = DiscreteConfig()
     data = DiscreteData.from_records(recs, config)
@@ -393,13 +409,14 @@ def test_frozen_proposals_accept_everything():
     h0 = discretized_base_pmf()
     target = bayes._make_target(coords, data, config)
     state = uniform_state(config, h=h0[None, :])
-    draws, rates, step = bayes._run_chain_impl(
-        coords, target, 600, 300, 10, np.random.default_rng(2),
-        coords.pack(state), np.zeros(1 + coords.S))
+    lp, parts = target(np.tile(coords.pack(state), (2, 1)))
+    rngs = [np.random.default_rng(2), np.random.default_rng(3)]
+    draws, rates, step = bayes._run_chains(coords, target, 600, 300, 10, rngs, lp, parts,
+                                           np.zeros(1 + coords.S))
     assert (rates == 1.0).all()
     assert (step == 0.0).all()
-    assert len(draws) == 30
-    for u in draws:
+    assert draws.shape == (2, 30, coords.size)
+    for u in draws.reshape(-1, coords.size):
         assert coords.scalar_state(u).r1 == pytest.approx(state.r1, rel=1e-12)
         np.testing.assert_allclose(coords.h(u), state.h, atol=1e-12)
 
@@ -408,26 +425,30 @@ def test_frozen_proposals_accept_everything():
                                      3 * bayes._ADAPT_WINDOW + 50])
 @pytest.mark.parametrize("accept", [True, False])
 def test_step_sizes_adapt_once_per_full_burn_in_window(burn_in, accept):
-    """Every group adapts after each full burn-in window and never after:
-    a target that accepts every move scales the steps by 1.4 per window, one
-    that rejects every move by 0.7; the post-burn-in rates are 1 and 0."""
+    """Every chain's every group adapts after each full burn-in window and
+    never after: a target that accepts every move scales the steps by 1.4
+    per window, one that rejects every move by 0.7; the post-burn-in rates
+    are 1 and 0."""
     config = DiscreteConfig(strata="gender")
     coords = bayes._Coords(config)
-    u0 = np.zeros(coords.size)
+    u0 = np.zeros((2, coords.size))
 
     def target(u, parts=None, group=None):
-        return (0.0 if accept or np.array_equal(u, u0) else -math.inf), None
+        keep = accept or np.array_equal(u, u0)
+        return np.full(len(u), 0.0 if keep else -math.inf), bayes._Parts(u)
 
     step0 = np.array([0.1, 0.15, 0.2])
     steps, thin = burn_in + 75, 10
-    draws, rates, step = bayes._run_chain_impl(coords, target, steps, burn_in, thin,
-                                               np.random.default_rng(7), u0, step0)
+    lp, parts = target(u0)
+    rngs = [np.random.default_rng(7), np.random.default_rng(8)]
+    draws, rates, step = bayes._run_chains(coords, target, steps, burn_in, thin, rngs, lp,
+                                           parts, step0)
     want = step0.copy()
     for _ in range(burn_in // bayes._ADAPT_WINDOW):
         want = want * (1.4 if accept else 0.7)
-    assert np.array_equal(step, want)
-    assert np.array_equal(rates, np.full(1 + coords.S, 1.0 if accept else 0.0))
-    assert len(draws) == len(range(burn_in, steps, thin))
+    assert np.array_equal(step, np.tile(want, (2, 1)))
+    assert np.array_equal(rates, np.full((2, 1 + coords.S), 1.0 if accept else 0.0))
+    assert draws.shape == (2, len(range(burn_in, steps, thin)), coords.size)
 
 
 def test_rwmh_input_validation():
@@ -475,9 +496,9 @@ def test_indistinguishable_strata_have_no_gap():
 
 
 def _uncached_target(coords, data, config):
-    """The sampler's log-posterior evaluated from scratch at every u: the
-    parts and moved group it is handed are ignored, so nothing is reused
-    between evaluations."""
+    """The sampler's log-posterior evaluated from scratch at every batch of
+    points: the parts and moved group it is handed are ignored, so nothing
+    is reused between evaluations."""
     target = bayes._make_target(coords, data, config)
 
     def log_post(u, parts=None, group=None):
@@ -488,57 +509,62 @@ def _uncached_target(coords, data, config):
 
 @pytest.fixture(scope="module")
 def gender_target():
+    """A gender-stratified cohort and three chains' valid starts."""
     base, _ = discrete_cohort(100, np.random.default_rng(93))
     recs = [dataclasses.replace(c, gender=("male", "female")[i % 2])
             for i, c in enumerate(base)]
     config = DiscreteConfig(strata="gender")
     data = DiscreteData.from_records(recs, config)
     coords = bayes._Coords(config)
-    fresh = _uncached_target(coords, data, config)
-    rng = np.random.default_rng(94)
-    u0 = bayes._init_state(coords, config, rng, prior_only=False)
-    while not np.isfinite(fresh(u0)[0]):
-        u0 = bayes._init_state(coords, config, rng, prior_only=False)
-    return coords, data, config, u0
+    rngs = [np.random.default_rng(s) for s in (94, 95, 96)]
+    _, parts = bayes._find_starts(coords, config, bayes._make_target(coords, data, config),
+                                  rngs, prior_only=False)
+    return coords, data, config, parts.u
 
 
 def test_cached_target_is_exact(gender_target, monkeypatch):
-    """Every value of the target that reuses the current state's parts
-    equals a from-scratch evaluation, on a chain with both accepted and
-    rejected scalar proposals."""
+    """Every value of the target that reuses the current points' parts
+    equals a from-scratch evaluation of the same batch, on chains with both
+    accepted and rejected scalar proposals; a scalar move recomputes the
+    h*-free terms once for the batch and no pmf, a move of stratum s only
+    s's pmfs."""
     coords, data, config, u0 = gender_target
-    scalar_calls, pmf_calls = [], []
+    scalar_calls, pmf_shapes = [], []
 
-    def counted(real, calls):
+    def counted(real, record):
         def fn(*args):
-            calls.append(1)
+            record(args)
             return real(*args)
         return fn
 
-    monkeypatch.setattr(bayes, "_scalar_terms", counted(bayes._scalar_terms, scalar_calls))
-    monkeypatch.setattr(bayes, "_pmf", counted(bayes._pmf, pmf_calls))
+    monkeypatch.setattr(bayes, "_scalar_terms", counted(
+        bayes._scalar_terms, lambda args: scalar_calls.append(len(args[0]))))
+    monkeypatch.setattr(bayes, "_pmf", counted(
+        bayes._pmf, lambda args: pmf_shapes.append(args[0].shape)))
     target = bayes._make_target(coords, data, config)
     visited = []
 
     def recorded(u, parts=None, group=None):
         lp, parts = target(u, parts, group)
-        visited.append((u.copy(), lp))
+        visited.append((u.copy(), lp.copy()))
         return lp, parts
 
-    steps = 150
-    _, rates, _ = bayes._run_chain_impl(coords, recorded, steps, 0, 1,
-                                        np.random.default_rng(5), u0,
-                                        np.array([0.3, 0.15, 0.15]))
-    assert 0 < rates[0] < 1  # scalar moves both accepted and rejected
-    # once per scalar proposal plus the start: no h move recomputes them
-    assert len(scalar_calls) == 1 + steps
-    # each stratum's pmf once at the start and once per move of its logits
-    assert len(pmf_calls) == coords.S * (1 + steps)
+    steps, n = 150, len(u0)
+    lp, parts = recorded(u0.copy())  # the chains move parts.u in place
+    rngs = [np.random.default_rng(5 + c) for c in range(n)]
+    _, rates, _ = bayes._run_chains(coords, recorded, steps, 0, 1, rngs, lp, parts,
+                                    np.array([0.3, 0.15, 0.15]))
+    assert 0 < rates[:, 0].min() and rates[:, 0].max() < 1  # scalar moves both ways
+    # once for the starts, then once per batch of scalar proposals
+    assert scalar_calls == [n] * (1 + steps)
+    # every stratum's pmfs at the start, then one stratum's per move of its logits
+    assert pmf_shapes == [(n, coords.S, coords.h_block)] + [(n, coords.h_block)] * (
+        coords.S * steps)
     assert len(visited) == 1 + steps * (1 + coords.S)
     monkeypatch.undo()
     fresh = _uncached_target(coords, data, config)
     for u, lp in visited:
-        assert lp == fresh(u)[0]
+        assert np.array_equal(lp, fresh(u)[0])
 
 
 def test_cached_target_leaves_the_chain_unchanged(gender_target):
@@ -549,14 +575,94 @@ def test_cached_target_leaves_the_chain_unchanged(gender_target):
     runs = []
     for target in (bayes._make_target(coords, data, config),
                    _uncached_target(coords, data, config)):
-        draws, rates, step = bayes._run_chain_impl(
-            coords, target, 300, 2 * bayes._ADAPT_WINDOW + 20, 5,
-            np.random.default_rng(6), u0, step0)
-        runs.append((np.array(draws), rates, step))
+        lp, parts = target(u0.copy())  # the chains move parts.u in place
+        rngs = [np.random.default_rng(6 + c) for c in range(len(u0))]
+        runs.append(bayes._run_chains(coords, target, 300, 2 * bayes._ADAPT_WINDOW + 20, 5,
+                                      rngs, lp, parts, step0))
     (d1, r1, s1), (d2, r2, s2) = runs
-    assert not np.array_equal(s1, step0)  # the adaptation fired
+    assert not np.array_equal(s1, np.tile(step0, (len(u0), 1)))  # the adaptation fired
     assert np.array_equal(d1, d2)
     assert np.array_equal(r1, r2) and np.array_equal(s1, s2)
+
+
+def test_chains_do_not_couple():
+    """Chain i of a batch draws exactly what it draws in a smaller batch:
+    the same draws, acceptance rates and step sizes, whatever the other
+    chains do."""
+    recs = random_selected_records(80, np.random.default_rng(99), strata=True)
+    config = DiscreteConfig(strata="gender")
+    runs = {n: rwmh_run(recs, config, steps=300, chains=n, seed=5, thin=5) for n in (1, 2, 4)}
+    for small, big in ((1, 4), (2, 4), (1, 2)):
+        a, b = runs[small], runs[big]
+        assert np.array_equal(a.h, b.h[:small])
+        assert np.array_equal(a.acceptance, b.acceptance[:small])
+        assert np.array_equal(a.step_sizes, b.step_sizes[:small])
+        for name, values in a.scalars.items():
+            assert np.array_equal(values, b.scalars[name][:small])
+    assert not np.array_equal(runs[4].h[0], runs[4].h[1])
+
+
+def test_each_start_is_evaluated_once(monkeypatch):
+    """The chains start from the parts the start search computed: the
+    target runs once per start candidate and once per chain and move."""
+    recs = random_selected_records(40, np.random.default_rng(90), strata=True)
+    starts, evals = [], []
+    init_state, log_prior_rest = bayes._init_state, bayes.log_prior_rest
+    monkeypatch.setattr(bayes, "_init_state",
+                        lambda *args: starts.append(1) or init_state(*args))
+    monkeypatch.setattr(bayes, "log_prior_rest",
+                        lambda *args: evals.append(1) or log_prior_rest(*args))
+    config = DiscreteConfig(strata="gender")
+    rwmh_run(recs, config, steps=20, chains=3, seed=1, thin=1)
+    assert len(starts) >= 3
+    assert len(evals) == len(starts) + 3 * 20 * (1 + config.n_strata)
+
+
+@pytest.mark.parametrize("strata", ["none", "gender", "age50"])
+@pytest.mark.parametrize("departure", ["uniform", "geometric"])
+@pytest.mark.parametrize("growth", ["single", "two_stage"])
+def test_batch_target_equals_the_per_chain_reference(growth, departure, strata):
+    """On a batch with finite and -inf chains side by side (an oversized
+    curve, a scalar off its prior box), the batch target, from scratch and
+    after a move of each group from the batch's parts, equals the per-chain
+    reference bit for bit, with the likelihood and for the bare prior."""
+    config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
+    coords = bayes._Coords(config)
+    recs = random_selected_records(40, np.random.default_rng(12), strata=True)
+    kappa = [s.name for s in coords.scalars].index("kappa")
+    for data in (DiscreteData.from_records(recs, config), None):
+        target = bayes._make_target(coords, data, config)
+        reference = reference_target(data, config)
+        rngs = [np.random.default_rng(13 + c) for c in range(5)]
+        u = bayes._find_starts(coords, config, target, rngs, data is None)[1].u
+        u += np.array([0.0, 0.02, 0.0, 1.0, 0.0])[:, None] * rngs[0].standard_normal(u.shape)
+        u[2, kappa] = 40.0    # kappa rounds to 1: off its prior box
+        u[4, 0] = math.log(3.0)   # r1 = 3: sum(g*) > 1 unless prior-only
+        lp, parts = target(u)
+        want = [reference(x)[0] for x in u]
+        assert np.array_equal(lp, want)
+        assert np.isfinite(want).sum() >= 2 and want[2] == -math.inf
+        for group, sl in enumerate([slice(0, coords.n_scalars)] + coords.h_slices):
+            moved = u.copy()
+            moved[:, sl] += 0.2 * rngs[0].standard_normal((len(u), sl.stop - sl.start))
+            lp_moved, _ = target(moved, parts, group)
+            assert np.array_equal(lp_moved, [reference(x)[0] for x in moved])
+
+
+def test_scalar_maps_round_as_scipy_and_numpy():
+    """The math-module expit and log(1 + exp(v)) of the scalar maps equal
+    scipy.special.expit and numpy.logaddexp(0, v) bit for bit, also where
+    exp(-v) overflows (v below about -709.78) and expit is 0."""
+    rng = np.random.default_rng(100)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 37.0, -37.0, 709.78, -709.78,
+             -709.79, -745.2, -746.0, -1000.0, 1000.0]
+    values = np.concatenate([rng.normal(0.0, 3.0, 20_000), rng.uniform(-800, 800, 20_000),
+                             edges])
+    assert (values < -709.79).sum() > 1000
+    for v in values.tolist():
+        assert bayes._expit(v) == float(special.expit(v))
+        assert bayes._log1p_exp(v) == float(np.logaddexp(0.0, v))
+    assert bayes._expit(-746.0) == 0.0
 
 
 def _public_log_post(coords, data, config, h0, u, prior_only=False):
@@ -577,9 +683,10 @@ def _public_log_post(coords, data, config, h0, u, prior_only=False):
 @pytest.mark.parametrize("growth", ["single", "two_stage"])
 def test_target_matches_the_public_pieces(growth, departure, strata):
     """On a cohort with repeated whole-day cases, the target, which evaluates
-    each distinct case once, equals the sum of the public pieces bit for
-    bit, and agrees with them on -inf for an oversized curve and for a case
-    with zero likelihood."""
+    each distinct case once and a batch of points at a time, equals the sum
+    of the public pieces bit for bit at every point of the batch, and
+    agrees with them on -inf for an oversized curve and for a case with
+    zero likelihood."""
     config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
     rng = np.random.default_rng(98)
     base = random_selected_records(30, rng, strata=True)
@@ -595,24 +702,19 @@ def test_target_matches_the_public_pieces(growth, departure, strata):
     target = bayes._make_target(coords, data, config)
     prior = bayes._make_target(coords, None, config)
     u0 = coords.pack(random_discrete_state(rng, config))
-    n_finite = 0
-    for _ in range(15):
-        u = u0 + 0.1 * rng.standard_normal(coords.size)
-        want = _public_log_post(coords, data, config, h0, u)
-        got = target(u)[0]
-        if want == -math.inf:
-            assert got == -math.inf
-        else:
-            n_finite += 1
-            assert got == want
-        assert prior(u)[0] == _public_log_post(coords, data, config, h0, u, prior_only=True)
-    assert n_finite >= 10
+    us = u0 + 0.1 * rng.standard_normal((15, coords.size))
+    want = [_public_log_post(coords, data, config, h0, u) for u in us]
+    assert np.isfinite(want).sum() >= 10
+    assert np.array_equal(target(us)[0], want)
+    assert np.array_equal(prior(us)[0], [
+        _public_log_post(coords, data, config, h0, u, prior_only=True) for u in us])
 
     heavy = u0.copy()
     heavy[0], heavy[coords.scalars.index(next(
         s for s in coords.scalars if s.name == "kappa"))] = math.log(0.5), 20.0
     assert _public_log_post(coords, data, config, h0, heavy) == -math.inf
-    assert target(heavy) == (-math.inf, None)
+    assert np.array_equal(target(np.array([heavy, u0]))[0],
+                          [-math.inf, _public_log_post(coords, data, config, h0, u0)])
 
     # every pmf all on day 0: only a case with onset during its stay is possible
     first_only = u0.copy()
@@ -627,10 +729,10 @@ def test_target_matches_the_public_pieces(growth, departure, strata):
     with pytest.warns(RuntimeWarning, match="case gap-1 has zero likelihood"):
         assert _public_log_post(coords, gap_data, config, h0, first_only) == -math.inf
     gap_target = bayes._make_target(coords, gap_data, config)
-    assert gap_target(first_only) == (-math.inf, None)
+    assert gap_target(first_only[None])[0][0] == -math.inf
     during_data = DiscreteData.from_records(during, config)
-    assert bayes._make_target(coords, during_data, config)(
-        first_only)[0] == _public_log_post(coords, during_data, config, h0, first_only)
+    assert bayes._make_target(coords, during_data, config)(first_only[None])[0][0] == (
+        _public_log_post(coords, during_data, config, h0, first_only))
 
 
 # ---------------------------------------------------------------------------
