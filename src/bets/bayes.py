@@ -238,9 +238,13 @@ class DiscreteData:
     where the curve is 0.  Rows whose t_idx are equal share their sum over
     infection days, so each stratum's distinct t_idx rows are kept once:
     windows[s] holds them and rowmap[s] each of the stratum's rows' index
-    into them (windows[s][rowmap[s]] is t_idx[rows[s]]).  dropped counts, by
-    reason, the records from_records left out.  The horizon l and the
-    incubation support max_incubation are DiscreteConfig's.
+    into them (windows[s][rowmap[s]] is t_idx[rows[s]]).  products[s]
+    indexes each window's g*(t) h*(k) in the flattened (L + 2, K) table of
+    them, and stay_index[departure] each row's P(B*) P(E*|B*) in the
+    flattened stay weights: B* for uniform, B* (L + 1) + E* for geometric.
+    dropped counts, by reason, the records from_records left out.  The
+    horizon l and the incubation support K = max_incubation are
+    DiscreteConfig's.
     """
 
     b: np.ndarray
@@ -256,7 +260,8 @@ class DiscreteData:
     t_idx: np.ndarray = field(init=False)
     windows: list = field(init=False)
     rowmap: list = field(init=False)
-    _gathers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    products: list = field(init=False)
+    stay_index: dict = field(init=False)
 
     def __post_init__(self):
         t, mask = _infection_days(self.b, self.e, self.s)
@@ -278,6 +283,10 @@ class DiscreteData:
             windows, rowmap = np.unique(self.t_idx[rows], axis=0, return_inverse=True)
             self.windows.append(windows)
             self.rowmap.append(rowmap.ravel())
+        K = DiscreteConfig.max_incubation
+        self.products = [w * K + np.arange(K) for w in self.windows]
+        b, e = self.b[self.first], self.e[self.first]
+        self.stay_index = {"uniform": b, "geometric": b * (DiscreteConfig.l + 1) + e}
 
     @classmethod
     def from_records(cls, cases: Sequence[CaseRecord],
@@ -309,9 +318,10 @@ class DiscreteData:
 
 
 # The likelihood below works on a batch of states at once, one row per state
-# (the sampler's chains): every array has the chain axis first, reductions run
-# over the contiguous last axis only and gathers are 1-D takes on flat
-# indices, so each row is rounded exactly as the same state alone.
+# (the sampler's chains): every array is C-contiguous with the chain axis
+# first, gathers take whole columns (x.take(index, axis=1)), reductions run
+# over the contiguous last axis only and products are elementwise, so each
+# row is rounded exactly as the same state alone.
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over the last axis, each row rounded exactly as
@@ -358,42 +368,7 @@ _STAY_WEIGHTS[0] = 1.0 - DiscreteConfig.visitor_weight
 _UPPER = np.triu(np.ones((DiscreteConfig.l + 1, DiscreteConfig.l + 1)))
 
 
-def _chain_flat(index: np.ndarray, n_chains: int, stride: int) -> np.ndarray:
-    """Indices into the flattened (n_chains, stride) array that pick index
-    in every row, so one 1-D take gathers them for all chains."""
-    return (np.arange(n_chains)[:, None] * stride + np.ravel(index)).ravel()
-
-
-class _Gathers:
-    """The flat gather indices of a batch of n chains on one data set: each
-    row's stay weight (w), each stratum's products g*(t) h*(k) on its
-    windows from the (T + 1, K) table of all of them (products), its rows
-    from its windows (rowmap), and each case from the rows (cases).  Get
-    them from _gathers, which builds them once per data set and batch size."""
-
-    def __init__(self, data: DiscreteData, config: DiscreteConfig, n: int):
-        T, K = config.l + 1, config.max_incubation
-        self.products = [_chain_flat(w * K + np.arange(K), n, (T + 1) * K)
-                         for w in data.windows]
-        b, e = data.b[data.first], data.e[data.first]
-        self.w = (_chain_flat(b, n, T) if config.departure == "uniform"
-                  else _chain_flat(b * T + e, n, T * T))
-        self.rowmap = [_chain_flat(m, n, len(w)) for m, w in zip(data.rowmap, data.windows)]
-        self.cases = _chain_flat(data.inverse, n, len(data.first))
-        self.rows = data.rows
-        self.n_rows, self.n_cases = len(data.first), len(data)
-
-
-def _gathers(data: DiscreteData, config: DiscreteConfig, n: int) -> _Gathers:
-    """The data's _Gathers for a batch of n chains under config's departure
-    model, built on first use."""
-    key = n, config.departure
-    if key not in data._gathers:
-        data._gathers[key] = _Gathers(data, config, n)
-    return data._gathers[key]
-
-
-def _scalar_terms(states: Sequence, config: DiscreteConfig, gathers: _Gathers) -> tuple:
+def _scalar_terms(states: Sequence, config: DiscreteConfig, data: DiscreteData) -> tuple:
     """The part of the likelihood that does not involve h*, for a batch of
     states: (ok, curve, w, log P(D)), one row per state.
 
@@ -429,31 +404,30 @@ def _scalar_terms(states: Sequence, config: DiscreteConfig, gathers: _Gathers) -
     ok &= norm > 0
     log_norm = np.array([math.log(x) if good else math.nan
                          for x, good in zip(norm.tolist(), ok.tolist())])
-    w = stay.ravel().take(gathers.w).reshape(n, -1)
+    w = stay.reshape(n, -1).take(data.stay_index[config.departure], axis=1)
     return ok, np.concatenate([g, np.zeros((n, 1))], axis=1), w, log_norm
 
 
-def _log_nums(gathers: _Gathers, curve: np.ndarray, w: np.ndarray, h: np.ndarray,
+def _log_nums(data: DiscreteData, curve: np.ndarray, w: np.ndarray, h: np.ndarray,
               strata, out: np.ndarray) -> None:
     """Write into out[:, rows of s], for each stratum s in strata, log(w *
     sum_k curve(t_k) h_s(k)) on its distinct rows: their cases' log
-    numerators, -inf where zero.  Each window's products are gathered from
-    the table of every curve(t) h_s(k), summed once, and the sums gathered
-    to the rows.  Call it with floating-point errors ignored."""
+    numerators, -inf where zero.  Each window's products are taken from the
+    table of every curve(t) h_s(k) with data.products[s], summed once, and
+    the sums taken to the rows with data.rowmap[s].  Call it with
+    floating-point errors ignored."""
     n = len(h)
     for s in strata:
-        table = curve[:, :, None] * h[:, s, None, :]
-        sums = table.ravel().take(gathers.products[s]).reshape(
-            n, -1, h.shape[-1]).sum(axis=2)
-        rows = gathers.rows[s]
-        out[:, rows] = np.log(w[:, rows] * sums.ravel().take(gathers.rowmap[s]).reshape(n, -1))
+        table = (curve[:, :, None] * h[:, s, None, :]).reshape(n, -1)
+        sums = table.take(data.products[s], axis=1).sum(axis=2)
+        rows = data.rows[s]
+        out[:, rows] = np.log(w[:, rows] * sums.take(data.rowmap[s], axis=1))
 
 
-def _log_lik(gathers: _Gathers, log_num: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+def _log_lik(data: DiscreteData, log_num: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     """Each chain's log-likelihood from its rows' log numerators and its
     log P(D): the cases' terms summed case by case, in case order."""
-    cases = log_num.ravel().take(gathers.cases).reshape(len(log_num), -1)
-    return cases.sum(axis=1) - gathers.n_cases * log_norm
+    return log_num.take(data.inverse, axis=1).sum(axis=1) - len(data) * log_norm
 
 
 def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> float:
@@ -473,14 +447,13 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
         raise ValueError(f"h must be {(len(data.labels), config.max_incubation)}, "
                          f"got {state.h.shape}")
     _check_state(state, config)
-    gathers = _gathers(data, config, 1)
     with np.errstate(all="ignore"):
-        ok, curve, w, log_norm = _scalar_terms([state], config, gathers)
+        ok, curve, w, log_norm = _scalar_terms([state], config, data)
         if not ok[0]:
             return -math.inf
-        log_num = np.empty((1, gathers.n_rows))
-        _log_nums(gathers, curve, w, state.h[None], range(len(data.labels)), log_num)
-        val = float(_log_lik(gathers, log_num, log_norm)[0])
+        log_num = np.empty((1, len(data.first)))
+        _log_nums(data, curve, w, state.h[None], range(len(data.labels)), log_num)
+        val = float(_log_lik(data, log_num, log_norm)[0])
     zero = np.flatnonzero(log_num[0, data.inverse] == -math.inf)
     if zero.size:
         bad = int(zero[0])
@@ -601,10 +574,10 @@ class _Coords:
 class _Parts:
     """A batch of chains' points u (chains, size) and the pieces their
     log-posteriors were summed from, one row per chain: the scalar states
-    and log-Jacobians; each stratum's pmf, log pmf and prior, and the sum of
-    the log pmfs; the h*-free likelihood terms of _scalar_terms (curve, w,
-    log_norm); and every distinct row's log numerator.  A field is None when
-    the target does not use it."""
+    and log-Jacobians; each stratum's pmf, log pmf and prior; the h*-free
+    likelihood terms of _scalar_terms (curve, w, log_norm); and every
+    distinct row's log numerator.  A field is None when the target does not
+    use it."""
 
     u: np.ndarray
     states: list | None = None
@@ -612,7 +585,6 @@ class _Parts:
     h: np.ndarray | None = None
     log_h: np.ndarray | None = None
     prior_h: np.ndarray | None = None
-    log_h_sum: np.ndarray | None = None
     curve: np.ndarray | None = None
     w: np.ndarray | None = None
     log_norm: np.ndarray | None = None
@@ -624,16 +596,12 @@ class _Parts:
 
     def merge(self, other: "_Parts", into: np.ndarray, take: np.ndarray) -> None:
         """Copy other's rows `take` into this batch's rows `into`, in place;
-        a field other shares with this batch is left as it is.  When every
-        row of both is copied, this batch adopts other's fields instead."""
-        adopt = len(into) == len(self.u) == len(other.u)
+        a field other shares with this batch is left as it is."""
         for name, mine in vars(self).items():
             theirs = getattr(other, name)
             if mine is theirs:
                 continue
-            if adopt:
-                setattr(self, name, theirs)
-            elif isinstance(mine, list):
+            if isinstance(mine, list):
                 for i, j in zip(into.tolist(), take.tolist()):
                     mine[i] = theirs[j]
             else:
@@ -679,30 +647,27 @@ def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteCon
             h, log_h, prior_h = parts.h.copy(), parts.log_h.copy(), parts.prior_h.copy()
             h[:, s], log_h[:, s], prior_h[:, s] = pmf_parts(u[:, coords.h_slices[s]])
             parts = parts.moved(u=u, h=h, log_h=log_h, prior_h=prior_h)
-        if group != 0:  # every pmf is new, or one stratum's moved
-            parts.log_h_sum = parts.log_h.reshape(n, -1).sum(axis=1)
         if new_scalars:
             rows = u[:, :coords.n_scalars].tolist()
             parts.states = [coords.scalar_state(x) for x in rows]
             parts.log_jac = np.array([coords.scalar_log_jacobian(x) for x in rows])
         with np.errstate(all="ignore"):
             # log |d(natural) / du|: the scalars', then each pmf's sum of log h*
-            total = parts.log_jac + parts.log_h_sum
+            total = parts.log_jac + parts.log_h.reshape(n, -1).sum(axis=1)
             total += [log_prior_rest(state, config) for state in parts.states]
             for s in range(coords.S):
                 total += parts.prior_h[:, s]
             if data is not None:
-                gathers = _gathers(data, config, n)
                 if new_scalars:
                     ok, parts.curve, parts.w, parts.log_norm = _scalar_terms(
-                        parts.states, config, gathers)
-                    parts.log_num = np.empty((n, gathers.n_rows))
+                        parts.states, config, data)
+                    parts.log_num = np.empty((n, len(data.first)))
                     total[~ok] = -math.inf
                 else:
                     parts.log_num = parts.log_num.copy()
-                _log_nums(gathers, parts.curve, parts.w, parts.h,
+                _log_nums(data, parts.curve, parts.w, parts.h,
                           range(coords.S) if new_scalars else (group - 1,), parts.log_num)
-                total += _log_lik(gathers, parts.log_num, parts.log_norm)
+                total += _log_lik(data, parts.log_num, parts.log_norm)
         total[~np.isfinite(total)] = -math.inf
         return total, parts
 
@@ -872,8 +837,9 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     Raises RuntimeError if every chain's post-burn-in acceptance collapses
     below 1% (after adaptation), or if an initial state cannot be found.
     """
-    if chains < 1:
-        raise ValueError("need at least one chain")
+    for name, value in (("steps", steps), ("chains", chains), ("thin", thin)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     coords = _Coords(config)
     data = None
     if not prior_only:

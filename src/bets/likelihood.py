@@ -289,9 +289,10 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
 
     Requires r > 0 (the closed-form selection normalizer is the r >> 1/L
     approximation, L = L_DEFAULT).  Residents weigh 1, visitors rho/L, and
-    the shared normalizer is 1 + rho (1 - 2/(rL)).  Returns None-like -inf
-    rows for structurally impossible cases; raises ValueError if the
-    normalizer is not positive (parameters outside the valid region).
+    the shared normalizer is 1 + rho (1 - 2/(rL)).  A case with zero density
+    gets a -inf term; with rho = 0 that is every visitor.  Raises
+    ValueError if the normalizer is not positive (parameters outside the
+    valid region).
     index is _cdf_index(s - b, s - e), built here when not given.
     """
     L = L_DEFAULT

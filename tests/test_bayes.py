@@ -209,15 +209,24 @@ def test_discrete_data_rejects_infeasible_case():
 def test_discrete_data_windows_give_back_each_rows_days():
     """Each stratum's distinct windows of candidate infection days, indexed
     by its rows' rowmap, reproduce the rows' t_idx exactly; the windows are
-    distinct and fewer than the rows."""
+    distinct and fewer than the rows.  The product indices map back to each
+    window's (day, k) and the stay-weight indices to each row's (B*, E*)."""
     config = DiscreteConfig(strata="gender")
     recs = random_selected_records(300, np.random.default_rng(80), strata=True)
     data = DiscreteData.from_records(recs, config)
-    for windows, rowmap, rows in zip(data.windows, data.rowmap, data.rows):
+    K = config.max_incubation
+    for windows, rowmap, rows, products in zip(data.windows, data.rowmap, data.rows,
+                                               data.products):
         assert rowmap.shape == (rows.stop - rows.start,)
         assert np.array_equal(windows[rowmap], data.t_idx[rows])
         assert len(np.unique(windows, axis=0)) == len(windows)
+        assert np.array_equal(products // K, windows)
+        assert np.array_equal(products % K, np.broadcast_to(np.arange(K), windows.shape))
     assert sum(len(w) for w in data.windows) < len(data.first)
+    b, e = data.b[data.first], data.e[data.first]
+    assert sorted(data.stay_index) == sorted(bayes.DEPARTURE)
+    assert np.array_equal(data.stay_index["uniform"], b)
+    assert np.array_equal(np.divmod(data.stay_index["geometric"], config.l + 1), (b, e))
 
 
 def test_log_lik_discrete_matches_enumeration():
@@ -455,8 +464,9 @@ def test_rwmh_input_validation():
     recs, _ = discrete_cohort(10, np.random.default_rng(90))
     with pytest.raises(ValueError):
         rwmh_run([], DiscreteConfig(), steps=200, chains=1)
-    with pytest.raises(ValueError):
-        rwmh_run(recs, DiscreteConfig(), steps=200, chains=0)
+    for name, value in (("chains", 0), ("steps", 0), ("thin", 0), ("thin", -1)):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+            rwmh_run(recs, DiscreteConfig(), **{"steps": 200, "chains": 1, name: value})
 
 
 def test_two_stage_run_exposes_second_rate():
@@ -623,14 +633,20 @@ def test_each_start_is_evaluated_once(monkeypatch):
 @pytest.mark.parametrize("growth", ["single", "two_stage"])
 def test_batch_target_equals_the_per_chain_reference(growth, departure, strata):
     """On a batch with finite and -inf chains side by side (an oversized
-    curve, a scalar off its prior box), the batch target, from scratch and
-    after a move of each group from the batch's parts, equals the per-chain
-    reference bit for bit, with the likelihood and for the bare prior."""
+    curve, a scalar off its prior box), the batch target, from scratch, on
+    sub-batches of 1 and 2 of the points, and after a move of each group
+    from the batch's parts, equals the per-chain reference bit for bit, with
+    the likelihood and for the bare prior.  The same DiscreteData serves
+    the other departure model's target too: no index it holds depends on
+    the number of chains or on the departure model."""
     config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
-    coords = bayes._Coords(config)
+    other = dataclasses.replace(config, departure=next(d for d in bayes.DEPARTURE
+                                                       if d != departure))
     recs = random_selected_records(40, np.random.default_rng(12), strata=True)
-    kappa = [s.name for s in coords.scalars].index("kappa")
-    for data in (DiscreteData.from_records(recs, config), None):
+    data = DiscreteData.from_records(recs, config)
+    for config, data in ((config, data), (other, data), (config, None)):
+        coords = bayes._Coords(config)
+        kappa = [s.name for s in coords.scalars].index("kappa")
         target = bayes._make_target(coords, data, config)
         reference = reference_target(data, config)
         rngs = [np.random.default_rng(13 + c) for c in range(5)]
@@ -642,6 +658,8 @@ def test_batch_target_equals_the_per_chain_reference(growth, departure, strata):
         want = [reference(x)[0] for x in u]
         assert np.array_equal(lp, want)
         assert np.isfinite(want).sum() >= 2 and want[2] == -math.inf
+        for lo, hi in ((0, 1), (1, 3), (3, 5)):
+            assert np.array_equal(target(u[lo:hi])[0], want[lo:hi])
         for group, sl in enumerate([slice(0, coords.n_scalars)] + coords.h_slices):
             moved = u.copy()
             moved[:, sl] += 0.2 * rngs[0].standard_normal((len(u), sl.stop - sl.start))
