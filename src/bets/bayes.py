@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -116,7 +116,7 @@ def discretized_base_pmf(max_incubation: int = 30, shape: float = 9.0,
 _H0 = discretized_base_pmf(DiscreteConfig.max_incubation)
 
 
-@dataclass
+@dataclass(eq=False)
 class NonparamState:
     """One point of the discrete model's parameter space.
 
@@ -224,23 +224,21 @@ def _infection_days(b, e, s):
     return t, (t >= b[:, None]) & (t <= e[:, None]) & (t >= 0) & (t <= l)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteData:
-    """Whole-day case arrays plus the index of their distinct cases.
+    """Whole-day case arrays plus the gather indices of their likelihood.
 
     A case's likelihood term depends only on its (B*, E*, S*, stratum)
     tuple, so it is evaluated once per distinct tuple.  The distinct rows
-    are sorted by stratum, then B*, E*, S*: first holds each row's first
-    case, inverse each case's row, rows the slice of rows of each stratum,
-    and t_idx each row's candidate infection days S* - k
-    (k = 0..max_incubation-1) as indices into the epidemic curve on 0..L,
-    with the days outside the stay or outside 0..L pointing at day L + 1,
-    where the curve is 0.  Rows whose t_idx are equal share their sum over
-    infection days, so each stratum's distinct t_idx rows are kept once:
-    windows[s] holds them and rowmap[s] each of the stratum's rows' index
-    into them (windows[s][rowmap[s]] is t_idx[rows[s]]).  products[s]
-    indexes each window's g*(t) h*(k) in the flattened (L + 2, K) table of
-    them, and stay_index[departure] each row's P(B*) P(E*|B*) in the
+    are sorted by stratum, then B*, E*, S*: inverse holds each case's row
+    and rows the slice of rows of each stratum.  A row's candidate
+    infection days are S* - k (k = 0..max_incubation-1) on the epidemic
+    curve on 0..L, the days outside the stay or outside 0..L taken as day
+    L + 1, where the curve is 0.  Rows with the same days share their sum
+    over infection days, so each stratum sums each distinct window of days
+    once: products[s] indexes each window's g*(t) h*(k) in the flattened
+    (L + 2, K) table of them, and rowmap[s] each of the stratum's rows'
+    window.  stay_index[departure] indexes each row's P(B*) P(E*|B*) in the
     flattened stay weights: B* for uniform, B* (L + 1) + E* for geometric.
     dropped counts, by reason, the records from_records left out.  The
     horizon l and the incubation support K = max_incubation are
@@ -254,11 +252,8 @@ class DiscreteData:
     case_ids: list
     labels: tuple[str, ...]
     dropped: dict = field(default_factory=dict)
-    first: np.ndarray = field(init=False)
     inverse: np.ndarray = field(init=False)
     rows: list = field(init=False)
-    t_idx: np.ndarray = field(init=False)
-    windows: list = field(init=False)
     rowmap: list = field(init=False)
     products: list = field(init=False)
     stay_index: dict = field(init=False)
@@ -273,19 +268,18 @@ class DiscreteData:
                 f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) "
                 f"with incubation < {DiscreteConfig.max_incubation}")
         tuples = np.stack([self.stratum, self.b, self.e, self.s], axis=1)
-        _, self.first, self.inverse = np.unique(tuples, axis=0, return_index=True,
-                                                return_inverse=True)
-        ends = np.searchsorted(self.stratum[self.first], np.arange(len(self.labels) + 1))
+        _, first, self.inverse = np.unique(tuples, axis=0, return_index=True,
+                                           return_inverse=True)
+        ends = np.searchsorted(self.stratum[first], np.arange(len(self.labels) + 1))
         self.rows = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
-        self.t_idx = np.where(mask, t, DiscreteConfig.l + 1)[self.first]
-        self.windows, self.rowmap = [], []
-        for rows in self.rows:
-            windows, rowmap = np.unique(self.t_idx[rows], axis=0, return_inverse=True)
-            self.windows.append(windows)
-            self.rowmap.append(rowmap.ravel())
+        t_idx = np.where(mask, t, DiscreteConfig.l + 1)[first]
         K = DiscreteConfig.max_incubation
-        self.products = [w * K + np.arange(K) for w in self.windows]
-        b, e = self.b[self.first], self.e[self.first]
+        self.rowmap, self.products = [], []
+        for rows in self.rows:
+            windows, rowmap = np.unique(t_idx[rows], axis=0, return_inverse=True)
+            self.rowmap.append(rowmap.ravel())
+            self.products.append(windows * K + np.arange(K))
+        b, e = self.b[first], self.e[first]
         self.stay_index = {"uniform": b, "geometric": b * (DiscreteConfig.l + 1) + e}
 
     @classmethod
@@ -373,7 +367,7 @@ def _scalar_terms(states: Sequence, config: DiscreteConfig, data: DiscreteData) 
     states: (ok, curve, w, log P(D)), one row per state.
 
     curve[c] is g*(t) on t = 0..L followed by a 0 (the day L + 1 that
-    t_idx points infeasible days at), w[c, i] = P(B*_i) P(E*_i | B*_i) on
+    stands for infeasible days), w[c, i] = P(B*_i) P(E*_i | B*_i) on
     the distinct rows, and P(D) is the selection normalizer.  ok is False
     for a zero-density state (sum(g*) > 1 or P(D) = 0): its log P(D) is nan,
     so any log-likelihood summed from it is too, and its other entries are
@@ -451,7 +445,7 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
         ok, curve, w, log_norm = _scalar_terms([state], config, data)
         if not ok[0]:
             return -math.inf
-        log_num = np.empty((1, len(data.first)))
+        log_num = np.empty_like(w)
         _log_nums(data, curve, w, state.h[None], range(len(data.labels)), log_num)
         val = float(_log_lik(data, log_num, log_norm)[0])
     zero = np.flatnonzero(log_num[0, data.inverse] == -math.inf)
@@ -590,10 +584,6 @@ class _Parts:
     log_norm: np.ndarray | None = None
     log_num: np.ndarray | None = None
 
-    def moved(self, **changes) -> "_Parts":
-        """These parts with some fields replaced; the others are shared."""
-        return _Parts(**{**vars(self), **changes})
-
     def merge(self, other: "_Parts", into: np.ndarray, take: np.ndarray) -> None:
         """Copy other's rows `take` into this batch's rows `into`, in place;
         a field other shares with this batch is left as it is."""
@@ -641,12 +631,12 @@ def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteCon
                 n, coords.S, coords.h_block))
             parts = _Parts(u, h=h, log_h=log_h, prior_h=prior_h)
         elif group == 0:
-            parts = parts.moved(u=u)
+            parts = replace(parts, u=u)
         else:
             s = group - 1
             h, log_h, prior_h = parts.h.copy(), parts.log_h.copy(), parts.prior_h.copy()
             h[:, s], log_h[:, s], prior_h[:, s] = pmf_parts(u[:, coords.h_slices[s]])
-            parts = parts.moved(u=u, h=h, log_h=log_h, prior_h=prior_h)
+            parts = replace(parts, u=u, h=h, log_h=log_h, prior_h=prior_h)
         if new_scalars:
             rows = u[:, :coords.n_scalars].tolist()
             parts.states = [coords.scalar_state(x) for x in rows]
@@ -661,7 +651,7 @@ def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteCon
                 if new_scalars:
                     ok, parts.curve, parts.w, parts.log_norm = _scalar_terms(
                         parts.states, config, data)
-                    parts.log_num = np.empty((n, len(data.first)))
+                    parts.log_num = np.empty_like(parts.w)
                     total[~ok] = -math.inf
                 else:
                     parts.log_num = parts.log_num.copy()
@@ -678,7 +668,7 @@ def _make_target(coords: _Coords, data: DiscreteData | None, config: DiscreteCon
 # Random-walk Metropolis-Hastings
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ChainStore:
     """Thinned post-burn-in draws of every chain, plus sampler diagnostics."""
 
@@ -829,10 +819,10 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
 
     The chains run in lockstep as one batch: every proposal group is
     evaluated for all chains at once, each stratum's sums over infection
-    days once per distinct window of days (DiscreteData.windows).  Each
-    chain draws from its own generator, spawned from seed, so chain i's
-    draws are the same whatever the number of chains, and each start is
-    evaluated once, in the start search.
+    days once per distinct window of days.  Each chain draws from its own
+    generator, spawned from seed, so chain i's draws are the same whatever
+    the number of chains, and each start is evaluated once, in the start
+    search.
 
     Raises RuntimeError if every chain's post-burn-in acceptance collapses
     below 1% (after adaptation), or if an initial state cannot be found.

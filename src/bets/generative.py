@@ -244,6 +244,8 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
     fixed sub-day offsets shifts growth-rate estimates by a few percent, so
     estimator-calibration studies should use exact times.
     """
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
     if m == 0:
         return [], None
     if not (params.kappa > 0 and params.nu > 0):

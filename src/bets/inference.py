@@ -308,6 +308,12 @@ def _warm_init(display: DisplayTheta, param: str, value: float) -> DisplayTheta:
     return replace(display, **{param: value})
 
 
+def _check_level(level: float) -> None:
+    """Reject a confidence level outside (0, 1)."""
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+
+
 def _check_param(fit: FitResult, param: str) -> None:
     """Reject a display parameter that the fit does not estimate."""
     allowed = [f.name for f in fields(DisplayTheta) if f.name != "rho" or fit.kind == "uncond"]
@@ -328,6 +334,7 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     refit that fails (does not converge, or has no valid warm start), comes
     back at the end of that range with its bracket flag False.
     """
+    _check_level(level)
     _check_param(fit, param)
     point = getattr(fit.display, param)
     threshold = _chi2_ppf_1(level)
@@ -429,6 +436,9 @@ def bootstrap_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     """
     if method not in ("basic", "percentile"):
         raise ValueError(f"method must be 'basic' or 'percentile', got {method!r}")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
+    _check_level(level)
     _check_param(fit, param)
     rng = rng if rng is not None else np.random.default_rng(0)
     displays, failures = _bootstrap_displays(cases, fit, n_boot, rng, n_jobs)
@@ -482,6 +492,7 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
     """
     if m_offset < 0:
         raise ValueError(f"m_offset must be >= 0, got {m_offset}")
+    _check_level(level)
     if any(c.confirmed_int is None for c in cases):
         raise ValueError("bias_sweep needs confirmed_int on every case")
     rng = rng if rng is not None else np.random.default_rng(0)

@@ -252,7 +252,7 @@ def case_arrays(cases: Sequence[CaseRecord]):
     b = np.array([c.B for c in cases], dtype=float)
     e = np.array([c.E for c in cases], dtype=float)
     s = np.array([c.S for c in cases], dtype=float)
-    resident = np.array([c.B_int == 0 for c in cases], dtype=bool)
+    resident = np.array([c.is_resident for c in cases], dtype=bool)
     return b, e, s, resident
 
 

@@ -149,8 +149,10 @@ def brute_log_lik_discrete(records, state, config):
 # ---------------------------------------------------------------------------
 # The discrete sampler's log-posterior as one chain evaluated it before the
 # chains ran as a batch, kept verbatim: one state at a time, the departure
-# matrix in full, each distinct row's own sum over infection days, and the
-# SciPy/NumPy scalar maps.  The batch target must equal it bit for bit.
+# matrix in full, each case's own sum over the infection days it derives
+# from its (B*, E*, S*), the terms summed case by case in case order, and the
+# SciPy/NumPy scalar maps.  It reads no index of DiscreteData, only its
+# whole-day arrays.  The batch target must equal it bit for bit.
 
 _H_FLOOR = 1e-300
 
@@ -204,6 +206,14 @@ def _ref_stay_weights(config):
     return weights
 
 
+def _ref_infection_days(b, e, s, config):
+    """Each case's candidate infection days S* - k, k = 0..K-1, with the days
+    outside its stay or outside 0..L taken as day L + 1."""
+    t = s[:, None] - np.arange(config.max_incubation)[None, :]
+    inside = (t >= b[:, None]) & (t <= e[:, None]) & (t >= 0) & (t <= config.l)
+    return np.where(inside, t, config.l + 1)
+
+
 def _ref_scalar_terms(data, state, config):
     g = _ref_growth_curve(state, config)
     if g is None:
@@ -217,10 +227,10 @@ def _ref_scalar_terms(data, state, config):
     norm = float((stay[:, None] * pe * interval_g * upper).sum())
     if not norm > 0:
         return None
-    G = np.append(g, 0.0)[data.t_idx]
-    b, e = data.b[data.first], data.e[data.first]
-    w = stay[b] * pe[b, e]
-    return [(G[rows], w[rows]) for rows in data.rows], math.log(norm)
+    G = np.append(g, 0.0)[_ref_infection_days(data.b, data.e, data.s, config)]
+    w = stay[data.b] * pe[data.b, data.e]
+    strata = [data.stratum == s for s in range(config.n_strata)]
+    return [(G[cases], w[cases]) for cases in strata], math.log(norm)
 
 
 def _ref_log_num(G, w, h):
@@ -230,11 +240,12 @@ def _ref_log_num(G, w, h):
 
 
 def _ref_h_terms(data, log_nums, log_norm):
-    log_num = np.concatenate(log_nums)[data.inverse]
-    zero = log_num == -math.inf
-    if zero.any():
-        return -math.inf, int(np.flatnonzero(zero)[0])
-    return float(log_num.sum() - len(data) * log_norm), None
+    log_num = np.empty(len(data))
+    for s, values in enumerate(log_nums):
+        log_num[data.stratum == s] = values
+    if (log_num == -math.inf).any():
+        return -math.inf
+    return float(log_num.sum() - len(data) * log_norm)
 
 
 def _ref_log_prior_h(h_star, mu, h0):
@@ -317,7 +328,7 @@ def reference_target(data, config):
                     return -math.inf, None
             for s in range(n_strata) if new_scalars else moved:
                 log_nums[s] = _ref_log_num(*terms[0][s], pmfs[s][0])
-            total += _ref_h_terms(data, log_nums, terms[1])[0]
+            total += _ref_h_terms(data, log_nums, terms[1])
         if not math.isfinite(total):
             return -math.inf, None
         return total, (scalar, pmfs, terms, log_nums)

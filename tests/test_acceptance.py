@@ -119,6 +119,7 @@ def test_criterion_2_selection_probability_approximation():
     assert monotone
 
 
+@pytest.mark.slow
 def test_criterion_3_simulation_recovery_uncond():
     """20 seeded cohorts of 2000 exact-time cases: the joint fit lands within
     10% of truth on every replicate and the profile doubling-time interval
@@ -148,6 +149,7 @@ def test_criterion_3_simulation_recovery_uncond():
     assert covered >= 17
 
 
+@pytest.mark.slow
 def test_criterion_4_bias_demonstration():
     """20 seeded cohorts of 600 exact-time cases: the no-growth fit inflates
     the median by >= 50% in >= 19; after truncating at onset day 60 the
@@ -225,6 +227,7 @@ def test_criterion_6_discrete_likelihood_lattice_oracle():
     assert worst <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_7_sampler_sanity():
     """Prior-only sampling returns the Uniform(0,1) curve-scale marginal
     (KS p > 0.01); on 1000 synthetic whole-day cases the posterior mean

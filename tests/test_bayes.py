@@ -17,6 +17,7 @@ from scipy import special, stats
 
 from bets import bayes
 from bets.bayes import (
+    ChainStore,
     DiscreteConfig,
     DiscreteData,
     NonparamState,
@@ -196,9 +197,14 @@ def test_discrete_data_rejects_infeasible_case():
     assert data.dropped == {"outside_strata": 1, "no_feasible_infection_day": 1}
     assert data.n_dropped == 2
     kept = DiscreteData.from_records(recs, config)
-    for index in ("first", "inverse", "t_idx"):
-        assert np.array_equal(getattr(data, index), getattr(kept, index))
+    assert np.array_equal(data.inverse, kept.inverse)
     assert data.rows == kept.rows
+    for index in ("rowmap", "products"):
+        for mine, theirs in zip(getattr(data, index), getattr(kept, index), strict=True):
+            assert np.array_equal(mine, theirs)
+    assert sorted(data.stay_index) == sorted(kept.stay_index)
+    for departure, index in data.stay_index.items():
+        assert np.array_equal(index, kept.stay_index[departure])
     with pytest.raises(ValueError, match="no cases left"):
         DiscreteData.from_records([far], config)
     with pytest.raises(ValueError, match="far-1"):
@@ -207,26 +213,52 @@ def test_discrete_data_rejects_infeasible_case():
 
 
 def test_discrete_data_windows_give_back_each_rows_days():
-    """Each stratum's distinct windows of candidate infection days, indexed
-    by its rows' rowmap, reproduce the rows' t_idx exactly; the windows are
-    distinct and fewer than the rows.  The product indices map back to each
-    window's (day, k) and the stay-weight indices to each row's (B*, E*)."""
+    """Each case's window of candidate infection days, found through its row
+    (inverse), its stratum's rowmap and the window's products // K, is the
+    days S* - k inside its stay and inside 0..L, the others at day L + 1;
+    each stratum's windows are distinct and, over all strata, fewer than the
+    rows.  products % K gives back k, and the stay-weight indices each
+    case's (B*, E*)."""
     config = DiscreteConfig(strata="gender")
     recs = random_selected_records(300, np.random.default_rng(80), strata=True)
     data = DiscreteData.from_records(recs, config)
-    K = config.max_incubation
-    for windows, rowmap, rows, products in zip(data.windows, data.rowmap, data.rows,
-                                               data.products):
+    K, l = config.max_incubation, config.l
+    t = data.s[:, None] - np.arange(K)[None, :]
+    inside = (t >= data.b[:, None]) & (t <= data.e[:, None]) & (t >= 0) & (t <= l)
+    days = np.where(inside, t, l + 1)
+    n_windows = 0
+    for s, (rows, rowmap, products) in enumerate(zip(data.rows, data.rowmap, data.products)):
         assert rowmap.shape == (rows.stop - rows.start,)
-        assert np.array_equal(windows[rowmap], data.t_idx[rows])
+        windows = products // K
+        assert np.array_equal(products % K, np.broadcast_to(np.arange(K), products.shape))
         assert len(np.unique(windows, axis=0)) == len(windows)
-        assert np.array_equal(products // K, windows)
-        assert np.array_equal(products % K, np.broadcast_to(np.arange(K), windows.shape))
-    assert sum(len(w) for w in data.windows) < len(data.first)
-    b, e = data.b[data.first], data.e[data.first]
+        cases = np.flatnonzero(data.stratum == s)
+        row = data.inverse[cases]
+        assert np.all((rows.start <= row) & (row < rows.stop))
+        assert np.array_equal(windows[rowmap[row - rows.start]], days[cases])
+        n_windows += len(windows)
+    assert n_windows < data.inverse.max() + 1
     assert sorted(data.stay_index) == sorted(bayes.DEPARTURE)
-    assert np.array_equal(data.stay_index["uniform"], b)
-    assert np.array_equal(np.divmod(data.stay_index["geometric"], config.l + 1), (b, e))
+    assert np.array_equal(data.stay_index["uniform"][data.inverse], data.b)
+    assert np.array_equal(np.divmod(data.stay_index["geometric"][data.inverse], l + 1),
+                          (data.b, data.e))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteData.from_records(random_selected_records(10, np.random.default_rng(87)),
+                                      DiscreteConfig()),
+    lambda: uniform_state(DiscreteConfig()),
+    lambda: ChainStore(config=DiscreteConfig(), scalars={"r1": np.ones((2, 3))},
+                       h=np.full((2, 3, 1, 30), 1 / 30), acceptance=np.ones((2, 2)),
+                       step_sizes=np.ones((2, 2)), n_cases=10),
+], ids=["DiscreteData", "NonparamState", "ChainStore"])
+def test_array_dataclasses_compare_by_identity(make):
+    """== on the dataclasses that hold arrays is identity: False for two
+    instances with equal content (not an ambiguous array truth value), True
+    for the same instance."""
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
 
 
 def test_log_lik_discrete_matches_enumeration():
@@ -278,7 +310,7 @@ def test_zero_likelihood_warning_names_the_first_case_in_case_order():
             case("gap-a", "male", 0, 3, 9), case("gap-b2", "female", 0, 5, 10),
             case("ok-2", "male", 0, 10, 5)]
     data = DiscreteData.from_records(recs, config)
-    assert len(data.first) == 3
+    assert data.inverse.max() + 1 == 3
     h = np.zeros((2, 30))
     h[:, 0] = 1.0  # onset on the day of infection: S* must fall within the stay
     with pytest.warns(RuntimeWarning) as caught:
@@ -714,7 +746,7 @@ def test_target_matches_the_public_pieces(growth, departure, strata):
                                    age_group={"under50": "over50", "over50": "under50"}[
                                        c.age_group]) for c in base[:5]]
     data = DiscreteData.from_records(base + twins + swapped, config)
-    assert len(data.first) < len(data)
+    assert data.inverse.max() + 1 < len(data)
     coords = bayes._Coords(config)
     h0 = discretized_base_pmf()
     target = bayes._make_target(coords, data, config)

@@ -246,6 +246,8 @@ def test_in_selection_examples():
 def test_sample_exported_empty_and_invalid(monkeypatch):
     p = reference_params()
     assert sample_exported(0, p, np.random.default_rng(0)) == ([], None)
+    with pytest.raises(ValueError, match="m must be at least 0"):
+        sample_exported(-1, p, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_exported(10, reference_params(nu=0.0), np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -225,6 +225,9 @@ def test_profile_ci_validates_param(sim_cohort_800):
         pinned = mle_fit(records, "cond", fixed=fixed, options=FAST)
         with pytest.raises(ValueError, match="pinned"):
             profile_ci(records, pinned, "doubling_time")
+    for level in (1.5, 1.0, 0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            profile_ci(records, fit, "doubling_time", level=level)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +309,13 @@ def test_bootstrap_validates_param(small_cohort, small_fit):
     pinned = mle_fit(small_cohort, "cond", fixed={"median_incubation": 5.0}, options=FAST)
     with pytest.raises(ValueError, match="pinned"):
         inference.bootstrap_ci(small_cohort, pinned, "median_incubation", n_boot=4)
+    for level in (1.5, 1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            inference.bootstrap_ci(small_cohort, small_fit, "doubling_time", n_boot=4,
+                                   level=level)
+    for n_boot in (0, -1):
+        with pytest.raises(ValueError, match="n_boot must be at least 1"):
+            inference.bootstrap_ci(small_cohort, small_fit, "doubling_time", n_boot=n_boot)
 
 
 def test_bootstrap_parallel_matches_serial(small_cohort, small_fit):
@@ -398,6 +408,13 @@ def test_bias_sweep_rejects_a_negative_m_offset(sim_cohort_800):
     cases = with_confirmation(records[:50], np.random.default_rng(0))
     with pytest.raises(ValueError, match="m_offset"):
         inference.bias_sweep(cases, [60], m_offset=-30)
+
+
+def test_bias_sweep_rejects_a_level_outside_the_unit_interval(sim_cohort_800):
+    records, _ = sim_cohort_800
+    cases = with_confirmation(records[:50], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+        inference.bias_sweep(cases, [60], bootstrap_b=4, level=1.5)
 
 
 # ---------------------------------------------------------------------------
