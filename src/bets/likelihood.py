@@ -24,6 +24,7 @@ curve fits to onset counts.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,14 +120,20 @@ _LOG_ALPHA_LO, _LOG_ALPHA_HI = math.log(_ALPHA_LO), math.log(_ALPHA_HI)
 #: The probabilities of the incubation quantiles that the fits report.
 _PROBS = np.array([0.5, 0.95])
 
-#: Log-shape nodes spanning exactly [log 1e-3, log 1e3] (np.exp of the ends is
-#: bitwise math.exp of them), and q95/median of the Gamma at each, which does
-#: not depend on the rate and falls strictly as the shape grows.
-_LOG_ALPHA_NODES = np.linspace(_LOG_ALPHA_LO, _LOG_ALPHA_HI, 4001)
-_Q_NODES = sc.gammaincinv(np.exp(_LOG_ALPHA_NODES)[:, None], _PROBS)
-_RATIO_NODES = _Q_NODES[:, 1] / _Q_NODES[:, 0]
-#: -log of the node ratios, increasing, for searchsorted.
-_NEG_LOG_RATIO_NODES = -np.log(_RATIO_NODES)
+
+def _node_tables():
+    """Log-shape nodes spanning exactly [log 1e-3, log 1e3] (np.exp of the ends
+    is bitwise math.exp of them) and -log of the Gamma's q95/median at each,
+    which does not depend on the rate and rises strictly with the shape, both
+    as lists; then the first and last ratio.  The inversion works on Python
+    floats, where NumPy's per-call overhead would dwarf the scalar work."""
+    log_alpha = np.linspace(_LOG_ALPHA_LO, _LOG_ALPHA_HI, 4001)
+    q = sc.gammaincinv(np.exp(log_alpha)[:, None], _PROBS)
+    ratio = q[:, 1] / q[:, 0]
+    return log_alpha.tolist(), (-np.log(ratio)).tolist(), float(ratio[0]), float(ratio[-1])
+
+
+_LOG_ALPHA_NODES, _NEG_LOG_RATIO_NODES, _RATIO_HI, _RATIO_LO = _node_tables()
 
 #: Secant steps stop once the next step in log shape is this small.
 _XTOL = 1e-14
@@ -150,12 +157,12 @@ def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
     if not (0 < median < q95) or not (math.isfinite(median) and math.isfinite(q95)):
         raise ValueError(f"need 0 < median < q95, got ({median}, {q95})")
     ratio = q95 / median
-    if not _RATIO_NODES[0] > ratio > _RATIO_NODES[-1]:
+    if not _RATIO_HI > ratio > _RATIO_LO:
         raise ValueError(f"quantile ratio {ratio:.6g} has no Gamma shape in "
                          f"[{_ALPHA_LO}, {_ALPHA_HI}]")
     target = math.log(ratio)
-    j = min(max(int(np.searchsorted(_NEG_LOG_RATIO_NODES, -target)), 1),
-            _LOG_ALPHA_NODES.size - 1)
+    j = min(max(bisect.bisect_left(_NEG_LOG_RATIO_NODES, -target), 1),
+            len(_LOG_ALPHA_NODES) - 1)
     # gap(x) = log(q95/median of shape e^x) - target; the first step from the
     # two bracketing nodes is the table's linear interpolation
     x_prev, gap_prev = _LOG_ALPHA_NODES[j - 1], -_NEG_LOG_RATIO_NODES[j - 1] - target
@@ -165,7 +172,7 @@ def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
         x_prev, gap_prev = x, gap
         x -= step
         alpha = math.exp(x)
-        q50, q95_alpha = sc.gammaincinv(alpha, _PROBS)
+        q50, q95_alpha = sc.gammaincinv(alpha, _PROBS).tolist()
         gap = math.log(q95_alpha / q50) - target
         if gap == gap_prev:
             break
@@ -256,6 +263,22 @@ def case_arrays(cases: Sequence[CaseRecord]):
     return b, e, s, resident
 
 
+def _distinct_rows(*columns):
+    """(first, inverse) over the rows of equal-length columns: first[k] is
+    the first case of the k-th distinct row, rows compared bit for bit, and
+    inverse[i] is case i's row, so column[first][inverse] is column.  A
+    stable lexsort of the bit patterns, far cheaper than np.unique(axis=1)."""
+    keys = np.stack(columns, dtype=float).view(np.int64)
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    new = np.empty(order.size, bool)
+    new[:1] = True
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
+    inverse = np.empty(order.size, np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
                    index=None) -> np.ndarray:
     """Log-likelihood terms of S | (B, E), case in the selection set.
@@ -274,7 +297,7 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
     growth = abs(r) >= R_SWITCH
     rate = beta + r if growth else beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, index), 0.0, None))
+        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, index), 0.0))
         if not growth:
             return log_diff - np.log(e - b)
         # log(e^{rE} - e^{rB}) = rE + log(1 - e^{-r(E-B)}), stable for r(E-B) small
@@ -308,7 +331,7 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     index = _cdf_index(s - b, s - e) if index is None else index
     rate = beta + r
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, index), 0.0, None))
+        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, index), 0.0))
         log_w = np.where(resident, 0.0, math.log(rho / L) if rho > 0 else -math.inf)
         return (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
                 + log_w - math.log(denom) + r * (s - L) + log_diff)
@@ -358,7 +381,7 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = _trunc_normalizer(trunc, r, alpha, beta)
         log_z = np.log(np.where(z > 0, z, np.nan))
-        log_diff = np.log(np.clip(_gamma_cdf_diff(alpha, rate, onset), 0.0, None))
+        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, onset), 0.0))
         if not growth:
             return log_diff - log_z
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
@@ -374,9 +397,13 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     """Per-case log terms of the cases under likelihood kind "cond", "uncond"
     or "cond_trunc" (truncated at M; a case with S > M raises LikelihoodError).
 
-    The cases are converted and their Gamma CDF arguments indexed once, here.
-    Returns a function of (rho, r, alpha, beta) giving :func:`cond_log_terms`,
-    :func:`uncond_log_terms` or :func:`trunc_log_terms` with NaN read as -inf.
+    The cases are converted, reduced to their distinct (B, E, S, resident)
+    rows and the rows' Gamma CDF arguments indexed once, here.  Returns a
+    function of (rho, r, alpha, beta) giving :func:`cond_log_terms`,
+    :func:`uncond_log_terms` or :func:`trunc_log_terms` with NaN read as -inf:
+    each term is evaluated once per distinct row and gathered back to case
+    order, so a caller sums the cases in case order.  The terms are those of
+    the kernels on the full case arrays, bit for bit (every step elementwise).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
@@ -387,7 +414,9 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
         if late is not None:
             raise LikelihoodError(
                 f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}")
-    b, e, s, resident = case_arrays(cases)
+    columns = case_arrays(cases)
+    first, inverse = _distinct_rows(*columns)
+    b, e, s, resident = (col[first] for col in columns)
     index = _cdf_index(s - b, s - e)
     if kind == "cond_trunc":
         index = (index, _cdf_index(M - b, M - e))
@@ -399,7 +428,8 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
             lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
         else:
             lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
-        return np.where(np.isnan(lt), -np.inf, lt)
+        # fmax reads NaN as -inf and keeps every other value: one ufunc call
+        return np.fmax(lt, -np.inf)[inverse]
 
     return terms
 
@@ -411,7 +441,16 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
 def _strict_sum(cases: Sequence[CaseRecord], kind: str, rho, r: float, alpha: float,
                 beta: float, M: float | None = None) -> float:
     """Sum of the case_terms of a nonempty case list; LikelihoodError naming
-    the first case whose term is not finite."""
+    the first case whose term is not finite.  ValueError naming a parameter
+    that is not a finite number: a NaN r would read as the r = 0 forms, and
+    an infinite one would be blamed on the first case."""
+    params = {"rho": rho} if kind == "uncond" else {}
+    params.update(r=r, alpha=alpha, beta=beta)
+    if M is not None:
+        params["M"] = M
+    for name, value in params.items():
+        if value is None or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     if not (alpha > 0 and beta > 0):
         raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
     if kind != "uncond" and r < 0:

@@ -90,6 +90,56 @@ def quad_selection_exact(pi, lambda_w, lambda_v, kappa, nu, r, horizon=L):
 
 
 # ---------------------------------------------------------------------------
+# Gamma quantile inversion on NumPy arrays
+# ---------------------------------------------------------------------------
+
+# likelihood.quantiles_to_shape_rate with its node tables as NumPy arrays,
+# np.searchsorted for the bracket and NumPy scalars through the secant.  The
+# library runs the same steps on Python floats; both must return the same
+# shape and rate, bit for bit, and reject the same pairs with the same text.
+_ALPHA_LO, _ALPHA_HI = 1e-3, 1e3
+_LOG_ALPHA_LO, _LOG_ALPHA_HI = math.log(_ALPHA_LO), math.log(_ALPHA_HI)
+_PROBS = np.array([0.5, 0.95])
+_LOG_ALPHA_NODES = np.linspace(_LOG_ALPHA_LO, _LOG_ALPHA_HI, 4001)
+_Q_NODES = special.gammaincinv(np.exp(_LOG_ALPHA_NODES)[:, None], _PROBS)
+_RATIO_NODES = _Q_NODES[:, 1] / _Q_NODES[:, 0]
+_NEG_LOG_RATIO_NODES = -np.log(_RATIO_NODES)
+_XTOL = 1e-14
+_MAX_STEPS = 30
+
+
+def array_quantiles_to_shape_rate(median, q95):
+    if not (0 < median < q95) or not (math.isfinite(median) and math.isfinite(q95)):
+        raise ValueError(f"need 0 < median < q95, got ({median}, {q95})")
+    ratio = q95 / median
+    if not _RATIO_NODES[0] > ratio > _RATIO_NODES[-1]:
+        raise ValueError(f"quantile ratio {ratio:.6g} has no Gamma shape in "
+                         f"[{_ALPHA_LO}, {_ALPHA_HI}]")
+    target = math.log(ratio)
+    j = min(max(int(np.searchsorted(_NEG_LOG_RATIO_NODES, -target)), 1),
+            _LOG_ALPHA_NODES.size - 1)
+    x_prev, gap_prev = _LOG_ALPHA_NODES[j - 1], -_NEG_LOG_RATIO_NODES[j - 1] - target
+    x, gap = _LOG_ALPHA_NODES[j], -_NEG_LOG_RATIO_NODES[j] - target
+    step = gap * (x - x_prev) / (gap - gap_prev)
+    for _ in range(_MAX_STEPS):
+        x_prev, gap_prev = x, gap
+        x -= step
+        alpha = math.exp(x)
+        q50, q95_alpha = special.gammaincinv(alpha, _PROBS)
+        gap = math.log(q95_alpha / q50) - target
+        if gap == gap_prev:
+            break
+        step = gap * (x - x_prev) / (gap - gap_prev)
+        if abs(step) <= _XTOL:
+            break
+    beta = q50 / median
+    if abs(special.gammainc(alpha, beta * median) - 0.5) > 1e-9 or \
+       abs(special.gammainc(alpha, beta * q95) - 0.95) > 1e-9:
+        raise ValueError(f"quantile inversion failed for ({median}, {q95})")
+    return alpha, beta
+
+
+# ---------------------------------------------------------------------------
 # Discrete-model lattice oracle (pure Python loops)
 # ---------------------------------------------------------------------------
 

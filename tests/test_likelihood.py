@@ -7,6 +7,7 @@ scipy's gamma distribution, or from limits the formulas must respect
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -22,7 +23,7 @@ from bets.likelihood import (
     gamma_exp_integral,
 )
 from bets.timeline import CaseRecord
-from helpers import quad_growth_onset
+from helpers import array_quantiles_to_shape_rate, quad_growth_onset
 
 L = 54.0
 
@@ -283,6 +284,55 @@ def test_case_terms_are_the_per_kind_terms_with_nan_read_as_minus_inf():
         lk.case_terms(odd, "cond_trunc")
 
 
+def test_case_terms_evaluate_each_distinct_case_once_bit_for_bit(monkeypatch):
+    """case_terms evaluates the distinct (B, E, S, resident) rows once and
+    gathers them back: on a shuffled cohort of repeated cases its terms are
+    the per-kind kernels' on the full case arrays, bit for bit, and a bad
+    repeated case is named by its first place in case order."""
+    rng = np.random.default_rng(8)
+    odd = [CaseRecord(case_id="odd-1", B_int=6, E_int=6, S_int=7, B=5.25, E=5.25, S=7.0),
+           CaseRecord(case_id="odd-2", B_int=11, E_int=21, S_int=8, B=10.25, E=20.75, S=7.5)]
+    # two cases that differ only in residence, so only in their uncond terms
+    twins = [CaseRecord(case_id=f"twin-{b_int}", B_int=b_int, E_int=10, S_int=12,
+                        B=0.25, E=9.5, S=11.25) for b_int in (0, 1)]
+    lattice = [dataclasses.replace(c, case_id=f"{c.case_id}/{k}")
+               for c in lattice_cases(150, rng) + twins for k in range(3)]
+    lattice = [lattice[i] for i in rng.permutation(len(lattice))]
+    # odd-2 comes first in case order but sorts after odd-1 as a row
+    copies = [dataclasses.replace(c, case_id=f"{c.case_id}/{k}") for k in range(3) for c in odd]
+    cases = (lattice[:100] + [copies[1]] + lattice[100:250] + [copies[0], copies[3]]
+             + lattice[250:] + [copies[2], copies[5], copies[4]])
+    columns = lk.case_arrays(cases)
+    first, inverse = lk._distinct_rows(*columns)
+    assert first.size == len({(c.B, c.E, c.S, c.is_resident) for c in cases}) < len(cases) / 2
+    assert all(np.array_equal(col[first][inverse], col) for col in columns)
+    M = 80.0
+    b, e, s, resident = columns
+    terms = {kind: lk.case_terms(cases, kind, M) for kind in lk.KINDS}
+    sizes, kernel = [], lk.cond_log_terms
+    with monkeypatch.context() as patch:
+        patch.setattr(lk, "cond_log_terms",
+                      lambda b, *args: sizes.append(b.size) or kernel(b, *args))
+        terms["cond"](None, 0.3, 1.86, 0.33)
+    assert sizes == [first.size]
+    for r in R_GRID:
+        for alpha, beta in ((0.4, 0.05), (1.86, 0.33), (60.0, 9.0)):
+            expected = {"cond": lk.cond_log_terms(b, e, s, r, alpha, beta),
+                        "cond_trunc": lk.trunc_log_terms(b, e, s, r, alpha, beta, M)}
+            if r >= 0.05:
+                expected["uncond"] = lk.uncond_log_terms(b, e, s, resident, 0.7, r,
+                                                         alpha, beta)
+            for kind, raw in expected.items():
+                assert np.array_equal(terms[kind](0.7, r, alpha, beta),
+                                      np.where(np.isnan(raw), -np.inf, raw))
+    with pytest.raises(LikelihoodError, match="case odd-2/0 "):
+        lk.log_lik_cond(cases, 0.3, 1.86, 0.33)
+    with pytest.raises(LikelihoodError, match="case odd-2/0 "):
+        lk.log_lik_cond_trunc(cases, 0.0, 1.86, 0.33, M)
+    for kind in lk.KINDS:
+        assert lk.case_terms([], kind, M)(0.7, 0.3, 1.86, 0.33).shape == (0,)
+
+
 def _quantile_pairs(rng, n):
     """(median, q95) pairs with q95/median - 1 log-uniform on [1e-3, 1e4], so
     that some ratios lie beyond those of every shape in [1e-3, 1e3]; then the
@@ -313,6 +363,30 @@ def test_quantile_inversion_matches_the_brentq_reference():
         assert lk.quantiles_to_shape_rate(median, q95) == pytest.approx(ref, rel=1e-11)
         n_ok += 1
     assert n_ok >= 1000 and n_err > 0
+
+
+def test_quantile_inversion_is_the_array_version_bit_for_bit():
+    """The inversion on Python floats returns the very shape and rate of the
+    same steps on NumPy arrays and scalars, and rejects the same pairs with
+    the same message, one ulp either side of the end ratios too."""
+    rng = np.random.default_rng(19)
+    pairs = list(_quantile_pairs(rng, 1500))
+    for _ in range(500):  # the shapes fits reach
+        alpha = math.exp(rng.uniform(math.log(0.3), math.log(30.0)))
+        pairs.append(tuple(special.gammaincinv(alpha, [0.5, 0.95]) / rng.uniform(0.05, 3.0)))
+    accepted = []
+    for median, q95 in pairs:
+        try:
+            ref = array_quantiles_to_shape_rate(median, q95)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                lk.quantiles_to_shape_rate(median, q95)
+            assert str(got.value) == str(err)
+            accepted.append(False)
+            continue
+        assert lk.quantiles_to_shape_rate(median, q95) == ref
+        accepted.append(True)
+    assert sum(accepted) >= 1500 and set(accepted[1500:1506]) == {True, False}
 
 
 class _CountingSpecial:
@@ -402,6 +476,26 @@ def test_cond_rejects_negative_growth_and_empty_input():
         lk.log_lik_cond(cases, -0.1, 1.86, 0.33)
     with pytest.raises(ValueError):
         lk.log_lik_cond([], 0.3, 1.86, 0.33)
+
+
+@pytest.mark.parametrize("log_lik, args, name", [
+    (lk.log_lik_cond, (math.nan, 1.86, 0.33), "r"),
+    (lk.log_lik_cond, (math.inf, 1.86, 0.33), "r"),
+    (lk.log_lik_cond, (0.3, math.inf, 0.33), "alpha"),
+    (lk.log_lik_cond, (0.3, 1.86, math.nan), "beta"),
+    (lk.log_lik_cond_trunc, (math.nan, 1.86, 0.33, 90.0), "r"),
+    (lk.log_lik_cond_trunc, (0.3, 1.86, 0.33, math.inf), "M"),
+    (lk.log_lik_cond_trunc, (0.3, 1.86, 0.33, math.nan), "M"),
+    (lk.log_lik_uncond, (None, 0.3, 1.86, 0.33), "rho"),
+    (lk.log_lik_uncond, (math.nan, 0.3, 1.86, 0.33), "rho"),
+    (lk.log_lik_uncond, (0.45, math.inf, 1.86, 0.33), "r"),
+])
+def test_log_lik_names_a_parameter_that_is_not_a_finite_number(log_lik, args, name):
+    """A NaN r is not read as the r = 0 forms, an infinite one is not blamed
+    on the first case, and a missing rho is not a TypeError."""
+    cases = random_cases(5, np.random.default_rng(36))
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        log_lik(cases, *args)
 
 
 def test_cond_names_the_impossible_case():
