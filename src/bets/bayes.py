@@ -24,7 +24,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 from scipy import special as sc
 
-from .timeline import AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord
+from .timeline import (AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord,
+                       distinct_rows)
 
 __all__ = [
     "DiscreteConfig",
@@ -134,9 +135,13 @@ class NonparamState:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("r1", "kappa", "r2", "lambda_w", "lambda_v"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         self.h = np.atleast_2d(np.asarray(self.h, dtype=float))
-        if np.any(self.h < 0):
-            raise ValueError("h must be nonnegative")
+        if not np.all(self.h >= 0):
+            raise ValueError("h must be nonnegative and not NaN")
         bad = np.abs(self.h.sum(axis=1) - 1.0) > 1e-12
         if np.any(bad):
             raise ValueError(f"h rows must sum to 1 (off by {self.h.sum(axis=1)[bad]})")
@@ -144,6 +149,8 @@ class NonparamState:
             self.eta = np.asarray(self.eta, dtype=float)
             if self.eta.shape != (2, 2):
                 raise ValueError(f"eta must be (2, 2), got {self.eta.shape}")
+            if not np.all(np.isfinite(self.eta)):
+                raise ValueError(f"eta must hold finite numbers, got {self.eta.tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +236,21 @@ class DiscreteData:
     """Whole-day case arrays plus the gather indices of their likelihood.
 
     A case's likelihood term depends only on its (B*, E*, S*, stratum)
-    tuple, so it is evaluated once per distinct tuple.  The distinct rows
-    are sorted by stratum, then B*, E*, S*: inverse holds each case's row
-    and rows the slice of rows of each stratum.  A row's candidate
-    infection days are S* - k (k = 0..max_incubation-1) on the epidemic
-    curve on 0..L, the days outside the stay or outside 0..L taken as day
-    L + 1, where the curve is 0.  Rows with the same days share their sum
-    over infection days, so each stratum sums each distinct window of days
-    once: products[s] indexes each window's g*(t) h*(k) in the flattened
-    (L + 2, K) table of them, and rowmap[s] each of the stratum's rows'
-    window.  stay_index[departure] indexes each row's P(B*) P(E*|B*) in the
-    flattened stay weights: B* for uniform, B* (L + 1) + E* for geometric.
-    dropped counts, by reason, the records from_records left out.  The
-    horizon l and the incubation support K = max_incubation are
-    DiscreteConfig's.
+    tuple, so it is evaluated once per distinct tuple.  The distinct rows,
+    found by :func:`bets.timeline.distinct_rows`, are sorted by stratum,
+    then B*, E*, S*: inverse holds each case's row and rows the slice of
+    rows of each stratum.  A row's candidate infection days are S* - k
+    (k = 0..max_incubation-1) on the epidemic curve on 0..L, the days
+    outside the stay or outside 0..L taken as day L + 1, where the curve is
+    0.  Rows with the same days share their sum over infection days, so
+    each stratum sums each distinct window of days (distinct_rows again,
+    over its rows' days) once: products[s] indexes each window's
+    g*(t) h*(k) in the flattened (L + 2, K) table of them, and rowmap[s]
+    each of the stratum's rows' window.  stay_index[departure] indexes each
+    row's P(B*) P(E*|B*) in the flattened stay weights: B* for uniform,
+    B* (L + 1) + E* for geometric.  dropped counts, by reason, the records
+    from_records left out.  The horizon l and the incubation support
+    K = max_incubation are DiscreteConfig's.
     """
 
     b: np.ndarray
@@ -267,18 +275,16 @@ class DiscreteData:
                 f"case {self.case_ids[i]}: no feasible infection day for "
                 f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) "
                 f"with incubation < {DiscreteConfig.max_incubation}")
-        tuples = np.stack([self.stratum, self.b, self.e, self.s], axis=1)
-        _, first, self.inverse = np.unique(tuples, axis=0, return_index=True,
-                                           return_inverse=True)
+        first, self.inverse = distinct_rows(self.stratum, self.b, self.e, self.s)
         ends = np.searchsorted(self.stratum[first], np.arange(len(self.labels) + 1))
         self.rows = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
         t_idx = np.where(mask, t, DiscreteConfig.l + 1)[first]
         K = DiscreteConfig.max_incubation
         self.rowmap, self.products = [], []
         for rows in self.rows:
-            windows, rowmap = np.unique(t_idx[rows], axis=0, return_inverse=True)
-            self.rowmap.append(rowmap.ravel())
-            self.products.append(windows * K + np.arange(K))
+            window_first, rowmap = distinct_rows(*t_idx[rows].T)
+            self.rowmap.append(rowmap)
+            self.products.append(t_idx[rows][window_first] * K + np.arange(K))
         b, e = self.b[first], self.e[first]
         self.stay_index = {"uniform": b, "geometric": b * (DiscreteConfig.l + 1) + e}
 

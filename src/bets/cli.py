@@ -516,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_POSITIVE_INT, default=200, help="bootstrap resamples")
     p.add_argument("--boot-method", choices=["basic", "percentile"], default="basic",
                    help="bootstrap interval construction")
-    p.add_argument("--workers", type=_POSITIVE_INT, default=1, help="parallel refit processes")
+    p.add_argument("--workers", type=_POSITIVE_INT, default=1,
+                   help="parallel bootstrap refit processes")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_ci)
@@ -536,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_NON_NEGATIVE_INT, default=0,
                    help="bootstrap resamples per cutoff for bands (0 = none)")
     p.add_argument("--level", type=_LEVEL, default=0.95, help="band level")
-    p.add_argument("--workers", type=_POSITIVE_INT, default=1, help="parallel fit processes")
+    p.add_argument("--workers", type=_POSITIVE_INT, default=1,
+                   help="parallel bootstrap refit processes")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_bias_demo)

@@ -43,6 +43,9 @@ class IncubationDist:
 
     @classmethod
     def gamma(cls, alpha: float, beta: float) -> "IncubationDist":
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not (alpha > 0 and beta > 0):
             raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
         return cls(alpha=alpha, beta=beta)
@@ -50,7 +53,7 @@ class IncubationDist:
     @classmethod
     def discrete(cls, pmf) -> "IncubationDist":
         p = np.asarray(pmf, dtype=float)
-        if p.ndim != 1 or p.size == 0 or np.any(p < 0):
+        if p.ndim != 1 or p.size == 0 or not np.all(p >= 0):
             raise ValueError("pmf must be a 1-D nonnegative array")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf sums to {p.sum()!r}, not 1")
@@ -100,6 +103,10 @@ class GenerativeParams:
     L: ClassVar[float] = L_DEFAULT
 
     def __post_init__(self):
+        for name in ("kappa", "r", "r2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not 0 <= self.pi <= 1:
             raise ValueError(f"need 0 <= pi <= 1, got {self.pi}")
         if not 0 <= self.nu <= 1:

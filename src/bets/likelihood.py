@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sc
 
-from .timeline import QUARANTINE_DAY, CaseRecord
+from .timeline import QUARANTINE_DAY, CaseRecord, distinct_rows
 
 __all__ = [
     "L_DEFAULT",
@@ -88,6 +88,10 @@ class ParamTheta:
     rho: float | None = None
 
     def __post_init__(self):
+        for name in ("r", "alpha", "beta", "rho"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(f"need alpha, beta > 0, got ({self.alpha}, {self.beta})")
         if self.rho is not None and self.rho < 0:
@@ -263,22 +267,6 @@ def case_arrays(cases: Sequence[CaseRecord]):
     return b, e, s, resident
 
 
-def _distinct_rows(*columns):
-    """(first, inverse) over the rows of equal-length columns: first[k] is
-    the first case of the k-th distinct row, rows compared bit for bit, and
-    inverse[i] is case i's row, so column[first][inverse] is column.  A
-    stable lexsort of the bit patterns, far cheaper than np.unique(axis=1)."""
-    keys = np.stack(columns, dtype=float).view(np.int64)
-    order = np.lexsort(keys)
-    ordered = keys[:, order]
-    new = np.empty(order.size, bool)
-    new[:1] = True
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
-    inverse = np.empty(order.size, np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
                    index=None) -> np.ndarray:
     """Log-likelihood terms of S | (B, E), case in the selection set.
@@ -398,12 +386,13 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     or "cond_trunc" (truncated at M; a case with S > M raises LikelihoodError).
 
     The cases are converted, reduced to their distinct (B, E, S, resident)
-    rows and the rows' Gamma CDF arguments indexed once, here.  Returns a
-    function of (rho, r, alpha, beta) giving :func:`cond_log_terms`,
-    :func:`uncond_log_terms` or :func:`trunc_log_terms` with NaN read as -inf:
-    each term is evaluated once per distinct row and gathered back to case
-    order, so a caller sums the cases in case order.  The terms are those of
-    the kernels on the full case arrays, bit for bit (every step elementwise).
+    rows by timeline's distinct_rows and the rows' Gamma CDF arguments indexed
+    once, here.  Returns a function of (rho, r, alpha, beta) giving
+    :func:`cond_log_terms`, :func:`uncond_log_terms` or :func:`trunc_log_terms`
+    with NaN read as -inf: each term is evaluated once per distinct row and
+    gathered back to case order, so a caller sums the cases in case order.
+    The terms are those of the kernels on the full case arrays, bit for bit
+    (every step elementwise).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
@@ -415,7 +404,7 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
             raise LikelihoodError(
                 f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}")
     columns = case_arrays(cases)
-    first, inverse = _distinct_rows(*columns)
+    first, inverse = distinct_rows(*columns[::-1])  # resident, S, E, B
     b, e, s, resident = (col[first] for col in columns)
     index = _cdf_index(s - b, s - e)
     if kind == "cond_trunc":

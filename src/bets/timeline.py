@@ -1,10 +1,11 @@
 """Case-table ingestion and the study timeline.
 
-Everything in this module is calendar bookkeeping: reading the raw line-list
+Everything in this module is cohort bookkeeping: reading the raw line-list
 table, classifying whether a case could have been infected outside Wuhan,
-applying the cohort inclusion rules, and converting calendar dates to the
+applying the cohort inclusion rules, converting calendar dates to the
 integer epoch-day scale used by the rest of the package (day 0 = November 30,
-2019, so the travel quarantine of January 23, 2020 falls on day 54).
+2019, so the travel quarantine of January 23, 2020 falls on day 54), and
+reducing a cohort's columns to the distinct rows both likelihoods evaluate.
 
 Continuous event times carry fixed sub-day offsets so that recorded same-day
 events stay strictly ordered: begin-of-stay sits at three quarters of a day
@@ -24,6 +25,8 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "EPOCH_ORIGIN",
@@ -51,6 +54,7 @@ __all__ = [
     "read_cohort",
     "write_json",
     "atomic_write_text",
+    "distinct_rows",
 ]
 
 #: Day 0 of the epoch-day scale.
@@ -574,3 +578,16 @@ def read_cohort(path: str | os.PathLike) -> list[CaseRecord]:
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise CaseTableError(f"cohort file {path} is not a list of case objects")
     return [_record_from_row(rownum, row) for rownum, row in enumerate(rows, start=1)]
+
+
+def distinct_rows(*columns):
+    """(first, inverse) of the rows of equal-length columns, compared bit for bit as
+    floats and sorted by the first column, then the next (numerically when not
+    negative): first[k] is the first case of row k, inverse[i] is case i's row."""
+    keys = np.stack(columns[::-1], dtype=float).view(np.int64)
+    order = np.lexsort(keys)
+    new = np.ones(order.size, bool)
+    np.any(np.diff(keys[:, order]) != 0, axis=0, out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse

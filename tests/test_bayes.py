@@ -148,6 +148,22 @@ def test_state_must_fit_its_config(config, overrides, message):
         log_lik_discrete(recs, state, config)
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("h", dict(h=np.r_[np.nan, np.full(29, 1 / 29)])),
+    ("r1", dict(r1=math.nan)),
+    ("kappa", dict(kappa=math.inf)),
+    ("r2", dict(r2=math.nan)),
+    ("lambda_w", dict(lambda_w=math.nan)),
+    ("lambda_v", dict(lambda_v=math.inf)),
+    ("eta", dict(eta=np.full((2, 2), math.nan))),
+])
+def test_nonparam_state_names_a_value_that_is_not_a_finite_number(name, overrides):
+    """NaN fails no `<` check: a NaN in h used to pass both checks on h."""
+    kwargs = {"h": np.ones(30) / 30, "r1": 0.1, "kappa": 0.5, **overrides}
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        NonparamState(**kwargs)
+
+
 def test_nonparam_state_validation():
     with pytest.raises(ValueError):
         NonparamState(h=np.full(30, 0.5), r1=0.1, kappa=0.5)  # rows must sum to 1
@@ -242,6 +258,39 @@ def test_discrete_data_windows_give_back_each_rows_days():
     assert np.array_equal(data.stay_index["uniform"][data.inverse], data.b)
     assert np.array_equal(np.divmod(data.stay_index["geometric"][data.inverse], l + 1),
                           (data.b, data.e))
+
+
+@pytest.mark.parametrize("strata, male_only", [("none", False), ("gender", False),
+                                               ("age50", False), ("gender", True)])
+def test_discrete_data_indices_are_those_of_np_unique(strata, male_only):
+    """DiscreteData's indices equal np.unique(axis=0)'s: inverse over
+    (stratum, B*, E*, S*), sorted stratum first, which the rows slices read;
+    each stratum's rowmap and products over its rows' infection days; and
+    the rows' (B*, E*) in stay_index for both departure models.  The
+    male-only cohort leaves the female stratum empty."""
+    config = DiscreteConfig(strata=strata)
+    recs = random_selected_records(300, np.random.default_rng(84), strata=True)
+    if male_only:
+        recs = [dataclasses.replace(c, gender="male") for c in recs]
+    data = DiscreteData.from_records(recs, config)
+    K, l = config.max_incubation, config.l
+    tuples = np.stack([data.stratum, data.b, data.e, data.s], axis=1)
+    _, first, inverse = np.unique(tuples, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(data.inverse, inverse.ravel())
+    ends = np.cumsum(np.bincount(data.stratum[first], minlength=config.n_strata)).tolist()
+    assert data.rows == [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+    b, e, s = data.b[first], data.e[first], data.s[first]
+    t = s[:, None] - np.arange(K)[None, :]
+    inside = (t >= b[:, None]) & (t <= e[:, None]) & (t >= 0) & (t <= l)
+    days = np.where(inside, t, l + 1)
+    for rows, rowmap, products in zip(data.rows, data.rowmap, data.products, strict=True):
+        windows, windowmap = np.unique(days[rows], axis=0, return_inverse=True)
+        assert np.array_equal(rowmap, windowmap.ravel())
+        assert np.array_equal(products, windows * K + np.arange(K))
+    assert np.array_equal(data.stay_index["uniform"], b)
+    assert np.array_equal(data.stay_index["geometric"], b * (l + 1) + e)
+    sizes = [rows.stop - rows.start for rows in data.rows]
+    assert all(sizes[:-1]) and (sizes[-1] == 0) == male_only
 
 
 @pytest.mark.parametrize("make", [

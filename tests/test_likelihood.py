@@ -22,7 +22,7 @@ from bets.likelihood import (
     ParamTheta,
     gamma_exp_integral,
 )
-from bets.timeline import CaseRecord
+from bets.timeline import CaseRecord, distinct_rows
 from helpers import array_quantiles_to_shape_rate, quad_growth_onset
 
 L = 54.0
@@ -72,6 +72,20 @@ def test_theta_zero_growth_maps_to_infinite_doubling():
 ])
 def test_param_theta_validation(kwargs):
     with pytest.raises(ValueError):
+        ParamTheta(**kwargs)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("r", dict(r=math.nan, alpha=1.0, beta=1.0, rho=math.nan)),
+    ("r", dict(r=math.inf, alpha=1.0, beta=1.0)),
+    ("alpha", dict(r=0.3, alpha=math.inf, beta=1.0)),
+    ("beta", dict(r=0.3, alpha=1.0, beta=math.nan)),
+    ("rho", dict(r=0.3, alpha=1.0, beta=1.0, rho=math.nan)),
+    ("rho", dict(r=0.3, alpha=1.0, beta=1.0, rho=math.inf)),
+])
+def test_param_theta_names_a_parameter_that_is_not_a_finite_number(name, kwargs):
+    """NaN fails no `<` check, so each field is tested with math.isfinite."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
         ParamTheta(**kwargs)
 
 
@@ -303,7 +317,7 @@ def test_case_terms_evaluate_each_distinct_case_once_bit_for_bit(monkeypatch):
     cases = (lattice[:100] + [copies[1]] + lattice[100:250] + [copies[0], copies[3]]
              + lattice[250:] + [copies[2], copies[5], copies[4]])
     columns = lk.case_arrays(cases)
-    first, inverse = lk._distinct_rows(*columns)
+    first, inverse = distinct_rows(*columns)
     assert first.size == len({(c.B, c.E, c.S, c.is_resident) for c in cases}) < len(cases) / 2
     assert all(np.array_equal(col[first][inverse], col) for col in columns)
     M = 80.0

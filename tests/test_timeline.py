@@ -8,6 +8,7 @@ import json
 import os
 from datetime import date
 
+import numpy as np
 import pytest
 
 from bets import timeline
@@ -466,3 +467,45 @@ def test_cohort_files_round_trip(tmp_path):
             assert timeline.read_cohort(path) == records
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Distinct rows (needs hypothesis)
+# ---------------------------------------------------------------------------
+
+def test_distinct_rows_are_those_of_np_unique():
+    """On 1-4 columns of small non-negative ints and floats with many repeats,
+    in shuffled order: each column is its distinct rows gathered back, first[k]
+    is row k's earliest case, the rows rise strictly in the order of the
+    arguments, and the answer is np.unique(axis=0)'s."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def columns(draw):
+        n = draw(st.integers(0, 40))
+        cols = []
+        for _ in range(draw(st.integers(1, 4))):
+            value = draw(st.sampled_from([st.integers(0, 5), st.floats(0.0, 8.0)]))
+            pool = draw(st.lists(value, min_size=1, max_size=3))
+            cols.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n,
+                                               max_size=n))))
+        return cols
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cols=columns())
+    def check(cols):
+        first, inverse = timeline.distinct_rows(*cols)
+        assert all(np.array_equal(col[first][inverse], col) for col in cols)
+        assert [int(np.flatnonzero(inverse == k)[0]) for k in range(first.size)] \
+            == first.tolist()
+        rows = list(zip(*(col[first].tolist() for col in cols)))
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        _, index, unique_inverse = np.unique(np.column_stack(cols), axis=0,
+                                             return_index=True, return_inverse=True)
+        assert np.array_equal(first, index)
+        assert np.array_equal(inverse, unique_inverse.ravel())
+
+    check()
+    first, inverse = timeline.distinct_rows(np.array([]), np.array([], dtype=int))
+    assert first.shape == inverse.shape == (0,)
