@@ -35,29 +35,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncubationDist:
-    """Incubation-period distribution: Gamma(shape, rate) or a discrete pmf on 0..K-1."""
+    """Incubation-period distribution: Gamma(shape, rate) or a discrete pmf on 0..K-1.
+
+    Give alpha and beta, or pmf alone; a pmf is stored as a tuple of floats.
+    """
 
     alpha: float | None = None
     beta: float | None = None
     pmf: tuple[float, ...] | None = None
 
-    @classmethod
-    def gamma(cls, alpha: float, beta: float) -> "IncubationDist":
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
-        if not (alpha > 0 and beta > 0):
-            raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-        return cls(alpha=alpha, beta=beta)
-
-    @classmethod
-    def discrete(cls, pmf) -> "IncubationDist":
-        p = np.asarray(pmf, dtype=float)
+    def __post_init__(self):
+        given = (self.alpha is not None, self.beta is not None, self.pmf is not None)
+        if given not in ((True, True, False), (False, False, True)):
+            raise ValueError("give alpha and beta, or pmf alone")
+        if self.pmf is None:
+            for name in ("alpha", "beta"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be a finite number, got {value}")
+            if not (self.alpha > 0 and self.beta > 0):
+                raise ValueError(f"need alpha, beta > 0, got ({self.alpha}, {self.beta})")
+            return
+        p = np.asarray(self.pmf, dtype=float)
         if p.ndim != 1 or p.size == 0 or not np.all(p >= 0):
             raise ValueError("pmf must be a 1-D nonnegative array")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf sums to {p.sum()!r}, not 1")
-        return cls(pmf=tuple(float(x) for x in p))
+        object.__setattr__(self, "pmf", tuple(float(x) for x in p))
+
+    @classmethod
+    def gamma(cls, alpha: float, beta: float) -> "IncubationDist":
+        return cls(alpha=alpha, beta=beta)
+
+    @classmethod
+    def discrete(cls, pmf) -> "IncubationDist":
+        return cls(pmf=pmf)
 
     @property
     def kind(self) -> str:

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special as sc
-from scipy.optimize import minimize
 
 from .likelihood import (
     DisplayTheta,
@@ -195,6 +194,92 @@ class _ParamMap:
 # Maximum likelihood
 # ---------------------------------------------------------------------------
 
+class _Exhausted(Exception):
+    """The evaluation budget of a simplex search ran out mid-step."""
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
+                 adaptive: bool) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize fun from x0 by the Nelder-Mead simplex.
+
+    A port of SciPy 1.17.1's ``_minimize_neldermead`` (Nelder & Mead 1965;
+    with adaptive, the dimension-dependent coefficients of Gao & Han 2012)
+    without bounds, callback or initial simplex.  It takes the same steps,
+    sorts and stops, so it returns what ``scipy.optimize.minimize(...,
+    method="Nelder-Mead")`` does with xatol _XATOL, fatol _FATOL and
+    maxfev = maxiter = maxfev, bit for bit; tests/test_inference.py holds it
+    to that.  maxiter is dropped: every iteration spends at least one
+    evaluation, so it never binds first.
+
+    The simplex starts at x0 and at x0 with one coordinate scaled by 1.05
+    (set to 0.00025 where it is 0).  When the budget runs out mid-step, the
+    step keeps its partial updates.  fun gets a view of the simplex, must
+    not keep it, and must return a Python float.
+
+    Returns (x, fun(x), evaluations, evaluations < maxfev).
+    """
+    n = x0.size
+    # The reflection coefficient is 1 in both variants and is left out.
+    if adaptive:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return fun(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Exhausted:
+        pass
+    for _ in range(2):  # as SciPy does: argsort is not stable, so a tie may move
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                if outside:
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _Exhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
 def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
             init: DisplayTheta | None = None, M: float | None = None,
             fixed: dict | None = None, options: FitOptions | None = None) -> FitResult:
@@ -248,13 +333,10 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         best_x, best_fun, n_eval, success = None, np.inf, 0, False
         for k in range(options.restarts + 1):
             x0 = u0 if k == 0 else u0 + _JITTER * rng.standard_normal(u0.size)
-            res = minimize(fun, x0, method="Nelder-Mead",
-                           options={"xatol": _XATOL, "fatol": _FATOL,
-                                    "maxfev": per_run, "maxiter": per_run,
-                                    "adaptive": u0.size > 2})
-            n_eval += res.nfev
-            if res.fun < best_fun:
-                best_x, best_fun, success = res.x, res.fun, bool(res.success)
+            x, val, nfev, ok = _nelder_mead(fun, x0, per_run, adaptive=u0.size > 2)
+            n_eval += nfev
+            if val < best_fun:
+                best_x, best_fun, success = x, val, ok
 
     rho, r, med, q95 = pmap.unpack(np.asarray(best_x))
     alpha, beta = quantiles_to_shape_rate(med, q95)

@@ -75,13 +75,33 @@ def test_generative_params_validation():
     ("alpha", lambda: IncubationDist.gamma(math.inf, 1.0)),
     ("beta", lambda: IncubationDist.gamma(1.0, math.nan)),
     ("pmf", lambda: IncubationDist.discrete([math.nan, 1.0])),
+    ("alpha", lambda: IncubationDist(alpha=math.nan, beta=1.0)),
+    ("pmf", lambda: IncubationDist(pmf=(math.nan, 1.0))),
 ], ids=["kappa-nan", "kappa-inf", "r-nan", "r-inf", "r2-nan", "alpha-inf", "beta-nan",
-        "pmf-nan"])
+        "pmf-nan", "alpha-nan-direct", "pmf-nan-direct"])
 def test_parameters_that_are_not_finite_numbers_are_named(name, make):
     """NaN fails no `<` check: with r = nan, sample_exported used to draw
     about 10^9 candidates before it raised."""
     with pytest.raises(ValueError, match=f"^{name} must be "):
         make()
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"alpha": 1.0}, {"beta": 1.0},
+                                    {"alpha": 1.0, "beta": 1.0, "pmf": (1.0,)}],
+                         ids=["none", "alpha-only", "beta-only", "both-laws"])
+def test_incubation_law_needs_alpha_and_beta_or_a_pmf(kwargs):
+    with pytest.raises(ValueError, match="give alpha and beta, or pmf alone"):
+        IncubationDist(**kwargs)
+
+
+def test_incubation_law_built_directly_is_checked_as_the_classmethods_are():
+    assert IncubationDist(alpha=1.86, beta=0.33) == IncubationDist.gamma(1.86, 0.33)
+    direct = IncubationDist(pmf=np.array([0.25, 0.75]))
+    assert direct == IncubationDist.discrete([0.25, 0.75]) and direct.pmf == (0.25, 0.75)
+    with pytest.raises(ValueError, match="need alpha, beta > 0"):
+        IncubationDist(alpha=-1.0, beta=1.0)
+    with pytest.raises(ValueError, match="pmf sums to"):
+        IncubationDist(pmf=(0.5, 0.4))
 
 
 def test_exponential_growth_integral():

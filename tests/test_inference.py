@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import chi2
 
 from bets import generative, inference, likelihood as lk
@@ -173,6 +174,93 @@ def test_trunc_fit_uses_cutoff(sim_cohort_800):
     with pytest.raises(lk.LikelihoodError):
         mle_fit(records, "cond_trunc", M=58.0, options=FAST)
     assert mle_fit(sub, "cond_trunc", M=58.0, options=FAST).converged
+
+
+# ---------------------------------------------------------------------------
+# The simplex search, held to SciPy's
+# ---------------------------------------------------------------------------
+
+NELDER_MEAD = inference._nelder_mead
+BIG = inference._BIG
+
+
+def assert_scipys_search(fun, x0, maxfev, adaptive):
+    """_nelder_mead returns what scipy.optimize.minimize's Nelder-Mead does
+    with mle_fit's tolerances, bit for bit; -> the port's result."""
+    got = NELDER_MEAD(fun, x0, maxfev, adaptive)
+    res = minimize(fun, x0, method="Nelder-Mead",
+                   options={"xatol": inference._XATOL, "fatol": inference._FATOL,
+                            "maxfev": maxfev, "maxiter": maxfev, "adaptive": adaptive})
+    x, val, nfev, ok = got
+    assert np.array_equal(x, res.x)
+    assert (val, nfev, ok) == (res.fun, res.nfev, res.success)
+    return got
+
+
+def rosenbrock(x):
+    """A curved valley; a tilted quartic in one dimension."""
+    if x.size == 1:
+        return float((x[0] - 1.5) ** 4 + 0.3 * x[0])
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def ridge(x):
+    """A bowl centred past a _BIG plateau where x0 + x1 > 1, as mle_fit's
+    objective returns _BIG off the likelihood's domain."""
+    return BIG if x[0] + x[1] > 1.0 else float(np.sum((x - 0.6) ** 2))
+
+
+def cusp(x):
+    """Square-root cusps, on which the simplex shrinks."""
+    return float(np.sum([0.6, 2.5, 2.5] * np.sqrt(np.abs(x - [0.9, 0.0, -1.8]))))
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nelder_mead_takes_scipys_steps(n, adaptive):
+    """Random starts, a start with a zero coordinate (stepped by 0.00025,
+    not 5%) and the origin."""
+    rng = np.random.default_rng(2026 + n)
+    starts = [rng.normal(0.0, 1.5, n) for _ in range(3)]
+    starts += [np.where(np.arange(n) == 0, 0.0, starts[0]), np.zeros(n)]
+    for x0 in starts:
+        assert_scipys_search(rosenbrock, x0, 2000, adaptive)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nelder_mead_sorts_ties_on_a_big_plateau_as_scipy_does(n, adaptive):
+    x0 = np.array([0.5, 0.49, 1.0, 0.2][:n])
+    start = [x0] + [np.where(np.arange(n) == k, 1.05 * x0, x0) for k in range(n)]
+    assert [ridge(v) == BIG for v in start][:3] == [False, True, True]
+    assert_scipys_search(ridge, x0, 2000, adaptive)
+    # Every vertex ties, in every step, until the simplex has shrunk to xatol.
+    assert_scipys_search(lambda x: BIG, x0, 2000, adaptive)
+
+
+@pytest.mark.parametrize("maxfev", range(1, 60))
+def test_nelder_mead_stops_at_maxfev_as_scipy_does(maxfev):
+    """A budget below 4 cuts the initial simplex short.  Evaluations 30-32
+    are a shrink, so budgets 30 and 31 stop it part way, and the shrunk
+    vertices already evaluated stay in the simplex."""
+    x0 = np.array([-0.3, 0.5, -0.9])
+    _, _, nfev, ok = assert_scipys_search(cusp, x0, maxfev, adaptive=False)
+    assert nfev == maxfev and not ok
+
+
+@pytest.mark.parametrize("kind, fixed", [("uncond", None), ("cond", None),
+                                         ("cond_trunc", None), ("cond", {"r": 0.0})])
+def test_mle_fit_searches_are_scipys(small_cohort, monkeypatch, kind, fixed):
+    searches = []
+
+    def checked(fun, x0, maxfev, adaptive):
+        searches.append(maxfev)
+        return assert_scipys_search(fun, x0, maxfev, adaptive)
+
+    monkeypatch.setattr(inference, "_nelder_mead", checked)
+    M = float(max(c.S_int for c in small_cohort)) if kind == "cond_trunc" else None
+    fit = mle_fit(small_cohort, kind, M=M, fixed=fixed, options=FitOptions(restarts=1))
+    assert searches == [25_000, 25_000] and fit.converged
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,15 @@ def test_every_layer_is_checked():
     assert {f"bets.{m}" for m in layers} < set(MODULES)
 
 
-def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+def test_cli_import_leaves_scipy_stats_integrate_and_optimize_unloaded():
     """Every bets command imports bets.cli first; scipy.stats and
-    scipy.integrate would add about half a second to each start.  A fresh
-    interpreter is needed because the test modules import scipy.stats."""
+    scipy.integrate would add about half a second to each start, and
+    scipy.optimize about 0.2 s and 22 MB (the simplex is
+    inference._nelder_mead).  A fresh interpreter is needed because the
+    test modules import scipy.stats and scipy.optimize."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
     probe = ("import sys, bets.cli; print(' '.join(m for m in sys.modules "
-             "if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+             "if m.startswith(('scipy.stats', 'scipy.integrate', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.split() == []
