@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy import special as sc
 
 from .timeline import (AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord,
                        distinct_rows)
@@ -107,14 +106,30 @@ class DiscreteConfig:
 def discretized_base_pmf(max_incubation: int = 30, shape: float = 9.0,
                          rate: float = 1.5) -> np.ndarray:
     """Whole-day discretization of Gamma(shape, rate), renormalized on
-    0..max_incubation-1: h0(k) proportional to H(k+1) - H(k)."""
+    0..max_incubation-1: h0(k) proportional to H(k+1) - H(k).
+
+    The sampler does not call it: its prior reads _H0, this function's
+    default table written out, so `bets mcmc` starts without SciPy.  A test
+    holds the two equal bit for bit.  scipy.special loads on the first call."""
+    from scipy import special as sc
     k = np.arange(max_incubation + 1)
     cell = sc.gammainc(shape, rate * k[1:]) - sc.gammainc(shape, rate * k[:-1])
     return cell / cell.sum()
 
 
-#: The prior's base pmf h0 on the model's incubation support.
-_H0 = discretized_base_pmf(DiscreteConfig.max_incubation)
+#: The prior's base pmf h0 on the model's incubation support:
+#: discretized_base_pmf(DiscreteConfig.max_incubation), frozen.
+_H0 = np.array([
+    2.77358192472632e-05, 0.0037752562424836055, 0.03645432042088817, 0.11250519353502564,
+    0.18527037484575337, 0.20631451482204355, 0.17623955646259515, 0.12438526609670138,
+    0.07603229199638294, 0.04154899629310503, 0.020756106590238584, 0.009634377742379636,
+    0.004206360092234194, 0.0017437561619691783, 0.0006914784898863696,
+    0.00026385170587365413, 9.734682435387898e-05, 3.4864826176598756e-05,
+    1.2161663080887592e-05, 4.143308116326558e-06, 1.3819038398232543e-06,
+    4.5213207889403023e-07, 1.4536841797184806e-07, 4.599949587968752e-08,
+    1.4344737842216314e-08, 4.413645449183217e-09, 1.3412739807899197e-09,
+    4.029514499906304e-10, 1.1977330238894554e-10, 3.525002512156757e-11,
+])
 
 
 @dataclass(eq=False)

@@ -6,6 +6,10 @@ BETS_OUTPUT_DIR environment variable, or the working directory).  All
 writes are atomic, outputs are deterministic given --seed, and every JSON
 artifact embeds {version, seed, flags} provenance.
 
+Only bayes and timeline load with this module.  The fitting modules, and
+with them scipy.special, load inside the commands that fit or simulate, so
+mcmc, ingest and plot-data --kind se-density start without SciPy.
+
 Exit codes: 0 success; 2 bad flags, unreadable or unparseable input;
 3 empty cohort; 4 a module rejected the request (message forwarded).
 """
@@ -19,12 +23,15 @@ import os
 import sys
 import warnings
 from datetime import date
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, bayes, generative, inference, timeline
-from .likelihood import KINDS, LikelihoodError, quantiles_to_shape_rate
-from .timeline import CaseRecord, CaseTableError
+from . import __version__, bayes, timeline
+from .timeline import KINDS, CaseRecord, CaseTableError
+
+if TYPE_CHECKING:  # annotations only; see the module docstring
+    from . import generative, inference
 
 _KIND_FLAG = {kind.replace("_", "-"): kind for kind in KINDS}
 _PARAM_FLAG = {"rho": "rho", "doubling-time": "doubling_time",
@@ -107,6 +114,8 @@ def _parse_fixed(pairs: list[str] | None) -> dict:
 def _build_params(args) -> generative.GenerativeParams:
     """--median and --q95 together replace --shape and --rate; --stage-break
     needs --late-growth-rate."""
+    from . import generative
+    from .likelihood import quantiles_to_shape_rate
     if (args.median is None) != (args.q95 is None):
         raise CliError(2, "give both --median and --q95 (or neither)")
     if args.stage_break is None:
@@ -138,6 +147,7 @@ def _fit_from_flags(records: list[CaseRecord],
     """The fit the flags ask for, warning when it did not converge, and the
     records it was fitted to (those with onset by the truncation day, for
     cond-trunc)."""
+    from . import inference
     kind = _KIND_FLAG[args.likelihood]
     M = None
     if kind == "cond_trunc":
@@ -196,6 +206,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import generative
     params = _build_params(args)
     rng = np.random.default_rng(args.seed)
     records, acceptance = generative.sample_exported(args.n, params, rng)
@@ -229,6 +240,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ci(args) -> int:
+    from . import inference
     fit, records = _fit_from_flags(
         _filter_location(_load_cohort(args.input), args.location), args)
     param = _PARAM_FLAG[args.param]
@@ -248,6 +260,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_bias_demo(args) -> int:
+    from . import inference
     records = _load_cohort(args.input)
     day_from = _parse_day(args.date_from)
     day_to = _parse_day(args.date_to)
@@ -276,6 +289,7 @@ def cmd_bias_demo(args) -> int:
 
 
 def cmd_gof(args) -> int:
+    from . import inference
     records = _filter_location(_load_cohort(args.input), args.location)
     r, alpha, beta, fit_info = _theta_from_flags(records, args)
     gof = inference.gof_onset_marginal(records, r, alpha, beta,
@@ -365,6 +379,7 @@ def cmd_plot_data(args) -> int:
     out = _out_dir(args)
     records = _filter_location(_load_cohort(args.input), args.location)
     if args.kind == "onset-fit":
+        from . import inference
         r, alpha, beta, _ = _theta_from_flags(records, args)
         days, observed, expected = inference.onset_fit_table(records, r, alpha, beta)
         rows = [[int(day), timeline.from_epoch(int(day)).isoformat(), int(obs), float(exp)]
@@ -606,7 +621,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (LikelihoodError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
 

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sc
 
-from .timeline import QUARANTINE_DAY, CaseRecord, distinct_rows
+from .timeline import KINDS, QUARANTINE_DAY, CaseRecord, distinct_rows
 
 __all__ = [
     "L_DEFAULT",
@@ -52,7 +52,6 @@ __all__ = [
     "growth_bias_fixed_point",
     "case_arrays",
     "case_terms",
-    "KINDS",
     "cond_log_terms",
     "uncond_log_terms",
     "trunc_log_terms",
@@ -374,11 +373,6 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
             return log_diff - log_z
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
                 + r * (s - M) + log_diff - log_z)
-
-
-#: The likelihood kinds of case_terms, and how errors name them.
-KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
-          "cond_trunc": "truncated likelihood"}
 
 
 def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):

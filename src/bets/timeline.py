@@ -6,6 +6,9 @@ applying the cohort inclusion rules, converting calendar dates to the
 integer epoch-day scale used by the rest of the package (day 0 = November 30,
 2019, so the travel quarantine of January 23, 2020 falls on day 54), and
 reducing a cohort's columns to the distinct rows both likelihoods evaluate.
+It also owns the names every layer shares: the study's days, the case labels
+(GENDERS, AGE_GROUPS) and the likelihood kinds (KINDS), so the command-line
+parser can offer them without importing a fitting module.
 
 Continuous event times carry fixed sub-day offsets so that recorded same-day
 events stay strictly ordered: begin-of-stay sits at three quarters of a day
@@ -35,6 +38,7 @@ __all__ = [
     "STAGE_BREAK_DAY",
     "GENDERS",
     "AGE_GROUPS",
+    "KINDS",
     "CaseTableError",
     "RawCase",
     "CaseRecord",
@@ -71,6 +75,10 @@ STAGE_BREAK_DAY = 51
 #: A case's known labels, in the order of a stratified fit's gap (first minus second).
 GENDERS = ("male", "female")
 AGE_GROUPS = ("under50", "over50")
+
+#: The likelihood kinds of likelihood.case_terms, and how errors name them.
+KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
+         "cond_trunc": "truncated likelihood"}
 
 
 class CaseTableError(ValueError):

@@ -66,6 +66,15 @@ def test_discretized_base_pmf_matches_direct_computation():
     assert h0[14:].sum() == pytest.approx(0.00113, abs=2e-4)
 
 
+def test_frozen_prior_base_pmf_is_the_discretized_gamma():
+    """The sampler's prior reads bayes._H0, written out so that `bets mcmc`
+    starts without SciPy.  A SciPy whose gammainc moves fails here rather
+    than silently moving the prior."""
+    frozen = bayes._H0
+    assert frozen.dtype == np.float64 and frozen.shape == (DiscreteConfig.max_incubation,)
+    assert np.array_equal(frozen, discretized_base_pmf(DiscreteConfig.max_incubation))
+
+
 def test_log_prior_h_at_the_base_pmf():
     h0 = discretized_base_pmf()
     log_h0 = np.log(h0)

@@ -10,9 +10,12 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bets
+from bets import timeline
+from helpers import discrete_cohort
 
 MODULES = ["bets"] + [f"bets.{m.name}" for m in pkgutil.iter_modules(bets.__path__)]
 
@@ -95,3 +98,37 @@ def test_cli_import_leaves_scipy_stats_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.split() == []
+
+
+@pytest.fixture(scope="module")
+def whole_day_cohort(tmp_path_factory) -> str:
+    records, _ = discrete_cohort(150, np.random.default_rng(3))
+    path = str(tmp_path_factory.mktemp("cohort") / "cohort.csv")
+    timeline.write_cohort_csv(records, path)
+    return path
+
+
+@pytest.mark.parametrize("command, fits", [
+    ((), False),
+    (("mcmc", "--steps", "20", "--chains", "2"), False),
+    (("plot-data", "--kind", "se-density"), False),
+    (("fit",), True),
+], ids=["import", "mcmc", "plot-data-se-density", "fit"])
+def test_only_the_commands_that_fit_load_scipy(command, fits, whole_day_cohort, tmp_path):
+    """import bets.cli loads no SciPy module, nor do the commands that fit
+    nothing: the sampler's prior base pmf is a frozen table, and the fitting
+    modules load inside the commands that fit.  A fit loads scipy.special
+    (about 0.3 s) when it runs.  Each run is a fresh interpreter, as the
+    test modules import SciPy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
+    argv = [*command, "--in", whole_day_cohort, "--out", str(tmp_path)] if command else []
+    probe = ("import sys, bets.cli; rc = bets.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+             "print(rc, *(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    rc, *loaded = out.stdout.splitlines()[-1].split()
+    assert rc == "0", out.stderr
+    if fits:
+        assert "scipy.special" in loaded
+    else:
+        assert loaded == []
