@@ -24,7 +24,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .timeline import (AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord,
-                       distinct_rows)
+                       check_finite, distinct_rows)
 
 __all__ = [
     "DiscreteConfig",
@@ -150,10 +150,9 @@ class NonparamState:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("r1", "kappa", "r2", "lambda_w", "lambda_v"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+        check_finite({"r1": self.r1, "kappa": self.kappa, "r2": self.r2,
+                      "lambda_w": self.lambda_w, "lambda_v": self.lambda_v},
+                     optional=("r2", "lambda_w", "lambda_v"))
         self.h = np.atleast_2d(np.asarray(self.h, dtype=float))
         if not np.all(self.h >= 0):
             raise ValueError("h must be nonnegative and not NaN")

@@ -7,8 +7,8 @@ writes are atomic, outputs are deterministic given --seed, and every JSON
 artifact embeds {version, seed, flags} provenance.
 
 Only bayes and timeline load with this module.  The fitting modules, and
-with them scipy.special, load inside the commands that fit or simulate, so
-mcmc, ingest and plot-data --kind se-density start without SciPy.
+with them scipy.special, load inside the commands that fit, so mcmc, ingest,
+plot-data --kind se-density and simulate without --median run without SciPy.
 
 Exit codes: 0 success; 2 bad flags, unreadable or unparseable input;
 3 empty cohort; 4 a module rejected the request (message forwarded).
@@ -115,7 +115,6 @@ def _build_params(args) -> generative.GenerativeParams:
     """--median and --q95 together replace --shape and --rate; --stage-break
     needs --late-growth-rate."""
     from . import generative
-    from .likelihood import quantiles_to_shape_rate
     if (args.median is None) != (args.q95 is None):
         raise CliError(2, "give both --median and --q95 (or neither)")
     if args.stage_break is None:
@@ -126,6 +125,7 @@ def _build_params(args) -> generative.GenerativeParams:
     if args.median is not None:
         if not args.median < args.q95:
             raise CliError(2, f"--median ({args.median}) must be below --q95 ({args.q95})")
+        from .likelihood import quantiles_to_shape_rate
         shape, rate = quantiles_to_shape_rate(args.median, args.q95)
     return generative.params_from_theta(
         args.rho, args.growth_rate, shape, rate, nu=args.symptomatic,

@@ -20,8 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .likelihood import L_DEFAULT, R_SWITCH
-from .timeline import STAGE_BREAK_DAY, CaseRecord
+from .timeline import QUARANTINE_DAY, R_SWITCH, STAGE_BREAK_DAY, CaseRecord, check_finite
 
 __all__ = [
     "IncubationDist",
@@ -49,10 +48,7 @@ class IncubationDist:
         if given not in ((True, True, False), (False, False, True)):
             raise ValueError("give alpha and beta, or pmf alone")
         if self.pmf is None:
-            for name in ("alpha", "beta"):
-                value = getattr(self, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be a finite number, got {value}")
+            check_finite({"alpha": self.alpha, "beta": self.beta})
             if not (self.alpha > 0 and self.beta > 0):
                 raise ValueError(f"need alpha, beta > 0, got ({self.alpha}, {self.beta})")
             return
@@ -100,7 +96,7 @@ class GenerativeParams:
     and r (optionally r2 after day l1) define the epidemic curve
     g(t) = kappa e^{rt}; nu the symptomatic fraction; incubation the
     incubation-period law.  The horizon L is the travel-quarantine day,
-    L_DEFAULT, for every parameter set.
+    QUARANTINE_DAY, for every parameter set.
     """
 
     pi: float
@@ -112,13 +108,10 @@ class GenerativeParams:
     incubation: IncubationDist
     r2: float | None = None
     l1: float = float(STAGE_BREAK_DAY)
-    L: ClassVar[float] = L_DEFAULT
+    L: ClassVar[float] = float(QUARANTINE_DAY)
 
     def __post_init__(self):
-        for name in ("kappa", "r", "r2"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+        check_finite({"kappa": self.kappa, "r": self.r, "r2": self.r2}, optional=("r2",))
         if not 0 <= self.pi <= 1:
             raise ValueError(f"need 0 <= pi <= 1, got {self.pi}")
         if not 0 <= self.nu <= 1:
@@ -190,11 +183,11 @@ def params_from_theta(rho: float, r: float, alpha: float, beta: float, *,
     if not rho >= 0:
         raise ValueError(f"need rho >= 0 (visitor travel mix), got {rho}")
     pi = rho / (1.0 + rho)
-    lam = 1.0 / L_DEFAULT
+    lam = 1.0 / GenerativeParams.L
     probe = GenerativeParams(pi=pi, lambda_w=lam, lambda_v=lam, kappa=1e-12,
                              r=r, nu=nu, r2=r2, l1=l1,
                              incubation=IncubationDist.gamma(alpha, beta))
-    unit_mass = float(probe.growth_mass(0.0, L_DEFAULT)) / 1e-12
+    unit_mass = float(probe.growth_mass(0.0, probe.L)) / 1e-12
     return GenerativeParams(pi=pi, lambda_w=lam, lambda_v=lam,
                             kappa=growth_mass / unit_mass, r=r, nu=nu, r2=r2, l1=l1,
                             incubation=IncubationDist.gamma(alpha, beta))
@@ -239,12 +232,12 @@ def sample_population_arrays(n: int, params: GenerativeParams,
 
 
 def selection_mask(b, e, t, s) -> np.ndarray:
-    """Vectorized membership in the selection set D, L = L_DEFAULT."""
+    """Vectorized membership in the selection set D, L = GenerativeParams.L."""
     b = np.asarray(b, float)
     e = np.asarray(e, float)
     t = np.asarray(t, float)
     s = np.asarray(s, float)
-    return (b <= t) & (t <= e) & (e <= L_DEFAULT) & (t <= s) & np.isfinite(s)
+    return (b <= t) & (t <= e) & (e <= GenerativeParams.L) & (t <= s) & np.isfinite(s)
 
 
 #: Population draws after which sample_exported gives up.

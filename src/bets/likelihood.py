@@ -33,11 +33,10 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sc
 
-from .timeline import KINDS, QUARANTINE_DAY, CaseRecord, distinct_rows
+from .timeline import KINDS, QUARANTINE_DAY, R_SWITCH, CaseRecord, check_finite, distinct_rows
 
 __all__ = [
     "L_DEFAULT",
-    "R_SWITCH",
     "LikelihoodError",
     "ParamTheta",
     "DisplayTheta",
@@ -59,9 +58,6 @@ __all__ = [
 
 #: Horizon of the selection window (travel-quarantine day).
 L_DEFAULT = float(QUARANTINE_DAY)
-
-#: |r| below this uses the exact r = 0 limiting forms.
-R_SWITCH = 1e-8
 
 
 class LikelihoodError(ValueError):
@@ -87,10 +83,8 @@ class ParamTheta:
     rho: float | None = None
 
     def __post_init__(self):
-        for name in ("r", "alpha", "beta", "rho"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+        check_finite({"r": self.r, "alpha": self.alpha, "beta": self.beta, "rho": self.rho},
+                     optional=("rho",))
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(f"need alpha, beta > 0, got ({self.alpha}, {self.beta})")
         if self.rho is not None and self.rho < 0:
@@ -431,9 +425,7 @@ def _strict_sum(cases: Sequence[CaseRecord], kind: str, rho, r: float, alpha: fl
     params.update(r=r, alpha=alpha, beta=beta)
     if M is not None:
         params["M"] = M
-    for name, value in params.items():
-        if value is None or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+    check_finite(params)
     if not (alpha > 0 and beta > 0):
         raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
     if kind != "uncond" and r < 0:

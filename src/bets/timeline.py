@@ -7,8 +7,9 @@ integer epoch-day scale used by the rest of the package (day 0 = November 30,
 2019, so the travel quarantine of January 23, 2020 falls on day 54), and
 reducing a cohort's columns to the distinct rows both likelihoods evaluate.
 It also owns the names every layer shares: the study's days, the case labels
-(GENDERS, AGE_GROUPS) and the likelihood kinds (KINDS), so the command-line
-parser can offer them without importing a fitting module.
+(GENDERS, AGE_GROUPS), the likelihood kinds (KINDS) the command-line parser
+offers without importing a fitting module, the r = 0 switch (R_SWITCH) and
+check_finite, the one "must be a finite number" check of every parameter.
 
 Continuous event times carry fixed sub-day offsets so that recorded same-day
 events stay strictly ordered: begin-of-stay sits at three quarters of a day
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -39,6 +41,8 @@ __all__ = [
     "GENDERS",
     "AGE_GROUPS",
     "KINDS",
+    "R_SWITCH",
+    "check_finite",
     "CaseTableError",
     "RawCase",
     "CaseRecord",
@@ -79,6 +83,17 @@ AGE_GROUPS = ("under50", "over50")
 #: The likelihood kinds of likelihood.case_terms, and how errors name them.
 KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
          "cond_trunc": "truncated likelihood"}
+
+#: |r| below this uses the exact r = 0 limiting forms.
+R_SWITCH = 1e-8
+
+
+def check_finite(values: Mapping[str, float | None], optional: Sequence[str] = ()) -> None:
+    """ValueError naming the first of values that is not a finite number; a
+    name in optional may also be None.  NaN fails no `<` check."""
+    for name, value in values.items():
+        if not (name in optional if value is None else math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 class CaseTableError(ValueError):

@@ -165,9 +165,12 @@ def test_state_must_fit_its_config(config, overrides, message):
     ("lambda_w", dict(lambda_w=math.nan)),
     ("lambda_v", dict(lambda_v=math.inf)),
     ("eta", dict(eta=np.full((2, 2), math.nan))),
+    ("r1", dict(r1=None)),
+    ("kappa", dict(kappa=None)),
 ])
 def test_nonparam_state_names_a_value_that_is_not_a_finite_number(name, overrides):
-    """NaN fails no `<` check: a NaN in h used to pass both checks on h."""
+    """NaN fails no `<` check: a NaN in h used to pass both checks on h.
+    r1 and kappa may not be None; r2, lambda_w and lambda_v may."""
     kwargs = {"h": np.ones(30) / 30, "r1": 0.1, "kappa": 0.5, **overrides}
     with pytest.raises(ValueError, match=f"^{name} must "):
         NonparamState(**kwargs)

@@ -7,6 +7,7 @@ against the library's own likelihood module.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,11 +78,13 @@ def test_generative_params_validation():
     ("pmf", lambda: IncubationDist.discrete([math.nan, 1.0])),
     ("alpha", lambda: IncubationDist(alpha=math.nan, beta=1.0)),
     ("pmf", lambda: IncubationDist(pmf=(math.nan, 1.0))),
+    ("kappa", lambda: dataclasses.replace(reference_params(), kappa=None)),
+    ("r", lambda: dataclasses.replace(reference_params(), r=None)),
 ], ids=["kappa-nan", "kappa-inf", "r-nan", "r-inf", "r2-nan", "alpha-inf", "beta-nan",
-        "pmf-nan", "alpha-nan-direct", "pmf-nan-direct"])
+        "pmf-nan", "alpha-nan-direct", "pmf-nan-direct", "kappa-none", "r-none"])
 def test_parameters_that_are_not_finite_numbers_are_named(name, make):
     """NaN fails no `<` check: with r = nan, sample_exported used to draw
-    about 10^9 candidates before it raised."""
+    about 10^9 candidates before it raised.  Only r2 may be None."""
     with pytest.raises(ValueError, match=f"^{name} must be "):
         make()
 

@@ -82,9 +82,13 @@ def test_param_theta_validation(kwargs):
     ("beta", dict(r=0.3, alpha=1.0, beta=math.nan)),
     ("rho", dict(r=0.3, alpha=1.0, beta=1.0, rho=math.nan)),
     ("rho", dict(r=0.3, alpha=1.0, beta=1.0, rho=math.inf)),
+    ("r", dict(r=None, alpha=1.0, beta=1.0)),
+    ("alpha", dict(r=0.3, alpha=None, beta=1.0)),
+    ("beta", dict(r=0.3, alpha=1.0, beta=None)),
 ])
 def test_param_theta_names_a_parameter_that_is_not_a_finite_number(name, kwargs):
-    """NaN fails no `<` check, so each field is tested with math.isfinite."""
+    """NaN fails no `<` check, so each field is tested with math.isfinite;
+    only rho may be None."""
     with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
         ParamTheta(**kwargs)
 

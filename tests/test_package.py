@@ -72,11 +72,11 @@ def test_no_private_name_crosses_a_module(module):
 
 
 def test_the_model_and_the_sampler_stay_off_the_estimators():
-    """bayes reads only timeline; the generative model (the tests' oracle)
-    takes only the horizon and the r = 0 switch from likelihood, and its
-    incubation law is given by shape and rate alone."""
+    """bayes and the generative model (the tests' oracle) read only
+    timeline, and the model's incubation law is given by shape and rate
+    alone."""
     assert set(_bets_imports("bayes")) == {"timeline"}
-    assert _bets_imports("generative")["likelihood"] == {"L_DEFAULT", "R_SWITCH"}
+    assert set(_bets_imports("generative")) == {"timeline"}
     params = inspect.signature(bets.generative.params_from_theta).parameters
     assert {"median", "q95"}.isdisjoint(params)
 
@@ -84,20 +84,6 @@ def test_the_model_and_the_sampler_stay_off_the_estimators():
 def test_every_layer_is_checked():
     layers = {"timeline", "generative", "likelihood", "inference", "bayes", "cli"}
     assert {f"bets.{m}" for m in layers} < set(MODULES)
-
-
-def test_cli_import_leaves_scipy_stats_integrate_and_optimize_unloaded():
-    """Every bets command imports bets.cli first; scipy.stats and
-    scipy.integrate would add about half a second to each start, and
-    scipy.optimize about 0.2 s and 22 MB (the simplex is
-    inference._nelder_mead).  A fresh interpreter is needed because the
-    test modules import scipy.stats and scipy.optimize."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
-    probe = ("import sys, bets.cli; print(' '.join(m for m in sys.modules "
-             "if m.startswith(('scipy.stats', 'scipy.integrate', 'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.split() == []
 
 
 @pytest.fixture(scope="module")
@@ -108,27 +94,34 @@ def whole_day_cohort(tmp_path_factory) -> str:
     return path
 
 
-@pytest.mark.parametrize("command, fits", [
-    ((), False),
-    (("mcmc", "--steps", "20", "--chains", "2"), False),
-    (("plot-data", "--kind", "se-density"), False),
-    (("fit",), True),
-], ids=["import", "mcmc", "plot-data-se-density", "fit"])
-def test_only_the_commands_that_fit_load_scipy(command, fits, whole_day_cohort, tmp_path):
+@pytest.mark.parametrize("command, loads", [
+    ((), ()),
+    (("mcmc", "--steps", "20", "--chains", "2"), ()),
+    (("plot-data", "--kind", "se-density"), ()),
+    (("simulate", "--n", "50"), ()),
+    (("simulate", "--n", "50", "--median", "5", "--q95", "12"), ("scipy.special",)),
+    (("fit",), ("scipy.special",)),
+], ids=["import", "mcmc", "plot-data-se-density", "simulate", "simulate-median", "fit"])
+def test_only_the_commands_that_fit_load_scipy(command, loads, whole_day_cohort, tmp_path):
     """import bets.cli loads no SciPy module, nor do the commands that fit
-    nothing: the sampler's prior base pmf is a frozen table, and the fitting
-    modules load inside the commands that fit.  A fit loads scipy.special
-    (about 0.3 s) when it runs.  Each run is a fresh interpreter, as the
-    test modules import SciPy."""
+    nothing: the sampler's prior base pmf is a frozen table, the simulator
+    reads only timeline, and the fitting modules load inside the commands
+    that fit.  A fit, and simulate's --median (a quantile inversion), load
+    scipy.special (about 0.3 s) when they run, but never scipy.optimize,
+    scipy.stats or scipy.integrate: the simplex is inference._nelder_mead.
+    Each run is a fresh interpreter, as the test modules import SciPy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
-    argv = [*command, "--in", whole_day_cohort, "--out", str(tmp_path)] if command else []
+    argv = [*command, "--out", str(tmp_path)] if command else []
+    if command and command[0] != "simulate":
+        argv += ["--in", whole_day_cohort]
     probe = ("import sys, bets.cli; rc = bets.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
              "print(rc, *(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
     rc, *loaded = out.stdout.splitlines()[-1].split()
     assert rc == "0", out.stderr
-    if fits:
-        assert "scipy.special" in loaded
-    else:
+    assert set(loads) <= set(loaded)
+    heavy = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+    assert [m for m in loaded if m.startswith(heavy)] == []
+    if not loads:
         assert loaded == []
