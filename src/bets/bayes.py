@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -264,7 +264,8 @@ class DiscreteData:
     row's P(B*) P(E*|B*) in the flattened stay weights: B* for uniform,
     B* (L + 1) + E* for geometric.  dropped counts, by reason, the records
     from_records left out.  The horizon l and the incubation support
-    K = max_incubation are DiscreteConfig's.
+    K = max_incubation are DiscreteConfig's.  days, when given, is what
+    _infection_days returns for b, e and s; from_records passes it on.
     """
 
     b: np.ndarray
@@ -279,9 +280,10 @@ class DiscreteData:
     rowmap: list = field(init=False)
     products: list = field(init=False)
     stay_index: dict = field(init=False)
+    days: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        t, mask = _infection_days(self.b, self.e, self.s)
+    def __post_init__(self, days):
+        t, mask = _infection_days(self.b, self.e, self.s) if days is None else days
         empty = ~mask.any(axis=1)
         if np.any(empty):
             i = int(np.flatnonzero(empty)[0])
@@ -312,16 +314,19 @@ class DiscreteData:
         rows = [(c, labels.index(key(c))) for c in cases if key(c) in labels]
         b, e, s = (np.array([getattr(c, f) for c, _ in rows], dtype=int)
                    for f in ("B_int", "E_int", "S_int"))
-        feasible = _infection_days(b, e, s)[1].any(axis=1)
+        t, mask = _infection_days(b, e, s)
+        feasible = mask.any(axis=1)
         dropped = {"outside_strata": len(cases) - len(rows),
                    "no_feasible_infection_day": int((~feasible).sum())}
         if not feasible.any():
             raise ValueError(f"no cases left after dropping {dropped}")
         keep = np.flatnonzero(feasible)
+        # copying the (n, K) arrays costs more than it saves when all are kept
+        days = (t, mask) if feasible.all() else (t[keep], mask[keep])
         return cls(b=b[keep], e=e[keep], s=s[keep],
                    stratum=np.array([st for _, st in rows])[keep],
                    case_ids=[rows[i][0].case_id for i in keep],
-                   labels=labels, dropped=dropped)
+                   labels=labels, dropped=dropped, days=days)
 
     @property
     def n_dropped(self) -> int:

@@ -159,7 +159,8 @@ def _fit_from_flags(records: list[CaseRecord],
             raise CliError(3, "no cases at or before the truncation day")
     fixed = _parse_fixed(getattr(args, "fix", None))
     options = inference.FitOptions(seed=args.seed)
-    fit = inference.mle_fit(records, kind, M=M, fixed=fixed, options=options)
+    fit = inference.mle_fit(records, kind, M=M, fixed=fixed, options=options,
+                            n_jobs=getattr(args, "workers", 1))
     if not fit.converged:
         print(f"warning: the {args.likelihood} fit did not converge ({fit.message})",
               file=sys.stderr)
@@ -245,7 +246,8 @@ def cmd_ci(args) -> int:
         _filter_location(_load_cohort(args.input), args.location), args)
     param = _PARAM_FLAG[args.param]
     if args.method == "profile":
-        ci = inference.profile_ci(records, fit, param, level=args.level)
+        ci = inference.profile_ci(records, fit, param, level=args.level,
+                                  n_jobs=args.workers)
     else:
         ci = inference.bootstrap_ci(
             records, fit, param, n_boot=args.n_boot, level=args.level,
@@ -429,6 +431,14 @@ _DATE = _number(lambda text: _parse_date_flag(text) and text, bool,
 _QUARANTINE = timeline.QUARANTINE_DATE.isoformat()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, the default of --workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _add_out(p) -> None:
     p.add_argument("--out", default=None, metavar="DIR",
                    help="output directory (default: $BETS_OUTPUT_DIR or '.')")
@@ -531,8 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_POSITIVE_INT, default=200, help="bootstrap resamples")
     p.add_argument("--boot-method", choices=["basic", "percentile"], default="basic",
                    help="bootstrap interval construction")
-    p.add_argument("--workers", type=_POSITIVE_INT, default=1,
-                   help="parallel bootstrap refit processes")
+    p.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
+                   help="processes that run the fit's restarts, the profile's two "
+                        "sides or the bootstrap refits side by side; the interval is "
+                        "the same for any value, and 1 runs all in this process "
+                        "(default: the CPUs this process may use, %(default)s)")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_ci)
@@ -552,8 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_NON_NEGATIVE_INT, default=0,
                    help="bootstrap resamples per cutoff for bands (0 = none)")
     p.add_argument("--level", type=_LEVEL, default=0.95, help="band level")
-    p.add_argument("--workers", type=_POSITIVE_INT, default=1,
-                   help="parallel bootstrap refit processes")
+    p.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
+                   help="processes that run each cutoff's bootstrap refits side by "
+                        "side (the fits themselves stay in this process); the bands "
+                        "are the same for any value "
+                        "(default: the CPUs this process may use, %(default)s)")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_bias_demo)

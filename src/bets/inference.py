@@ -13,6 +13,8 @@ histogram against the exported-resident onset density.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -280,9 +282,63 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
     return sim[0], np.min(fsim), nfev, nfev < maxfev
 
 
+class _Objective:
+    """The function mle_fit minimizes: the negative log-likelihood of kind at
+    free coordinates u, each per-case term floored at 1e-300, and _BIG
+    where u leaves the domain or the sum is not finite.
+
+    It pickles as its inputs, so a worker process builds the same function
+    from the same cases and pins.
+    """
+
+    def __init__(self, cases: Sequence[CaseRecord], kind: str, M: float | None,
+                 fixed: dict | None):
+        self._args = (cases, kind, M, fixed)
+        self.terms = case_terms(cases, kind, M)
+        self.pmap = _ParamMap(kind, fixed)
+
+    def __reduce__(self):
+        return _Objective, self._args
+
+    def __call__(self, u: np.ndarray) -> float:
+        try:
+            rho, r, med, q95 = self.pmap.unpack(u)
+            alpha, beta = quantiles_to_shape_rate(med, q95)
+            lt = self.terms(rho, r, alpha, beta)
+        except (ValueError, OverflowError):
+            return _BIG
+        val = -float(np.maximum(lt, _LOG_FLOOR).sum())
+        return val if math.isfinite(val) else _BIG
+
+
+#: Start method of the worker processes: fork on Linux, where a worker starts
+#: in about 10 ms, against about 0.5 s for spawn or forkserver (Python 3.14's
+#: Linux default), more than a fit's restarts or a profile side take.  Other
+#: platforms keep their default.  Forking is safe in a process without threads,
+#: as bets' commands are.
+_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+
+
+def _map(fn, tasks: list[tuple], n_jobs: int) -> list:
+    """[fn(*task) for task in tasks], spread over up to n_jobs worker
+    processes when there are n_jobs > 1 and more than one task.
+
+    A worker computes a task as this process would, so the results are the
+    same floats whatever n_jobs is.  The pool is shut down, its processes
+    joined, before this returns or raises; n_jobs == 1 starts no process.
+    """
+    workers = min(n_jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT) as pool:
+        return list(pool.map(fn, *zip(*tasks),
+                             chunksize=max(1, len(tasks) // (4 * workers))))
+
+
 def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
             init: DisplayTheta | None = None, M: float | None = None,
-            fixed: dict | None = None, options: FitOptions | None = None) -> FitResult:
+            fixed: dict | None = None, options: FitOptions | None = None,
+            n_jobs: int = 1) -> FitResult:
     """Maximize the chosen log-likelihood over the free display parameters.
 
     Parameters
@@ -299,41 +355,38 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         Pin parameters by display name ("rho", "doubling_time",
         "median_incubation", "q95_incubation") or pin the rate directly
         ("r", e.g. {"r": 0.0} for the no-growth fit).
+    n_jobs : int
+        Worker processes for the restarts' searches (1: in this process).
+        The result is the same whatever the value.
 
     Returns
     -------
     FitResult
         converged is False when the search failed or stopped against the
         boundary of the transformed domain; n_clamped counts cases whose
-        likelihood term underflowed at the optimum (should be 0).
+        likelihood term underflowed at the optimum (should be 0).  Of the
+        restarts, the first with the lowest objective wins; n_eval counts
+        the evaluations of them all.
     """
     if not cases:
         raise ValueError("no cases to fit")
-    terms = case_terms(cases, kind, M)
     options = options or FitOptions()
-    pmap = _ParamMap(kind, fixed)
+    fun = _Objective(cases, kind, M, fixed)
+    terms, pmap = fun.terms, fun.pmap
     u0 = pmap.pack(init or DEFAULT_INIT)
-
-    def fun(u: np.ndarray) -> float:
-        try:
-            rho, r, med, q95 = pmap.unpack(u)
-            alpha, beta = quantiles_to_shape_rate(med, q95)
-            lt = terms(rho, r, alpha, beta)
-        except (ValueError, OverflowError):
-            return _BIG
-        val = -float(np.maximum(lt, _LOG_FLOOR).sum())
-        return val if math.isfinite(val) else _BIG
 
     if u0.size == 0:  # everything pinned: nothing to optimize
         val = fun(u0)
         best_x, best_fun, n_eval, success = u0, val, 1, True
     else:
         rng = np.random.default_rng(options.seed)
+        starts = [u0] + [u0 + _JITTER * rng.standard_normal(u0.size)
+                         for _ in range(options.restarts)]
         per_run = max(options.max_eval // (options.restarts + 1), 200)
+        runs = _map(_nelder_mead, [(fun, x0, per_run, u0.size > 2) for x0 in starts],
+                    n_jobs)
         best_x, best_fun, n_eval, success = None, np.inf, 0, False
-        for k in range(options.restarts + 1):
-            x0 = u0 if k == 0 else u0 + _JITTER * rng.standard_normal(u0.size)
-            x, val, nfev, ok = _nelder_mead(fun, x0, per_run, adaptive=u0.size > 2)
+        for x, val, nfev, ok in runs:
             n_eval += nfev
             if val < best_fun:
                 best_x, best_fun, success = x, val, ok
@@ -405,8 +458,53 @@ def _check_param(fit: FitResult, param: str) -> None:
         raise ValueError(f"{param} was pinned in the base fit")
 
 
+def _profile_side(cases: Sequence[CaseRecord], fit: FitResult, param: str,
+                  threshold: float, direction: int) -> tuple[float, bool]:
+    """One side of profile_ci, walking up from the point for direction +1
+    and down for -1: (endpoint, bracketed)."""
+    point = getattr(fit.display, param)
+
+    def discrepancy(v: float) -> float | None:
+        """2(l_hat - l_profile(v)) - threshold, or None when the refit fails."""
+        sub = _refit(cases, fit, _warm_init(fit.display, param, v), {**fit.fixed, param: v})
+        return None if sub is None else 2.0 * (fit.log_lik - sub.log_lik) - threshold
+
+    v_in = point
+    v_out = None
+    v = point
+    limit = point * _PROFILE_RANGE if direction > 0 else point / _PROFILE_RANGE
+    while True:
+        v = v * _PROFILE_STEP if direction > 0 else v / _PROFILE_STEP
+        hit_limit = v >= limit if direction > 0 else v <= limit
+        if hit_limit:
+            v = limit
+        d = discrepancy(v)
+        if d is None:
+            return limit, False
+        if d > 0:
+            v_out = v
+            break
+        v_in = v
+        if hit_limit:
+            return limit, False
+    lo, hi = (v_in, v_out) if direction > 0 else (v_out, v_in)
+    # bisect in log space on the sign change
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        d = discrepancy(mid)
+        if d is None:
+            return limit, False
+        if abs(d) <= _PROFILE_TOL:
+            return mid, True
+        if (d > 0) == (direction > 0):
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(lo * hi), True
+
+
 def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
-               level: float = 0.95) -> CIResult:
+               level: float = 0.95, n_jobs: int = 1) -> CIResult:
     """Invert the likelihood-ratio test for one display parameter of fit.
 
     The profile refits use the fit's likelihood kind, truncation day and
@@ -414,7 +512,9 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     within 5e-4; the search stays within [point/100, point*100].  A side
     that never crosses inside that range, or whose search meets a profile
     refit that fails (does not converge, or has no valid warm start), comes
-    back at the end of that range with its bracket flag False.
+    back at the end of that range with its bracket flag False.  With
+    n_jobs > 1 the two sides run in two worker processes; the interval is
+    the same.
     """
     _check_level(level)
     _check_param(fit, param)
@@ -422,48 +522,8 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     threshold = _chi2_ppf_1(level)
     if threshold == 0.0:
         return CIResult(point, point, level)
-
-    def discrepancy(v: float) -> float | None:
-        """2(l_hat - l_profile(v)) - threshold, or None when the refit fails."""
-        sub = _refit(cases, fit, _warm_init(fit.display, param, v), {**fit.fixed, param: v})
-        return None if sub is None else 2.0 * (fit.log_lik - sub.log_lik) - threshold
-
-    def solve(direction: int) -> tuple[float, bool]:
-        v_in = point
-        v_out = None
-        v = point
-        limit = point * _PROFILE_RANGE if direction > 0 else point / _PROFILE_RANGE
-        while True:
-            v = v * _PROFILE_STEP if direction > 0 else v / _PROFILE_STEP
-            hit_limit = v >= limit if direction > 0 else v <= limit
-            if hit_limit:
-                v = limit
-            d = discrepancy(v)
-            if d is None:
-                return limit, False
-            if d > 0:
-                v_out = v
-                break
-            v_in = v
-            if hit_limit:
-                return limit, False
-        lo, hi = (v_in, v_out) if direction > 0 else (v_out, v_in)
-        # bisect in log space on the sign change
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            d = discrepancy(mid)
-            if d is None:
-                return limit, False
-            if abs(d) <= _PROFILE_TOL:
-                return mid, True
-            if (d > 0) == (direction > 0):
-                hi = mid
-            else:
-                lo = mid
-        return math.sqrt(lo * hi), True
-
-    hi_end, hi_ok = solve(+1)
-    lo_end, lo_ok = solve(-1)
+    (hi_end, hi_ok), (lo_end, lo_ok) = _map(
+        _profile_side, [(cases, fit, param, threshold, d) for d in (+1, -1)], n_jobs)
     return CIResult(lo=lo_end, hi=hi_end, level=level,
                     lower_bracketed=lo_ok, upper_bracketed=hi_ok)
 
@@ -475,9 +535,8 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
 _MAX_FAILURE_RATE = 0.05    # share of failed bootstrap refits tolerated
 
 
-def _refit_star(args) -> DisplayTheta | None:
-    """Refit one resample from the full fit's point; None when it fails."""
-    cases, idx, fit = args
+def _refit_resample(cases, idx, fit: FitResult) -> DisplayTheta | None:
+    """Refit the resample cases[idx] from the full fit's point; None when it fails."""
     sub = _refit([cases[i] for i in idx], fit, fit.display, fit.fixed)
     return None if sub is None else sub.display
 
@@ -487,12 +546,7 @@ def _bootstrap_displays(cases, fit: FitResult, n_boot: int, rng,
     """Displays of the converged refits of n_boot resamples, and the failure count."""
     n = len(cases)
     args = [(cases, idx, fit) for idx in rng.integers(0, n, size=(n_boot, n))]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_refit_star, args,
-                                    chunksize=max(1, n_boot // (4 * n_jobs))))
-    else:
-        results = [_refit_star(a) for a in args]
+    results = _map(_refit_resample, args, n_jobs)
     displays = [d for d in results if d is not None]
     return displays, n_boot - len(displays)
 
@@ -514,7 +568,8 @@ def bootstrap_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     and pins, starting from the fit's point.  method "basic" reflects the
     percentile interval around the fit's value (2*s_hat - percentiles);
     method "percentile" uses the raw percentiles.  More than 5% of refits
-    failing aborts with RuntimeError.
+    failing aborts with RuntimeError.  n_jobs > 1 spreads the refits over
+    that many worker processes, to the same interval.
     """
     if method not in ("basic", "percentile"):
         raise ValueError(f"method must be 'basic' or 'percentile', got {method!r}")

@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import warnings
@@ -554,7 +555,15 @@ def test_ci_profile_side_past_a_failed_refit_is_unbracketed(tmp_path):
     assert ci["lo"] < point and ci["hi"] == pytest.approx(100 * point, rel=1e-12)
 
 
-def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys):
+# A warning raised in a worker process is printed there, not to the stderr
+# the test captures; so the tests that read stderr also run with --workers 1,
+# where all the work is done in the test's process.
+WORKERS = pytest.mark.parametrize("workers", [["--workers", "1"], []],
+                                  ids=["workers-1", "default-workers"])
+
+
+@WORKERS
+def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys, workers):
     """The same profile: no refit hands the simplex a non-finite objective
     (a truncated term read as +inf once did), so SciPy raises no
     RuntimeWarning and stderr holds no warning line."""
@@ -562,11 +571,44 @@ def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys):
     assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
     assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), "--likelihood",
                      "cond-trunc", "--truncate-at", "50", "--param", "median",
-                     "--out", str(tmp_path / "ci")]) == 0
+                     *workers, "--out", str(tmp_path / "ci")]) == 0
     assert "warning" not in capsys.readouterr().err
 
 
-def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--likelihood", "cond-trunc", "--truncate-at", "50", "--param", "median"],
+    ["--likelihood", "uncond", "--param", "doubling-time", "--seed", "2"],
+    ["--likelihood", "cond", "--param", "q95", "--method", "bootstrap", "--n-boot", "6"]],
+    ids=["profile-one-side-unbracketed", "profile", "bootstrap"])
+def test_ci_with_the_default_workers_writes_the_serial_ci_json(tmp_path, flags):
+    """The default --workers runs the fit's restarts and the profile's sides
+    or the bootstrap refits in worker processes; ci.json is the same as with
+    --workers 1, apart from the flags echoed in the provenance."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
+    payloads = []
+    for workers in (["--workers", "1"], []):
+        out = str(tmp_path / f"ci{len(workers)}")
+        assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), *flags,
+                         *workers, "--out", out]) == 0
+        payload = read_json(out, "ci.json")
+        del payload["provenance"]["flags"]["workers"], payload["provenance"]["flags"]["out"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--likelihood", "cond", "--param", "q95"], 0),
+    (["--likelihood", "cond", "--param", "rho", "--method", "bootstrap"], 4)],
+    ids=["profile", "rho-on-cond-bootstrap"])
+def test_ci_leaves_no_worker_process_behind(sim_dir, tmp_path, flags, code):
+    assert cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"), *flags,
+                     "--n-boot", "4", "--out", str(tmp_path)]) == code
+    assert multiprocessing.active_children() == []
+
+
+@WORKERS
+def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys, workers):
     """ci.json carries the interval once, at the top level; the fit block
     is the fit's fields for the profile and the bootstrap alike."""
     blocks = {}
@@ -574,7 +616,7 @@ def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys):
         out = str(tmp_path / method)
         code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
                          "--likelihood", "cond", "--param", "q95",
-                         "--method", method, "--n-boot", "4", "--out", out])
+                         "--method", method, "--n-boot", "4", *workers, "--out", out])
         assert code == 0
         payload = read_json(out, "ci.json")
         assert set(payload["ci"]) == {"lo", "hi", "level", "lower_bracketed",

@@ -366,6 +366,34 @@ def test_profile_ci_on_a_flat_profile_ends_at_the_search_range(small_cohort, sma
     assert (got.hi, got.upper_bracketed) == (point * 100, False)
 
 
+def test_profile_ci_sides_in_worker_processes_give_the_serial_interval(small_cohort,
+                                                                       small_fit):
+    serial = profile_ci(small_cohort, small_fit, "q95_incubation", n_jobs=1)
+    assert profile_ci(small_cohort, small_fit, "q95_incubation", n_jobs=2) == serial
+
+
+@pytest.mark.parametrize("kind", ["uncond", "cond"])
+def test_mle_fit_restarts_in_worker_processes_give_the_serial_fit(small_cohort, kind):
+    """The same optimum, the same winning restart and the same evaluation count."""
+    options = FitOptions(restarts=3, seed=4)
+    serial, parallel = (dataclasses.asdict(mle_fit(small_cohort, kind, options=options,
+                                                   n_jobs=n_jobs)) for n_jobs in (1, 2))
+    assert parallel == serial
+
+
+def test_map_applies_each_task_in_order(monkeypatch):
+    """In a pool too; one job, or one task, starts no pool."""
+    tasks = [(2, 3), (3, 2), (5, 1)]
+    assert inference._map(pow, tasks, 2) == [8, 9, 5]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(inference, "ProcessPoolExecutor", no_pool)
+    assert inference._map(pow, tasks, 1) == [8, 9, 5]
+    assert inference._map(pow, [(4, 2)], 2) == [16]
+
+
 def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
     before = dataclasses.asdict(small_fit)
     profile_ci(small_cohort, small_fit, "q95_incubation")
