@@ -24,7 +24,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .timeline import (AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord,
-                       check_finite, distinct_rows)
+                       check_finite, distinct_rows, parallel_map)
 
 __all__ = [
     "DiscreteConfig",
@@ -747,10 +747,11 @@ def _init_state(coords: _Coords, config: DiscreteConfig, rng: np.random.Generato
 
 
 def _find_starts(coords: _Coords, config: DiscreteConfig, target, rngs: list,
-                 prior_only: bool) -> tuple[np.ndarray, _Parts]:
+                 prior_only: bool, first: int = 0) -> tuple[np.ndarray, _Parts]:
     """Each chain's start and its target value and parts: candidates drawn
     from the chain's own generator until one has finite density, the
-    chains still searching evaluated as one batch."""
+    chains still searching evaluated as one batch.  The error names a
+    chain by its run-wide index, first + its index in rngs."""
     searching = np.arange(len(rngs))
     lp = parts = None
     for _ in range(1000):
@@ -765,7 +766,7 @@ def _find_starts(coords: _Coords, config: DiscreteConfig, target, rngs: list,
         searching = searching[~ok]
         if not searching.size:
             return lp, parts
-    raise RuntimeError(f"chain {searching[0]}: could not find a valid initial state")
+    raise RuntimeError(f"chain {first + searching[0]}: could not find a valid initial state")
 
 
 #: Incubation logits moved together in one h* proposal.
@@ -831,8 +832,21 @@ def _run_chains(coords: _Coords, target, steps: int, burn_in: int, thin: int, rn
     return draws, acc_post / (steps - burn_in), step
 
 
+def _sample_group(data: DiscreteData | None, config: DiscreteConfig, rngs: list,
+                  first: int, steps: int, thin: int):
+    """_run_chains' (draws, rates, step) of the chains first, first + 1, ...
+    that draw from rngs, from their start search on; the bare prior when
+    data is None.  One task of rwmh_run, in this process or a worker."""
+    coords = _Coords(config)
+    target = _make_target(coords, data, config)
+    lp, parts = _find_starts(coords, config, target, rngs, data is None, first)
+    base_step = np.array([0.1] + [0.15] * coords.S)
+    return _run_chains(coords, target, steps, steps // 2, thin, rngs, lp, parts, base_step)
+
+
 def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8,
-             seed: int = 0, thin: int = 10, prior_only: bool = False) -> ChainStore:
+             seed: int = 0, thin: int = 10, prior_only: bool = False,
+             n_jobs: int = 1) -> ChainStore:
     """Sample the discrete model by random-walk Metropolis-Hastings.
 
     Proposals are Gaussian on the unconstrained coordinates: scalars move
@@ -847,12 +861,17 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     days once per distinct window of days.  Each chain draws from its own
     generator, spawned from seed, so chain i's draws are the same whatever
     the number of chains, and each start is evaluated once, in the start
-    search.
+    search.  With n_jobs > 1 the chains are split into min(n_jobs, chains)
+    contiguous groups, each run as one batch in its own worker process
+    (timeline.parallel_map); a chain's draws do not depend on the rest of
+    its batch, so the store is the same array for array at any n_jobs.
 
     Raises RuntimeError if every chain's post-burn-in acceptance collapses
-    below 1% (after adaptation), or if an initial state cannot be found.
+    below 1% (after adaptation), or if an initial state cannot be found
+    (naming the first such chain).
     """
-    for name, value in (("steps", steps), ("chains", chains), ("thin", thin)):
+    for name, value in (("steps", steps), ("chains", chains), ("thin", thin),
+                        ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     coords = _Coords(config)
@@ -861,12 +880,11 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
         if not cases:
             raise ValueError("no cases (use prior_only=True to sample the prior)")
         data = cases if isinstance(cases, DiscreteData) else DiscreteData.from_records(cases, config)
-    target = _make_target(coords, data, config)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
-    lp, parts = _find_starts(coords, config, target, rngs, prior_only)
-    base_step = np.array([0.1] + [0.15] * coords.S)
-    draws, rates, step = _run_chains(coords, target, steps, steps // 2, thin, rngs, lp, parts,
-                                     base_step)
+    groups = np.array_split(np.arange(chains), min(n_jobs, chains))
+    results = parallel_map(_sample_group, [
+        (data, config, [rngs[i] for i in g], int(g[0]), steps, thin) for g in groups], n_jobs)
+    draws, rates, step = (np.concatenate(arrays) for arrays in zip(*results))
     scalars = {s.name: np.empty(draws.shape[:2]) for s in coords.scalars}
     for i, s in enumerate(coords.scalars):
         scalars[s.name][:] = [[s.value(x) for x in row] for row in draws[:, :, i].tolist()]

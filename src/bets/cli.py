@@ -160,7 +160,7 @@ def _fit_from_flags(records: list[CaseRecord],
     fixed = _parse_fixed(getattr(args, "fix", None))
     options = inference.FitOptions(seed=args.seed)
     fit = inference.mle_fit(records, kind, M=M, fixed=fixed, options=options,
-                            n_jobs=getattr(args, "workers", 1))
+                            n_jobs=args.workers)
     if not fit.converged:
         print(f"warning: the {args.likelihood} fit did not converge ({fit.message})",
               file=sys.stderr)
@@ -314,7 +314,7 @@ def cmd_mcmc(args) -> int:
         data = bayes.DiscreteData.from_records(_load_cohort(args.input), config)
     store = bayes.rwmh_run(data, config, steps=args.steps, chains=args.chains,
                            seed=args.seed, thin=args.thin,
-                           prior_only=args.prior_only)
+                           prior_only=args.prior_only, n_jobs=args.workers)
     out = _out_dir(args)
 
     labels = config.stratum_labels
@@ -449,6 +449,16 @@ def _add_seed(p) -> None:
                    help="random seed (echoed in outputs)")
 
 
+def _add_workers(p) -> None:
+    p.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
+                   help="processes that run independent parts side by side: for fit, "
+                        "gof and plot-data the fit's restarts; for ci those and the "
+                        "profile's two sides or the bootstrap refits; for bias-demo each "
+                        "cutoff's bootstrap refits; for mcmc groups of chains.  The "
+                        "output is the same for any value, and 1 runs all in this process "
+                        "(default: the CPUs this process may use, %(default)s)")
+
+
 def _add_fit_flags(p, kinds=tuple(_KIND_FLAG)) -> None:
     p.add_argument("--in", dest="input", required=True, metavar="FILE",
                    help="cohort table (.csv or .json)")
@@ -461,6 +471,7 @@ def _add_fit_flags(p, kinds=tuple(_KIND_FLAG)) -> None:
                    help="pin a parameter (rho, doubling-time, median, q95, r)")
     p.add_argument("--location", default=None,
                    help="keep only cases confirmed at this location")
+    _add_workers(p)
 
 
 def _add_theta_flags(p) -> None:
@@ -541,11 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_POSITIVE_INT, default=200, help="bootstrap resamples")
     p.add_argument("--boot-method", choices=["basic", "percentile"], default="basic",
                    help="bootstrap interval construction")
-    p.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
-                   help="processes that run the fit's restarts, the profile's two "
-                        "sides or the bootstrap refits side by side; the interval is "
-                        "the same for any value, and 1 runs all in this process "
-                        "(default: the CPUs this process may use, %(default)s)")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_ci)
@@ -565,11 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_NON_NEGATIVE_INT, default=0,
                    help="bootstrap resamples per cutoff for bands (0 = none)")
     p.add_argument("--level", type=_LEVEL, default=0.95, help="band level")
-    p.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
-                   help="processes that run each cutoff's bootstrap refits side by "
-                        "side (the fits themselves stay in this process); the bands "
-                        "are the same for any value "
-                        "(default: the CPUs this process may use, %(default)s)")
+    _add_workers(p)
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_bias_demo)
@@ -598,6 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=_POSITIVE_INT, default=10, help="keep every k-th draw")
     p.add_argument("--prior-only", action="store_true",
                    help="sample the bare prior (no data)")
+    _add_workers(p)
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_mcmc)

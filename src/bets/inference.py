@@ -13,9 +13,6 @@ histogram against the exported-resident onset density.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -30,7 +27,7 @@ from .likelihood import (
     marginal_s_density,
     quantiles_to_shape_rate,
 )
-from .timeline import CaseRecord
+from .timeline import CaseRecord, parallel_map
 
 __all__ = [
     "FitOptions",
@@ -311,30 +308,6 @@ class _Objective:
         return val if math.isfinite(val) else _BIG
 
 
-#: Start method of the worker processes: fork on Linux, where a worker starts
-#: in about 10 ms, against about 0.5 s for spawn or forkserver (Python 3.14's
-#: Linux default), more than a fit's restarts or a profile side take.  Other
-#: platforms keep their default.  Forking is safe in a process without threads,
-#: as bets' commands are.
-_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-
-
-def _map(fn, tasks: list[tuple], n_jobs: int) -> list:
-    """[fn(*task) for task in tasks], spread over up to n_jobs worker
-    processes when there are n_jobs > 1 and more than one task.
-
-    A worker computes a task as this process would, so the results are the
-    same floats whatever n_jobs is.  The pool is shut down, its processes
-    joined, before this returns or raises; n_jobs == 1 starts no process.
-    """
-    workers = min(n_jobs, len(tasks))
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT) as pool:
-        return list(pool.map(fn, *zip(*tasks),
-                             chunksize=max(1, len(tasks) // (4 * workers))))
-
-
 def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
             init: DisplayTheta | None = None, M: float | None = None,
             fixed: dict | None = None, options: FitOptions | None = None,
@@ -383,8 +356,8 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         starts = [u0] + [u0 + _JITTER * rng.standard_normal(u0.size)
                          for _ in range(options.restarts)]
         per_run = max(options.max_eval // (options.restarts + 1), 200)
-        runs = _map(_nelder_mead, [(fun, x0, per_run, u0.size > 2) for x0 in starts],
-                    n_jobs)
+        runs = parallel_map(_nelder_mead, [(fun, x0, per_run, u0.size > 2)
+                                           for x0 in starts], n_jobs)
         best_x, best_fun, n_eval, success = None, np.inf, 0, False
         for x, val, nfev, ok in runs:
             n_eval += nfev
@@ -522,7 +495,7 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     threshold = _chi2_ppf_1(level)
     if threshold == 0.0:
         return CIResult(point, point, level)
-    (hi_end, hi_ok), (lo_end, lo_ok) = _map(
+    (hi_end, hi_ok), (lo_end, lo_ok) = parallel_map(
         _profile_side, [(cases, fit, param, threshold, d) for d in (+1, -1)], n_jobs)
     return CIResult(lo=lo_end, hi=hi_end, level=level,
                     lower_bracketed=lo_ok, upper_bracketed=hi_ok)
@@ -546,7 +519,7 @@ def _bootstrap_displays(cases, fit: FitResult, n_boot: int, rng,
     """Displays of the converged refits of n_boot resamples, and the failure count."""
     n = len(cases)
     args = [(cases, idx, fit) for idx in rng.integers(0, n, size=(n_boot, n))]
-    results = _map(_refit_resample, args, n_jobs)
+    results = parallel_map(_refit_resample, args, n_jobs)
     displays = [d for d in results if d is not None]
     return displays, n_boot - len(displays)
 

@@ -36,7 +36,6 @@ from scipy import special as sc
 from .timeline import KINDS, QUARANTINE_DAY, R_SWITCH, CaseRecord, check_finite, distinct_rows
 
 __all__ = [
-    "L_DEFAULT",
     "LikelihoodError",
     "ParamTheta",
     "DisplayTheta",
@@ -55,10 +54,6 @@ __all__ = [
     "uncond_log_terms",
     "trunc_log_terms",
 ]
-
-#: Horizon of the selection window (travel-quarantine day).
-L_DEFAULT = float(QUARANTINE_DAY)
-
 
 class LikelihoodError(ValueError):
     """An observed case has zero or undefined likelihood at the given parameters."""
@@ -236,7 +231,7 @@ def gamma_exp_integral(b: float, e: float, s: float, r: float,
 
 def selection_prob_total(pi: float, lambda_w: float, lambda_v: float,
                          kappa: float, nu: float, r: float,
-                         L: float = L_DEFAULT) -> float:
+                         L: float = float(QUARANTINE_DAY)) -> float:
     """Closed-form approximation to the total selection probability P(D),
     valid for r >> 1/L:
     nu * kappa * exp(rL) / r^2 * [(1-pi) lambda_W + pi lambda_V (1 - 2/(rL))].
@@ -292,14 +287,14 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     """Log-likelihood terms of (B, E, S) jointly, selection-normalized.
 
     Requires r > 0 (the closed-form selection normalizer is the r >> 1/L
-    approximation, L = L_DEFAULT).  Residents weigh 1, visitors rho/L, and
+    approximation, L = QUARANTINE_DAY).  Residents weigh 1, visitors rho/L, and
     the shared normalizer is 1 + rho (1 - 2/(rL)).  A case with zero density
     gets a -inf term; with rho = 0 that is every visitor.  Raises
     ValueError if the normalizer is not positive (parameters outside the
     valid region).
     index is _cdf_index(s - b, s - e), built here when not given.
     """
-    L = L_DEFAULT
+    L = float(QUARANTINE_DAY)
     if not r > 0:
         raise ValueError(f"unconditional likelihood needs r > 0, got {r}")
     if rho < 0:
@@ -463,7 +458,7 @@ def log_lik_cond_trunc(cases: Sequence[CaseRecord], r: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 def marginal_s_density(s, r: float, alpha: float, beta: float):
-    """Unnormalized onset-time density among exported residents, L = L_DEFAULT.
+    """Unnormalized onset-time density among exported residents, L = QUARANTINE_DAY.
 
     exp(r s) { (L - s)(1 - H_{a,b+r}((s-L)_+)) + a/(b+r) (1 - H_{a+1,b+r}((s-L)_+)) }.
 
@@ -476,7 +471,7 @@ def marginal_s_density(s, r: float, alpha: float, beta: float):
     rate = beta + r
     if not rate > 0:
         raise ValueError(f"need beta + r > 0, got {rate}")
-    L = L_DEFAULT
+    L = float(QUARANTINE_DAY)
     if L <= 4.0 * (alpha + 5.0) / rate:
         warnings.warn("marginal_s_density: approximation degrades for "
                       f"L = {L} <= 4(alpha+5)/(beta+r) = {4 * (alpha + 5) / rate:.3g}",

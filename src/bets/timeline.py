@@ -10,6 +10,9 @@ It also owns the names every layer shares: the study's days, the case labels
 (GENDERS, AGE_GROUPS), the likelihood kinds (KINDS) the command-line parser
 offers without importing a fitting module, the r = 0 switch (R_SWITCH) and
 check_finite, the one "must be a finite number" check of every parameter.
+And it owns parallel_map, the one process pool, which runs the fits'
+restarts, the profile's sides, the bootstrap refits and the sampler's
+groups of chains; it imports multiprocessing only when it starts a pool.
 
 Continuous event times carry fixed sub-day offsets so that recorded same-day
 events stay strictly ordered: begin-of-stay sits at three quarters of a day
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, timedelta
@@ -614,3 +618,38 @@ def distinct_rows(*columns):
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
+
+
+def parallel_map(fn, tasks: list[tuple], n_jobs: int) -> list:
+    """[fn(*task) for task in tasks], spread over up to n_jobs worker
+    processes when there are n_jobs > 1 and more than one task.
+
+    A worker computes a task as this process would, so the results are the
+    same floats whatever n_jobs is, and the first task (in order) that
+    raises raises here.  The pool is shut down, its processes joined, before
+    this returns or raises; one job or one task starts no process and
+    imports nothing.  fn must be a module-level function, and the tasks
+    must pickle.
+
+    The workers are forked on Linux, where a pool starts in about 10 ms,
+    against about 0.5 s for spawn or forkserver (Python 3.14's Linux
+    default), more than a fit's restarts or a profile side take.  Other
+    platforms keep their default.  A fork copies only the calling thread:
+    bets starts no thread of its own, though NumPy's BLAS may hold an idle
+    pool (a 2-core sandbox counted 2 threads after `import bets.cli`).
+
+    Left out of __all__, so the bench's tracer (perfbench/), which wraps
+    each layer's __all__, bills a pool's wait to the layer that called it,
+    inference or bayes.
+    """
+    workers = min(n_jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    # imported here: the two take 15-25 ms on a 2-core Xeon, which every
+    # command would pay at `import bets.cli`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(fn, *zip(*tasks),
+                             chunksize=max(1, len(tasks) // (4 * workers))))

@@ -246,7 +246,7 @@ def test_criterion_7_sampler_sanity():
 
     recs, h_true = discrete_cohort(1000, np.random.default_rng(99))
     truth_mean = float(np.arange(len(h_true)) @ h_true)
-    store = bayes.rwmh_run(recs, config, steps=20_000, chains=8, seed=42)
+    store = bayes.rwmh_run(recs, config, steps=20_000, chains=8, seed=42, n_jobs=2)
     summ = bayes.posterior_summaries(store)
     err = abs(summ["mean_incubation"]["mean"] - truth_mean)
     rhats = {name: bayes.psrf(store, name)

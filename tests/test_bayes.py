@@ -557,7 +557,8 @@ def test_rwmh_input_validation():
     recs, _ = discrete_cohort(10, np.random.default_rng(90))
     with pytest.raises(ValueError):
         rwmh_run([], DiscreteConfig(), steps=200, chains=1)
-    for name, value in (("chains", 0), ("steps", 0), ("thin", 0), ("thin", -1)):
+    for name, value in (("chains", 0), ("steps", 0), ("thin", 0), ("thin", -1),
+                        ("n_jobs", 0)):
         with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
             rwmh_run(recs, DiscreteConfig(), **{"steps": 200, "chains": 1, name: value})
 
@@ -703,6 +704,43 @@ def test_chains_do_not_couple():
         for name, values in a.scalars.items():
             assert np.array_equal(values, b.scalars[name][:small])
     assert not np.array_equal(runs[4].h[0], runs[4].h[1])
+
+
+def assert_same_store(got: ChainStore, want: ChainStore) -> None:
+    assert np.array_equal(got.h, want.h)
+    assert np.array_equal(got.acceptance, want.acceptance)
+    assert np.array_equal(got.step_sizes, want.step_sizes)
+    assert got.scalars.keys() == want.scalars.keys()
+    for name, values in want.scalars.items():
+        assert np.array_equal(got.scalars[name], values)
+    assert (got.n_cases, got.n_dropped) == (want.n_cases, want.n_dropped)
+
+
+@pytest.mark.parametrize("strata", ["none", "gender"])
+@pytest.mark.parametrize("departure", bayes.DEPARTURE)
+@pytest.mark.parametrize("growth", bayes.GROWTH)
+def test_chains_in_worker_processes_give_the_serial_store(growth, departure, strata):
+    """n_jobs 2 and 3 run contiguous groups of chains (uneven ones at 3 and
+    5 chains), each as its own batch in a worker process; every array of
+    the store is the serial run's."""
+    recs = random_selected_records(60, np.random.default_rng(31), strata=True)
+    config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
+    for chains in (1, 3, 4, 5):
+        serial = rwmh_run(recs, config, steps=40, chains=chains, seed=6, thin=2)
+        for n_jobs in (2, 3):
+            assert_same_store(rwmh_run(recs, config, steps=40, chains=chains, seed=6,
+                                       thin=2, n_jobs=n_jobs), serial)
+
+
+@pytest.mark.parametrize("prior_only", [False, True], ids=["posterior", "prior-only"])
+def test_adapted_chains_in_worker_processes_give_the_serial_store(prior_only):
+    """The same through two step-size adaptations (a 200-step burn-in)."""
+    recs = random_selected_records(60, np.random.default_rng(32), strata=True)
+    runs = [rwmh_run(recs, DiscreteConfig(strata="gender"), steps=400, chains=5, seed=3,
+                     thin=5, prior_only=prior_only, n_jobs=n_jobs) for n_jobs in (1, 2, 3)]
+    assert not np.array_equal(runs[0].step_sizes, np.tile([0.1, 0.15, 0.15], (5, 1)))
+    for run in runs[1:]:
+        assert_same_store(run, runs[0])
 
 
 def test_each_start_is_evaluated_once(monkeypatch):

@@ -197,6 +197,8 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["ingest", "--in", "raw.csv", "--arrival-cutoff", "foo"], "--arrival-cutoff"),
     (["ingest", "--in", "raw.csv", "--impute-end-to", "2019-01-01"], "--impute-end-to"),
     (["ingest", "--in", "raw.csv", "--arrival-cutoff", "99999999999"], "--arrival-cutoff"),
+    (["fit", "--in", "c.csv", "--workers", "0"], "--workers"),
+    (["mcmc", "--in", "c.csv", "--workers", "-1"], "--workers"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -868,6 +870,64 @@ def test_mcmc_prior_only_needs_no_input(tmp_path):
     assert code == 0
     summary = read_json(out, "mcmc_summary.json")
     assert summary["n_cases"] == 0 and summary["dropped"] == {}
+
+
+def _outputs(out: str) -> dict:
+    """Each file of an output directory by name: a JSON file's payload
+    without the --workers and --out flags its provenance echoes, any other
+    file's bytes."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".json"):
+            files[name] = read_json(out, name)
+            del files[name]["provenance"]["flags"]["workers"]
+            del files[name]["provenance"]["flags"]["out"]
+        else:
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("command", [
+    ["mcmc", "--steps", "240", "--chains", "5", "--thin", "4"],
+    ["fit", "--likelihood", "cond", "--format", "table"]], ids=["mcmc", "fit"])
+def test_worker_processes_write_the_serial_files(sim_dir, tmp_path, capsys, command):
+    """mcmc's groups of chains (three uneven ones at --workers 3) and fit's
+    restarts, run in worker processes at the default --workers and at 3,
+    write the files and print the lines of --workers 1, apart from the
+    flags echoed in the provenance; no worker outlives the command."""
+    runs = []
+    for workers in (["--workers", "1"], [], ["--workers", "3"]):
+        out = str(tmp_path / f"out{len(runs)}")
+        assert cli.main([*command, "--in", os.path.join(sim_dir, "cohort.csv"),
+                         *workers, "--out", out]) == 0
+        assert multiprocessing.active_children() == []
+        runs.append((_outputs(out), capsys.readouterr().out.replace(out, "<out>")))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mcmc_names_the_chain_without_a_start(sim_dir, tmp_path, capsys, monkeypatch,
+                                              workers):
+    """Chains 2 and 3 of 4 find no start: each candidate's curve breaks the
+    mass constraint.  Both worker counts exit 4 naming chain 2 by its index
+    in the run (at --workers 2 it is the first chain of the second group),
+    and no worker outlives the command."""
+    init_state = bayes._init_state
+
+    def no_start_from_chain_2(coords, config, rng, prior_only):
+        u = init_state(coords, config, rng, prior_only)
+        if rng.bit_generator.seed_seq.spawn_key[-1] >= 2:
+            u[[s.name for s in coords.scalars].index("kappa")] = 50.0  # kappa = 1
+        return u
+
+    monkeypatch.setattr(bayes, "_init_state", no_start_from_chain_2)
+    code = cli.main(["mcmc", "--in", os.path.join(sim_dir, "cohort.csv"), "--steps", "20",
+                     "--chains", "4", "--workers", workers, "--out", str(tmp_path)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: chain 2: could not find a valid initial state\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_mcmc_without_input_exits_2(tmp_path, capsys):

@@ -381,19 +381,6 @@ def test_mle_fit_restarts_in_worker_processes_give_the_serial_fit(small_cohort, 
     assert parallel == serial
 
 
-def test_map_applies_each_task_in_order(monkeypatch):
-    """In a pool too; one job, or one task, starts no pool."""
-    tasks = [(2, 3), (3, 2), (5, 1)]
-    assert inference._map(pow, tasks, 2) == [8, 9, 5]
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(inference, "ProcessPoolExecutor", no_pool)
-    assert inference._map(pow, tasks, 1) == [8, 9, 5]
-    assert inference._map(pow, [(4, 2)], 2) == [16]
-
-
 def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
     before = dataclasses.asdict(small_fit)
     profile_ci(small_cohort, small_fit, "q95_incubation")

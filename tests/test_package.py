@@ -110,18 +110,42 @@ def test_only_the_commands_that_fit_load_scipy(command, loads, whole_day_cohort,
     scipy.special (about 0.3 s) when they run, but never scipy.optimize,
     scipy.stats or scipy.integrate: the simplex is inference._nelder_mead.
     Each run is a fresh interpreter, as the test modules import SciPy."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
-    argv = [*command, "--out", str(tmp_path)] if command else []
-    if command and command[0] != "simulate":
-        argv += ["--in", whole_day_cohort]
-    probe = ("import sys, bets.cli; rc = bets.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-             "print(rc, *(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    rc, *loaded = out.stdout.splitlines()[-1].split()
-    assert rc == "0", out.stderr
+    loaded = _fresh_run(command, whole_day_cohort, tmp_path, "scipy")
     assert set(loads) <= set(loaded)
     heavy = ("scipy.optimize", "scipy.stats", "scipy.integrate")
     assert [m for m in loaded if m.startswith(heavy)] == []
     if not loads:
         assert loaded == []
+
+
+@pytest.mark.parametrize("command, prefixes", [
+    ((), ("multiprocessing", "concurrent")),
+    (("mcmc", "--steps", "20", "--chains", "2", "--workers", "1"),
+     ("multiprocessing", "concurrent")),
+    (("fit", "--workers", "1"), ("multiprocessing",)),
+], ids=["import", "mcmc-one-worker", "fit-one-worker"])
+def test_one_worker_loads_no_process_pool(command, prefixes, whole_day_cohort, tmp_path):
+    """import bets.cli loads neither multiprocessing nor concurrent.futures
+    (15-25 ms together on a 2-core Xeon): timeline.parallel_map imports them
+    only to start a pool, and --workers 1 starts none.  scipy.special imports
+    concurrent.futures itself, so the fit is checked for multiprocessing."""
+    assert _fresh_run(command, whole_day_cohort, tmp_path, *prefixes) == []
+
+
+def _fresh_run(command, cohort: str, out_dir, *prefixes: str) -> list[str]:
+    """The modules starting with one of prefixes that a fresh interpreter
+    has loaded after `import bets.cli` and, when a command is given,
+    bets.cli.main of it, with --in cohort (but for simulate) and --out
+    out_dir; the command must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
+    argv = [*command, "--out", str(out_dir)] if command else []
+    if command and command[0] != "simulate":
+        argv += ["--in", cohort]
+    probe = ("import sys, bets.cli; rc = bets.cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
+             "print(rc, *(m for m in sys.modules if m.startswith(tuple(sys.argv[1].split()))))")
+    out = subprocess.run([sys.executable, "-c", probe, " ".join(prefixes), *argv],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    rc, *loaded = out.stdout.splitlines()[-1].split()
+    assert rc == "0", out.stderr
+    return loaded

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
+import multiprocessing
 import os
 from datetime import date
 
@@ -509,3 +511,26 @@ def test_distinct_rows_are_those_of_np_unique():
     check()
     first, inverse = timeline.distinct_rows(np.array([]), np.array([], dtype=int))
     assert first.shape == inverse.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The process pool
+# ---------------------------------------------------------------------------
+
+def test_parallel_map_applies_each_task_in_order(monkeypatch):
+    """In a pool too; one job, or one task, starts no pool."""
+    tasks = [(2, 3), (3, 2), (5, 1)]
+    assert timeline.parallel_map(pow, tasks, 2) == [8, 9, 5]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert timeline.parallel_map(pow, tasks, 1) == [8, 9, 5]
+    assert timeline.parallel_map(pow, [(4, 2)], 2) == [16]
+
+
+def test_parallel_map_raises_the_first_failing_task_and_joins_its_workers():
+    with pytest.raises(ValueError, match="'x'"):
+        timeline.parallel_map(int, [("1",), ("x",), ("y",)], 2)
+    assert multiprocessing.active_children() == []
