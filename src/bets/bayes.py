@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -264,8 +264,9 @@ class DiscreteData:
     row's P(B*) P(E*|B*) in the flattened stay weights: B* for uniform,
     B* (L + 1) + E* for geometric.  dropped counts, by reason, the records
     from_records left out.  The horizon l and the incubation support
-    K = max_incubation are DiscreteConfig's.  days, when given, is what
-    _infection_days returns for b, e and s; from_records passes it on.
+    K = max_incubation are DiscreteConfig's.  Built other than by
+    from_records, a case whose stratum code does not index labels, or that
+    has no feasible infection day, raises a ValueError naming it.
     """
 
     b: np.ndarray
@@ -280,10 +281,13 @@ class DiscreteData:
     rowmap: list = field(init=False)
     products: list = field(init=False)
     stay_index: dict = field(init=False)
-    days: InitVar[tuple | None] = None
 
-    def __post_init__(self, days):
-        t, mask = _infection_days(self.b, self.e, self.s) if days is None else days
+    def __post_init__(self):
+        outside = np.flatnonzero((self.stratum < 0) | (self.stratum >= len(self.labels)))
+        if outside.size:
+            raise ValueError(f"case {self.case_ids[outside[0]]}: stratum code "
+                             f"{self.stratum[outside[0]]} does not index the labels {self.labels}")
+        t, mask = _infection_days(self.b, self.e, self.s)
         empty = ~mask.any(axis=1)
         if np.any(empty):
             i = int(np.flatnonzero(empty)[0])
@@ -314,19 +318,16 @@ class DiscreteData:
         rows = [(c, labels.index(key(c))) for c in cases if key(c) in labels]
         b, e, s = (np.array([getattr(c, f) for c, _ in rows], dtype=int)
                    for f in ("B_int", "E_int", "S_int"))
-        t, mask = _infection_days(b, e, s)
-        feasible = mask.any(axis=1)
+        feasible = _infection_days(b, e, s)[1].any(axis=1)
         dropped = {"outside_strata": len(cases) - len(rows),
                    "no_feasible_infection_day": int((~feasible).sum())}
         if not feasible.any():
             raise ValueError(f"no cases left after dropping {dropped}")
         keep = np.flatnonzero(feasible)
-        # copying the (n, K) arrays costs more than it saves when all are kept
-        days = (t, mask) if feasible.all() else (t[keep], mask[keep])
         return cls(b=b[keep], e=e[keep], s=s[keep],
                    stratum=np.array([st for _, st in rows])[keep],
                    case_ids=[rows[i][0].case_id for i in keep],
-                   labels=labels, dropped=dropped, days=days)
+                   labels=labels, dropped=dropped)
 
     @property
     def n_dropped(self) -> int:
@@ -449,8 +450,15 @@ def _log_lik(data: DiscreteData, log_num: np.ndarray, log_norm: np.ndarray) -> n
     return log_num.take(data.inverse, axis=1).sum(axis=1) - len(data) * log_norm
 
 
-def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> float:
-    """Selection-adjusted log-likelihood of whole-day case records.
+def _check_strata(data: DiscreteData | None, config: DiscreteConfig) -> None:
+    """Raise unless data, if any, was built for the config's strata."""
+    if data is not None and data.labels != config.stratum_labels:
+        raise ValueError(f"data has the strata {data.labels}, but strata={config.strata!r} "
+                         f"has {config.stratum_labels}")
+
+
+def log_lik_discrete(data: DiscreteData, state: NonparamState, config: DiscreteConfig) -> float:
+    """Selection-adjusted log-likelihood of whole-day cases.
 
     Per case: P(B*) P(E*|B*) sum_t g*(t) h*(S*-t), the sum running over
     feasible infection days; divided by the total selection probability
@@ -459,9 +467,9 @@ def log_lik_discrete(cases, state: NonparamState, config: DiscreteConfig) -> flo
     involve h*, so it is shared across strata.  States with sum(g*) > 1
     return -inf (outside the support); a case with zero numerator also
     yields -inf, with a warning naming the case.  This is the sampler's
-    batch likelihood with one chain.
+    batch likelihood with one chain.  data must have the config's strata.
     """
-    data = cases if isinstance(cases, DiscreteData) else DiscreteData.from_records(cases, config)
+    _check_strata(data, config)
     if state.h.shape != (len(data.labels), config.max_incubation):
         raise ValueError(f"h must be {(len(data.labels), config.max_incubation)}, "
                          f"got {state.h.shape}")
@@ -844,16 +852,16 @@ def _sample_group(data: DiscreteData | None, config: DiscreteConfig, rngs: list,
     return _run_chains(coords, target, steps, steps // 2, thin, rngs, lp, parts, base_step)
 
 
-def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8,
-             seed: int = 0, thin: int = 10, prior_only: bool = False,
-             n_jobs: int = 1) -> ChainStore:
+def rwmh_run(data: DiscreteData | None, config: DiscreteConfig, steps: int = 80_000,
+             chains: int = 8, seed: int = 0, thin: int = 10, n_jobs: int = 1) -> ChainStore:
     """Sample the discrete model by random-walk Metropolis-Hastings.
 
     Proposals are Gaussian on the unconstrained coordinates: scalars move
     jointly, each stratum's incubation logits move in random blocks of 5.
     Step scales adapt during the burn-in half toward 20-40% acceptance and
     are frozen afterwards; draws are recorded post-burn-in every `thin`
-    steps.  With prior_only=True the likelihood (and its curve-mass
+    steps.  data is the cohort as DiscreteData.from_records builds it for
+    the config; with data=None the likelihood (and its curve-mass
     constraint) is dropped, leaving the bare prior as the target.
 
     The chains run in lockstep as one batch: every proposal group is
@@ -866,20 +874,17 @@ def rwmh_run(cases, config: DiscreteConfig, steps: int = 80_000, chains: int = 8
     (timeline.parallel_map); a chain's draws do not depend on the rest of
     its batch, so the store is the same array for array at any n_jobs.
 
-    Raises RuntimeError if every chain's post-burn-in acceptance collapses
-    below 1% (after adaptation), or if an initial state cannot be found
-    (naming the first such chain).
+    Raises ValueError if data's strata are not the config's, and
+    RuntimeError if every chain's post-burn-in acceptance collapses below
+    1% (after adaptation), or if an initial state cannot be found (naming
+    the first such chain).
     """
     for name, value in (("steps", steps), ("chains", chains), ("thin", thin),
                         ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_strata(data, config)
     coords = _Coords(config)
-    data = None
-    if not prior_only:
-        if not cases:
-            raise ValueError("no cases (use prior_only=True to sample the prior)")
-        data = cases if isinstance(cases, DiscreteData) else DiscreteData.from_records(cases, config)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     groups = np.array_split(np.arange(chains), min(n_jobs, chains))
     results = parallel_map(_sample_group, [
@@ -943,20 +948,12 @@ def psrf_functionals(store: ChainStore) -> dict[str, np.ndarray]:
             if key.partition("[")[0] in _PSRF_FUNCTIONALS and not key.endswith("[diff]")}
 
 
-def psrf(chains, functional: str | None = None) -> float:
-    """Gelman-Rubin potential scale reduction factor of a functional.
-
-    chains: a ChainStore plus a headline_functionals key, or directly a
-    (n_chains, n_draws) matrix.  R-hat = sqrt(((n-1)/n W + B/n) / W).
+def psrf(draws) -> float:
+    """Gelman-Rubin potential scale reduction factor of a (n_chains,
+    n_draws) matrix of draws, such as headline_functionals(store)[key]:
+    R-hat = sqrt(((n-1)/n W + B/n) / W).
     """
-    if isinstance(chains, ChainStore):
-        functionals = headline_functionals(chains)
-        if functional not in functionals:
-            raise ValueError(f"with a ChainStore, give one of {list(functionals)}, "
-                             f"got {functional!r}")
-        mat = functionals[functional]
-    else:
-        mat = np.atleast_2d(np.asarray(chains, dtype=float))
+    mat = np.atleast_2d(np.asarray(draws, dtype=float))
     m, n = mat.shape
     if m < 2:
         raise ValueError(f"need >= 2 chains, got {m}")

@@ -313,8 +313,7 @@ def cmd_mcmc(args) -> int:
             raise CliError(2, "--in is required unless --prior-only is set")
         data = bayes.DiscreteData.from_records(_load_cohort(args.input), config)
     store = bayes.rwmh_run(data, config, steps=args.steps, chains=args.chains,
-                           seed=args.seed, thin=args.thin,
-                           prior_only=args.prior_only, n_jobs=args.workers)
+                           seed=args.seed, thin=args.thin, n_jobs=args.workers)
     out = _out_dir(args)
 
     labels = config.stratum_labels

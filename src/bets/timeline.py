@@ -126,12 +126,13 @@ _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
+_ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
 _DAY_MON = re.compile(r"^(\d{1,2})[-/ ]([A-Za-z]{3,})$")
 _MISSING = {"", "na", "n/a", "nan", "none", "-", "?", "unknown"}
 
 
 def parse_date(text: str | None) -> date | None:
-    """Parse a date in ISO-8601 or day-month form ("22-Jan", "9-Feb").
+    """Parse a date in ISO-8601 YYYY-MM-DD or day-month form ("22-Jan", "9-Feb").
 
     Day-month strings have their year inferred from the month: November and
     December belong to 2019, every other month to 2020.  Missing markers
@@ -144,7 +145,8 @@ def parse_date(text: str | None) -> date | None:
     if text.lower() in _MISSING:
         return None
     try:
-        return date.fromisoformat(text)
+        if _ISO_DATE.match(text):
+            return date.fromisoformat(text)
     except ValueError:
         pass
     m = _DAY_MON.match(text)

@@ -221,7 +221,8 @@ def test_criterion_6_discrete_likelihood_lattice_oracle():
         config = bayes.DiscreteConfig(**kwargs)
         recs = random_selected_records(40, rng, strata=config.strata != "none")
         state = random_discrete_state(rng, config)
-        got = bayes.log_lik_discrete(recs, state, config)
+        got = bayes.log_lik_discrete(bayes.DiscreteData.from_records(recs, config), state,
+                                     config)
         ref = brute_log_lik_discrete(recs, state, config)
         assert math.isfinite(got) and math.isfinite(ref)
         worst = max(worst, abs(got - ref) / abs(ref))
@@ -238,18 +239,18 @@ def test_criterion_7_sampler_sanity():
     incubation lands within 1 day of truth with R-hat < 1.1 for the growth
     rate, mean incubation, and the 14-day tail across 8 chains."""
     config = bayes.DiscreteConfig()
-    cases, _ = discrete_cohort(30, np.random.default_rng(3))
-    prior_store = bayes.rwmh_run(cases, config, steps=40_000, chains=4,
-                                 seed=7, thin=100, prior_only=True)
+    prior_store = bayes.rwmh_run(None, config, steps=40_000, chains=4, seed=7, thin=100)
     kappa = prior_store.scalars["kappa"].reshape(-1)
     ks_p = float(stats.kstest(kappa, "uniform").pvalue)
 
     recs, h_true = discrete_cohort(1000, np.random.default_rng(99))
     truth_mean = float(np.arange(len(h_true)) @ h_true)
-    store = bayes.rwmh_run(recs, config, steps=20_000, chains=8, seed=42, n_jobs=2)
+    store = bayes.rwmh_run(bayes.DiscreteData.from_records(recs, config), config,
+                           steps=20_000, chains=8, seed=42, n_jobs=2)
     summ = bayes.posterior_summaries(store)
     err = abs(summ["mean_incubation"]["mean"] - truth_mean)
-    rhats = {name: bayes.psrf(store, name)
+    functionals = bayes.headline_functionals(store)
+    rhats = {name: bayes.psrf(functionals[name])
              for name in ("r1", "mean_incubation", "p_ge_14")}
     ok = ks_p > 0.01 and err <= 1.0 and all(v < 1.1 for v in rhats.values())
     _report(7, ok, f"prior KS p = {ks_p:.3f}; posterior mean incubation "
@@ -296,13 +297,15 @@ def test_criterion_9_published_cohort_bayesian_headline(real_cohort):
     headline doubling time and 14-day tail, and the male-minus-female gap in
     reaching day 2 is negative with a 95% interval excluding zero."""
     cohort, _ = real_cohort
-    store = bayes.rwmh_run(cohort, bayes.DiscreteConfig(), steps=80_000,
-                           chains=8, seed=0)
+    config = bayes.DiscreteConfig()
+    store = bayes.rwmh_run(bayes.DiscreteData.from_records(cohort, config), config,
+                           steps=80_000, chains=8, seed=0)
     summ = bayes.posterior_summaries(store)
     doubling = summ["doubling_time"]["mean"]
     tail14 = summ["p_ge_14"]["mean"]
 
-    gstore = bayes.rwmh_run(cohort, bayes.DiscreteConfig(strata="gender"),
+    gender = bayes.DiscreteConfig(strata="gender")
+    gstore = bayes.rwmh_run(bayes.DiscreteData.from_records(cohort, gender), gender,
                             steps=80_000, chains=8, seed=0)
     diff = bayes.posterior_summaries(gstore)["p_ge_2[diff]"]
     ok = (abs(doubling - 2.4) <= 0.15 and 0.02 <= tail14 <= 0.08

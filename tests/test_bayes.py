@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_state_must_fit_its_config(config, overrides, message):
     with pytest.raises(ValueError, match=message):
         log_prior_rest(state, config)
     with pytest.raises(ValueError, match=message):
-        log_lik_discrete(recs, state, config)
+        log_lik_discrete(DiscreteData.from_records(recs, config), state, config)
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -214,7 +215,8 @@ def test_discrete_data_from_records():
 
 def test_discrete_data_rejects_infeasible_case():
     """from_records drops a case with no infection day within max_incubation
-    days of its onset and counts it; direct construction still raises."""
+    days of its onset and counts it; direct construction still raises, as
+    it does on a stratum code that indexes no label."""
     config = DiscreteConfig(strata="gender")
     recs = random_selected_records(5, np.random.default_rng(82), strata=True)
     far = dataclasses.replace(recs[0], case_id="far-1", B_int=0, E_int=3, S_int=40,
@@ -238,6 +240,10 @@ def test_discrete_data_rejects_infeasible_case():
     with pytest.raises(ValueError, match="far-1"):
         DiscreteData(b=np.array([0]), e=np.array([3]), s=np.array([40]),
                      stratum=np.array([0]), case_ids=["far-1"], labels=("all",))
+    with pytest.raises(ValueError, match="case c-2: stratum code 1 does not index"):
+        DiscreteData(b=np.zeros(3, dtype=int), e=np.full(3, 3), s=np.full(3, 3),
+                     stratum=np.array([0, 1, 0]), case_ids=["c-1", "c-2", "c-3"],
+                     labels=("all",))
 
 
 def test_discrete_data_windows_give_back_each_rows_days():
@@ -329,19 +335,20 @@ def test_log_lik_discrete_matches_enumeration():
         recs = random_selected_records(25, rng)
         recs += [dataclasses.replace(c, case_id=c.case_id + "-twin") for c in recs[:10]]
         state = random_discrete_state(rng, config)
-        got = log_lik_discrete(recs, state, config)
+        got = log_lik_discrete(DiscreteData.from_records(recs, config), state, config)
         ref = brute_log_lik_discrete(recs, state, config)
         assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_log_lik_discrete_rejects_oversized_curves():
     config = DiscreteConfig()
-    recs = random_selected_records(10, np.random.default_rng(84))
+    data = DiscreteData.from_records(random_selected_records(10, np.random.default_rng(84)),
+                                     config)
     state = uniform_state(config)
     heavy = dataclasses.replace(state, kappa=0.9, r1=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert log_lik_discrete(recs, heavy, config) == -math.inf  # silent
+        assert log_lik_discrete(data, heavy, config) == -math.inf  # silent
 
 
 def test_log_lik_discrete_warns_on_zero_numerator():
@@ -353,7 +360,8 @@ def test_log_lik_discrete_warns_on_zero_numerator():
     h[0, 0] = 1.0  # onset would have to be 5-10 days after infection
     state = uniform_state(config, h=h)
     with pytest.warns(RuntimeWarning, match="gap-1"):
-        assert log_lik_discrete([case], state, config) == -math.inf
+        assert log_lik_discrete(DiscreteData.from_records([case], config), state,
+                                config) == -math.inf
 
 
 def test_zero_likelihood_warning_names_the_first_case_in_case_order():
@@ -385,7 +393,7 @@ def test_log_lik_discrete_validates_h_shape():
     recs = random_selected_records(5, np.random.default_rng(86), strata=True)
     state = uniform_state(DiscreteConfig())  # one stratum, needs two
     with pytest.raises(ValueError, match="h must be"):
-        log_lik_discrete(recs, state, config)
+        log_lik_discrete(DiscreteData.from_records(recs, config), state, config)
 
 
 def test_logsumexp_matches_scipy_on_curve_exponents():
@@ -415,12 +423,13 @@ def test_discrete_likelihood_tracks_the_continuous_one():
     recs, _ = generative.sample_exported(250, params, np.random.default_rng(87))
     recs = [c for c in recs if c.S_int - c.E_int <= 25]
     config = DiscreteConfig()
+    data = DiscreteData.from_records(recs, config)
     disc, cont, r_of_cell = [], [], []
     for r in np.linspace(0.20, 0.40, 5):
         for beta in np.linspace(0.25, 0.45, 5):
             pmf = np.diff(stats.gamma.cdf(np.arange(31), 1.86, scale=1 / beta))
             state = uniform_state(config, r1=float(r), h=pmf / pmf.sum())
-            disc.append(log_lik_discrete(recs, state, config))
+            disc.append(log_lik_discrete(data, state, config))
             cont.append(lk.log_lik_uncond(recs, 0.45, float(r), 1.86, float(beta)))
             r_of_cell.append(float(r))
     disc, cont = np.array(disc), np.array(cont)
@@ -436,7 +445,9 @@ def test_discrete_likelihood_tracks_the_continuous_one():
 @pytest.fixture(scope="module")
 def tiny_run():
     recs, _ = discrete_cohort(80, np.random.default_rng(88))
-    store = rwmh_run(recs, DiscreteConfig(), steps=2500, chains=2, seed=1)
+    config = DiscreteConfig()
+    store = rwmh_run(DiscreteData.from_records(recs, config), config, steps=2500, chains=2,
+                     seed=1)
     return store
 
 
@@ -554,18 +565,28 @@ def test_step_sizes_adapt_once_per_full_burn_in_window(burn_in, accept):
 
 
 def test_rwmh_input_validation():
-    recs, _ = discrete_cohort(10, np.random.default_rng(90))
-    with pytest.raises(ValueError):
-        rwmh_run([], DiscreteConfig(), steps=200, chains=1)
+    """Data built for one stratification is refused under the other, by the
+    sampler and by the likelihood, with both strata's labels named."""
+    recs = random_selected_records(10, np.random.default_rng(90), strata=True)
+    none, gender = DiscreteConfig(), DiscreteConfig(strata="gender")
+    for built, run in ((gender, none), (none, gender)):
+        data = DiscreteData.from_records(recs, built)
+        names_both = ".*".join(re.escape(str(c.stratum_labels)) for c in (built, run))
+        with pytest.raises(ValueError, match=names_both):
+            rwmh_run(data, run, steps=200, chains=1)
+        with pytest.raises(ValueError, match=names_both):
+            log_lik_discrete(data, uniform_state(run), run)
+    data = DiscreteData.from_records(recs, none)
     for name, value in (("chains", 0), ("steps", 0), ("thin", 0), ("thin", -1),
                         ("n_jobs", 0)):
         with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
-            rwmh_run(recs, DiscreteConfig(), **{"steps": 200, "chains": 1, name: value})
+            rwmh_run(data, none, **{"steps": 200, "chains": 1, name: value})
 
 
 def test_two_stage_run_exposes_second_rate():
     recs, _ = discrete_cohort(60, np.random.default_rng(91))
-    store = rwmh_run(recs, DiscreteConfig(growth="two_stage"), steps=1000,
+    config = DiscreteConfig(growth="two_stage")
+    store = rwmh_run(DiscreteData.from_records(recs, config), config, steps=1000,
                      chains=2, seed=3)
     assert "r2" in store.scalars
     assert "r2" in posterior_summaries(store)
@@ -576,7 +597,8 @@ def test_geometric_two_stage_run_draws_hazards_in_the_unit_interval():
     next to two-stage growth's second rate."""
     recs, _ = discrete_cohort(60, np.random.default_rng(91))
     config = DiscreteConfig(growth="two_stage", departure="geometric")
-    store = rwmh_run(recs, config, steps=1000, chains=2, seed=4)
+    store = rwmh_run(DiscreteData.from_records(recs, config), config, steps=1000,
+                     chains=2, seed=4)
     eta = ["eta_w1", "eta_w2", "eta_v1", "eta_v2"]
     assert set(store.scalars) == {"r1", "r2", "kappa", *eta}
     for name in eta:
@@ -591,7 +613,8 @@ def test_indistinguishable_strata_have_no_gap():
     for c in base:
         recs.append(dataclasses.replace(c, case_id=c.case_id + "m", gender="male"))
         recs.append(dataclasses.replace(c, case_id=c.case_id + "f", gender="female"))
-    store = rwmh_run(recs, DiscreteConfig(strata="gender"), steps=4000,
+    config = DiscreteConfig(strata="gender")
+    store = rwmh_run(DiscreteData.from_records(recs, config), config, steps=4000,
                      chains=4, seed=11)
     summ = posterior_summaries(store)
     for name in ("mean_incubation[diff]", "p_ge_7[diff]"):
@@ -695,7 +718,8 @@ def test_chains_do_not_couple():
     chains do."""
     recs = random_selected_records(80, np.random.default_rng(99), strata=True)
     config = DiscreteConfig(strata="gender")
-    runs = {n: rwmh_run(recs, config, steps=300, chains=n, seed=5, thin=5) for n in (1, 2, 4)}
+    data = DiscreteData.from_records(recs, config)
+    runs = {n: rwmh_run(data, config, steps=300, chains=n, seed=5, thin=5) for n in (1, 2, 4)}
     for small, big in ((1, 4), (2, 4), (1, 2)):
         a, b = runs[small], runs[big]
         assert np.array_equal(a.h, b.h[:small])
@@ -725,10 +749,11 @@ def test_chains_in_worker_processes_give_the_serial_store(growth, departure, str
     the store is the serial run's."""
     recs = random_selected_records(60, np.random.default_rng(31), strata=True)
     config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
+    data = DiscreteData.from_records(recs, config)
     for chains in (1, 3, 4, 5):
-        serial = rwmh_run(recs, config, steps=40, chains=chains, seed=6, thin=2)
+        serial = rwmh_run(data, config, steps=40, chains=chains, seed=6, thin=2)
         for n_jobs in (2, 3):
-            assert_same_store(rwmh_run(recs, config, steps=40, chains=chains, seed=6,
+            assert_same_store(rwmh_run(data, config, steps=40, chains=chains, seed=6,
                                        thin=2, n_jobs=n_jobs), serial)
 
 
@@ -736,8 +761,10 @@ def test_chains_in_worker_processes_give_the_serial_store(growth, departure, str
 def test_adapted_chains_in_worker_processes_give_the_serial_store(prior_only):
     """The same through two step-size adaptations (a 200-step burn-in)."""
     recs = random_selected_records(60, np.random.default_rng(32), strata=True)
-    runs = [rwmh_run(recs, DiscreteConfig(strata="gender"), steps=400, chains=5, seed=3,
-                     thin=5, prior_only=prior_only, n_jobs=n_jobs) for n_jobs in (1, 2, 3)]
+    config = DiscreteConfig(strata="gender")
+    data = None if prior_only else DiscreteData.from_records(recs, config)
+    runs = [rwmh_run(data, config, steps=400, chains=5, seed=3, thin=5, n_jobs=n_jobs)
+            for n_jobs in (1, 2, 3)]
     assert not np.array_equal(runs[0].step_sizes, np.tile([0.1, 0.15, 0.15], (5, 1)))
     for run in runs[1:]:
         assert_same_store(run, runs[0])
@@ -754,7 +781,8 @@ def test_each_start_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(bayes, "log_prior_rest",
                         lambda *args: evals.append(1) or log_prior_rest(*args))
     config = DiscreteConfig(strata="gender")
-    rwmh_run(recs, config, steps=20, chains=3, seed=1, thin=1)
+    rwmh_run(DiscreteData.from_records(recs, config), config, steps=20, chains=3, seed=1,
+             thin=1)
     assert len(starts) >= 3
     assert len(evals) == len(starts) + 3 * 20 * (1 + config.n_strata)
 
@@ -913,13 +941,3 @@ def test_psrf_validation():
         psrf(np.zeros((2, 300)))
     store_like = rng.standard_normal((3, 200))
     assert psrf(store_like) >= 1.0 or psrf(store_like) == pytest.approx(1.0, abs=0.01)
-
-
-def test_psrf_on_store_requires_functional(tiny_run):
-    with pytest.raises(ValueError):
-        psrf(tiny_run)
-    for unknown in ("kappa", "median_incubation"):  # not headline functionals
-        with pytest.raises(ValueError, match="give one of"):
-            psrf(tiny_run, unknown)
-    assert psrf(tiny_run, "r1") == psrf(tiny_run.scalars["r1"]) > 0
-

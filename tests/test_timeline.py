@@ -84,7 +84,8 @@ def test_parse_date_missing_markers(text):
     assert parse_date(text) is None
 
 
-@pytest.mark.parametrize("text", ["Jan-22", "2020/01/22", "32-Jan", "foo"])
+@pytest.mark.parametrize("text", ["Jan-22", "2020/01/22", "32-Jan", "foo",
+                                  "20200122", "2020-W04-3"])
 def test_parse_date_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_date(text)
