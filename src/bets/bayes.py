@@ -23,6 +23,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from . import timeline
 from .timeline import (AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord,
                        check_finite, distinct_rows, parallel_map)
 
@@ -265,8 +266,9 @@ class DiscreteData:
     B* (L + 1) + E* for geometric.  dropped counts, by reason, the records
     from_records left out.  The horizon l and the incubation support
     K = max_incubation are DiscreteConfig's.  Built other than by
-    from_records, a case whose stratum code does not index labels, or that
-    has no feasible infection day, raises a ValueError naming it.
+    from_records, arrays of different lengths raise a ValueError naming
+    them, and so does a case whose stratum code does not index labels, or
+    that has no feasible infection day, naming the case.
     """
 
     b: np.ndarray
@@ -283,6 +285,11 @@ class DiscreteData:
     stay_index: dict = field(init=False)
 
     def __post_init__(self):
+        lengths = {name: len(getattr(self, name))
+                   for name in ("b", "e", "s", "stratum", "case_ids")}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"b, e, s, stratum and case_ids need one entry per case, "
+                             f"got lengths {lengths}")
         outside = np.flatnonzero((self.stratum < 0) | (self.stratum >= len(self.labels)))
         if outside.size:
             raise ValueError(f"case {self.case_ids[outside[0]]}: stratum code "
@@ -853,7 +860,7 @@ def _sample_group(data: DiscreteData | None, config: DiscreteConfig, rngs: list,
 
 
 def rwmh_run(data: DiscreteData | None, config: DiscreteConfig, steps: int = 80_000,
-             chains: int = 8, seed: int = 0, thin: int = 10, n_jobs: int = 1) -> ChainStore:
+             chains: int = 8, seed: int = 0, thin: int = 10) -> ChainStore:
     """Sample the discrete model by random-walk Metropolis-Hastings.
 
     Proposals are Gaussian on the unconstrained coordinates: scalars move
@@ -869,26 +876,26 @@ def rwmh_run(data: DiscreteData | None, config: DiscreteConfig, steps: int = 80_
     days once per distinct window of days.  Each chain draws from its own
     generator, spawned from seed, so chain i's draws are the same whatever
     the number of chains, and each start is evaluated once, in the start
-    search.  With n_jobs > 1 the chains are split into min(n_jobs, chains)
-    contiguous groups, each run as one batch in its own worker process
-    (timeline.parallel_map); a chain's draws do not depend on the rest of
-    its batch, so the store is the same array for array at any n_jobs.
+    search.  The chains are split into min(timeline.usable_cpus(), chains)
+    contiguous groups, each run as one batch (timeline.parallel_map): the
+    first in this process, each other one in its own worker process.  A
+    chain's draws do not depend on the rest of its batch, so the store is
+    the same array for array at any number of CPUs.
 
     Raises ValueError if data's strata are not the config's, and
     RuntimeError if every chain's post-burn-in acceptance collapses below
     1% (after adaptation), or if an initial state cannot be found (naming
     the first such chain).
     """
-    for name, value in (("steps", steps), ("chains", chains), ("thin", thin),
-                        ("n_jobs", n_jobs)):
+    for name, value in (("steps", steps), ("chains", chains), ("thin", thin)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     _check_strata(data, config)
     coords = _Coords(config)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
-    groups = np.array_split(np.arange(chains), min(n_jobs, chains))
+    groups = np.array_split(np.arange(chains), min(timeline.usable_cpus(), chains))
     results = parallel_map(_sample_group, [
-        (data, config, [rngs[i] for i in g], int(g[0]), steps, thin) for g in groups], n_jobs)
+        (data, config, [rngs[i] for i in g], int(g[0]), steps, thin) for g in groups])
     draws, rates, step = (np.concatenate(arrays) for arrays in zip(*results))
     scalars = {s.name: np.empty(draws.shape[:2]) for s in coords.scalars}
     for i, s in enumerate(coords.scalars):

@@ -159,8 +159,7 @@ def _fit_from_flags(records: list[CaseRecord],
             raise CliError(3, "no cases at or before the truncation day")
     fixed = _parse_fixed(getattr(args, "fix", None))
     options = inference.FitOptions(seed=args.seed)
-    fit = inference.mle_fit(records, kind, M=M, fixed=fixed, options=options,
-                            n_jobs=args.workers)
+    fit = inference.mle_fit(records, kind, M=M, fixed=fixed, options=options)
     if not fit.converged:
         print(f"warning: the {args.likelihood} fit did not converge ({fit.message})",
               file=sys.stderr)
@@ -246,13 +245,11 @@ def cmd_ci(args) -> int:
         _filter_location(_load_cohort(args.input), args.location), args)
     param = _PARAM_FLAG[args.param]
     if args.method == "profile":
-        ci = inference.profile_ci(records, fit, param, level=args.level,
-                                  n_jobs=args.workers)
+        ci = inference.profile_ci(records, fit, param, level=args.level)
     else:
         ci = inference.bootstrap_ci(
             records, fit, param, n_boot=args.n_boot, level=args.level,
-            rng=np.random.default_rng(args.seed), method=args.boot_method,
-            n_jobs=args.workers)
+            rng=np.random.default_rng(args.seed), method=args.boot_method)
     out = _out_dir(args)
     _write_json(os.path.join(out, "ci.json"),
                 {"param": param, "method": args.method, "fit": dataclasses.asdict(fit),
@@ -271,8 +268,7 @@ def cmd_bias_demo(args) -> int:
     cutoffs = list(range(day_from, day_to + 1))
     rows = inference.bias_sweep(records, cutoffs, m_offset=args.m_offset,
                                 min_cases=args.min_cases, bootstrap_b=args.n_boot,
-                                level=args.level, rng=np.random.default_rng(args.seed),
-                                n_jobs=args.workers)
+                                level=args.level, rng=np.random.default_rng(args.seed))
     out = _out_dir(args)
     _write_json(os.path.join(out, "sweep.json"),
                 {"rows": [dataclasses.asdict(r) for r in rows]}, args)
@@ -313,7 +309,7 @@ def cmd_mcmc(args) -> int:
             raise CliError(2, "--in is required unless --prior-only is set")
         data = bayes.DiscreteData.from_records(_load_cohort(args.input), config)
     store = bayes.rwmh_run(data, config, steps=args.steps, chains=args.chains,
-                           seed=args.seed, thin=args.thin, n_jobs=args.workers)
+                           seed=args.seed, thin=args.thin)
     out = _out_dir(args)
 
     labels = config.stratum_labels
@@ -430,14 +426,6 @@ _DATE = _number(lambda text: _parse_date_flag(text) and text, bool,
 _QUARANTINE = timeline.QUARANTINE_DATE.isoformat()
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, the default of --workers."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _add_out(p) -> None:
     p.add_argument("--out", default=None, metavar="DIR",
                    help="output directory (default: $BETS_OUTPUT_DIR or '.')")
@@ -446,16 +434,6 @@ def _add_out(p) -> None:
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0,
                    help="random seed (echoed in outputs)")
-
-
-def _add_workers(p) -> None:
-    p.add_argument("--workers", type=_POSITIVE_INT, default=_usable_cpus(),
-                   help="processes that run independent parts side by side: for fit, "
-                        "gof and plot-data the fit's restarts; for ci those and the "
-                        "profile's two sides or the bootstrap refits; for bias-demo each "
-                        "cutoff's bootstrap refits; for mcmc groups of chains.  The "
-                        "output is the same for any value, and 1 runs all in this process "
-                        "(default: the CPUs this process may use, %(default)s)")
 
 
 def _add_fit_flags(p, kinds=tuple(_KIND_FLAG)) -> None:
@@ -470,7 +448,6 @@ def _add_fit_flags(p, kinds=tuple(_KIND_FLAG)) -> None:
                    help="pin a parameter (rho, doubling-time, median, q95, r)")
     p.add_argument("--location", default=None,
                    help="keep only cases confirmed at this location")
-    _add_workers(p)
 
 
 def _add_theta_flags(p) -> None:
@@ -570,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=_NON_NEGATIVE_INT, default=0,
                    help="bootstrap resamples per cutoff for bands (0 = none)")
     p.add_argument("--level", type=_LEVEL, default=0.95, help="band level")
-    _add_workers(p)
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_bias_demo)
@@ -599,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=_POSITIVE_INT, default=10, help="keep every k-th draw")
     p.add_argument("--prior-only", action="store_true",
                    help="sample the bare prior (no data)")
-    _add_workers(p)
     _add_seed(p)
     _add_out(p)
     p.set_defaults(func=cmd_mcmc)

@@ -310,8 +310,7 @@ class _Objective:
 
 def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
             init: DisplayTheta | None = None, M: float | None = None,
-            fixed: dict | None = None, options: FitOptions | None = None,
-            n_jobs: int = 1) -> FitResult:
+            fixed: dict | None = None, options: FitOptions | None = None) -> FitResult:
     """Maximize the chosen log-likelihood over the free display parameters.
 
     Parameters
@@ -328,9 +327,6 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         Pin parameters by display name ("rho", "doubling_time",
         "median_incubation", "q95_incubation") or pin the rate directly
         ("r", e.g. {"r": 0.0} for the no-growth fit).
-    n_jobs : int
-        Worker processes for the restarts' searches (1: in this process).
-        The result is the same whatever the value.
 
     Returns
     -------
@@ -339,7 +335,8 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
         boundary of the transformed domain; n_clamped counts cases whose
         likelihood term underflowed at the optimum (should be 0).  Of the
         restarts, the first with the lowest objective wins; n_eval counts
-        the evaluations of them all.
+        the evaluations of them all.  The searches run through
+        timeline.parallel_map, to the same fit on any number of CPUs.
     """
     if not cases:
         raise ValueError("no cases to fit")
@@ -357,7 +354,7 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
                          for _ in range(options.restarts)]
         per_run = max(options.max_eval // (options.restarts + 1), 200)
         runs = parallel_map(_nelder_mead, [(fun, x0, per_run, u0.size > 2)
-                                           for x0 in starts], n_jobs)
+                                           for x0 in starts])
         best_x, best_fun, n_eval, success = None, np.inf, 0, False
         for x, val, nfev, ok in runs:
             n_eval += nfev
@@ -477,7 +474,7 @@ def _profile_side(cases: Sequence[CaseRecord], fit: FitResult, param: str,
 
 
 def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
-               level: float = 0.95, n_jobs: int = 1) -> CIResult:
+               level: float = 0.95) -> CIResult:
     """Invert the likelihood-ratio test for one display parameter of fit.
 
     The profile refits use the fit's likelihood kind, truncation day and
@@ -485,9 +482,10 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     within 5e-4; the search stays within [point/100, point*100].  A side
     that never crosses inside that range, or whose search meets a profile
     refit that fails (does not converge, or has no valid warm start), comes
-    back at the end of that range with its bracket flag False.  With
-    n_jobs > 1 the two sides run in two worker processes; the interval is
-    the same.
+    back at the end of that range with its bracket flag False.  When this
+    process may use two CPUs, the lower side runs in a worker process while
+    this one walks the upper side (timeline.parallel_map); the interval is
+    the same either way.
     """
     _check_level(level)
     _check_param(fit, param)
@@ -496,7 +494,7 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     if threshold == 0.0:
         return CIResult(point, point, level)
     (hi_end, hi_ok), (lo_end, lo_ok) = parallel_map(
-        _profile_side, [(cases, fit, param, threshold, d) for d in (+1, -1)], n_jobs)
+        _profile_side, [(cases, fit, param, threshold, d) for d in (+1, -1)])
     return CIResult(lo=lo_end, hi=hi_end, level=level,
                     lower_bracketed=lo_ok, upper_bracketed=hi_ok)
 
@@ -514,12 +512,11 @@ def _refit_resample(cases, idx, fit: FitResult) -> DisplayTheta | None:
     return None if sub is None else sub.display
 
 
-def _bootstrap_displays(cases, fit: FitResult, n_boot: int, rng,
-                        n_jobs: int) -> tuple[list[DisplayTheta], int]:
+def _bootstrap_displays(cases, fit: FitResult, n_boot: int, rng) -> tuple[list[DisplayTheta], int]:
     """Displays of the converged refits of n_boot resamples, and the failure count."""
     n = len(cases)
     args = [(cases, idx, fit) for idx in rng.integers(0, n, size=(n_boot, n))]
-    results = parallel_map(_refit_resample, args, n_jobs)
+    results = parallel_map(_refit_resample, args)
     displays = [d for d in results if d is not None]
     return displays, n_boot - len(displays)
 
@@ -533,16 +530,16 @@ def _percentile_ci(values, level: float) -> CIResult:
 
 def bootstrap_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
                  n_boot: int = 1000, level: float = 0.95,
-                 rng: np.random.Generator | None = None, method: str = "basic",
-                 n_jobs: int = 1) -> CIResult:
+                 rng: np.random.Generator | None = None, method: str = "basic") -> CIResult:
     """Case-resampling bootstrap interval for one display parameter of fit.
 
     Each resample is refitted with the fit's likelihood kind, truncation day
     and pins, starting from the fit's point.  method "basic" reflects the
     percentile interval around the fit's value (2*s_hat - percentiles);
     method "percentile" uses the raw percentiles.  More than 5% of refits
-    failing aborts with RuntimeError.  n_jobs > 1 spreads the refits over
-    that many worker processes, to the same interval.
+    failing aborts with RuntimeError.  The refits are split over this
+    process and one worker process per further usable CPU
+    (timeline.parallel_map), to the same interval.
     """
     if method not in ("basic", "percentile"):
         raise ValueError(f"method must be 'basic' or 'percentile', got {method!r}")
@@ -551,7 +548,7 @@ def bootstrap_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     _check_level(level)
     _check_param(fit, param)
     rng = rng if rng is not None else np.random.default_rng(0)
-    displays, failures = _bootstrap_displays(cases, fit, n_boot, rng, n_jobs)
+    displays, failures = _bootstrap_displays(cases, fit, n_boot, rng)
     if failures > _MAX_FAILURE_RATE * n_boot:
         raise RuntimeError(f"bootstrap: {failures}/{n_boot} refits failed to converge")
     pct = _percentile_ci([getattr(d, param) for d in displays], level)
@@ -588,8 +585,8 @@ class SweepRow:
 
 def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
                m_offset: int = 7, min_cases: int = 20, bootstrap_b: int = 0,
-               level: float = 0.95, rng: np.random.Generator | None = None,
-               n_jobs: int = 1) -> list[SweepRow]:
+               level: float = 0.95,
+               rng: np.random.Generator | None = None) -> list[SweepRow]:
     """Incubation-quantile estimates by confirmation cutoff under three models.
 
     For each cutoff day d (cases confirmed by d):
@@ -624,7 +621,7 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
             fit = mle_fit(sub, kind, M=M, fixed=fixed)
             med_ci = q95_ci = None
             if bootstrap_b > 0:
-                displays, failures = _bootstrap_displays(sub, fit, bootstrap_b, rng, n_jobs)
+                displays, failures = _bootstrap_displays(sub, fit, bootstrap_b, rng)
                 if failures <= _MAX_FAILURE_RATE * bootstrap_b and displays:
                     med_ci = _percentile_ci([x.median_incubation for x in displays], level)
                     q95_ci = _percentile_ci([x.q95_incubation for x in displays], level)

@@ -12,7 +12,8 @@ offers without importing a fitting module, the r = 0 switch (R_SWITCH) and
 check_finite, the one "must be a finite number" check of every parameter.
 And it owns parallel_map, the one process pool, which runs the fits'
 restarts, the profile's sides, the bootstrap refits and the sampler's
-groups of chains; it imports multiprocessing only when it starts a pool.
+groups of chains, and usable_cpus, the one count of its worker processes;
+it imports multiprocessing only when it starts a pool.
 
 Continuous event times carry fixed sub-day offsets so that recorded same-day
 events stay strictly ordered: begin-of-stay sits at three quarters of a day
@@ -622,16 +623,30 @@ def distinct_rows(*columns):
     return order[new], inverse
 
 
-def parallel_map(fn, tasks: list[tuple], n_jobs: int) -> list:
-    """[fn(*task) for task in tasks], spread over up to n_jobs worker
-    processes when there are n_jobs > 1 and more than one task.
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or os.cpu_count()
+    where the platform has no affinity call.  The one count of worker
+    processes: parallel_map and bayes.rwmh_run read it at each call, so
+    `taskset -c 0 bets ...` runs everything in this process."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def parallel_map(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks] on n = min(usable_cpus(), len(tasks))
+    processes: this one computes the first len(tasks) // n tasks while n - 1
+    worker processes compute the rest.
 
     A worker computes a task as this process would, so the results are the
-    same floats whatever n_jobs is, and the first task (in order) that
-    raises raises here.  The pool is shut down, its processes joined, before
-    this returns or raises; one job or one task starts no process and
-    imports nothing.  fn must be a module-level function, and the tasks
-    must pickle.
+    same floats whatever n is, and the first task (in order) that raises
+    raises here.  The pool is shut down, its processes joined, before this
+    returns or raises.  n = 1 starts no process and imports nothing, and
+    neither does a daemonic caller (a multiprocessing.Pool worker, which may
+    start no children): both run every task here.  fn must be a module-level
+    function, and the tasks must pickle.  Computing a share here forks one
+    process fewer and keeps that share in sight of the bench's tracer.
 
     The workers are forked on Linux, where a pool starts in about 10 ms,
     against about 0.5 s for spawn or forkserver (Python 3.14's Linux
@@ -640,18 +655,21 @@ def parallel_map(fn, tasks: list[tuple], n_jobs: int) -> list:
     bets starts no thread of its own, though NumPy's BLAS may hold an idle
     pool (a 2-core sandbox counted 2 threads after `import bets.cli`).
 
-    Left out of __all__, so the bench's tracer (perfbench/), which wraps
-    each layer's __all__, bills a pool's wait to the layer that called it,
-    inference or bayes.
+    Left out of __all__, as usable_cpus is, so the bench's tracer
+    (perfbench/), which wraps each layer's __all__, bills a pool's wait to
+    the layer that called it, inference or bayes.
     """
-    workers = min(n_jobs, len(tasks))
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    # imported here: the two take 15-25 ms on a 2-core Xeon, which every
-    # command would pay at `import bets.cli`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, *zip(*tasks),
-                             chunksize=max(1, len(tasks) // (4 * workers))))
+    workers = min(usable_cpus(), len(tasks))
+    if workers > 1:
+        # imported here: the two take 15-25 ms on a 2-core Xeon, which every
+        # command would pay at `import bets.cli`
+        import multiprocessing
+        if not multiprocessing.current_process().daemon:
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+            first = len(tasks) // workers
+            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
+                rest = pool.map(fn, *zip(*tasks[first:]),
+                                chunksize=max(1, (len(tasks) - first) // (4 * workers)))
+                return [fn(*task) for task in tasks[:first]] + list(rest)
+    return [fn(*task) for task in tasks]

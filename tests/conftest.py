@@ -45,6 +45,14 @@ def real_cohort():
     return cohort, report
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes timeline.usable_cpus report n CPUs for the rest of the
+    test, so parallel_map and bayes.rwmh_run split their work over up to n
+    processes; cpus(1) runs everything in the test's own process."""
+    return lambda n: monkeypatch.setattr(timeline, "usable_cpus", lambda: n)
+
+
 @pytest.fixture(scope="session")
 def sim_params():
     return generative.params_from_theta(0.45, 0.30, 1.86, 0.33)

@@ -43,9 +43,10 @@ DOUBLING_TRUE = math.log(2.0) / R_TRUE
 MEDIAN_TRUE = float(stats.gamma.ppf(0.50, ALPHA_TRUE, scale=1.0 / BETA_TRUE))
 Q95_TRUE = float(stats.gamma.ppf(0.95, ALPHA_TRUE, scale=1.0 / BETA_TRUE))
 
-# Criteria 3 and 4 run each fit's restarts and each profile's two sides in
-# two worker processes (n_jobs=2): the answers are the serial ones, bit for
-# bit, in about two thirds of the time on two cores.
+# Criteria 3, 4 and 7 split each fit's restarts, each profile's two sides and
+# the sampler's chains over one process per usable CPU (timeline.usable_cpus):
+# the answers are the serial ones, bit for bit, in about two thirds of the
+# time on two cores.
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -137,12 +138,12 @@ def test_criterion_3_simulation_recovery_uncond():
         rng = np.random.default_rng(1000 + i)
         recs, _ = generative.sample_exported(2000, params, rng,
                                              discretize_days=False)
-        fit = inference.mle_fit(recs, "uncond", n_jobs=2)
+        fit = inference.mle_fit(recs, "uncond")
         assert fit.converged
         for name, true in truth.items():
             err = abs(getattr(fit.display, name) - true) / true
             worst[name] = max(worst[name], err)
-        ci = inference.profile_ci(recs, fit, "doubling_time", n_jobs=2)
+        ci = inference.profile_ci(recs, fit, "doubling_time")
         covered += int(ci.lo <= DOUBLING_TRUE <= ci.hi)
     ok = all(v <= 0.10 for v in worst.values()) and covered >= 17
     _report(3, ok, "worst rel err " + ", ".join(
@@ -166,14 +167,14 @@ def test_criterion_4_bias_demonstration():
         rng = np.random.default_rng(4000 + i)
         recs, _ = generative.sample_exported(600, params, rng,
                                              discretize_days=False)
-        r0 = inference.mle_fit(recs, "cond", fixed={"r": 0.0}, n_jobs=2)
+        r0 = inference.mle_fit(recs, "cond", fixed={"r": 0.0})
         r0_inflated += int(r0.display.median_incubation >= 1.5 * MEDIAN_TRUE)
         kept = [c for c in recs if c.S <= M]
-        naive = inference.mle_fit(kept, "cond", n_jobs=2)
+        naive = inference.mle_fit(kept, "cond")
         under = naive.display.q95_incubation < Q95_TRUE
         naive_under += int(under)
-        adj = inference.mle_fit(kept, "cond_trunc", M=M, n_jobs=2)
-        ci = inference.profile_ci(kept, adj, "q95_incubation", n_jobs=2)
+        adj = inference.mle_fit(kept, "cond_trunc", M=M)
+        ci = inference.profile_ci(kept, adj, "q95_incubation")
         joint += int(under and ci.lo <= Q95_TRUE <= ci.hi)
     ok = r0_inflated >= 19 and joint >= 17
     _report(4, ok, f"no-growth median inflated >= 1.5x in {r0_inflated}/20; "
@@ -246,7 +247,7 @@ def test_criterion_7_sampler_sanity():
     recs, h_true = discrete_cohort(1000, np.random.default_rng(99))
     truth_mean = float(np.arange(len(h_true)) @ h_true)
     store = bayes.rwmh_run(bayes.DiscreteData.from_records(recs, config), config,
-                           steps=20_000, chains=8, seed=42, n_jobs=2)
+                           steps=20_000, chains=8, seed=42)
     summ = bayes.posterior_summaries(store)
     err = abs(summ["mean_incubation"]["mean"] - truth_mean)
     functionals = bayes.headline_functionals(store)

@@ -246,6 +246,17 @@ def test_discrete_data_rejects_infeasible_case():
                      labels=("all",))
 
 
+def test_discrete_data_rejects_arrays_of_different_lengths():
+    """Built directly, b, e, s, stratum and case_ids need one entry per
+    case: one of them cut to one entry raises, naming every length."""
+    full = {"b": np.zeros(3, dtype=int), "e": np.full(3, 3), "s": np.full(3, 3),
+            "stratum": np.zeros(3, dtype=int), "case_ids": ["c-1", "c-2", "c-3"]}
+    assert len(DiscreteData(**full, labels=("all",))) == 3
+    for name in full:
+        with pytest.raises(ValueError, match=f"one entry per case, got lengths .*'{name}': 1"):
+            DiscreteData(**{**full, name: full[name][:1]}, labels=("all",))
+
+
 def test_discrete_data_windows_give_back_each_rows_days():
     """Each case's window of candidate infection days, found through its row
     (inverse), its stratum's rowmap and the window's products // K, is the
@@ -577,8 +588,7 @@ def test_rwmh_input_validation():
         with pytest.raises(ValueError, match=names_both):
             log_lik_discrete(data, uniform_state(run), run)
     data = DiscreteData.from_records(recs, none)
-    for name, value in (("chains", 0), ("steps", 0), ("thin", 0), ("thin", -1),
-                        ("n_jobs", 0)):
+    for name, value in (("chains", 0), ("steps", 0), ("thin", 0), ("thin", -1)):
         with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
             rwmh_run(data, none, **{"steps": 200, "chains": 1, name: value})
 
@@ -743,36 +753,41 @@ def assert_same_store(got: ChainStore, want: ChainStore) -> None:
 @pytest.mark.parametrize("strata", ["none", "gender"])
 @pytest.mark.parametrize("departure", bayes.DEPARTURE)
 @pytest.mark.parametrize("growth", bayes.GROWTH)
-def test_chains_in_worker_processes_give_the_serial_store(growth, departure, strata):
-    """n_jobs 2 and 3 run contiguous groups of chains (uneven ones at 3 and
-    5 chains), each as its own batch in a worker process; every array of
-    the store is the serial run's."""
+def test_chains_in_worker_processes_give_the_serial_store(growth, departure, strata, cpus):
+    """2 and 3 CPUs run contiguous groups of chains (uneven ones at 3 and
+    5 chains), each as its own batch, all but the first in a worker process;
+    every array of the store is the one CPU's run's."""
     recs = random_selected_records(60, np.random.default_rng(31), strata=True)
     config = DiscreteConfig(growth=growth, departure=departure, strata=strata)
     data = DiscreteData.from_records(recs, config)
     for chains in (1, 3, 4, 5):
+        cpus(1)
         serial = rwmh_run(data, config, steps=40, chains=chains, seed=6, thin=2)
-        for n_jobs in (2, 3):
+        for n in (2, 3):
+            cpus(n)
             assert_same_store(rwmh_run(data, config, steps=40, chains=chains, seed=6,
-                                       thin=2, n_jobs=n_jobs), serial)
+                                       thin=2), serial)
 
 
 @pytest.mark.parametrize("prior_only", [False, True], ids=["posterior", "prior-only"])
-def test_adapted_chains_in_worker_processes_give_the_serial_store(prior_only):
+def test_adapted_chains_in_worker_processes_give_the_serial_store(prior_only, cpus):
     """The same through two step-size adaptations (a 200-step burn-in)."""
     recs = random_selected_records(60, np.random.default_rng(32), strata=True)
     config = DiscreteConfig(strata="gender")
     data = None if prior_only else DiscreteData.from_records(recs, config)
-    runs = [rwmh_run(data, config, steps=400, chains=5, seed=3, thin=5, n_jobs=n_jobs)
-            for n_jobs in (1, 2, 3)]
+    runs = []
+    for n in (1, 2, 3):
+        cpus(n)
+        runs.append(rwmh_run(data, config, steps=400, chains=5, seed=3, thin=5))
     assert not np.array_equal(runs[0].step_sizes, np.tile([0.1, 0.15, 0.15], (5, 1)))
     for run in runs[1:]:
         assert_same_store(run, runs[0])
 
 
-def test_each_start_is_evaluated_once(monkeypatch):
+def test_each_start_is_evaluated_once(monkeypatch, cpus):
     """The chains start from the parts the start search computed: the
     target runs once per start candidate and once per chain and move."""
+    cpus(1)  # the calls are counted in this process
     recs = random_selected_records(40, np.random.default_rng(90), strata=True)
     starts, evals = [], []
     init_state, log_prior_rest = bayes._init_state, bayes.log_prior_rest

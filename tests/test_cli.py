@@ -146,10 +146,10 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["ci", "--in", "c.csv", "--param", "median", "--level", "1.5"], "--level"),
     (["ci", "--in", "c.csv", "--param", "median", "--method", "bootstrap",
       "--n-boot", "0"], "--n-boot"),
-    (["ci", "--in", "c.csv", "--param", "median", "--workers", "0"], "--workers"),
+    (["ci", "--in", "c.csv", "--param", "median", "--seed", "-1"], "--seed"),
     (["bias-demo", "--in", "c.csv", "--n-boot", "-1"], "--n-boot"),
     (["bias-demo", "--in", "c.csv", "--level", "0"], "--level"),
-    (["bias-demo", "--in", "c.csv", "--workers", "0"], "--workers"),
+    (["bias-demo", "--in", "c.csv", "--seed", "-1"], "--seed"),
     (["mcmc", "--in", "c.csv", "--steps", "0"], "--steps"),
     (["mcmc", "--in", "c.csv", "--chains", "0"], "--chains"),
     (["mcmc", "--in", "c.csv", "--thin", "0"], "--thin"),
@@ -197,8 +197,6 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["ingest", "--in", "raw.csv", "--arrival-cutoff", "foo"], "--arrival-cutoff"),
     (["ingest", "--in", "raw.csv", "--impute-end-to", "2019-01-01"], "--impute-end-to"),
     (["ingest", "--in", "raw.csv", "--arrival-cutoff", "99999999999"], "--arrival-cutoff"),
-    (["fit", "--in", "c.csv", "--workers", "0"], "--workers"),
-    (["mcmc", "--in", "c.csv", "--workers", "-1"], "--workers"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -557,23 +555,27 @@ def test_ci_profile_side_past_a_failed_refit_is_unbracketed(tmp_path):
     assert ci["lo"] < point and ci["hi"] == pytest.approx(100 * point, rel=1e-12)
 
 
-# A warning raised in a worker process is printed there, not to the stderr
-# the test captures; so the tests that read stderr also run with --workers 1,
-# where all the work is done in the test's process.
-WORKERS = pytest.mark.parametrize("workers", [["--workers", "1"], []],
+# The CPUs a command splits its work over by default: this process and one
+# worker process per further CPU (timeline.usable_cpus).  A warning raised in
+# a worker process is printed there, not to the stderr the test captures; so
+# the tests that read stderr also run on one CPU, where all the work is done
+# in the test's process.
+DEFAULT_CPUS = timeline.usable_cpus()
+WORKERS = pytest.mark.parametrize("n_cpus", [1, DEFAULT_CPUS],
                                   ids=["workers-1", "default-workers"])
 
 
 @WORKERS
-def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys, workers):
+def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys, cpus, n_cpus):
     """The same profile: no refit hands the simplex a non-finite objective
     (a truncated term read as +inf once did), so SciPy raises no
     RuntimeWarning and stderr holds no warning line."""
+    cpus(n_cpus)
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
     assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), "--likelihood",
                      "cond-trunc", "--truncate-at", "50", "--param", "median",
-                     *workers, "--out", str(tmp_path / "ci")]) == 0
+                     "--out", str(tmp_path / "ci")]) == 0
     assert "warning" not in capsys.readouterr().err
 
 
@@ -582,19 +584,20 @@ def test_ci_profile_on_a_flat_truncated_profile_warns_nothing(tmp_path, capsys, 
     ["--likelihood", "uncond", "--param", "doubling-time", "--seed", "2"],
     ["--likelihood", "cond", "--param", "q95", "--method", "bootstrap", "--n-boot", "6"]],
     ids=["profile-one-side-unbracketed", "profile", "bootstrap"])
-def test_ci_with_the_default_workers_writes_the_serial_ci_json(tmp_path, flags):
-    """The default --workers runs the fit's restarts and the profile's sides
-    or the bootstrap refits in worker processes; ci.json is the same as with
-    --workers 1, apart from the flags echoed in the provenance."""
+def test_ci_with_the_default_workers_writes_the_serial_ci_json(tmp_path, cpus, flags):
+    """The default workers run the fit's restarts and the profile's sides
+    or the bootstrap refits in worker processes; ci.json is the same as on
+    one CPU, apart from the --out flag echoed in the provenance."""
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--n", "300", "--seed", "3", "--out", sim]) == 0
     payloads = []
-    for workers in (["--workers", "1"], []):
-        out = str(tmp_path / f"ci{len(workers)}")
+    for n in (1, DEFAULT_CPUS):
+        cpus(n)
+        out = str(tmp_path / f"ci{len(payloads)}")
         assert cli.main(["ci", "--in", os.path.join(sim, "cohort.csv"), *flags,
-                         *workers, "--out", out]) == 0
+                         "--out", out]) == 0
         payload = read_json(out, "ci.json")
-        del payload["provenance"]["flags"]["workers"], payload["provenance"]["flags"]["out"]
+        del payload["provenance"]["flags"]["out"]
         payloads.append(payload)
     assert payloads[0] == payloads[1]
 
@@ -610,15 +613,16 @@ def test_ci_leaves_no_worker_process_behind(sim_dir, tmp_path, flags, code):
 
 
 @WORKERS
-def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys, workers):
+def test_ci_fit_block_is_the_same_for_both_methods(sim_dir, tmp_path, capsys, cpus, n_cpus):
     """ci.json carries the interval once, at the top level; the fit block
     is the fit's fields for the profile and the bootstrap alike."""
+    cpus(n_cpus)
     blocks = {}
     for method in ("profile", "bootstrap"):
         out = str(tmp_path / method)
         code = cli.main(["ci", "--in", os.path.join(sim_dir, "cohort.csv"),
                          "--likelihood", "cond", "--param", "q95",
-                         "--method", method, "--n-boot", "4", *workers, "--out", out])
+                         "--method", method, "--n-boot", "4", "--out", out])
         assert code == 0
         payload = read_json(out, "ci.json")
         assert set(payload["ci"]) == {"lo", "hi", "level", "lower_bracketed",
@@ -874,13 +878,11 @@ def test_mcmc_prior_only_needs_no_input(tmp_path):
 
 def _outputs(out: str) -> dict:
     """Each file of an output directory by name: a JSON file's payload
-    without the --workers and --out flags its provenance echoes, any other
-    file's bytes."""
+    without the --out flag its provenance echoes, any other file's bytes."""
     files = {}
     for name in sorted(os.listdir(out)):
         if name.endswith(".json"):
             files[name] = read_json(out, name)
-            del files[name]["provenance"]["flags"]["workers"]
             del files[name]["provenance"]["flags"]["out"]
         else:
             with open(os.path.join(out, name), "rb") as fh:
@@ -891,29 +893,31 @@ def _outputs(out: str) -> dict:
 @pytest.mark.parametrize("command", [
     ["mcmc", "--steps", "240", "--chains", "5", "--thin", "4"],
     ["fit", "--likelihood", "cond", "--format", "table"]], ids=["mcmc", "fit"])
-def test_worker_processes_write_the_serial_files(sim_dir, tmp_path, capsys, command):
-    """mcmc's groups of chains (three uneven ones at --workers 3) and fit's
-    restarts, run in worker processes at the default --workers and at 3,
-    write the files and print the lines of --workers 1, apart from the
-    flags echoed in the provenance; no worker outlives the command."""
+def test_worker_processes_write_the_serial_files(sim_dir, tmp_path, capsys, cpus, command):
+    """mcmc's groups of chains (three uneven ones on 3 CPUs) and fit's
+    restarts, run in worker processes on the default CPUs and on 3, write
+    the files and print the lines of one CPU, apart from the --out flag
+    echoed in the provenance; no worker outlives the command."""
     runs = []
-    for workers in (["--workers", "1"], [], ["--workers", "3"]):
+    for n in (1, DEFAULT_CPUS, 3):
+        cpus(n)
         out = str(tmp_path / f"out{len(runs)}")
         assert cli.main([*command, "--in", os.path.join(sim_dir, "cohort.csv"),
-                         *workers, "--out", out]) == 0
+                         "--out", out]) == 0
         assert multiprocessing.active_children() == []
         runs.append((_outputs(out), capsys.readouterr().out.replace(out, "<out>")))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_mcmc_names_the_chain_without_a_start(sim_dir, tmp_path, capsys, monkeypatch,
-                                              workers):
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_mcmc_names_the_chain_without_a_start(sim_dir, tmp_path, capsys, monkeypatch, cpus,
+                                              n_cpus):
     """Chains 2 and 3 of 4 find no start: each candidate's curve breaks the
-    mass constraint.  Both worker counts exit 4 naming chain 2 by its index
-    in the run (at --workers 2 it is the first chain of the second group),
-    and no worker outlives the command."""
+    mass constraint.  Both CPU counts exit 4 naming chain 2 by its index in
+    the run (on 2 CPUs it is the first chain of the second group), and no
+    worker outlives the command."""
+    cpus(n_cpus)
     init_state = bayes._init_state
 
     def no_start_from_chain_2(coords, config, rng, prior_only):
@@ -924,7 +928,7 @@ def test_mcmc_names_the_chain_without_a_start(sim_dir, tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(bayes, "_init_state", no_start_from_chain_2)
     code = cli.main(["mcmc", "--in", os.path.join(sim_dir, "cohort.csv"), "--steps", "20",
-                     "--chains", "4", "--workers", workers, "--out", str(tmp_path)])
+                     "--chains", "4", "--out", str(tmp_path)])
     assert code == 4
     assert capsys.readouterr().err == "error: chain 2: could not find a valid initial state\n"
     assert multiprocessing.active_children() == []

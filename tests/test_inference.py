@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -250,7 +251,8 @@ def test_nelder_mead_stops_at_maxfev_as_scipy_does(maxfev):
 
 @pytest.mark.parametrize("kind, fixed", [("uncond", None), ("cond", None),
                                          ("cond_trunc", None), ("cond", {"r": 0.0})])
-def test_mle_fit_searches_are_scipys(small_cohort, monkeypatch, kind, fixed):
+def test_mle_fit_searches_are_scipys(small_cohort, monkeypatch, cpus, kind, fixed):
+    cpus(1)  # the searches are checked in this process
     searches = []
 
     def checked(fun, x0, maxfev, adaptive):
@@ -367,18 +369,38 @@ def test_profile_ci_on_a_flat_profile_ends_at_the_search_range(small_cohort, sma
 
 
 def test_profile_ci_sides_in_worker_processes_give_the_serial_interval(small_cohort,
-                                                                       small_fit):
-    serial = profile_ci(small_cohort, small_fit, "q95_incubation", n_jobs=1)
-    assert profile_ci(small_cohort, small_fit, "q95_incubation", n_jobs=2) == serial
+                                                                       small_fit, cpus):
+    cpus(1)
+    serial = profile_ci(small_cohort, small_fit, "q95_incubation")
+    cpus(2)
+    assert profile_ci(small_cohort, small_fit, "q95_incubation") == serial
 
 
 @pytest.mark.parametrize("kind", ["uncond", "cond"])
-def test_mle_fit_restarts_in_worker_processes_give_the_serial_fit(small_cohort, kind):
+def test_mle_fit_restarts_in_worker_processes_give_the_serial_fit(small_cohort, cpus, kind):
     """The same optimum, the same winning restart and the same evaluation count."""
     options = FitOptions(restarts=3, seed=4)
-    serial, parallel = (dataclasses.asdict(mle_fit(small_cohort, kind, options=options,
-                                                   n_jobs=n_jobs)) for n_jobs in (1, 2))
-    assert parallel == serial
+    cpus(1)
+    serial = dataclasses.asdict(mle_fit(small_cohort, kind, options=options))
+    cpus(2)
+    assert dataclasses.asdict(mle_fit(small_cohort, kind, options=options)) == serial
+
+
+def _fit_in_this_worker(cases, kind, options):
+    return dataclasses.asdict(mle_fit(cases, kind, options=options))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the worker must inherit the patched CPU count")
+def test_mle_fit_in_a_daemonic_pool_worker_gives_the_serial_fit(small_cohort, cpus):
+    """A multiprocessing.Pool worker may start no children, so there the
+    restarts run in the worker itself, to the serial fit."""
+    options = FitOptions(restarts=3, seed=4)
+    cpus(1)
+    serial = _fit_in_this_worker(small_cohort, "cond", options)
+    cpus(2)  # the forked worker inherits the two CPUs
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_fit_in_this_worker, (small_cohort, "cond", options)) == serial
 
 
 def test_profile_ci_leaves_the_fit_alone(small_cohort, small_fit):
@@ -421,10 +443,11 @@ def test_bootstrap_validates_param(small_cohort, small_fit):
             inference.bootstrap_ci(small_cohort, small_fit, "doubling_time", n_boot=n_boot)
 
 
-def test_bootstrap_parallel_matches_serial(small_cohort, small_fit):
-    def boot(n_jobs):
+def test_bootstrap_parallel_matches_serial(small_cohort, small_fit, cpus):
+    def boot(n):
+        cpus(n)
         return inference.bootstrap_ci(small_cohort, small_fit, "q95_incubation", n_boot=16,
-                                      rng=np.random.default_rng(7), n_jobs=n_jobs)
+                                      rng=np.random.default_rng(7))
 
     assert boot(1) == boot(2)
 

@@ -118,30 +118,40 @@ def test_only_the_commands_that_fit_load_scipy(command, loads, whole_day_cohort,
         assert loaded == []
 
 
+NEEDS_AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no affinity call on this platform")
+
+
 @pytest.mark.parametrize("command, prefixes", [
     ((), ("multiprocessing", "concurrent")),
-    (("mcmc", "--steps", "20", "--chains", "2", "--workers", "1"),
-     ("multiprocessing", "concurrent")),
-    (("fit", "--workers", "1"), ("multiprocessing",)),
+    pytest.param(("mcmc", "--steps", "20", "--chains", "2"),
+                 ("multiprocessing", "concurrent"), marks=NEEDS_AFFINITY),
+    pytest.param(("fit",), ("multiprocessing",), marks=NEEDS_AFFINITY),
 ], ids=["import", "mcmc-one-worker", "fit-one-worker"])
 def test_one_worker_loads_no_process_pool(command, prefixes, whole_day_cohort, tmp_path):
     """import bets.cli loads neither multiprocessing nor concurrent.futures
     (15-25 ms together on a 2-core Xeon): timeline.parallel_map imports them
-    only to start a pool, and --workers 1 starts none.  scipy.special imports
-    concurrent.futures itself, so the fit is checked for multiprocessing."""
-    assert _fresh_run(command, whole_day_cohort, tmp_path, *prefixes) == []
+    only to start a pool, and a process that may run on one CPU starts none;
+    the commands run in an interpreter that first narrows its own affinity
+    mask to one CPU.  scipy.special imports concurrent.futures itself, so
+    the fit is checked for multiprocessing."""
+    assert _fresh_run(command, whole_day_cohort, tmp_path, *prefixes,
+                      one_cpu=bool(command)) == []
 
 
-def _fresh_run(command, cohort: str, out_dir, *prefixes: str) -> list[str]:
+def _fresh_run(command, cohort: str, out_dir, *prefixes: str, one_cpu: bool = False) -> list[str]:
     """The modules starting with one of prefixes that a fresh interpreter
     has loaded after `import bets.cli` and, when a command is given,
     bets.cli.main of it, with --in cohort (but for simulate) and --out
-    out_dir; the command must exit 0."""
+    out_dir; the command must exit 0.  With one_cpu the interpreter first
+    restricts itself to the lowest CPU of its affinity mask."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bets.__file__)))
     argv = [*command, "--out", str(out_dir)] if command else []
     if command and command[0] != "simulate":
         argv += ["--in", cohort]
-    probe = ("import sys, bets.cli; rc = bets.cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
+    pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    probe = ((pin if one_cpu else "")
+             + "import sys, bets.cli; rc = bets.cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
              "print(rc, *(m for m in sys.modules if m.startswith(tuple(sys.argv[1].split()))))")
     out = subprocess.run([sys.executable, "-c", probe, " ".join(prefixes), *argv],
                          capture_output=True, text=True,

@@ -518,20 +518,44 @@ def test_distinct_rows_are_those_of_np_unique():
 # The process pool
 # ---------------------------------------------------------------------------
 
-def test_parallel_map_applies_each_task_in_order(monkeypatch):
-    """In a pool too; one job, or one task, starts no pool."""
+def test_usable_cpus_reads_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert timeline.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert timeline.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert timeline.usable_cpus() == 1
+
+
+def _pid(_) -> int:
+    return os.getpid()
+
+
+def test_parallel_map_applies_each_task_in_order(monkeypatch, cpus):
+    """In a pool too, where this process computes the first share of the
+    tasks and worker processes the rest; one CPU, or one task, starts no
+    pool."""
     tasks = [(2, 3), (3, 2), (5, 1)]
-    assert timeline.parallel_map(pow, tasks, 2) == [8, 9, 5]
+    cpus(2)
+    assert timeline.parallel_map(pow, tasks) == [8, 9, 5]
+    here, worker, same_worker = timeline.parallel_map(_pid, [(0,), (1,), (2,)])
+    assert here == os.getpid() != worker == same_worker
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert timeline.parallel_map(pow, tasks, 1) == [8, 9, 5]
-    assert timeline.parallel_map(pow, [(4, 2)], 2) == [16]
+    assert timeline.parallel_map(pow, [(4, 2)]) == [16]
+    cpus(1)
+    assert timeline.parallel_map(pow, tasks) == [8, 9, 5]
 
 
-def test_parallel_map_raises_the_first_failing_task_and_joins_its_workers():
+def test_parallel_map_raises_the_first_failing_task_and_joins_its_workers(cpus):
+    cpus(2)
     with pytest.raises(ValueError, match="'x'"):
-        timeline.parallel_map(int, [("1",), ("x",), ("y",)], 2)
+        timeline.parallel_map(int, [("1",), ("x",), ("y",)])
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="'x'"):  # in this process's share
+        timeline.parallel_map(int, [("x",), ("y",), ("z",)])
     assert multiprocessing.active_children() == []
