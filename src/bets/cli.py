@@ -31,7 +31,7 @@ from . import __version__, bayes, timeline
 from .timeline import KINDS, CaseRecord, CaseTableError
 
 if TYPE_CHECKING:  # annotations only; see the module docstring
-    from . import generative, inference
+    from . import generative, inference, likelihood
 
 _KIND_FLAG = {kind.replace("_", "-"): kind for kind in KINDS}
 _PARAM_FLAG = {"rho": "rho", "doubling-time": "doubling_time",
@@ -166,14 +166,16 @@ def _fit_from_flags(records: list[CaseRecord],
     return fit, records
 
 
-def _theta_from_flags(records: list[CaseRecord], args) -> tuple[float, float, float, dict]:
-    """(r, alpha, beta, fit info) from --growth-rate/--shape/--rate, else from a fit."""
+def _theta_from_flags(records: list[CaseRecord], args) -> tuple[likelihood.ParamTheta, dict]:
+    """(theta, fit info) from --growth-rate/--shape/--rate, else from a fit."""
     if args.growth_rate is None:
         fit, _ = _fit_from_flags(records, args)
-        return fit.theta.r, fit.theta.alpha, fit.theta.beta, dataclasses.asdict(fit)
+        return fit.theta, dataclasses.asdict(fit)
     if args.shape is None or args.rate is None:
         raise CliError(2, "--growth-rate needs --shape and --rate too")
-    return args.growth_rate, args.shape, args.rate, {"source": "flags"}
+    from . import likelihood
+    return (likelihood.ParamTheta(r=args.growth_rate, alpha=args.shape, beta=args.rate),
+            {"source": "flags"})
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +291,8 @@ def cmd_bias_demo(args) -> int:
 def cmd_gof(args) -> int:
     from . import inference
     records = _filter_location(_load_cohort(args.input), args.location)
-    r, alpha, beta, fit_info = _theta_from_flags(records, args)
-    gof = inference.gof_onset_marginal(records, r, alpha, beta,
-                                       min_expected=args.min_expected)
+    theta, fit_info = _theta_from_flags(records, args)
+    gof = inference.gof_onset_marginal(records, theta, min_expected=args.min_expected)
     out = _out_dir(args)
     _write_json(os.path.join(out, "gof.json"),
                 {"fit": fit_info, "gof": dataclasses.asdict(gof)}, args)
@@ -377,8 +378,8 @@ def cmd_plot_data(args) -> int:
     records = _filter_location(_load_cohort(args.input), args.location)
     if args.kind == "onset-fit":
         from . import inference
-        r, alpha, beta, _ = _theta_from_flags(records, args)
-        days, observed, expected = inference.onset_fit_table(records, r, alpha, beta)
+        theta, _ = _theta_from_flags(records, args)
+        days, observed, expected = inference.onset_fit_table(records, theta)
         rows = [[int(day), timeline.from_epoch(int(day)).isoformat(), int(obs), float(exp)]
                 for day, obs, exp in zip(days, observed, expected)]
         timeline.atomic_write_text(os.path.join(out, "onset_fit.csv"), timeline.csv_text(

@@ -646,8 +646,8 @@ class GofResult:
     n_bins: int
 
 
-def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float, beta: float):
-    """(day, observed, expected) per onset day among resident cases.
+def onset_fit_table(cases: Sequence[CaseRecord], theta: ParamTheta):
+    """(day, observed, expected) per onset day among resident cases at theta.
 
     Expected counts evaluate the exported-resident onset density at the
     continuous midpoint of each recorded day and normalize over the observed
@@ -661,7 +661,7 @@ def onset_fit_table(cases: Sequence[CaseRecord], r: float, alpha: float, beta: f
     for c in cases:
         if c.is_resident:
             obs[c.S_int - full[0]] += 1
-    dens = marginal_s_density(full - 0.5, r, alpha, beta)
+    dens = marginal_s_density(full - 0.5, theta)
     total = dens.sum()
     if not total > 0:
         raise ValueError("onset density vanishes on the observed range")
@@ -675,10 +675,10 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return float(sc.chdtrc(dof, stat))
 
 
-def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
-                       beta: float, min_expected: float = 5.0) -> GofResult:
-    """Pearson chi-square of resident onset days against the model density,
-    over at least 30 resident cases.
+def gof_onset_marginal(cases: Sequence[CaseRecord], theta: ParamTheta,
+                       min_expected: float = 5.0) -> GofResult:
+    """Pearson chi-square of resident onset days against the model density
+    at theta, over at least 30 resident cases.
 
     Adjacent days are pooled left-to-right until each bin expects at least
     min_expected cases (the trailing remainder merges backwards); the
@@ -687,7 +687,7 @@ def gof_onset_marginal(cases: Sequence[CaseRecord], r: float, alpha: float,
     n_res = sum(1 for c in cases if c.is_resident)
     if n_res < 30:
         raise ValueError(f"need at least 30 resident cases, have {n_res}")
-    _, obs, expected = onset_fit_table(cases, r, alpha, beta)
+    _, obs, expected = onset_fit_table(cases, theta)
     pooled_o: list[float] = []
     pooled_e: list[float] = []
     acc_o = acc_e = 0.0

@@ -11,13 +11,15 @@ observed ("exported") only if it falls in the selection set
 
 i.e. the person was infected during the stay, left before the travel
 quarantine at L = 54, and eventually showed symptoms.  This module provides
-the resulting log-likelihoods of (B, E, S) for observed cases:
+the resulting log-likelihoods of (B, E, S) for observed cases, each of the
+likelihood kinds at one parameter point :class:`ParamTheta`:
 
-* conditional on (B, E)                       -- :func:`log_lik_cond`
-* joint in (B, E, S) with the travel-mix rho  -- :func:`log_lik_uncond`
-* additionally right-truncated at S <= M      -- :func:`log_lik_cond_trunc`
+* "cond":       conditional on (B, E)
+* "uncond":     joint in (B, E, S) with the travel-mix rho
+* "cond_trunc": additionally right-truncated at S <= M
 
-plus the closed-form selection probability, the marginal onset-time density
+:func:`case_terms` gives their per-case terms and :func:`log_lik` their sum;
+also the closed-form selection probability, the marginal onset-time density
 among exported residents, and the additive growth-rate correction for naive
 curve fits to onset counts.
 """
@@ -42,9 +44,7 @@ __all__ = [
     "quantiles_to_shape_rate",
     "gamma_exp_integral",
     "selection_prob_total",
-    "log_lik_cond",
-    "log_lik_uncond",
-    "log_lik_cond_trunc",
+    "log_lik",
     "marginal_s_density",
     "growth_bias_correction",
     "growth_bias_fixed_point",
@@ -209,16 +209,15 @@ def _gamma_cdf_diff(alpha: float, rate: float, index):
 # Growth-weighted onset integral and selection probability
 # ---------------------------------------------------------------------------
 
-def gamma_exp_integral(b: float, e: float, s: float, r: float,
-                       alpha: float, beta: float) -> float:
-    """Exact value of  integral_b^{min(s,e)} exp(r t) h_{alpha,beta}(s - t) dt.
+def gamma_exp_integral(b: float, e: float, s: float, theta: ParamTheta) -> float:
+    """Exact value of  integral_b^{min(s,e)} exp(r t) h_{alpha,beta}(s - t) dt
+    at theta's r, alpha and beta.
 
     h is the Gamma(alpha, beta) density.  Closed form:
     (beta/(beta+r))^alpha * exp(r s) * [H_{a,b+r}(s-b) - H_{a,b+r}((s-e)_+)],
     valid for r > -beta; the r = 0 case is the plain CDF difference.
     """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
+    r, alpha, beta = theta.r, theta.alpha, theta.beta
     if not r > -beta:
         raise ValueError(f"need r > -beta, got r={r}, beta={beta}")
     upper = min(s, e)
@@ -367,6 +366,7 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
 def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     """Per-case log terms of the cases under likelihood kind "cond", "uncond"
     or "cond_trunc" (truncated at M; a case with S > M raises LikelihoodError).
+    The other two kinds take no M: ValueError if one is given.
 
     The cases are converted, reduced to their distinct (B, E, S, resident)
     rows by timeline's distinct_rows and the rows' Gamma CDF arguments indexed
@@ -386,6 +386,8 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
         if late is not None:
             raise LikelihoodError(
                 f"truncated likelihood: case {late.case_id} has S={late.S} > M={M}")
+    elif M is not None:
+        raise ValueError(f"only cond_trunc reads the truncation day M, got M={M} for {kind}")
     columns = case_arrays(cases)
     first, inverse = distinct_rows(*columns[::-1])  # resident, S, E, B
     b, e, s, resident = (col[first] for col in columns)
@@ -407,27 +409,26 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Public case-list log-likelihoods (strict: bad cases raise)
+# Case-list log-likelihood (strict: bad cases raise)
 # ---------------------------------------------------------------------------
 
-def _strict_sum(cases: Sequence[CaseRecord], kind: str, rho, r: float, alpha: float,
-                beta: float, M: float | None = None) -> float:
-    """Sum of the case_terms of a nonempty case list; LikelihoodError naming
-    the first case whose term is not finite.  ValueError naming a parameter
-    that is not a finite number: a NaN r would read as the r = 0 forms, and
-    an infinite one would be blamed on the first case."""
-    params = {"rho": rho} if kind == "uncond" else {}
-    params.update(r=r, alpha=alpha, beta=beta)
-    if M is not None:
-        params["M"] = M
-    check_finite(params)
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    if kind != "uncond" and r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
+def log_lik(cases: Sequence[CaseRecord], kind: str, theta: ParamTheta,
+            M: float | None = None) -> float:
+    """Sum of the case_terms of kind over a nonempty case list at theta
+    (truncated at M for "cond_trunc"); LikelihoodError naming the first case
+    whose term is not finite.
+
+    theta has checked its own fields.  ValueError naming rho when "uncond"
+    has none, or M when it is not a finite number (its terms would blame the
+    first case).  The conditional kinds need r >= 0.
+    """
+    check_finite({"rho": theta.rho, "M": M},
+                 optional=("M",) if kind == "uncond" else ("rho", "M"))
+    if kind != "uncond" and theta.r < 0:
+        raise ValueError(f"need r >= 0, got {theta.r}")
     if not cases:
         raise ValueError("no cases")
-    terms = case_terms(cases, kind, M)(rho, r, alpha, beta)
+    terms = case_terms(cases, kind, M)(theta.rho, theta.r, theta.alpha, theta.beta)
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         c = cases[int(bad[0])]
@@ -436,29 +437,13 @@ def _strict_sum(cases: Sequence[CaseRecord], kind: str, rho, r: float, alpha: fl
     return float(terms.sum())
 
 
-def log_lik_cond(cases: Sequence[CaseRecord], r: float, alpha: float, beta: float) -> float:
-    """Sum of conditional-on-(B, E) log-likelihood terms over the cases."""
-    return _strict_sum(cases, "cond", None, r, alpha, beta)
-
-
-def log_lik_uncond(cases: Sequence[CaseRecord], rho: float, r: float,
-                   alpha: float, beta: float) -> float:
-    """Sum of joint (B, E, S) log-likelihood terms over the cases."""
-    return _strict_sum(cases, "uncond", rho, r, alpha, beta)
-
-
-def log_lik_cond_trunc(cases: Sequence[CaseRecord], r: float, alpha: float,
-                       beta: float, M: float) -> float:
-    """Sum of right-truncated (S <= M) conditional log-likelihood terms."""
-    return _strict_sum(cases, "cond_trunc", None, r, alpha, beta, M)
-
-
 # ---------------------------------------------------------------------------
 # Marginal densities among exported residents, and the bias correction
 # ---------------------------------------------------------------------------
 
-def marginal_s_density(s, r: float, alpha: float, beta: float):
-    """Unnormalized onset-time density among exported residents, L = QUARANTINE_DAY.
+def marginal_s_density(s, theta: ParamTheta):
+    """Unnormalized onset-time density among exported residents at theta's
+    r, alpha and beta, L = QUARANTINE_DAY.
 
     exp(r s) { (L - s)(1 - H_{a,b+r}((s-L)_+)) + a/(b+r) (1 - H_{a+1,b+r}((s-L)_+)) }.
 
@@ -466,8 +451,7 @@ def marginal_s_density(s, r: float, alpha: float, beta: float):
     is a large-(beta+r)L approximation: accurate on s >= L/2 and degrading
     when L <= 4(alpha+5)/(beta+r), in which situation a warning is issued.
     """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
+    r, alpha, beta = theta.r, theta.alpha, theta.beta
     rate = beta + r
     if not rate > 0:
         raise ValueError(f"need beta + r > 0, got {rate}")

@@ -25,6 +25,7 @@ kept at exactly 0.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -634,6 +635,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _call(fn, task: tuple):
+    """fn(*task): parallel_map's workers map it over whole task tuples, so a
+    task of no arguments is a task too."""
+    return fn(*task)
+
+
 def parallel_map(fn, tasks: list[tuple]) -> list:
     """[fn(*task) for task in tasks] on n = min(usable_cpus(), len(tasks))
     processes: this one computes the first len(tasks) // n tasks while n - 1
@@ -669,7 +676,7 @@ def parallel_map(fn, tasks: list[tuple]) -> list:
             context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
             first = len(tasks) // workers
             with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
-                rest = pool.map(fn, *zip(*tasks[first:]),
+                rest = pool.map(functools.partial(_call, fn), tasks[first:],
                                 chunksize=max(1, (len(tasks) - first) // (4 * workers)))
                 return [fn(*task) for task in tasks[:first]] + list(rest)
     return [fn(*task) for task in tasks]

@@ -73,15 +73,16 @@ def test_criterion_1_closed_forms_match_quadrature():
         rec = CaseRecord(case_id=f"c{i}", B_int=int(math.ceil(b)),
                          E_int=int(math.ceil(e)), S_int=int(math.ceil(s)),
                          B=b, E=e, S=s)
-        got = likelihood.gamma_exp_integral(b, e, s, r, a, bt)
+        theta = likelihood.ParamTheta(r, a, bt, rho=rho)
+        got = likelihood.gamma_exp_integral(b, e, s, theta)
         ref = quad_growth_onset(b, e, s, r, a, bt)
         worst["integral"] = max(worst["integral"], abs(got - ref) / abs(ref))
         pairs = [
-            ("cond", likelihood.log_lik_cond([rec], r, a, bt),
+            ("cond", likelihood.log_lik([rec], "cond", theta),
              quad_cond_term(b, e, s, r, a, bt)),
-            ("uncond", likelihood.log_lik_uncond([rec], rho, r, a, bt),
+            ("uncond", likelihood.log_lik([rec], "uncond", theta),
              quad_uncond_term(b, e, s, rho, r, a, bt)),
-            ("trunc", likelihood.log_lik_cond_trunc([rec], r, a, bt, M),
+            ("trunc", likelihood.log_lik([rec], "cond_trunc", theta, M),
              quad_trunc_term(b, e, s, r, a, bt, M)),
         ]
         for name, lg, lref in pairs:
@@ -272,8 +273,7 @@ def test_criterion_8_published_cohort_headline_fits(real_cohort):
     unc = inference.mle_fit(cohort, "uncond")
     cond = inference.mle_fit(cohort, "cond")
     r0 = inference.mle_fit(cohort, "cond", fixed={"r": 0.0})
-    gof = inference.gof_onset_marginal(cohort, unc.theta.r, unc.theta.alpha,
-                                       unc.theta.beta)
+    gof = inference.gof_onset_marginal(cohort, unc.theta)
     checks = [
         ("uncond rho", unc.display.rho, 0.45, 0.02),
         ("uncond doubling", unc.display.doubling_time, 2.3, 0.1),

@@ -441,7 +441,8 @@ def test_discrete_likelihood_tracks_the_continuous_one():
             pmf = np.diff(stats.gamma.cdf(np.arange(31), 1.86, scale=1 / beta))
             state = uniform_state(config, r1=float(r), h=pmf / pmf.sum())
             disc.append(log_lik_discrete(data, state, config))
-            cont.append(lk.log_lik_uncond(recs, 0.45, float(r), 1.86, float(beta)))
+            theta = lk.ParamTheta(float(r), 1.86, float(beta), rho=0.45)
+            cont.append(lk.log_lik(recs, "uncond", theta))
             r_of_cell.append(float(r))
     disc, cont = np.array(disc), np.array(cont)
     assert np.corrcoef(disc, cont)[0, 1] > 0.9

@@ -415,7 +415,8 @@ def test_fit_with_every_parameter_pinned_evaluates_once(tmp_path):
     assert fit["n_eval"] == 1 and fit["converged"]
     assert fit["fixed"] == {"r": 0.0, "median_incubation": 5.0, "q95_incubation": 12.0}
     alpha, beta = likelihood.quantiles_to_shape_rate(5.0, 12.0)
-    want = likelihood.log_lik_cond(timeline.read_cohort_csv(cohort), 0.0, alpha, beta)
+    want = likelihood.log_lik(timeline.read_cohort_csv(cohort), "cond",
+                              likelihood.ParamTheta(0.0, alpha, beta))
     assert fit["log_lik"] == want == pytest.approx(-739.267494539047, rel=1e-12)
 
 

@@ -23,6 +23,7 @@ from bets.generative import (
     sample_population_arrays,
     selection_mask,
 )
+from bets.likelihood import ParamTheta
 from helpers import quad_selection_exact
 
 L = 54.0
@@ -337,7 +338,7 @@ def test_sample_exported_onset_histogram_fits_marginal():
     the fitting code uses, at the true parameter point."""
     params = params_from_theta(0.45, 0.30, 1.86, 0.33)
     recs, _ = sample_exported(10_000, params, np.random.default_rng(14))
-    gof = inference.gof_onset_marginal(recs, 0.30, 1.86, 0.33)
+    gof = inference.gof_onset_marginal(recs, ParamTheta(r=0.30, alpha=1.86, beta=0.33))
     assert gof.p_value > 0.01
 
 

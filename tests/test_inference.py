@@ -21,6 +21,7 @@ from bets.inference import FitOptions, mle_fit, profile_ci
 
 R_TRUE = 0.30
 DOUBLING_TRUE = math.log(2.0) / R_TRUE
+THETA_TRUE = lk.ParamTheta(r=R_TRUE, alpha=1.86, beta=0.33)
 FAST = FitOptions(restarts=0)
 
 
@@ -55,11 +56,11 @@ def test_fit_is_a_local_maximum(sim_cohort_800):
     records, _ = sim_cohort_800
     fit = mle_fit(records, "cond")
     t = fit.theta
-    assert fit.log_lik == pytest.approx(
-        lk.log_lik_cond(records, t.r, t.alpha, t.beta), rel=1e-12)
+    assert fit.log_lik == pytest.approx(lk.log_lik(records, "cond", t), rel=1e-12)
     for dr, da, db in [(1.03, 1, 1), (0.97, 1, 1), (1, 1.03, 1),
                        (1, 0.97, 1), (1, 1, 1.03), (1, 1, 0.97)]:
-        assert lk.log_lik_cond(records, t.r * dr, t.alpha * da, t.beta * db) <= fit.log_lik
+        near = lk.ParamTheta(t.r * dr, t.alpha * da, t.beta * db)
+        assert lk.log_lik(records, "cond", near) <= fit.log_lik
 
 
 def test_fit_rejects_bad_input(sim_cohort_800):
@@ -70,6 +71,8 @@ def test_fit_rejects_bad_input(sim_cohort_800):
         mle_fit(records, "nope")
     with pytest.raises(ValueError):
         mle_fit(records, "cond_trunc")        # needs a cutoff
+    with pytest.raises(ValueError, match="only cond_trunc reads the truncation day M"):
+        mle_fit(records, "cond", M=10.0)      # a cutoff it would ignore, but record
     with pytest.raises(ValueError):
         mle_fit(records, "cond", fixed={"gamma": 1.0})
 
@@ -82,7 +85,7 @@ def test_truncated_fit_and_sum_name_the_first_late_case(sim_cohort_800):
     with pytest.raises(lk.LikelihoodError) as fit_err:
         mle_fit(records, "cond_trunc", M=M)
     with pytest.raises(lk.LikelihoodError) as sum_err:
-        lk.log_lik_cond_trunc(records, 0.3, 1.86, 0.33, M)
+        lk.log_lik(records, "cond_trunc", lk.ParamTheta(0.3, 1.86, 0.33), M)
     assert str(fit_err.value) == str(sum_err.value) == message
 
 
@@ -555,7 +558,7 @@ def onset_cohort():
 
 
 def test_onset_fit_table_consistency(onset_cohort):
-    days, obs, expected = inference.onset_fit_table(onset_cohort, R_TRUE, 1.86, 0.33)
+    days, obs, expected = inference.onset_fit_table(onset_cohort, THETA_TRUE)
     assert np.array_equal(days, np.arange(days[0], days[-1] + 1))
     assert obs.sum() == sum(1 for c in onset_cohort if c.is_resident)
     assert expected.sum() == pytest.approx(obs.sum(), rel=1e-9)
@@ -563,20 +566,19 @@ def test_onset_fit_table_consistency(onset_cohort):
 
 
 def test_gof_accepts_truth_and_rejects_no_growth(onset_cohort):
-    good = inference.gof_onset_marginal(onset_cohort, R_TRUE, 1.86, 0.33)
+    good = inference.gof_onset_marginal(onset_cohort, THETA_TRUE)
     assert good.p_value > 0.01
     assert good.dof == good.n_bins - 1
     r0 = mle_fit(onset_cohort, "cond", fixed={"r": 0.0}, options=FAST)
     with pytest.warns(RuntimeWarning, match="approximation degrades"):
-        bad = inference.gof_onset_marginal(onset_cohort, 0.0, r0.theta.alpha,
-                                           r0.theta.beta)
+        bad = inference.gof_onset_marginal(onset_cohort, r0.theta)
     assert bad.p_value < 1e-4
 
 
 def test_gof_requires_enough_residents(onset_cohort):
     visitors = [c for c in onset_cohort if not c.is_resident][:40]
     with pytest.raises(ValueError):
-        inference.gof_onset_marginal(visitors, R_TRUE, 1.86, 0.33)
+        inference.gof_onset_marginal(visitors, THETA_TRUE)
     few = [c for c in onset_cohort if c.is_resident][:20]
     with pytest.raises(ValueError, match="resident"):
-        inference.gof_onset_marginal(few, R_TRUE, 1.86, 0.33)
+        inference.gof_onset_marginal(few, THETA_TRUE)

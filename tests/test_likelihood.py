@@ -284,7 +284,8 @@ def test_case_terms_are_the_per_kind_terms_with_nan_read_as_minus_inf():
            CaseRecord(case_id="odd-2", B_int=11, E_int=21, S_int=8, B=10.25, E=20.75, S=7.5)]
     for cases, M in ((lattice_cases(200, rng), 80.0), (odd, 8.0)):
         b, e, s, resident = lk.case_arrays(cases)
-        terms = {kind: lk.case_terms(cases, kind, M) for kind in ("cond", "uncond", "cond_trunc")}
+        terms = {kind: lk.case_terms(cases, kind, M if kind == "cond_trunc" else None)
+                 for kind in ("cond", "uncond", "cond_trunc")}
         for r in R_GRID:
             for alpha, beta in ((0.4, 0.05), (1.86, 0.33), (60.0, 9.0)):
                 expected = {"cond": lk.cond_log_terms(b, e, s, r, alpha, beta),
@@ -300,6 +301,9 @@ def test_case_terms_are_the_per_kind_terms_with_nan_read_as_minus_inf():
         lk.case_terms(odd, "joint")
     with pytest.raises(ValueError, match="requires the truncation day"):
         lk.case_terms(odd, "cond_trunc")
+    for kind in ("cond", "uncond"):  # a truncation day that the terms would ignore
+        with pytest.raises(ValueError, match=f"only cond_trunc reads .* for {kind}$"):
+            lk.case_terms(odd, kind, 8.0)
 
 
 def test_case_terms_evaluate_each_distinct_case_once_bit_for_bit(monkeypatch):
@@ -326,7 +330,8 @@ def test_case_terms_evaluate_each_distinct_case_once_bit_for_bit(monkeypatch):
     assert all(np.array_equal(col[first][inverse], col) for col in columns)
     M = 80.0
     b, e, s, resident = columns
-    terms = {kind: lk.case_terms(cases, kind, M) for kind in lk.KINDS}
+    terms = {kind: lk.case_terms(cases, kind, M if kind == "cond_trunc" else None)
+             for kind in lk.KINDS}
     sizes, kernel = [], lk.cond_log_terms
     with monkeypatch.context() as patch:
         patch.setattr(lk, "cond_log_terms",
@@ -344,11 +349,12 @@ def test_case_terms_evaluate_each_distinct_case_once_bit_for_bit(monkeypatch):
                 assert np.array_equal(terms[kind](0.7, r, alpha, beta),
                                       np.where(np.isnan(raw), -np.inf, raw))
     with pytest.raises(LikelihoodError, match="case odd-2/0 "):
-        lk.log_lik_cond(cases, 0.3, 1.86, 0.33)
+        lk.log_lik(cases, "cond", ParamTheta(0.3, 1.86, 0.33))
     with pytest.raises(LikelihoodError, match="case odd-2/0 "):
-        lk.log_lik_cond_trunc(cases, 0.0, 1.86, 0.33, M)
+        lk.log_lik(cases, "cond_trunc", ParamTheta(0.0, 1.86, 0.33), M)
     for kind in lk.KINDS:
-        assert lk.case_terms([], kind, M)(0.7, 0.3, 1.86, 0.33).shape == (0,)
+        assert lk.case_terms([], kind, M if kind == "cond_trunc" else None)(
+            0.7, 0.3, 1.86, 0.33).shape == (0,)
 
 
 def _quantile_pairs(rng, n):
@@ -448,20 +454,20 @@ def test_gamma_exp_integral_against_quadrature():
         b = rng.uniform(0.0, 40.0)
         e = rng.uniform(b + 0.5, L)
         s = rng.uniform(b + 0.3, e + 20.0)
-        got = gamma_exp_integral(b, e, s, r, alpha, beta)
+        got = gamma_exp_integral(b, e, s, ParamTheta(r, alpha, beta))
         ref = quad_growth_onset(b, e, s, r, alpha, beta)
         assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_gamma_exp_integral_edge_cases():
-    assert gamma_exp_integral(5.0, 4.0, 10.0, 0.3, 2.0, 0.5) == 0.0
-    assert gamma_exp_integral(5.0, 9.0, 5.0, 0.3, 2.0, 0.5) == 0.0  # s == b
+    assert gamma_exp_integral(5.0, 4.0, 10.0, ParamTheta(0.3, 2.0, 0.5)) == 0.0
+    assert gamma_exp_integral(5.0, 9.0, 5.0, ParamTheta(0.3, 2.0, 0.5)) == 0.0  # s == b
     # r = 0 reduces to a plain CDF difference
-    got = gamma_exp_integral(2.0, 9.0, 12.0, 0.0, 1.86, 0.33)
+    got = gamma_exp_integral(2.0, 9.0, 12.0, ParamTheta(0.0, 1.86, 0.33))
     ref = special.gammainc(1.86, 0.33 * 10.0) - special.gammainc(1.86, 0.33 * 3.0)
     assert got == pytest.approx(ref, rel=1e-12)
     with pytest.raises(ValueError):
-        gamma_exp_integral(0.0, 5.0, 6.0, -0.5, 2.0, 0.4)
+        gamma_exp_integral(0.0, 5.0, 6.0, ParamTheta(-0.5, 2.0, 0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def test_gamma_exp_integral_edge_cases():
 
 def test_cond_zero_growth_is_uniform_infection():
     cases = random_cases(40, np.random.default_rng(31))
-    got = lk.log_lik_cond(cases, 0.0, 1.86, 0.33)
+    got = lk.log_lik(cases, "cond", ParamTheta(0.0, 1.86, 0.33))
     ref = sum(
         math.log(special.gammainc(1.86, 0.33 * (c.S - c.B))
                  - special.gammainc(1.86, 0.33 * max(c.S - c.E, 0.0)))
@@ -481,9 +487,9 @@ def test_cond_zero_growth_is_uniform_infection():
 
 def test_cond_continuous_at_zero_growth():
     cases = random_cases(60, np.random.default_rng(32))
-    at0 = lk.log_lik_cond(cases, 0.0, 1.86, 0.33)
-    d6 = abs(lk.log_lik_cond(cases, 1e-6, 1.86, 0.33) - at0)
-    d7 = abs(lk.log_lik_cond(cases, 1e-7, 1.86, 0.33) - at0)
+    at0, at6, at7 = (lk.log_lik(cases, "cond", ParamTheta(r, 1.86, 0.33))
+                     for r in (0.0, 1e-6, 1e-7))
+    d6, d7 = abs(at6 - at0), abs(at7 - at0)
     assert d6 / len(cases) < 5e-6
     assert d7 < 0.3 * d6  # gap shrinks roughly linearly in r
 
@@ -491,29 +497,23 @@ def test_cond_continuous_at_zero_growth():
 def test_cond_rejects_negative_growth_and_empty_input():
     cases = random_cases(3, np.random.default_rng(33))
     with pytest.raises(ValueError):
-        lk.log_lik_cond(cases, -0.1, 1.86, 0.33)
+        lk.log_lik(cases, "cond", ParamTheta(-0.1, 1.86, 0.33))
     with pytest.raises(ValueError):
-        lk.log_lik_cond([], 0.3, 1.86, 0.33)
+        lk.log_lik([], "cond", ParamTheta(0.3, 1.86, 0.33))
 
 
-@pytest.mark.parametrize("log_lik, args, name", [
-    (lk.log_lik_cond, (math.nan, 1.86, 0.33), "r"),
-    (lk.log_lik_cond, (math.inf, 1.86, 0.33), "r"),
-    (lk.log_lik_cond, (0.3, math.inf, 0.33), "alpha"),
-    (lk.log_lik_cond, (0.3, 1.86, math.nan), "beta"),
-    (lk.log_lik_cond_trunc, (math.nan, 1.86, 0.33, 90.0), "r"),
-    (lk.log_lik_cond_trunc, (0.3, 1.86, 0.33, math.inf), "M"),
-    (lk.log_lik_cond_trunc, (0.3, 1.86, 0.33, math.nan), "M"),
-    (lk.log_lik_uncond, (None, 0.3, 1.86, 0.33), "rho"),
-    (lk.log_lik_uncond, (math.nan, 0.3, 1.86, 0.33), "rho"),
-    (lk.log_lik_uncond, (0.45, math.inf, 1.86, 0.33), "r"),
-])
-def test_log_lik_names_a_parameter_that_is_not_a_finite_number(log_lik, args, name):
-    """A NaN r is not read as the r = 0 forms, an infinite one is not blamed
-    on the first case, and a missing rho is not a TypeError."""
+@pytest.mark.parametrize("kind, theta, M, name", [
+    ("uncond", ParamTheta(0.3, 1.86, 0.33), None, "rho"),
+    ("cond_trunc", ParamTheta(0.3, 1.86, 0.33), math.inf, "M"),
+    ("cond_trunc", ParamTheta(0.3, 1.86, 0.33), math.nan, "M"),
+], ids=["rho-None", "M-inf", "M-nan"])
+def test_log_lik_names_a_parameter_that_is_not_a_finite_number(kind, theta, M, name):
+    """A missing rho is not a TypeError, and a NaN or infinite M is not
+    blamed on the first case; theta's own fields are checked when it is
+    built."""
     cases = random_cases(5, np.random.default_rng(36))
     with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
-        log_lik(cases, *args)
+        lk.log_lik(cases, kind, theta, M)
 
 
 def test_cond_names_the_impossible_case():
@@ -522,13 +522,14 @@ def test_cond_names_the_impossible_case():
     bad = CaseRecord(case_id="z-1", B_int=5, E_int=9, S_int=5,
                      B=5.0, E=9.0, S=5.0)
     with pytest.raises(LikelihoodError, match="z-1"):
-        lk.log_lik_cond(good + [bad], 0.3, 1.86, 0.33)
+        lk.log_lik(good + [bad], "cond", ParamTheta(0.3, 1.86, 0.33))
 
 
 def test_cond_terms_sum_like_singles():
     cases = random_cases(10, np.random.default_rng(35))
-    total = lk.log_lik_cond(cases, 0.25, 2.0, 0.4)
-    singles = sum(lk.log_lik_cond([c], 0.25, 2.0, 0.4) for c in cases)
+    theta = ParamTheta(0.25, 2.0, 0.4)
+    total = lk.log_lik(cases, "cond", theta)
+    singles = sum(lk.log_lik([c], "cond", theta) for c in cases)
     assert total == pytest.approx(singles, rel=1e-12)
 
 
@@ -542,8 +543,8 @@ def test_uncond_minus_cond_does_not_depend_on_incubation():
     cases = random_cases(30, np.random.default_rng(41))
     gaps = []
     for alpha, beta in [(1.86, 0.33), (0.9, 0.2), (5.0, 1.1)]:
-        gap = (lk.log_lik_uncond(cases, 0.45, 0.3, alpha, beta)
-               - lk.log_lik_cond(cases, 0.3, alpha, beta))
+        gap = (lk.log_lik(cases, "uncond", ParamTheta(0.3, alpha, beta, rho=0.45))
+               - lk.log_lik(cases, "cond", ParamTheta(0.3, alpha, beta)))
         gaps.append(gap)
     assert gaps[1] == pytest.approx(gaps[0], abs=1e-9)
     assert gaps[2] == pytest.approx(gaps[0], abs=1e-9)
@@ -552,20 +553,21 @@ def test_uncond_minus_cond_does_not_depend_on_incubation():
 def test_uncond_parameter_validation():
     cases = random_cases(3, np.random.default_rng(42))
     with pytest.raises(ValueError):
-        lk.log_lik_uncond(cases, 0.45, 0.0, 1.86, 0.33)  # needs growth
+        lk.log_lik(cases, "uncond", ParamTheta(0.0, 1.86, 0.33, rho=0.45))  # needs growth
     with pytest.raises(ValueError):
-        lk.log_lik_uncond(cases, -0.2, 0.3, 1.86, 0.33)
+        lk.log_lik(cases, "uncond", ParamTheta(0.3, 1.86, 0.33, rho=-0.2))
     # normalizer 1 + rho(1 - 2/(rL)) <= 0: rho huge, r tiny
     with pytest.raises(ValueError, match="normalizer"):
-        lk.log_lik_uncond(cases, 50.0, 0.02, 1.86, 0.33)
+        lk.log_lik(cases, "uncond", ParamTheta(0.02, 1.86, 0.33, rho=50.0))
 
 
 def test_uncond_zero_mix_forbids_visitors():
     resident = CaseRecord.from_ints("r-1", 0, 20, 24)
     visitor = CaseRecord.from_ints("v-1", 5, 20, 24)
-    assert math.isfinite(lk.log_lik_uncond([resident], 0.0, 0.3, 1.86, 0.33))
+    theta = ParamTheta(0.3, 1.86, 0.33, rho=0.0)
+    assert math.isfinite(lk.log_lik([resident], "uncond", theta))
     with pytest.raises(LikelihoodError, match="v-1"):
-        lk.log_lik_uncond([visitor], 0.0, 0.3, 1.86, 0.33)
+        lk.log_lik([visitor], "uncond", theta)
 
 
 # ---------------------------------------------------------------------------
@@ -574,25 +576,27 @@ def test_uncond_zero_mix_forbids_visitors():
 
 def test_trunc_approaches_cond_as_cutoff_grows():
     cases = random_cases(40, np.random.default_rng(51))
-    cond = lk.log_lik_cond(cases, 0.3, 1.86, 0.33)
-    trunc = lk.log_lik_cond_trunc(cases, 0.3, 1.86, 0.33, M=500.0)
+    theta = ParamTheta(0.3, 1.86, 0.33)
+    cond = lk.log_lik(cases, "cond", theta)
+    trunc = lk.log_lik(cases, "cond_trunc", theta, M=500.0)
     assert abs(trunc - cond) / len(cases) < 1e-10
 
 
 def test_trunc_rejects_onsets_past_the_cutoff():
     cases = random_cases(5, np.random.default_rng(52))
     M = max(c.S for c in cases)
-    assert math.isfinite(lk.log_lik_cond_trunc(cases, 0.3, 1.86, 0.33, M))
+    theta = ParamTheta(0.3, 1.86, 0.33)
+    assert math.isfinite(lk.log_lik(cases, "cond_trunc", theta, M))
     late = max(cases, key=lambda c: c.S)
     with pytest.raises(LikelihoodError, match=late.case_id):
-        lk.log_lik_cond_trunc(cases, 0.3, 1.86, 0.33, M - 0.01)
+        lk.log_lik(cases, "cond_trunc", theta, M - 0.01)
 
 
 def test_trunc_zero_growth_branch():
     cases = random_cases(20, np.random.default_rng(53), max_onset_lag=8.0)
     M = max(c.S for c in cases) + 2.0
-    got = lk.log_lik_cond_trunc(cases, 0.0, 1.86, 0.33, M)
-    eps = lk.log_lik_cond_trunc(cases, 1e-9, 1.86, 0.33, M)
+    got, eps = (lk.log_lik(cases, "cond_trunc", ParamTheta(r, 1.86, 0.33), M)
+                for r in (0.0, 1e-9))
     assert got == pytest.approx(eps, abs=1e-5)
     assert math.isfinite(got)
 
@@ -604,7 +608,7 @@ def test_trunc_zero_growth_branch():
 def test_marginal_s_density_interior_form():
     r, alpha, beta = 0.3, 1.86, 0.33
     for s in (5.0, 20.0, 40.0, 53.5):
-        got = lk.marginal_s_density(s, r, alpha, beta)
+        got = lk.marginal_s_density(s, ParamTheta(r, alpha, beta))
         ref = math.exp(r * s) * (L + alpha / (beta + r) - s)
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -612,9 +616,9 @@ def test_marginal_s_density_interior_form():
 def test_marginal_s_density_warns_when_window_too_short():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lk.marginal_s_density(5.0, 0.3, 1.86, 0.33)  # 54 > 4(1.86+5)/0.63: fine
+        lk.marginal_s_density(5.0, ParamTheta(0.3, 1.86, 0.33))  # 54 > 4(1.86+5)/0.63: fine
         with pytest.raises(RuntimeWarning):
-            lk.marginal_s_density(5.0, 0.05, 5.0, 0.33)  # 54 <= 4(5+5)/0.38
+            lk.marginal_s_density(5.0, ParamTheta(0.05, 5.0, 0.33))  # 54 <= 4(5+5)/0.38
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -124,7 +125,32 @@ def test_case_terms_are_never_plus_inf(cases, kind, r, alpha, median, extra):
     truncation normalizer reaches 0 before the onset numerator does."""
     if kind == "uncond" and r == 0.0:
         r = 0.1
-    M = max(c.S for c in cases) + extra
+    M = max(c.S for c in cases) + extra if kind == "cond_trunc" else None
     beta = special.gammaincinv(alpha, 0.5) / median
     terms = lk.case_terms(cases, kind, M)(0.7, r, alpha, beta)
     assert not (terms == np.inf).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(_lattice_record(), min_size=1, max_size=8),
+       kind=st.sampled_from(("cond", "uncond", "cond_trunc")),
+       r=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+       alpha=_log_uniform(1e-3, 1e3), median=_log_uniform(0.5, 1e3),
+       rho=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), extra=st.floats(0.0, 30.0))
+def test_log_lik_is_the_sum_of_the_terms_or_names_the_first_bad_case(
+        cases, kind, r, alpha, median, rho, extra):
+    """log_lik is the case-order sum of case_terms where every term is
+    finite; otherwise LikelihoodError names the first case whose term is
+    not (rho = 0 makes every visitor's uncond term -inf)."""
+    if kind == "uncond" and r == 0.0:
+        r = 0.1
+    cases = [dataclasses.replace(c, case_id=f"p{i}") for i, c in enumerate(cases)]
+    M = max(c.S for c in cases) + extra if kind == "cond_trunc" else None
+    theta = lk.ParamTheta(r, alpha, special.gammaincinv(alpha, 0.5) / median, rho=rho)
+    terms = lk.case_terms(cases, kind, M)(theta.rho, theta.r, theta.alpha, theta.beta)
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size == 0:
+        assert lk.log_lik(cases, kind, theta, M) == terms.sum()
+    else:
+        with pytest.raises(lk.LikelihoodError, match=f"case p{bad[0]} "):
+            lk.log_lik(cases, kind, theta, M)

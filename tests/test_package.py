@@ -7,6 +7,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -79,6 +80,47 @@ def test_the_model_and_the_sampler_stay_off_the_estimators():
     assert set(_bets_imports("generative")) == {"timeline"}
     params = inspect.signature(bets.generative.params_from_theta).parameters
     assert {"median", "q95"}.isdisjoint(params)
+
+
+def _readme_python_blocks() -> list[str]:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_readme_examples_name_what_the_package_has():
+    """Each python block of README.md parses, and every attribute chain it
+    reads from a bets module it imports resolves (bayes.DiscreteData.from_records,
+    likelihood.log_lik, ...), so a rename cannot leave the README stale.  The
+    check is static: no example runs."""
+    blocks = _readme_python_blocks()
+    assert blocks
+    missing = []
+    for block in blocks:
+        tree = ast.parse(block)
+        bound = {}  # name -> the bets object it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bets":
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    target = getattr(mod, alias.name, None)
+                    if target is None:  # a submodule not loaded by its package yet
+                        target = importlib.import_module(f"{node.module}.{alias.name}")
+                    bound[alias.asname or alias.name] = target
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                obj = bound[node.id]
+                for attr in reversed(chain):
+                    if not hasattr(obj, attr):
+                        missing.append(".".join([node.id, *reversed(chain)]))
+                        break
+                    obj = getattr(obj, attr)
+    assert missing == []
 
 
 def test_every_layer_is_checked():

@@ -528,18 +528,14 @@ def test_usable_cpus_reads_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
     assert timeline.usable_cpus() == 1
 
 
-def _pid(_) -> int:
-    return os.getpid()
-
-
 def test_parallel_map_applies_each_task_in_order(monkeypatch, cpus):
     """In a pool too, where this process computes the first share of the
-    tasks and worker processes the rest; one CPU, or one task, starts no
-    pool."""
+    tasks and worker processes the rest, tasks of no arguments among them;
+    one CPU, or one task, starts no pool."""
     tasks = [(2, 3), (3, 2), (5, 1)]
     cpus(2)
     assert timeline.parallel_map(pow, tasks) == [8, 9, 5]
-    here, worker, same_worker = timeline.parallel_map(_pid, [(0,), (1,), (2,)])
+    here, worker, same_worker = timeline.parallel_map(os.getpid, [()] * 3)
     assert here == os.getpid() != worker == same_worker
 
     def no_pool(*args, **kwargs):
