@@ -307,7 +307,7 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     rate = beta + r
     with np.errstate(divide="ignore", invalid="ignore"):
         log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, index), 0.0))
-        log_w = np.where(resident, 0.0, math.log(rho / L) if rho > 0 else -math.inf)
+        log_w = np.where(resident, 0.0, math.log(rho) - math.log(L) if rho > 0 else -math.inf)
         return (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
                 + log_w - math.log(denom) + r * (s - L) + log_diff)
 

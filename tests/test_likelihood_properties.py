@@ -137,6 +137,10 @@ def test_case_terms_are_never_plus_inf(cases, kind, r, alpha, median, extra):
        r=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
        alpha=_log_uniform(1e-3, 1e3), median=_log_uniform(0.5, 1e3),
        rho=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), extra=st.floats(0.0, 30.0))
+# a visitor under a subnormal rho, where rho / L underflows to 0 and its log
+# must still be finite
+@example(cases=[CaseRecord.from_ints("p", 0, 1, 1)], kind="uncond", r=0.0,
+         alpha=1.0, median=1.0, rho=5e-324, extra=0.0)
 def test_log_lik_is_the_sum_of_the_terms_or_names_the_first_bad_case(
         cases, kind, r, alpha, median, rho, extra):
     """log_lik is the case-order sum of case_terms where every term is
