@@ -24,8 +24,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import timeline
-from .timeline import (AGE_GROUPS, GENDERS, QUARANTINE_DAY, STAGE_BREAK_DAY, CaseRecord,
-                       check_finite, distinct_rows, parallel_map)
+from .timeline import (DEPARTURE, GROWTH, QUARANTINE_DAY, STAGE_BREAK_DAY, STRATA,
+                       CaseRecord, check_finite, distinct_rows, parallel_map)
 
 __all__ = [
     "DiscreteConfig",
@@ -49,17 +49,6 @@ _LN2 = math.log(2.0)
 
 #: Tail cutoffs (days) of the headline functionals.
 TAIL_CUTOFFS = (2, 4, 7, 10, 14, 21)
-
-#: Each stratification: its stratum labels, and the key that reads a case's label.
-STRATA = {
-    "none": (("all",), lambda c: "all"),
-    "gender": (GENDERS, lambda c: c.gender),
-    "age50": (AGE_GROUPS, lambda c: c.age_group),
-}
-#: The epidemic-curve models: one exponent, or a second one after day l1.
-GROWTH = ("single", "two_stage")
-#: The departure-day models: uniform hazard, or geometric with a chunyun break.
-DEPARTURE = ("uniform", "geometric")
 
 
 @dataclass(frozen=True)

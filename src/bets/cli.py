@@ -6,9 +6,11 @@ BETS_OUTPUT_DIR environment variable, or the working directory).  All
 writes are atomic, outputs are deterministic given --seed, and every JSON
 artifact embeds {version, seed, flags} provenance.
 
-Only bayes and timeline load with this module.  The fitting modules, and
-with them scipy.special, load inside the commands that fit, so mcmc, ingest,
-plot-data --kind se-density and simulate without --median run without SciPy.
+Only timeline loads with this module; each command imports the model module
+it runs (generative, likelihood, inference or bayes), so no command compiles
+a model it does not use.  scipy.special loads only with the fitting modules,
+so mcmc, ingest, plot-data --kind se-density and simulate without --median
+run without SciPy.
 
 Exit codes: 0 success; 2 bad flags, unreadable or unparseable input;
 3 empty cohort; 4 a module rejected the request (message forwarded).
@@ -27,8 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, bayes, timeline
-from .timeline import KINDS, CaseRecord, CaseTableError
+from . import __version__, timeline
+from .timeline import DEPARTURE, GROWTH, KINDS, STRATA, CaseRecord, CaseTableError
 
 if TYPE_CHECKING:  # annotations only; see the module docstring
     from . import generative, inference, likelihood
@@ -301,6 +303,7 @@ def cmd_gof(args) -> int:
 
 
 def cmd_mcmc(args) -> int:
+    from . import bayes
     config = bayes.DiscreteConfig(
         growth=args.growth.replace("-", "_"), departure=args.departure,
         mu=args.mu, strata=args.strata)
@@ -358,7 +361,7 @@ def cmd_mcmc(args) -> int:
 
 def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
               step: float) -> list:
-    key = bayes.STRATA[strata][1]
+    key = STRATA[strata][1]
     groups: dict[str, list[float]] = {}
     for c in records:
         groups.setdefault(key(c), []).append(c.S - c.E)
@@ -566,12 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_POSITIVE_INT, default=80_000, help="iterations per chain")
     p.add_argument("--chains", type=_POSITIVE_INT, default=8, help="independent chains")
     p.add_argument("--mu", type=_POSITIVE, default=1.0, help="prior concentration")
-    p.add_argument("--growth", choices=[g.replace("_", "-") for g in bayes.GROWTH],
+    p.add_argument("--growth", choices=[g.replace("_", "-") for g in GROWTH],
                    default="single", help="epidemic curve: one exponent or a break at "
                                           f"day {timeline.STAGE_BREAK_DAY}")
-    p.add_argument("--departure", choices=list(bayes.DEPARTURE), default="uniform",
+    p.add_argument("--departure", choices=list(DEPARTURE), default="uniform",
                    help="departure-day model")
-    p.add_argument("--strata", choices=list(bayes.STRATA), default="none",
+    p.add_argument("--strata", choices=list(STRATA), default="none",
                    help="fit a separate incubation pmf per stratum")
     p.add_argument("--thin", type=_POSITIVE_INT, default=10, help="keep every k-th draw")
     p.add_argument("--prior-only", action="store_true",
@@ -585,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["onset-fit", "se-density"],
                    help="which dataset to emit")
     _add_theta_flags(p)
-    p.add_argument("--strata", choices=list(bayes.STRATA), default="gender",
+    p.add_argument("--strata", choices=list(STRATA), default="gender",
                    help="se-density grouping")
     p.add_argument("--bandwidth", type=_POSITIVE, default=1.0,
                    help="se-density Gaussian kernel width (days)")

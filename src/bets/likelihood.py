@@ -281,6 +281,14 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
                 + r * s + log_diff - log_span)
 
 
+def _log_visitor_weight(rho: float, L: float) -> float:
+    """log(rho / L), the visitors' weight: -inf at rho = 0, and
+    log(rho) - log(L) only where a subnormal rho makes the quotient underflow."""
+    if rho / L > 0:
+        return math.log(rho / L)
+    return math.log(rho) - math.log(L) if rho > 0 else -math.inf
+
+
 def uncond_log_terms(b, e, s, resident, rho: float, r: float,
                      alpha: float, beta: float, index=None) -> np.ndarray:
     """Log-likelihood terms of (B, E, S) jointly, selection-normalized.
@@ -307,7 +315,7 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     rate = beta + r
     with np.errstate(divide="ignore", invalid="ignore"):
         log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, index), 0.0))
-        log_w = np.where(resident, 0.0, math.log(rho) - math.log(L) if rho > 0 else -math.inf)
+        log_w = np.where(resident, 0.0, _log_visitor_weight(rho, L))
         return (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
                 + log_w - math.log(denom) + r * (s - L) + log_diff)
 

@@ -7,8 +7,9 @@ integer epoch-day scale used by the rest of the package (day 0 = November 30,
 2019, so the travel quarantine of January 23, 2020 falls on day 54), and
 reducing a cohort's columns to the distinct rows both likelihoods evaluate.
 It also owns the names every layer shares: the study's days, the case labels
-(GENDERS, AGE_GROUPS), the likelihood kinds (KINDS) the command-line parser
-offers without importing a fitting module, the r = 0 switch (R_SWITCH) and
+(GENDERS, AGE_GROUPS), the choices the command-line parser offers without
+importing a model module (the likelihood kinds, KINDS, and the discrete
+model's STRATA, GROWTH and DEPARTURE), the r = 0 switch (R_SWITCH) and
 check_finite, the one "must be a finite number" check of every parameter.
 And it owns parallel_map, the one process pool, which runs the fits'
 restarts, the profile's sides, the bootstrap refits and the sampler's
@@ -47,6 +48,9 @@ __all__ = [
     "GENDERS",
     "AGE_GROUPS",
     "KINDS",
+    "STRATA",
+    "GROWTH",
+    "DEPARTURE",
     "R_SWITCH",
     "check_finite",
     "CaseTableError",
@@ -79,6 +83,10 @@ EPOCH_ORIGIN = date(2019, 11, 30)
 QUARANTINE_DAY = 54
 QUARANTINE_DATE = EPOCH_ORIGIN + timedelta(days=QUARANTINE_DAY)
 
+#: The last epoch day a date holds (date.max), and a bound on the onset and
+#: confirmation days: from_epoch and the int64 arrays of the models take them.
+_LAST_DAY = (date.max - EPOCH_ORIGIN).days
+
 #: Epoch day the second stage of two-stage growth starts (January 20, 2020).
 STAGE_BREAK_DAY = 51
 
@@ -89,6 +97,19 @@ AGE_GROUPS = ("under50", "over50")
 #: The likelihood kinds of likelihood.case_terms, and how errors name them.
 KINDS = {"cond": "conditional likelihood", "uncond": "unconditional likelihood",
          "cond_trunc": "truncated likelihood"}
+
+#: The discrete model's stratifications (bayes.DiscreteConfig.strata): each
+#: one's stratum labels, and the key that reads a case's label.
+STRATA = {
+    "none": (("all",), lambda c: "all"),
+    "gender": (GENDERS, lambda c: c.gender),
+    "age50": (AGE_GROUPS, lambda c: c.age_group),
+}
+#: The discrete model's epidemic curves: one exponent, or a second one after day l1.
+GROWTH = ("single", "two_stage")
+#: The discrete model's departure-day models: uniform hazard, or geometric
+#: with a chunyun break.
+DEPARTURE = ("uniform", "geometric")
 
 #: |r| below this uses the exact r = 0 limiting forms.
 R_SWITCH = 1e-8
@@ -284,7 +305,7 @@ def parse_case_table(stream, delimiter: str = ",") -> list[RawCase]:
         age_text = cell(row, "age")
         try:
             age = int(float(age_text)) if age_text.lower() not in _MISSING else None
-        except ValueError:
+        except (ValueError, OverflowError):  # "inf" and "1e309" overflow int()
             age = None
 
         cases.append(RawCase(
@@ -392,10 +413,14 @@ class CaseRecord:
     def from_ints(cls, case_id: str, b_int: int, e_int: int, s_int: int,
                   gender: str = "unknown", age_group: str = "unknown",
                   confirmed_int: int | None = None, location: str | None = None) -> "CaseRecord":
-        """Build a record from integer days, applying the sub-day offsets."""
+        """Build a record from integer days, applying the sub-day offsets;
+        ValueError naming the case when a day is out of range or out of order."""
         if not 0 <= b_int <= e_int <= QUARANTINE_DAY:
             raise ValueError(f"case {case_id}: need 0 <= B_int <= E_int <= "
                              f"{QUARANTINE_DAY}, got ({b_int}, {e_int})")
+        for name, day in (("S_int", s_int), ("confirmed_int", confirmed_int)):
+            if day is not None and not 0 <= day <= _LAST_DAY:
+                raise ValueError(f"case {case_id}: need 0 <= {name} <= {_LAST_DAY}, got {day}")
         b = 0.0 if b_int == 0 else b_int - 0.75
         e = e_int - 0.25
         s = s_int - 0.5

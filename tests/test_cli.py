@@ -120,9 +120,9 @@ def test_model_choices_are_the_library_tables():
                 next(a.choices for a in subs[cmd]._actions if a.dest == dest)]
 
     assert choices("fit", "likelihood") == list(likelihood.KINDS)
-    assert choices("mcmc", "growth") == list(bayes.GROWTH)
-    assert choices("mcmc", "departure") == list(bayes.DEPARTURE)
-    assert choices("mcmc", "strata") == list(bayes.STRATA)
+    assert choices("mcmc", "growth") == list(timeline.GROWTH)
+    assert choices("mcmc", "departure") == list(timeline.DEPARTURE)
+    assert choices("mcmc", "strata") == list(timeline.STRATA)
 
 
 def test_version_flag(capsys):
@@ -268,6 +268,18 @@ def test_ingest_json_format(tmp_path):
     assert code == 0
     rows = json.loads(open(os.path.join(out, "cohort.json")).read())
     assert isinstance(rows, list) and rows[0]["case_id"] == "w-1"
+
+
+def test_ingest_reads_an_overflowing_age_as_absent(tmp_path, capsys):
+    """float() reads "inf" and "1e309" as infinite, and int() of that
+    overflows: such an age is as unparseable as any other."""
+    rows = (RAW_ROWS[0].replace(",34,", ",inf,"), RAW_ROWS[4].replace(",50,", ",1e309,"))
+    out = str(tmp_path / "out")
+    assert cli.main(["ingest", "--in", write_raw(tmp_path / "raw.csv", rows),
+                     "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    cohort = timeline.read_cohort_csv(os.path.join(out, "cohort.csv"))
+    assert {c.case_id: c.age_group for c in cohort} == {"w-1": "unknown", "w-3": "unknown"}
 
 
 def test_ingest_all_excluded_exits_3(tmp_path, capsys):
@@ -510,6 +522,22 @@ def test_json_cohort_bad_interval_exits_2_like_csv(tmp_path, capsys):
     csv_src = tmp_path / "cohort.csv"
     csv_src.write_text("case_id,B_int,E_int,S_int\na-1,0,53,56\nbad-2,45,41,52\n")
     assert cli.main(["fit", "--in", str(csv_src), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("column", ["S_int", "confirmed_int"])
+@pytest.mark.parametrize("command", [["fit"], ["mcmc", "--steps", "20", "--chains", "1"]])
+def test_cohort_day_past_the_last_date_exits_2(tmp_path, capsys, command, column):
+    """An onset or confirmation day must have a calendar date and fit the
+    models' int64 day arrays: past date.max, the row is refused while the
+    cohort is read, for every command alike."""
+    days = {"S_int": 56, "confirmed_int": 58, column: 99999999999999999999}
+    src = tmp_path / "cohort.csv"
+    src.write_text("case_id,B_int,E_int,S_int,confirmed_int\na-1,0,53,56,58\n"
+                   f"far-2,0,50,{days['S_int']},{days['confirmed_int']}\n")
+    assert cli.main([*command, "--in", str(src), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "row 2 (case far-2)" in err[0] and column in err[0]
 
 
 def test_json_and_csv_cohorts_load_the_same_records(tmp_path):

@@ -570,6 +570,23 @@ def test_uncond_zero_mix_forbids_visitors():
         lk.log_lik([visitor], "uncond", theta)
 
 
+def test_uncond_visitor_weight_is_log_of_rho_over_L_bit_for_bit():
+    """A visitor weighs log(rho / L), one rounded quotient.  At rho = 0.1
+    log(rho) - log(L) differs from it in the last bit, a difference that
+    survives into the term and moves every uncond fit in its last digits;
+    the difference form is kept only for a rho so small that rho / L
+    underflows to 0."""
+    r, alpha, beta, rho = 0.3, 1.86, 0.33, 0.1
+    assert math.log(rho / L) != math.log(rho) - math.log(L)
+    b, e, s = np.array([10.25]), np.array([40.75]), np.array([45.5])
+    term = lk.uncond_log_terms(b, e, s, [False], rho, r, alpha, beta)
+    expected = (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(beta + r))
+                + math.log(rho / L) - math.log(1.0 + rho * (1.0 - 2.0 / (r * L)))
+                + r * (s - L) + np.log(four_igamma_cdf_diff(alpha, beta + r, s - b, s - e)))
+    assert np.array_equal(term, expected)
+    assert np.isfinite(lk.uncond_log_terms(b, e, s, [False], 5e-324, r, alpha, beta)).all()
+
+
 # ---------------------------------------------------------------------------
 # Right-truncated likelihood
 # ---------------------------------------------------------------------------

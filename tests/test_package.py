@@ -160,6 +160,21 @@ def test_only_the_commands_that_fit_load_scipy(command, loads, whole_day_cohort,
         assert loaded == []
 
 
+@pytest.mark.parametrize("command, loads", [
+    ((), ()),
+    (("fit",), ("bets.inference", "bets.likelihood")),
+    (("plot-data", "--kind", "se-density"), ()),
+    (("mcmc", "--steps", "20", "--chains", "2"), ("bets.bayes",)),
+], ids=["import", "fit", "plot-data-se-density", "mcmc"])
+def test_each_command_loads_only_the_model_it_runs(command, loads, whole_day_cohort, tmp_path):
+    """import bets.cli loads timeline alone among the bets modules: the
+    parser reads its choices from timeline, and each command imports the
+    model module it runs, so no command but mcmc compiles the sampler and
+    mcmc loads neither fitting module."""
+    models = ("bets.bayes", "bets.generative", "bets.inference", "bets.likelihood")
+    assert sorted(_fresh_run(command, whole_day_cohort, tmp_path, *models)) == list(loads)
+
+
 NEEDS_AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                                     reason="no affinity call on this platform")
 

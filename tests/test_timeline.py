@@ -244,6 +244,19 @@ def test_from_ints_rejects_bad_intervals(b, e, s):
         CaseRecord.from_ints("bad", b, e, s)
 
 
+def test_from_ints_bounds_onset_and_confirmation_to_the_calendar():
+    """Onset and confirmation days run from 0 to the epoch day of date.max,
+    the days from_epoch turns into dates and int64 holds."""
+    last = (date.max - timeline.EPOCH_ORIGIN).days
+    edge = CaseRecord.from_ints("edge", 0, 3, last, confirmed_int=last)
+    assert timeline.from_epoch(edge.S_int) == timeline.from_epoch(edge.confirmed_int) == date.max
+    assert CaseRecord.from_ints("first", 0, 3, 4, confirmed_int=0).confirmed_int == 0
+    for s, confirmed, name in ((last + 1, None, "S_int"), (4, last + 1, "confirmed_int"),
+                               (4, -1, "confirmed_int"), (10**20, 4, "S_int")):
+        with pytest.raises(ValueError, match=f"case far: need 0 <= {name} <= {last}, got"):
+            CaseRecord.from_ints("far", 0, 3, s, confirmed_int=confirmed)
+
+
 def test_age_groups():
     assert timeline._age_group(49) == "under50"
     assert timeline._age_group(50) == "over50"
@@ -450,7 +463,7 @@ def _record_strategy():
             draw(st.text(min_size=1)), b, e, s,
             gender=draw(st.sampled_from(["male", "female", "unknown"])),
             age_group=draw(st.sampled_from(["under50", "over50", "unknown"])),
-            confirmed_int=draw(st.one_of(st.none(), st.integers(-10**6, 10**6))),
+            confirmed_int=draw(st.one_of(st.none(), st.integers(0, 10**6))),
             location=draw(st.one_of(st.none(), st.text(min_size=1))))
 
     return st.lists(record(), max_size=6)
