@@ -210,10 +210,14 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
     to that.  maxiter is dropped: every iteration spends at least one
     evaluation, so it never binds first.
 
-    The simplex starts at x0 and at x0 with one coordinate scaled by 1.05
-    (set to 0.00025 where it is 0).  When the budget runs out mid-step, the
-    step keeps its partial updates.  fun gets a view of the simplex, must
-    not keep it, and must return a Python float.
+    The vertices are lists of Python floats, and every step is SciPy's
+    elementwise arithmetic on them in SciPy's order; np.argsort still orders
+    the vertices, so ties sort as SciPy sorts them, and NaN values propagate
+    through the stopping test and the returned minimum as np.max and np.min
+    propagate them.  The simplex starts at x0 and at x0 with one coordinate
+    scaled by 1.05 (set to 0.00025 where it is 0).  When the budget runs out
+    mid-step, the step keeps its partial updates.  fun gets a vertex as a
+    list of floats, must not change it, and must return a Python float.
 
     Returns (x, fun(x), evaluations, evaluations < maxfev).
     """
@@ -223,18 +227,25 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
         chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     else:
         chi, psi, sigma = 2, 0.5, 0.5
-    sim = np.tile(x0, (n + 1, 1))
+    start = x0.tolist()
+    sim = [start]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
+        vertex = list(start)
+        vertex[k] = 1.05 * start[k] if start[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [math.inf] * (n + 1)
     nfev = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: list) -> float:
         nonlocal nfev
         if nfev >= maxfev:
             raise _Exhausted
         nfev += 1
         return fun(x)
+
+    def order():
+        ind = np.array(fsim).argsort().tolist()  # np.argsort(fsim), without its list wrapping
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     try:
         for k in range(n + 1):
@@ -242,19 +253,25 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
     except _Exhausted:
         pass
     for _ in range(2):  # as SciPy does: argsort is not stable, so a tie may move
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = order()
 
     while nfev < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            # SciPy's np.max(...) <= tol: every difference within tol, none NaN
+            best, f_best = sim[0], fsim[0]
+            if (all(abs(x - y) <= _XATOL for v in sim[1:] for x, y in zip(v, best))
+                    and all(abs(f_best - fv) <= _FATOL for fv in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            # np.add.reduce(sim[:-1], 0) / n: each coordinate summed in vertex order
+            xbar = list(sim[0])
+            for v in sim[1:-1]:
+                xbar = [t + x for t, x in zip(xbar, v)]
+            xbar = [t / n for t in xbar]
+            worst = sim[-1]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + chi) * xbar - chi * sim[-1]
+                xe = [(1 + chi) * c - chi * w for c, w in zip(xbar, worst)]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
@@ -262,21 +279,22 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
             else:
                 outside = fxr < fsim[-1]
                 if outside:
-                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    xc = [(1 + psi) * c - psi * w for c, w in zip(xbar, worst)]
                 else:
-                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    xc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
                 fxc = f(xc)
                 if fxc <= fxr if outside else fxc < fsim[-1]:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink toward the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = [b + sigma * (x - b) for b, x in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
         except _Exhausted:
             pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev, nfev < maxfev
+        sim, fsim = order()
+    # SciPy returns np.min(fsim): NaN if any value is NaN, else the first
+    f_min = math.nan if any(v != v for v in fsim) else fsim[0]
+    return np.array(sim[0]), f_min, nfev, nfev < maxfev
 
 
 class _Objective:
@@ -301,10 +319,10 @@ class _Objective:
         try:
             rho, r, med, q95 = self.pmap.unpack(u)
             alpha, beta = quantiles_to_shape_rate(med, q95)
-            lt = self.terms(rho, r, alpha, beta)
+            lt = self.terms(rho, r, alpha, beta, _LOG_FLOOR)
         except (ValueError, OverflowError):
             return _BIG
-        val = -float(np.maximum(lt, _LOG_FLOOR).sum())
+        val = -float(lt.sum())
         return val if math.isfinite(val) else _BIG
 
 

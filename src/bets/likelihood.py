@@ -172,8 +172,8 @@ def quantiles_to_shape_rate(median: float, q95: float) -> tuple[float, float]:
         if abs(step) <= _XTOL:
             break
     beta = q50 / median
-    if abs(sc.gammainc(alpha, beta * median) - 0.5) > 1e-9 or \
-       abs(sc.gammainc(alpha, beta * q95) - 0.95) > 1e-9:
+    p50, p95 = sc.gammainc(alpha, [beta * median, beta * q95]).tolist()
+    if abs(p50 - 0.5) > 1e-9 or abs(p95 - 0.95) > 1e-9:
         raise ValueError(f"quantile inversion failed for ({median}, {q95})")
     return alpha, beta
 
@@ -254,6 +254,20 @@ def case_arrays(cases: Sequence[CaseRecord]):
     return b, e, s, resident
 
 
+def _cond_index(b, e, s):
+    """The parameter-free arrays of :func:`cond_log_terms`: the CDF index of
+    (s - b, s - e); the stack [s, e], which one product with r turns into
+    r s and r e; the distinct values of b - e and each row's place among
+    them, as r (b - e) = -r (e - b) enters only log1p(-exp(.)), which is
+    evaluated once per distinct stay length; and log(e - b), the r = 0
+    normalizer."""
+    b, e, s = (np.asarray(x, float) for x in (b, e, s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_width = np.log(e - b)
+    neg_widths, width_of = np.unique(b - e, return_inverse=True)
+    return _cdf_index(s - b, s - e), np.stack([s, e]), neg_widths, width_of, log_width
+
+
 def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
                    index=None) -> np.ndarray:
     """Log-likelihood terms of S | (B, E), case in the selection set.
@@ -265,20 +279,22 @@ def cond_log_terms(b, e, s, r: float, alpha: float, beta: float,
 
     the r = 0 limit replaces growth weighting by Lebesgue measure on (B, E).
     Invalid cases produce -inf entries (no exception at this level).
-    index is _cdf_index(s - b, s - e), built here when not given.
+    index is _cond_index(b, e, s), built here when not given; with it, b, e
+    and s are not read.
     """
-    b, e, s = (np.asarray(x, float) for x in (b, e, s))
-    index = _cdf_index(s - b, s - e) if index is None else index
+    onset, rows, neg_widths, width_of, log_width = (_cond_index(b, e, s) if index is None
+                                                    else index)
     growth = abs(r) >= R_SWITCH
     rate = beta + r if growth else beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, index), 0.0))
+        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, onset), 0.0))
         if not growth:
-            return log_diff - np.log(e - b)
+            return log_diff - log_width
+        r_s, r_e = r * rows
         # log(e^{rE} - e^{rB}) = rE + log(1 - e^{-r(E-B)}), stable for r(E-B) small
-        log_span = r * e + np.log1p(-np.exp(-r * (e - b)))
+        log_span = r_e + np.log1p(-np.exp(r * neg_widths))[width_of]
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
-                + r * s + log_diff - log_span)
+                + r_s + log_diff - log_span)
 
 
 def _log_visitor_weight(rho: float, L: float) -> float:
@@ -287,6 +303,13 @@ def _log_visitor_weight(rho: float, L: float) -> float:
     if rho / L > 0:
         return math.log(rho / L)
     return math.log(rho) - math.log(L) if rho > 0 else -math.inf
+
+
+def _uncond_index(b, e, s, resident):
+    """The parameter-free arrays of :func:`uncond_log_terms`: the CDF index
+    of (s - b, s - e), s - L and the resident flags."""
+    b, e, s = (np.asarray(x, float) for x in (b, e, s))
+    return _cdf_index(s - b, s - e), s - float(QUARANTINE_DAY), np.asarray(resident, bool)
 
 
 def uncond_log_terms(b, e, s, resident, rho: float, r: float,
@@ -299,7 +322,8 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     gets a -inf term; with rho = 0 that is every visitor.  Raises
     ValueError if the normalizer is not positive (parameters outside the
     valid region).
-    index is _cdf_index(s - b, s - e), built here when not given.
+    index is _uncond_index(b, e, s, resident), built here when not given;
+    with it, b, e, s and resident are not read.
     """
     L = float(QUARANTINE_DAY)
     if not r > 0:
@@ -309,15 +333,18 @@ def uncond_log_terms(b, e, s, resident, rho: float, r: float,
     denom = 1.0 + rho * (1.0 - 2.0 / (r * L))
     if not denom > 0:
         raise ValueError(f"travel-mix normalizer 1 + rho(1 - 2/(rL)) = {denom:.3g} <= 0")
-    b, e, s = (np.asarray(x, float) for x in (b, e, s))
-    resident = np.asarray(resident, bool)
-    index = _cdf_index(s - b, s - e) if index is None else index
+    onset, s_minus_l, resident = (_uncond_index(b, e, s, resident) if index is None
+                                  else index)
     rate = beta + r
+    const = 2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
+    log_denom = math.log(denom)
+    # each row's constant, (const + log weight) - log denom, in that order;
+    # a resident's weight is 1, and its log 0.0 is added like a visitor's
+    per_row = np.where(resident, (const + 0.0) - log_denom,
+                       (const + _log_visitor_weight(rho, L)) - log_denom)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, index), 0.0))
-        log_w = np.where(resident, 0.0, _log_visitor_weight(rho, L))
-        return (2.0 * math.log(r) + alpha * (math.log(beta) - math.log(rate))
-                + log_w - math.log(denom) + r * (s - L) + log_diff)
+        log_diff = np.log(np.maximum(_gamma_cdf_diff(alpha, rate, onset), 0.0))
+        return per_row + r * s_minus_l + log_diff
 
 
 def _trunc_normalizer(index, r: float, alpha: float, beta: float):
@@ -332,17 +359,22 @@ def _trunc_normalizer(index, r: float, alpha: float, beta: float):
     arguments sit deep in the Gamma upper tail (M far beyond every stay).
     """
     u, i_hi, i_lo = index
-    x_hi, x_lo = u[i_hi], u[i_lo]
     h = sc.gammainc(alpha, beta * u)
-    h_hi, h_lo = h[i_hi], h[i_lo]
     if abs(r) < R_SWITCH:
-        main = x_hi * h_hi - x_lo * h_lo
+        x_h = u * h  # x H(x) at each distinct argument
         corr = alpha / beta * _gamma_cdf_diff(alpha + 1, beta, index)
-        return main - corr
+        return (x_h[i_hi] - x_h[i_lo]) - corr
     rate = beta + r
     part1 = (beta / rate) ** alpha * _gamma_cdf_diff(alpha, rate, index)
-    part2 = np.exp(-r * x_lo) * h_lo - np.exp(-r * x_hi) * h_hi
-    return part1 + part2
+    e_h = np.exp(-r * u) * h  # e^{-rx} H(x) at each distinct argument
+    return part1 + (e_h[i_lo] - e_h[i_hi])
+
+
+def _trunc_index(b, e, s, M: float):
+    """The parameter-free arrays of :func:`trunc_log_terms`: the CDF indexes
+    of (s - b, s - e) and of (M - b, M - e), and s - M."""
+    b, e, s = (np.asarray(x, float) for x in (b, e, s))
+    return _cdf_index(s - b, s - e), _cdf_index(M - b, M - e), s - M
 
 
 def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
@@ -354,11 +386,10 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
     Z_r(M - B) - Z_r((M - E)_+) (see :func:`_trunc_normalizer`).  A case
     whose normalizer is not positive (it underflows to 0 far in the Gamma
     lower tail, where the numerator may not) gets NaN, never +inf.  index is
-    the pair (_cdf_index(s - b, s - e), _cdf_index(M - b, M - e)), built
-    here when not given.
+    _trunc_index(b, e, s, M), built here when not given; with it, b, e, s
+    and M are not read.
     """
-    b, e, s = (np.asarray(x, float) for x in (b, e, s))
-    onset, trunc = index or (_cdf_index(s - b, s - e), _cdf_index(M - b, M - e))
+    onset, trunc, s_minus_m = _trunc_index(b, e, s, M) if index is None else index
     growth = abs(r) >= R_SWITCH
     rate = beta + r if growth else beta
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -368,28 +399,34 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
         if not growth:
             return log_diff - log_z
         return (math.log(r) + alpha * (math.log(beta) - math.log(rate))
-                + r * (s - M) + log_diff - log_z)
+                + r * s_minus_m + log_diff - log_z)
 
 
 def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     """Per-case log terms of the cases under likelihood kind "cond", "uncond"
-    or "cond_trunc" (truncated at M; a case with S > M raises LikelihoodError).
-    The other two kinds take no M: ValueError if one is given.
+    or "cond_trunc" (truncated at M, a finite number; a case with S > M
+    raises LikelihoodError).  The other two kinds take no M: ValueError if
+    one is given.
 
-    The cases are converted, reduced to their distinct (B, E, S, resident)
-    rows by timeline's distinct_rows and the rows' Gamma CDF arguments indexed
-    once, here.  Returns a function of (rho, r, alpha, beta) giving
-    :func:`cond_log_terms`, :func:`uncond_log_terms` or :func:`trunc_log_terms`
-    with NaN read as -inf: each term is evaluated once per distinct row and
-    gathered back to case order, so a caller sums the cases in case order.
-    The terms are those of the kernels on the full case arrays, bit for bit
-    (every step elementwise).
+    The cases are converted and reduced to their distinct (B, E, S,
+    resident) rows by timeline's distinct_rows, here, and everything of the
+    kind's kernel that does not depend on the parameters is built once for
+    those rows: the Gamma CDF arguments' index, and s - L, s - M, e - b or
+    the resident flags as the kernel reads them (its index argument).
+    Returns a function of (rho, r, alpha, beta) giving
+    :func:`cond_log_terms`, :func:`uncond_log_terms` or
+    :func:`trunc_log_terms` floored at floor (default -inf, which reads NaN
+    as -inf; a NaN term is the floor): each term is evaluated once per
+    distinct row and gathered back to case order, so a caller sums the
+    cases in case order.  The terms are those of the kernels on the full
+    case arrays, bit for bit (every step elementwise).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
     if kind == "cond_trunc":
         if M is None:
             raise ValueError("cond_trunc requires the truncation day M")
+        check_finite({"M": M})
         late = next((c for c in cases if c.S > M), None)
         if late is not None:
             raise LikelihoodError(
@@ -399,19 +436,23 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     columns = case_arrays(cases)
     first, inverse = distinct_rows(*columns[::-1])  # resident, S, E, B
     b, e, s, resident = (col[first] for col in columns)
-    index = _cdf_index(s - b, s - e)
-    if kind == "cond_trunc":
-        index = (index, _cdf_index(M - b, M - e))
+    if kind == "cond":
+        index = _cond_index(b, e, s)
+    elif kind == "uncond":
+        index = _uncond_index(b, e, s, resident)
+    else:
+        index = _trunc_index(b, e, s, M)
 
-    def terms(rho: float | None, r: float, alpha: float, beta: float) -> np.ndarray:
+    def terms(rho: float | None, r: float, alpha: float, beta: float,
+              floor: float = -math.inf) -> np.ndarray:
         if kind == "cond":
             lt = cond_log_terms(b, e, s, r, alpha, beta, index)
         elif kind == "uncond":
             lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
         else:
             lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
-        # fmax reads NaN as -inf and keeps every other value: one ufunc call
-        return np.fmax(lt, -np.inf)[inverse]
+        # fmax reads NaN as the floor and keeps every value above it: one ufunc call
+        return np.fmax(lt, floor)[inverse]
 
     return terms
 

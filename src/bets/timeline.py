@@ -26,7 +26,6 @@ kept at exactly 0.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -660,10 +659,24 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _call(fn, task: tuple):
-    """fn(*task): parallel_map's workers map it over whole task tuples, so a
-    task of no arguments is a task too."""
-    return fn(*task)
+#: The start method of parallel_map's workers: fork on Linux, the platform's
+#: default elsewhere.
+_START_METHOD = "fork" if sys.platform == "linux" else None
+
+#: The (fn, tasks) of the pool a worker process serves, set by _serve.
+_job: tuple | None = None
+
+
+def _serve(fn, tasks: list[tuple]) -> None:
+    """A pool worker's initializer: keep the pool's function and tasks."""
+    global _job
+    _job = fn, tasks
+
+
+def _run(i: int):
+    """fn(*tasks[i]) of the pool this worker serves."""
+    fn, tasks = _job
+    return fn(*tasks[i])
 
 
 def parallel_map(fn, tasks: list[tuple]) -> list:
@@ -676,9 +689,16 @@ def parallel_map(fn, tasks: list[tuple]) -> list:
     raises here.  The pool is shut down, its processes joined, before this
     returns or raises.  n = 1 starts no process and imports nothing, and
     neither does a daemonic caller (a multiprocessing.Pool worker, which may
-    start no children): both run every task here.  fn must be a module-level
-    function, and the tasks must pickle.  Computing a share here forks one
-    process fewer and keeps that share in sight of the bench's tracer.
+    start no children): both run every task here.  The results must
+    pickle.  Computing a share here forks one process fewer and keeps that
+    share in sight of the bench's tracer.
+
+    fn and the tasks are handed to each worker once, as its initializer's
+    arguments, and the pool maps over task indices: a forked worker inherits
+    them without pickling, and a spawned one unpickles them once, so tasks
+    that share an object (a fit's restarts share one objective and its
+    cohort) share it in the worker too.  Where workers are spawned, fn must
+    be a module-level function and the tasks must pickle.
 
     The workers are forked on Linux, where a pool starts in about 10 ms,
     against about 0.5 s for spawn or forkserver (Python 3.14's Linux
@@ -698,10 +718,11 @@ def parallel_map(fn, tasks: list[tuple]) -> list:
         import multiprocessing
         if not multiprocessing.current_process().daemon:
             from concurrent.futures import ProcessPoolExecutor
-            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+            context = multiprocessing.get_context(_START_METHOD)
             first = len(tasks) // workers
-            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
-                rest = pool.map(functools.partial(_call, fn), tasks[first:],
+            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context,
+                                     initializer=_serve, initargs=(fn, tasks)) as pool:
+                rest = pool.map(_run, range(first, len(tasks)),
                                 chunksize=max(1, (len(tasks) - first) // (4 * workers)))
                 return [fn(*task) for task in tasks[:first]] + list(rest)
     return [fn(*task) for task in tasks]

@@ -89,6 +89,19 @@ def test_truncated_fit_and_sum_name_the_first_late_case(sim_cohort_800):
     assert str(fit_err.value) == str(sum_err.value) == message
 
 
+@pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf])
+def test_a_truncation_day_that_is_not_a_finite_number_is_refused(sim_cohort_800, M):
+    """Such an M would clamp every term and report a converged fit at the start."""
+    records = sim_cohort_800[0][:200]
+    message = f"M must be a finite number, got {M}"
+    with pytest.raises(ValueError, match=message):
+        mle_fit(records, "cond_trunc", M=M)
+    with pytest.raises(ValueError, match=message):
+        lk.log_lik(records, "cond_trunc", lk.ParamTheta(0.3, 1.86, 0.33), M)
+    with pytest.raises(ValueError, match=message):
+        lk.case_terms(records, "cond_trunc", M)
+
+
 @pytest.mark.parametrize("fixed", [{"doubling_time": 0.0}, {"q95_incubation": 0.0},
                                    {"median_incubation": -1.0}, {"r": -0.5},
                                    {"r": math.nan}, {"doubling_time": math.nan},
@@ -162,6 +175,38 @@ def test_param_map_round_trips_every_pin_pattern(kind):
                 assert got == pytest.approx(want, rel=1e-12), (pins, name)
 
 
+#: Display points (doubling time, median, q95 - median, rho) at which the
+#: objective is pinned: near the optimum, far from it, and one where short
+#: incubation clamps many terms to the 1e-300 floor.
+PINNED_POINTS = [(2.3, 5.0, 7.0, 0.45), (8.0, 9.0, 1.0, 2.0), (1.0, 0.5, 0.1, 0.3)]
+#: float.hex of _Objective at PINNED_POINTS, recorded before the kernels were
+#: slimmed: any change to their floating-point steps shows here.
+PINNED_BITS = {
+    "cond": ["0x1.35315b19a34d2p+11", "0x1.1e4ec47805852p+12", "0x1.84a3d09884a7ep+17"],
+    "uncond": ["0x1.556e5bb915846p+12", "0x1.fd101d3a01304p+12", "0x1.89a8391bfb64ep+17"],
+    "cond_trunc": ["0x1.f0d93b0a136a8p+10", "0x1.5214c166f3b17p+11", "0x1.09dd873f2f519p+17"],
+    "cond_r0": ["0x1.ae1bd11818079p+11", "0x1.4212126019332p+12", "0x1.877e16b1a5b72p+17"],
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BITS))
+def test_objective_bits_are_pinned(sim_cohort_800, name):
+    """The objective mle_fit minimizes, bit for bit, for each kind and r = 0,
+    on the 800 simulated cases (those with S <= 60 truncated at M = 60)."""
+    records, _ = sim_cohort_800
+    kind, M, fixed = {"cond": ("cond", None, None), "uncond": ("uncond", None, None),
+                      "cond_trunc": ("cond_trunc", 60.0, None),
+                      "cond_r0": ("cond", None, {"r": 0.0})}[name]
+    if M is not None:
+        records = [c for c in records if c.S <= M]
+    fun = inference._Objective(records, kind, M, fixed)
+    got = []
+    for dt, med, spread, rho in PINNED_POINTS:
+        display = ([] if fixed else [dt]) + [med, spread] + ([rho] if kind == "uncond" else [])
+        got.append(fun(np.log(display)).hex())
+    assert got == PINNED_BITS[name]
+
+
 def test_fit_deterministic(sim_cohort_800):
     records, _ = sim_cohort_800
     a = mle_fit(records, "cond", options=FAST)
@@ -196,13 +241,17 @@ def assert_scipys_search(fun, x0, maxfev, adaptive):
                    options={"xatol": inference._XATOL, "fatol": inference._FATOL,
                             "maxfev": maxfev, "maxiter": maxfev, "adaptive": adaptive})
     x, val, nfev, ok = got
-    assert np.array_equal(x, res.x)
-    assert (val, nfev, ok) == (res.fun, res.nfev, res.success)
+    assert np.array_equal(x, res.x, equal_nan=True)
+    assert np.array_equal(val, res.fun, equal_nan=True)
+    assert (nfev, ok) == (res.nfev, res.success)
     return got
 
 
+# The port hands fun a list, SciPy an array: each test function takes either.
+
 def rosenbrock(x):
     """A curved valley; a tilted quartic in one dimension."""
+    x = np.asarray(x)
     if x.size == 1:
         return float((x[0] - 1.5) ** 4 + 0.3 * x[0])
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
@@ -211,11 +260,13 @@ def rosenbrock(x):
 def ridge(x):
     """A bowl centred past a _BIG plateau where x0 + x1 > 1, as mle_fit's
     objective returns _BIG off the likelihood's domain."""
+    x = np.asarray(x)
     return BIG if x[0] + x[1] > 1.0 else float(np.sum((x - 0.6) ** 2))
 
 
 def cusp(x):
     """Square-root cusps, on which the simplex shrinks."""
+    x = np.asarray(x)
     return float(np.sum([0.6, 2.5, 2.5] * np.sqrt(np.abs(x - [0.9, 0.0, -1.8]))))
 
 
@@ -250,6 +301,46 @@ def test_nelder_mead_stops_at_maxfev_as_scipy_does(maxfev):
     x0 = np.array([-0.3, 0.5, -0.9])
     _, _, nfev, ok = assert_scipys_search(cusp, x0, maxfev, adaptive=False)
     assert nfev == maxfev and not ok
+
+
+def nan_shelf(x):
+    """A bowl whose part past x1 = 0.25 is NaN; the start's second vertex
+    lies there."""
+    x = np.asarray(x)
+    return math.nan if x[1] > 0.25 else float(np.sum((x - 0.9) ** 2))
+
+
+def nan_edge(x):
+    """0 up to x1 = 0.24 and NaN past it: the start's second vertex lies
+    past it, and shrinks toward the edge without reaching it, so a simplex
+    within xatol of its best vertex still holds a NaN value."""
+    return 0.0 if x[1] <= 0.24 else math.nan
+
+
+def pit(x):
+    """A bowl beside a -inf pit past x0 = -1; the start's first vertex lies
+    there."""
+    x = np.asarray(x)
+    return -math.inf if x[0] < -1.0 else float(np.sum((x + 0.5) ** 2))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("maxfev", [3, 4, 7, 40, 400])
+def test_nelder_mead_propagates_nan_and_inf_as_scipy_does(maxfev, adaptive):
+    """SciPy stops on np.max(...) <= tol and returns np.min(fsim), and both
+    propagate NaN where Python's max and min would not.  With a budget of 3
+    the simplex still holds the NaN vertex, so the minimum returned is NaN
+    though the best vertex is finite.  Once -inf or +inf values meet, the
+    stopping test's differences are NaN, so the search spends its budget."""
+    x, val, _, _ = assert_scipys_search(nan_shelf, np.array([0.5, 0.24]), maxfev, adaptive)
+    assert math.isnan(val) == (maxfev == 3) and not math.isnan(nan_shelf(x))
+    assert_scipys_search(nan_edge, np.array([0.5, 0.24]), maxfev, adaptive)
+    for fun, x0, want in ((pit, [-0.99, 0.3], -math.inf),
+                          (lambda x: math.inf, [0.3, 0.4], math.inf),
+                          (lambda x: math.nan, [0.3, 0.4], math.nan)):
+        _, val, nfev, ok = assert_scipys_search(fun, np.array(x0), maxfev, adaptive)
+        assert np.array_equal(val, want, equal_nan=True) and nfev == maxfev and not ok
 
 
 @pytest.mark.parametrize("kind, fixed", [("uncond", None), ("cond", None),

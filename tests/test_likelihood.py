@@ -255,23 +255,26 @@ def test_trunc_normalizer_is_the_elementwise_formula_bit_for_bit():
 
 
 def test_log_terms_are_the_same_with_and_without_the_index():
+    """Each kernel's index, built once, serves every parameter point; given
+    it, the kernel reads no case array (None stands in for them here)."""
     rng = np.random.default_rng(5)
     b, e, s, resident = lk.case_arrays(lattice_cases(300, rng))
     M = float(s.max()) + 3.0
-    onset = lk._cdf_index(s - b, s - e)
-    trunc = lk._cdf_index(M - b, M - e)
+    cond = lk._cond_index(b, e, s)
+    uncond = lk._uncond_index(b, e, s, resident)
+    trunc = lk._trunc_index(b, e, s, M)
     for r in R_GRID:
         for alpha, beta in ((0.4, 0.05), (1.86, 0.33), (60.0, 9.0)):
             same = [
                 (lk.cond_log_terms(b, e, s, r, alpha, beta),
-                 lk.cond_log_terms(b, e, s, r, alpha, beta, onset)),
+                 lk.cond_log_terms(None, None, None, r, alpha, beta, cond)),
                 (lk.trunc_log_terms(b, e, s, r, alpha, beta, M),
-                 lk.trunc_log_terms(b, e, s, r, alpha, beta, M, (onset, trunc))),
+                 lk.trunc_log_terms(None, None, None, r, alpha, beta, None, trunc)),
             ]
             if r >= 0.05:
                 same.append((lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta),
-                             lk.uncond_log_terms(b, e, s, resident, 0.7, r, alpha, beta,
-                                                 onset)))
+                             lk.uncond_log_terms(None, None, None, None, 0.7, r, alpha, beta,
+                                                 uncond)))
             for plain, indexed in same:
                 assert np.array_equal(plain, indexed)
 

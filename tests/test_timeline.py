@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bets import timeline
+from bets.likelihood import ParamTheta, log_lik
 from bets.timeline import (
     QUARANTINE_DAY,
     CaseRecord,
@@ -558,6 +559,25 @@ def test_parallel_map_applies_each_task_in_order(monkeypatch, cpus):
     assert timeline.parallel_map(pow, [(4, 2)]) == [16]
     cpus(1)
     assert timeline.parallel_map(pow, tasks) == [8, 9, 5]
+
+
+@pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                    reason="no spawn start method")
+def test_parallel_map_in_spawned_workers_gives_the_serial_results(monkeypatch, cpus):
+    """Where workers are spawned (the default off Linux), the function and
+    the tasks reach each worker pickled, through the pool's initializer; the
+    tasks here share one cohort, as a fit's restarts share one objective."""
+    cohort = [CaseRecord.from_ints(f"c{i}", i % 3, 20 + i % 7, 25 + i % 11) for i in range(40)]
+    tasks = [(cohort, "cond", theta) for theta in
+             (ParamTheta(0.3, 1.86, 0.33), ParamTheta(0.0, 2.5, 0.5), ParamTheta(0.1, 1.2, 0.2))]
+    cpus(1)
+    serial = timeline.parallel_map(log_lik, tasks)
+    monkeypatch.setattr(timeline, "_START_METHOD", "spawn")
+    cpus(2)
+    assert timeline.parallel_map(log_lik, tasks) == serial
+    here, worker, same_worker = timeline.parallel_map(os.getpid, [()] * 3)
+    assert here == os.getpid() != worker == same_worker
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_map_raises_the_first_failing_task_and_joins_its_workers(cpus):
