@@ -216,7 +216,8 @@ def cmd_simulate(args) -> int:
     records, acceptance = generative.sample_exported(args.n, params, rng)
     if args.confirm_lag is not None:
         lags = rng.poisson(args.confirm_lag, size=len(records))
-        records = [dataclasses.replace(c, confirmed_int=c.S_int + int(lag))
+        records = [CaseRecord.from_ints(c.case_id, c.B_int, c.E_int, c.S_int,
+                                        confirmed_int=c.S_int + int(lag))
                    for c, lag in zip(records, lags)]
     out = _out_dir(args)
     timeline.write_cohort_csv(records, os.path.join(out, "cohort.csv"))

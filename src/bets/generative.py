@@ -78,13 +78,25 @@ class IncubationDist:
 
 
 def _exp_mass(coef: float, rate: float, a, b) -> np.ndarray:
-    """Integral of coef*e^{rate t} over [a, b] (vectorized, 0 when b <= a)."""
+    """Integral of coef*e^{rate t} over [a, b] (vectorized, 0 when b <= a).
+
+    Works in place: at most two arrays of the bounds' broadcast shape are
+    alive at once, and the result is an array even for scalar bounds.
+    """
     a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    width = np.maximum(b - a, 0.0)
+    mass = np.asarray(np.subtract(b, a))  # the width, then the mass
+    np.maximum(mass, 0.0, out=mass)
     if abs(rate) < R_SWITCH:
-        return coef * width
-    return coef / rate * np.exp(rate * a) * np.expm1(rate * width)
+        mass *= coef
+        return mass
+    # (coef / rate) * exp(rate * a) * expm1(rate * width); products commute
+    mass *= rate
+    np.expm1(mass, out=mass)
+    growth = np.multiply(rate, a, out=np.empty_like(a))
+    np.exp(growth, out=growth)
+    growth *= coef / rate
+    mass *= growth
+    return mass
 
 
 @dataclass(frozen=True)
@@ -139,13 +151,21 @@ class GenerativeParams:
                 (self.l1, self.L, kappa2, self.r2)]
 
     def growth_mass(self, a, b) -> np.ndarray:
-        """Exact integral of g over [a, b] (intersected with [0, L])."""
-        a = np.maximum(np.asarray(a, float), 0.0)
-        b = np.minimum(np.asarray(b, float), self.L)
-        total = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        """Exact integral of g over [a, b] (intersected with [0, L]).
+
+        Every segment lies within [0, L], so clipping the bounds to each
+        segment also clips them to [0, L].  A NumPy scalar for scalar bounds.
+        """
+        a = np.asarray(a, float)
+        b = np.asarray(b, float)
+        total = None
         for lo, hi, coef, rate in self._segments():
-            total = total + _exp_mass(coef, rate, np.clip(a, lo, hi), np.clip(b, lo, hi))
-        return total
+            mass = _exp_mass(coef, rate, np.clip(a, lo, hi), np.clip(b, lo, hi))
+            if total is None:
+                total = np.add(0.0, mass, out=mass)  # 0.0 + m turns -0.0 into +0.0
+            else:
+                total += mass
+        return total[()]
 
     def _invert_mass(self, a: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Solve growth_mass(a, t) = target for t (target within the total mass)."""
@@ -200,34 +220,58 @@ def params_from_theta(rho: float, r: float, alpha: float, beta: float, *,
 def sample_population_arrays(n: int, params: GenerativeParams,
                              rng: np.random.Generator):
     """Vectorized population draw; returns (b, e, t, s) float arrays with inf
-    for events that never happen."""
+    for events that never happen.
+
+    Each step works in place and drops its temporaries.  Finding the curve's
+    mass keeps at most six float arrays of length n alive (seven for
+    two-stage growth), the results included; inverting it for the infected
+    takes about nine arrays of their count besides b and e, so a batch in
+    which most draws are infected peaks higher.
+    """
     L = params.L
     b = np.zeros(n)
     visitor = rng.random(n) < params.pi
     nv = int(visitor.sum())
     if nv:
         b[visitor] = (1.0 - rng.random(nv)) * L  # Uniform(0, L]
+    del visitor
 
-    lam = np.where(b == 0.0, params.lambda_w, params.lambda_v)
-    leaves = rng.random(n) < (L - b) * lam
+    stay = L - b  # (L - b) * lambda: the chance of leaving before L
+    stay *= np.where(b == 0.0, params.lambda_w, params.lambda_v)
+    leaves = rng.random(n) < stay
+    del stay
     e = np.full(n, np.inf)
     nl = int(leaves.sum())
     if nl:
-        e[leaves] = b[leaves] + rng.random(nl) * (L - b[leaves])
+        b_left = b[leaves]
+        left = L - b_left
+        left *= rng.random(nl)
+        left += b_left
+        e[leaves] = left
+        del b_left, left
+    del leaves
 
-    upper = np.minimum(e, L)  # infections only occur while the curve runs
-    mass = params.growth_mass(b, upper)
+    # infections only occur while the curve runs: growth_mass clips e to L
+    mass = params.growth_mass(b, e)
     u = rng.random(n)
-    t = np.full(n, np.inf)
     infected = u < mass
-    if np.any(infected):
-        t[infected] = params._invert_mass(b[infected], u[infected])
+    del mass
+    u = u[infected]
+    t_infected = params._invert_mass(b[infected], u)
+    del u
+    t = np.full(n, np.inf)
+    t[infected] = t_infected
+    del t_infected
 
+    sympt = rng.random(n) < params.nu
+    sympt &= infected
+    del infected
     s = np.full(n, np.inf)
-    sympt = infected & (rng.random(n) < params.nu)
     ns = int(sympt.sum())
     if ns:
-        s[sympt] = t[sympt] + params.incubation.sample(rng, ns)
+        onset = t[sympt]
+        onset += params.incubation.sample(rng, ns)
+        s[sympt] = onset
     return b, e, t, s
 
 
@@ -237,11 +281,18 @@ def selection_mask(b, e, t, s) -> np.ndarray:
     e = np.asarray(e, float)
     t = np.asarray(t, float)
     s = np.asarray(s, float)
-    return (b <= t) & (t <= e) & (e <= GenerativeParams.L) & (t <= s) & np.isfinite(s)
+    keep = b <= t
+    keep &= t <= e
+    keep &= e <= GenerativeParams.L
+    keep &= t <= s
+    keep &= np.isfinite(s)
+    return keep
 
 
 #: Population draws after which sample_exported gives up.
 _MAX_DRAWS = 1_000_000_000
+#: Most population draws in one batch of sample_exported.
+_MAX_BATCH = 2_000_000
 
 
 def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
@@ -264,7 +315,7 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
         raise ValueError("selection probability is zero (kappa or nu is 0)")
     kept_b, kept_e, kept_s = [], [], []
     got, draws = 0, 0
-    batch = max(4096, 2 * m)
+    batch = min(max(4096, 2 * m), _MAX_BATCH)
     while got < m:
         if draws >= _MAX_DRAWS:
             raise RuntimeError("selection probability too small: "
@@ -275,10 +326,11 @@ def sample_exported(m: int, params: GenerativeParams, rng: np.random.Generator,
         kept_b.append(b[keep])
         kept_e.append(e[keep])
         kept_s.append(s[keep])
+        del b, e, t, s  # before the next batch is drawn
         got += int(keep.sum())
         draws += batch
         rate_so_far = max(got / draws, 1e-9)
-        batch = int(np.clip((m - got) * 1.5 / rate_so_far + 1024, 4096, 2_000_000))
+        batch = int(min(max((m - got) * 1.5 / rate_so_far + 1024, 4096), _MAX_BATCH))
     b = np.concatenate(kept_b)[:m]
     e = np.concatenate(kept_e)[:m]
     s = np.concatenate(kept_s)[:m]

@@ -336,6 +336,24 @@ def test_simulate_artifacts(sim_dir):
     assert all(c.confirmed_int is None for c in cohort)
 
 
+def test_simulate_confirmation_day_past_the_last_day_exits_4(tmp_path, capsys):
+    """A confirmation lag that pushes a day past the last day the cohort
+    files can hold exits 4 with one line naming the case, and writes nothing;
+    a lag that fits writes confirmation days the cohort reader takes back."""
+    out = tmp_path / "far"
+    assert cli.main(["simulate", "--n", "5", "--seed", "1", "--confirm-lag", "1e12",
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: case sim-1: need 0 <= confirmed_int <= ")
+    assert err.count("\n") == 1
+    assert not out.exists() or os.listdir(out) == []
+    near = str(tmp_path / "near")
+    assert cli.main(["simulate", "--n", "5", "--seed", "1", "--confirm-lag", "3",
+                     "--out", near]) == 0
+    cohort = timeline.read_cohort_csv(os.path.join(near, "cohort.csv"))
+    assert all(c.confirmed_int >= c.S_int for c in cohort)
+
+
 def test_simulate_stage_break_needs_a_late_growth_rate(tmp_path, capsys):
     """--stage-break alone exits 2 naming the flag and writes nothing; with
     --late-growth-rate it sets the break, and without either the cohort is

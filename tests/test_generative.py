@@ -8,7 +8,9 @@ against the library's own likelihood module.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,3 +351,173 @@ def test_two_stage_curve_sampling():
     assert keep.sum() > 100
     # infections must still respect the window
     assert np.all(t[keep] <= L)
+
+
+# ---------------------------------------------------------------------------
+# Bit pins: the sampler's floats as recorded before its batch path went in
+# place.  The distributional tests above cannot see a change in the last bit;
+# these can.  They depend on NumPy's random streams and libm, like every
+# bit-for-bit test here.
+# ---------------------------------------------------------------------------
+
+def _hex_digest(values) -> str:
+    """sha256 of the float.hex of each value: -0.0, inf and NaN all count."""
+    text = " ".join(float(v).hex() for v in np.ravel(values))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cohort_digest(records, acceptance) -> str:
+    rows = [f"{r.B_int} {r.E_int} {r.S_int} {r.B.hex()} {r.E.hex()} {r.S.hex()}"
+            for r in records]
+    return hashlib.sha256("\n".join([*rows, acceptance.hex()]).encode()).hexdigest()
+
+
+_REFERENCE = params_from_theta(0.45, 0.30, 1.86, 0.33)
+_TWO_STAGE = params_from_theta(0.45, 0.30, 1.86, 0.33, r2=-0.1, l1=40.0)
+_PMF = (0.05, 0.15, 0.3, 0.25, 0.15, 0.1)
+
+_COHORT_PINS = [
+    # (label, params, m, seed, discretize_days, sha256)
+    ("reference", _REFERENCE, 800, 8, True,
+     "3a92bb3ebbe805ed13cb6bc550ae857c6c09b4a0501a66314cf9488240a23c1b"),
+    ("reference, seed 16", _REFERENCE, 800, 16, True,
+     "fe61d4b6addb0fb668ce161688d40895ed7e1ae8123cefa6215b32834ba45278"),
+    ("discrete pmf", dataclasses.replace(_REFERENCE, incubation=IncubationDist.discrete(_PMF)),
+     1000, 16, True,
+     "60ce3fc0006d5a3e03ffe3a2886654881a1a8ecaf0ecf41e56fa82d3b3dc9013"),
+    ("r = 0", params_from_theta(0.45, 0.0, 1.86, 0.33), 300, 3, True,
+     "b5b05f528432dc3a649d5eed76f92b23c7fd02a6f6171170d1edf3ff0bb9614f"),
+    ("r = -0.1", params_from_theta(0.45, -0.1, 1.86, 0.33), 300, 4, True,
+     "6c4748397c7fa73983586a431ff75247281d16c6969be6a941ef1328cbf596ad"),
+    ("two-stage", _TWO_STAGE, 300, 5, True,
+     "879eafe4c2abe39a1bf961c9f05e3dac9a3ffc44a237f061af8cd348e4607af0"),
+    ("stays that never end", reference_params(), 300, 6, True,
+     "6ddc1752bc72464e94693eb0ec7c17d0b75bc80d1d2044d6566bfe0d179a0998"),
+    ("exact times", _REFERENCE, 300, 7, False,
+     "5fd8c06c100d8122f120a63fecf370c44e48d4fb07a943f6adb3ef03fcfe3685"),
+]
+
+
+@pytest.mark.parametrize("label, params, m, seed, discretize, digest", _COHORT_PINS,
+                         ids=[pin[0] for pin in _COHORT_PINS])
+def test_sample_exported_bits_are_pinned(label, params, m, seed, discretize, digest):
+    records, acceptance = sample_exported(m, params, np.random.default_rng(seed),
+                                          discretize_days=discretize)
+    assert _cohort_digest(records, acceptance) == digest
+
+
+_CURVES = {
+    "r = 0.3": reference_params(),
+    "r = 0": params_from_theta(0.45, 0.0, 1.86, 0.33),
+    "r = -0.1": params_from_theta(0.45, -0.1, 1.86, 0.33),
+    "two-stage": reference_params(r2=-0.1, l1=40.0),
+}
+
+_POPULATION_PINS = {
+    "r = 0.3": "e1b46cde7b6cac83c9d89bbe7868a66088c7a97af734c2bbac74cdeace600ff5",
+    "r = 0": "9a4c92a68bb09fce5cd1fa5801f0256368229d89ac8560628844afb352822a2f",
+    "r = -0.1": "48b8f3d17c4263bdcfd69535058b1a00d1c903557629327902a99c4c97a4febe",
+    "two-stage": "0f142f98af0b0d7ac23fb4814d15a3befc99cc57bfcbd36f316c465921fa9152",
+}
+
+
+@pytest.mark.parametrize("curve", list(_POPULATION_PINS))
+def test_population_bits_are_pinned(curve):
+    arrays = sample_population_arrays(5000, _CURVES[curve], np.random.default_rng(21))
+    assert _hex_digest(arrays) == _POPULATION_PINS[curve]
+
+
+#: Bounds for the curve's mass: outside [0, L] on both sides, the stage
+#: break 40, signed zeros, infinities and NaN.
+_BOUNDS = np.array([-np.inf, -5.0, -0.0, 0.0, 5e-324, 0.5, 3.25, 17.0, 39.999, 40.0,
+                    40.5, 53.75, 54.0, 54.0000001, 60.0, np.inf, np.nan])
+
+_MASS_PINS = {
+    "r = 0.3": "b4ece83dcd17b5cf0e40aa13a95f3e23ee230abc2402c07e362819212642efca",
+    "r = 0": "1d0d81c3f94f5f157e57b812b9b30e0234c9a41ade2b1526e361e37e373f1c0c",
+    "r = -0.1": "3d10169be521d2bf92be5ba83082edfa4a2e95a07238696385f801e4cc75fbdc",
+    "two-stage": "0159b20a3a39fffd2d301f69e04d27ed34f93859b0afe87e9de99a250464e7d1",
+}
+
+
+def _curve_values(p: GenerativeParams) -> list:
+    """growth_mass on the grid of bounds, on scalar and mixed bounds, and
+    _invert_mass at fractions of the mass after each start."""
+    with np.errstate(invalid="ignore"):
+        grid = p.growth_mass(_BOUNDS[:, None], _BOUNDS[None, :])
+        scalars = [p.growth_mass(0.0, L), p.growth_mass(3.25, 17.0),
+                   p.growth_mass(60.0, -5.0), p.growth_mass(np.nan, 17.0)]
+        mixed = [p.growth_mass(_BOUNDS, 40.0), p.growth_mass(0.5, _BOUNDS)]
+        starts = np.array([-1.0, 0.0, 0.5, 17.0, 39.999, 40.0, 53.75, 54.0, np.inf])
+        fracs = np.array([0.0, 1e-12, 0.25, 0.5, 0.999, 1.0, 1.0 + 1e-13, np.nan])
+        a = np.repeat(starts, fracs.size)
+        inverse = p._invert_mass(a, np.tile(fracs, starts.size) * p.growth_mass(a, L))
+    return [grid, scalars, *mixed, inverse]
+
+
+@pytest.mark.parametrize("curve", list(_MASS_PINS))
+def test_growth_mass_bits_are_pinned(curve):
+    grid, scalars, *rest = _curve_values(_CURVES[curve])
+    assert grid.shape == (_BOUNDS.size, _BOUNDS.size)
+    assert [np.shape(x) for x in scalars] == [()] * 4
+    assert float(scalars[0]) > 0.0 and float(scalars[2]) == 0.0
+    assert _hex_digest(np.concatenate([grid.ravel(), scalars, *rest])) == _MASS_PINS[curve]
+
+
+# ---------------------------------------------------------------------------
+# Batches: their size cap and the arrays each keeps alive
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while fn() runs, above what was allocated before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The population draws of each batch sample_exported draws."""
+    sizes = []
+    draw = generative.sample_population_arrays
+
+    def counted(n, *args):
+        sizes.append(n)
+        return draw(n, *args)
+
+    monkeypatch.setattr(generative, "sample_population_arrays", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("params", [_REFERENCE, _TWO_STAGE], ids=["one stage", "two-stage"])
+def test_population_draw_keeps_few_arrays_alive(params):
+    """A batch of n draws peaks below 7.5 float arrays of length n: its four
+    results and the curve's working arrays (six in all, seven with two
+    stages)."""
+    n = 100_000
+    peak = _traced_peak(lambda: sample_population_arrays(n, params, np.random.default_rng(1)))
+    assert peak <= 7.5 * 8 * n
+
+
+def test_sample_exported_frees_each_batch_before_the_next(monkeypatch, batch_sizes):
+    cap = 20_000
+    monkeypatch.setattr(generative, "_MAX_BATCH", cap)
+    peak = _traced_peak(lambda: sample_exported(1500, _REFERENCE, np.random.default_rng(2)))
+    assert batch_sizes.count(cap) >= 3
+    assert peak <= 7.5 * 8 * cap
+
+
+def test_first_batch_is_capped_too(monkeypatch, batch_sizes):
+    """The first batch asks for 2m draws, but no more than the cap."""
+    monkeypatch.setattr(generative, "_MAX_BATCH", 5000)
+    records, _ = sample_exported(3000, _REFERENCE, np.random.default_rng(3))
+    assert len(records) == 3000
+    assert batch_sizes[0] == max(batch_sizes) == 5000
