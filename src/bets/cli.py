@@ -420,6 +420,9 @@ _NON_NEGATIVE_INT = _number(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _NON_NEGATIVE = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _FINITE = _number(float, math.isfinite, "a finite number")
+# NumPy's Poisson refuses means above about 9.2e18; a lag past the last day a
+# cohort file holds, far below that, exits 4 naming the case
+_LAG = _number(float, lambda v: 0 <= v <= 1e18, "a number in [0, 1e18]")
 _FRACTION = _number(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _LEVEL = _number(float, lambda v: 0 < v < 1, "a level strictly between 0 and 1")
 _STAGE_DAY = _number(float, lambda v: 0 < v < timeline.QUARANTINE_DAY,
@@ -509,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage-break", type=_STAGE_DAY, default=None,
                    help=f"day the second growth stage starts (default "
                         f"{timeline.STAGE_BREAK_DAY}; with --late-growth-rate)")
-    p.add_argument("--confirm-lag", type=_NON_NEGATIVE, default=None,
+    p.add_argument("--confirm-lag", type=_LAG, default=None,
                    help="mean onset-to-confirmation lag; adds Poisson confirmation days")
     _add_seed(p)
     _add_out(p)

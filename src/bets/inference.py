@@ -12,6 +12,7 @@ histogram against the exported-resident onset density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -297,33 +298,19 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int,
     return np.array(sim[0]), f_min, nfev, nfev < maxfev
 
 
-class _Objective:
-    """The function mle_fit minimizes: the negative log-likelihood of kind at
-    free coordinates u, each per-case term floored at 1e-300, and _BIG
-    where u leaves the domain or the sum is not finite.
-
-    It pickles as its inputs, so a worker process builds the same function
-    from the same cases and pins.
-    """
-
-    def __init__(self, cases: Sequence[CaseRecord], kind: str, M: float | None,
-                 fixed: dict | None):
-        self._args = (cases, kind, M, fixed)
-        self.terms = case_terms(cases, kind, M)
-        self.pmap = _ParamMap(kind, fixed)
-
-    def __reduce__(self):
-        return _Objective, self._args
-
-    def __call__(self, u: np.ndarray) -> float:
-        try:
-            rho, r, med, q95 = self.pmap.unpack(u)
-            alpha, beta = quantiles_to_shape_rate(med, q95)
-            lt = self.terms(rho, r, alpha, beta, _LOG_FLOOR)
-        except (ValueError, OverflowError):
-            return _BIG
-        val = -float(lt.sum())
-        return val if math.isfinite(val) else _BIG
+def _objective(terms, pmap: _ParamMap, u: np.ndarray) -> float:
+    """The function mle_fit minimizes: the negative log-likelihood that
+    terms (a case_terms function) sums at free coordinates u of pmap, each
+    per-case term floored at 1e-300, and _BIG where u leaves the domain or
+    the sum is not finite."""
+    try:
+        rho, r, med, q95 = pmap.unpack(u)
+        alpha, beta = quantiles_to_shape_rate(med, q95)
+        lt = terms(rho, r, alpha, beta, _LOG_FLOOR)
+    except (ValueError, OverflowError):
+        return _BIG
+    val = -float(lt.sum())
+    return val if math.isfinite(val) else _BIG
 
 
 def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
@@ -359,8 +346,8 @@ def mle_fit(cases: Sequence[CaseRecord], kind: str = "cond",
     if not cases:
         raise ValueError("no cases to fit")
     options = options or FitOptions()
-    fun = _Objective(cases, kind, M, fixed)
-    terms, pmap = fun.terms, fun.pmap
+    terms, pmap = case_terms(cases, kind, M), _ParamMap(kind, fixed)
+    fun = functools.partial(_objective, terms, pmap)
     u0 = pmap.pack(init or DEFAULT_INIT)
 
     if u0.size == 0:  # everything pinned: nothing to optimize

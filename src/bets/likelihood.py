@@ -27,6 +27,7 @@ curve fits to onset counts.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -229,14 +230,14 @@ def gamma_exp_integral(b: float, e: float, s: float, theta: ParamTheta) -> float
 
 
 def selection_prob_total(pi: float, lambda_w: float, lambda_v: float,
-                         kappa: float, nu: float, r: float,
-                         L: float = float(QUARANTINE_DAY)) -> float:
+                         kappa: float, nu: float, r: float) -> float:
     """Closed-form approximation to the total selection probability P(D),
-    valid for r >> 1/L:
+    valid for r >> 1/L, L = QUARANTINE_DAY:
     nu * kappa * exp(rL) / r^2 * [(1-pi) lambda_W + pi lambda_V (1 - 2/(rL))].
     """
     if not r > 0:
         raise ValueError(f"approximation requires r > 0, got {r}")
+    L = float(QUARANTINE_DAY)
     return nu * kappa * math.exp(r * L) / r ** 2 * (
         (1 - pi) * lambda_w + pi * lambda_v * (1 - 2 / (r * L)))
 
@@ -402,6 +403,24 @@ def trunc_log_terms(b, e, s, r: float, alpha: float, beta: float, M: float,
                 + r * s_minus_m + log_diff - log_z)
 
 
+def _terms(kind: str, rows: tuple, index, inverse: np.ndarray, rho: float | None,
+           r: float, alpha: float, beta: float, floor: float = -math.inf) -> np.ndarray:
+    """The terms of kind at (rho, r, alpha, beta) on the distinct rows
+    (b, e, s, resident, M) with their kernel index, floored at floor and
+    gathered back to case order by inverse.  The kernel is looked up by its
+    module name at each call, so a wrapper set on the module (the bench's
+    tracer) sees every call."""
+    b, e, s, resident, M = rows
+    if kind == "cond":
+        lt = cond_log_terms(b, e, s, r, alpha, beta, index)
+    elif kind == "uncond":
+        lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
+    else:
+        lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
+    # fmax reads NaN as the floor and keeps every value above it: one ufunc call
+    return np.fmax(lt, floor)[inverse]
+
+
 def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     """Per-case log terms of the cases under likelihood kind "cond", "uncond"
     or "cond_trunc" (truncated at M, a finite number; a case with S > M
@@ -419,7 +438,9 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
     as -inf; a NaN term is the floor): each term is evaluated once per
     distinct row and gathered back to case order, so a caller sums the
     cases in case order.  The terms are those of the kernels on the full
-    case arrays, bit for bit (every step elementwise).
+    case arrays, bit for bit (every step elementwise).  The function is a
+    partial of a module-level function bound to the distinct rows, their
+    index and the gather index, so it pickles as those arrays.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
@@ -442,19 +463,7 @@ def case_terms(cases: Sequence[CaseRecord], kind: str, M: float | None = None):
         index = _uncond_index(b, e, s, resident)
     else:
         index = _trunc_index(b, e, s, M)
-
-    def terms(rho: float | None, r: float, alpha: float, beta: float,
-              floor: float = -math.inf) -> np.ndarray:
-        if kind == "cond":
-            lt = cond_log_terms(b, e, s, r, alpha, beta, index)
-        elif kind == "uncond":
-            lt = uncond_log_terms(b, e, s, resident, rho, r, alpha, beta, index)
-        else:
-            lt = trunc_log_terms(b, e, s, r, alpha, beta, M, index)
-        # fmax reads NaN as the floor and keeps every value above it: one ufunc call
-        return np.fmax(lt, floor)[inverse]
-
-    return terms
+    return functools.partial(_terms, kind, (b, e, s, resident, M), index, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -696,9 +696,9 @@ def parallel_map(fn, tasks: list[tuple]) -> list:
     fn and the tasks are handed to each worker once, as its initializer's
     arguments, and the pool maps over task indices: a forked worker inherits
     them without pickling, and a spawned one unpickles them once, so tasks
-    that share an object (a fit's restarts share one objective and its
-    cohort) share it in the worker too.  Where workers are spawned, fn must
-    be a module-level function and the tasks must pickle.
+    that share an object (a fit's restarts share one objective, which holds
+    the prepared rows) share it in the worker too.  Where workers are
+    spawned, fn must be a module-level function and the tasks must pickle.
 
     The workers are forked on Linux, where a pool starts in about 10 ms,
     against about 0.5 s for spawn or forkserver (Python 3.14's Linux

@@ -106,7 +106,7 @@ def test_criterion_2_selection_probability_approximation():
     def gap(pi: float, rL: float) -> float:
         r = rL / L
         kappa = 0.9 * r / math.expm1(rL)   # keeps the curve a sub-probability
-        approx = likelihood.selection_prob_total(pi, lam_w, lam_v, kappa, nu, r, L)
+        approx = likelihood.selection_prob_total(pi, lam_w, lam_v, kappa, nu, r)
         exact = quad_selection_exact(pi, lam_w, lam_v, kappa, nu, r, L)
         return abs(approx - exact) / exact
 

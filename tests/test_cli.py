@@ -197,6 +197,7 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     (["ingest", "--in", "raw.csv", "--arrival-cutoff", "foo"], "--arrival-cutoff"),
     (["ingest", "--in", "raw.csv", "--impute-end-to", "2019-01-01"], "--impute-end-to"),
     (["ingest", "--in", "raw.csv", "--arrival-cutoff", "99999999999"], "--arrival-cutoff"),
+    (["simulate", "--n", "10", "--confirm-lag", "1e19"], "--confirm-lag"),
 ])
 def test_out_of_domain_number_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ calibration of estimator accuracy lives in the acceptance suite.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import multiprocessing
@@ -179,7 +180,7 @@ def test_param_map_round_trips_every_pin_pattern(kind):
 #: objective is pinned: near the optimum, far from it, and one where short
 #: incubation clamps many terms to the 1e-300 floor.
 PINNED_POINTS = [(2.3, 5.0, 7.0, 0.45), (8.0, 9.0, 1.0, 2.0), (1.0, 0.5, 0.1, 0.3)]
-#: float.hex of _Objective at PINNED_POINTS, recorded before the kernels were
+#: float.hex of the objective at PINNED_POINTS, recorded before the kernels were
 #: slimmed: any change to their floating-point steps shows here.
 PINNED_BITS = {
     "cond": ["0x1.35315b19a34d2p+11", "0x1.1e4ec47805852p+12", "0x1.84a3d09884a7ep+17"],
@@ -199,7 +200,8 @@ def test_objective_bits_are_pinned(sim_cohort_800, name):
                       "cond_r0": ("cond", None, {"r": 0.0})}[name]
     if M is not None:
         records = [c for c in records if c.S <= M]
-    fun = inference._Objective(records, kind, M, fixed)
+    fun = functools.partial(inference._objective, lk.case_terms(records, kind, M),
+                            inference._ParamMap(kind, fixed))
     got = []
     for dt, med, spread, rho in PINNED_POINTS:
         display = ([] if fixed else [dt]) + [med, spread] + ([rho] if kind == "uncond" else [])

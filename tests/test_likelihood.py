@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -358,6 +359,22 @@ def test_case_terms_evaluate_each_distinct_case_once_bit_for_bit(monkeypatch):
     for kind in lk.KINDS:
         assert lk.case_terms([], kind, M if kind == "cond_trunc" else None)(
             0.7, 0.3, 1.86, 0.33).shape == (0,)
+
+
+def test_case_terms_pickle_as_their_rows_to_the_same_floats():
+    """The function case_terms returns survives a pickle round trip (as a
+    spawned worker receives it) and gives the same floats, floored or not;
+    it pickles as arrays, not as the case records."""
+    cases = lattice_cases(200, np.random.default_rng(12))
+    for kind in lk.KINDS:
+        terms = lk.case_terms(cases, kind, 80.0 if kind == "cond_trunc" else None)
+        data = pickle.dumps(terms)
+        assert b"CaseRecord" not in data
+        copy = pickle.loads(data)
+        for r in (0.3,) if kind == "uncond" else (0.0, 0.3):
+            for floor in (-math.inf, math.log(1e-300)):
+                want = terms(0.7, r, 1.86, 0.33, floor)
+                assert np.array_equal(copy(0.7, r, 1.86, 0.33, floor), want)
 
 
 def _quantile_pairs(rng, n):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from bets import timeline
+from bets import bayes, inference, timeline
 from bets.likelihood import ParamTheta, log_lik
 from bets.timeline import (
     QUARANTINE_DAY,
@@ -29,6 +30,7 @@ from bets.timeline import (
     parse_date,
     to_epoch,
 )
+from helpers import random_selected_records
 
 HEADER = ("case_id,residence,gender,age,known_contact,cluster,outside,"
           "begin_wuhan,end_wuhan,arrived,symptom,initial,confirmed,location")
@@ -577,6 +579,41 @@ def test_parallel_map_in_spawned_workers_gives_the_serial_results(monkeypatch, c
     assert timeline.parallel_map(log_lik, tasks) == serial
     here, worker, same_worker = timeline.parallel_map(os.getpid, [()] * 3)
     assert here == os.getpid() != worker == same_worker
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                    reason="no spawn start method")
+def test_every_pooled_call_in_spawned_workers_gives_the_serial_results(monkeypatch, cpus,
+                                                                        sim_cohort_800):
+    """A fit's restarts, a profile's sides, a bootstrap's refits and the
+    sampler's chain groups reach spawned workers pickled (each of the four
+    calls starts its own pool, about 1.5 s each on 2 cores), and give what
+    one CPU gives."""
+    cases = sim_cohort_800[0][:120]
+    recs = random_selected_records(60, np.random.default_rng(31), strata=True)
+    config = bayes.DiscreteConfig(strata="gender")
+    data = bayes.DiscreteData.from_records(recs, config)
+
+    def run_all():
+        fit = inference.mle_fit(cases, "uncond", options=inference.FitOptions(restarts=3))
+        base = inference.mle_fit(cases, "cond", options=inference.FitOptions(restarts=0))
+        profile = inference.profile_ci(cases, base, "median_incubation")
+        boot = inference.bootstrap_ci(cases, base, "q95_incubation", n_boot=4,
+                                      rng=np.random.default_rng(7))
+        store = bayes.rwmh_run(data, config, steps=40, chains=4, seed=6, thin=2)
+        return dataclasses.asdict(fit), profile, boot, store
+
+    cpus(1)
+    fit, profile, boot, store = run_all()
+    monkeypatch.setattr(timeline, "_START_METHOD", "spawn")
+    cpus(2)
+    got_fit, got_profile, got_boot, got_store = run_all()
+    assert (got_fit, got_profile, got_boot) == (fit, profile, boot)
+    assert np.array_equal(got_store.h, store.h)
+    assert got_store.scalars.keys() == store.scalars.keys()
+    for name, values in store.scalars.items():
+        assert np.array_equal(got_store.scalars[name], values), name
     assert multiprocessing.active_children() == []
 
 
