@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -237,7 +237,8 @@ def _infection_days(b, e, s):
 
 @dataclass(eq=False)
 class DiscreteData:
-    """Whole-day case arrays plus the gather indices of their likelihood.
+    """Whole-day case arrays plus the gather indices of their likelihood,
+    every field built by :meth:`from_records`.
 
     A case's likelihood term depends only on its (B*, E*, S*, stratum)
     tuple, so it is evaluated once per distinct tuple.  The distinct rows,
@@ -254,10 +255,7 @@ class DiscreteData:
     row's P(B*) P(E*|B*) in the flattened stay weights: B* for uniform,
     B* (L + 1) + E* for geometric.  dropped counts, by reason, the records
     from_records left out.  The horizon l and the incubation support
-    K = max_incubation are DiscreteConfig's.  Built other than by
-    from_records, arrays of different lengths raise a ValueError naming
-    them, and so does a case whose stratum code does not index labels, or
-    that has no feasible infection day, naming the case.
+    K = max_incubation are DiscreteConfig's.
     """
 
     b: np.ndarray
@@ -266,43 +264,12 @@ class DiscreteData:
     stratum: np.ndarray
     case_ids: list
     labels: tuple[str, ...]
-    dropped: dict = field(default_factory=dict)
-    inverse: np.ndarray = field(init=False)
-    rows: list = field(init=False)
-    rowmap: list = field(init=False)
-    products: list = field(init=False)
-    stay_index: dict = field(init=False)
-
-    def __post_init__(self):
-        lengths = {name: len(getattr(self, name))
-                   for name in ("b", "e", "s", "stratum", "case_ids")}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"b, e, s, stratum and case_ids need one entry per case, "
-                             f"got lengths {lengths}")
-        outside = np.flatnonzero((self.stratum < 0) | (self.stratum >= len(self.labels)))
-        if outside.size:
-            raise ValueError(f"case {self.case_ids[outside[0]]}: stratum code "
-                             f"{self.stratum[outside[0]]} does not index the labels {self.labels}")
-        t, mask = _infection_days(self.b, self.e, self.s)
-        empty = ~mask.any(axis=1)
-        if np.any(empty):
-            i = int(np.flatnonzero(empty)[0])
-            raise ValueError(
-                f"case {self.case_ids[i]}: no feasible infection day for "
-                f"(B*={self.b[i]}, E*={self.e[i]}, S*={self.s[i]}) "
-                f"with incubation < {DiscreteConfig.max_incubation}")
-        first, self.inverse = distinct_rows(self.stratum, self.b, self.e, self.s)
-        ends = np.searchsorted(self.stratum[first], np.arange(len(self.labels) + 1))
-        self.rows = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
-        t_idx = np.where(mask, t, DiscreteConfig.l + 1)[first]
-        K = DiscreteConfig.max_incubation
-        self.rowmap, self.products = [], []
-        for rows in self.rows:
-            window_first, rowmap = distinct_rows(*t_idx[rows].T)
-            self.rowmap.append(rowmap)
-            self.products.append(t_idx[rows][window_first] * K + np.arange(K))
-        b, e = self.b[first], self.e[first]
-        self.stay_index = {"uniform": b, "geometric": b * (DiscreteConfig.l + 1) + e}
+    dropped: dict
+    inverse: np.ndarray
+    rows: list
+    rowmap: list
+    products: list
+    stay_index: dict
 
     @classmethod
     def from_records(cls, cases: Sequence[CaseRecord],
@@ -314,16 +281,32 @@ class DiscreteData:
         rows = [(c, labels.index(key(c))) for c in cases if key(c) in labels]
         b, e, s = (np.array([getattr(c, f) for c, _ in rows], dtype=int)
                    for f in ("B_int", "E_int", "S_int"))
-        feasible = _infection_days(b, e, s)[1].any(axis=1)
+        t, mask = _infection_days(b, e, s)
+        feasible = mask.any(axis=1)
         dropped = {"outside_strata": len(cases) - len(rows),
                    "no_feasible_infection_day": int((~feasible).sum())}
         if not feasible.any():
             raise ValueError(f"no cases left after dropping {dropped}")
         keep = np.flatnonzero(feasible)
-        return cls(b=b[keep], e=e[keep], s=s[keep],
-                   stratum=np.array([st for _, st in rows])[keep],
-                   case_ids=[rows[i][0].case_id for i in keep],
-                   labels=labels, dropped=dropped)
+        b, e, s = b[keep], e[keep], s[keep]
+        stratum = np.array([st for _, st in rows])[keep]
+        first, inverse = distinct_rows(stratum, b, e, s)
+        ends = np.searchsorted(stratum[first], np.arange(len(labels) + 1))
+        slices = [slice(lo, hi) for lo, hi in zip(ends.tolist(), ends[1:].tolist())]
+        t_idx = np.where(mask, t, DiscreteConfig.l + 1)[keep[first]]
+        K = DiscreteConfig.max_incubation
+        rowmap, products = [], []
+        for part in slices:
+            window_first, window = distinct_rows(*t_idx[part].T)
+            rowmap.append(window)
+            products.append(t_idx[part][window_first] * K + np.arange(K))
+        b_row, e_row = b[first], e[first]
+        return cls(b=b, e=e, s=s, stratum=stratum,
+                   case_ids=[rows[i][0].case_id for i in keep], labels=labels,
+                   dropped=dropped, inverse=inverse, rows=slices, rowmap=rowmap,
+                   products=products,
+                   stay_index={"uniform": b_row,
+                               "geometric": b_row * (DiscreteConfig.l + 1) + e_row})
 
     @property
     def n_dropped(self) -> int:

@@ -622,7 +622,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
 

@@ -581,17 +581,28 @@ def write_cohort_csv(records: Sequence[CaseRecord], path: str | os.PathLike) -> 
     atomic_write_text(path, csv_text(_COHORT_FIELDS, [_record_row(r) for r in records]))
 
 
+def _day(row: Mapping, name: str) -> int:
+    """The whole day in a cohort row's field: an int, an integer string or
+    an integral float; ValueError naming the field for a bool or a
+    fractional or non-finite number, which int() would coerce or overflow."""
+    value = row[name]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole day, got {value!r}")
+    return int(value)
+
+
 def _record_from_row(rownum: int, row: Mapping) -> CaseRecord:
-    """The CaseRecord of one cohort row, a CSV row or a JSON object;
-    CaseTableError naming the row and the case when it is unusable."""
+    """The CaseRecord of one cohort row, a CSV row or a JSON object, whose
+    labels are read as text as a CSV row's are; CaseTableError naming the
+    row and the case when it is unusable."""
     try:
-        confirmed = row.get("confirmed_int")
         return CaseRecord.from_ints(
-            str(row["case_id"]), int(row["B_int"]), int(row["E_int"]), int(row["S_int"]),
-            gender=row.get("gender") or "unknown",
-            age_group=row.get("age_group") or "unknown",
-            confirmed_int=None if confirmed in (None, "") else int(confirmed),
-            location=row.get("location") or None)
+            str(row["case_id"]), _day(row, "B_int"), _day(row, "E_int"), _day(row, "S_int"),
+            gender=str(row.get("gender") or "unknown"),
+            age_group=str(row.get("age_group") or "unknown"),
+            confirmed_int=(None if row.get("confirmed_int") in (None, "")
+                           else _day(row, "confirmed_int")),
+            location=str(row.get("location") or "") or None)
     except (KeyError, TypeError, ValueError) as exc:
         what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise CaseTableError(

@@ -543,6 +543,22 @@ def test_json_cohort_bad_interval_exits_2_like_csv(tmp_path, capsys):
     assert cli.main(["fit", "--in", str(csv_src), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("B_int", "41.7"), ("S_int", "52.9"), ("confirmed_int", "true"),
+    ("S_int", "Infinity"), ("S_int", "1e400")])
+def test_json_cohort_day_that_is_not_whole_exits_2(tmp_path, capsys, field, value):
+    """A JSON day is a whole number, as a CSV one is: int() would read 41.7
+    as 41 and true as 1, and overflow on an infinite day."""
+    row = {"case_id": "a-2", "B_int": 41, "E_int": 51, "S_int": 52, "confirmed_int": 55}
+    text = json.dumps([{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56}, row])
+    src = tmp_path / "cohort.json"
+    src.write_text(text.replace(f'"{field}": {json.dumps(row[field])}', f'"{field}": {value}'))
+    assert cli.main(["fit", "--in", str(src), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "row 2 (case a-2)" in err[0] and f"{field} must be a whole day" in err[0]
+
+
 @pytest.mark.parametrize("column", ["S_int", "confirmed_int"])
 @pytest.mark.parametrize("command", [["fit"], ["mcmc", "--steps", "20", "--chains", "1"]])
 def test_cohort_day_past_the_last_date_exits_2(tmp_path, capsys, command, column):
@@ -560,8 +576,9 @@ def test_cohort_day_past_the_last_date_exits_2(tmp_path, capsys, command, column
 
 
 def test_json_and_csv_cohorts_load_the_same_records(tmp_path):
+    """An integer string or an integral float is a whole JSON day."""
     rows = [{"case_id": "a-1", "B_int": 0, "E_int": 53, "S_int": 56},
-            {"case_id": "a-2", "B_int": 41, "E_int": 51, "S_int": 52,
+            {"case_id": "a-2", "B_int": "41", "E_int": 51.0, "S_int": 52,
              "gender": "female", "age_group": "40-49"}]
     json_src = tmp_path / "cohort.json"
     json_src.write_text(json.dumps(rows))
@@ -815,6 +832,15 @@ def test_plot_data_onset_fit_flag_combination_checked(sim_dir, tmp_path, capsys)
     assert code == 2
     assert "--growth-rate needs --shape and --rate" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(str(tmp_path), "onset_fit.csv"))
+
+
+def test_kde_grid_too_large_to_allocate_exits_4(sim_dir, tmp_path, capsys):
+    """--grid-step 1e-12 asks for a grid of about 451 TiB, past the 128 TiB
+    of an x86-64 address space, so NumPy refuses it without allocating."""
+    assert cli.main(["plot-data", "--kind", "se-density", "--grid-step", "1e-12",
+                     "--in", os.path.join(sim_dir, "cohort.csv"), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_gof_too_few_residents_exits_4(tmp_path, capsys):
@@ -1099,3 +1125,114 @@ def test_readme_pipeline(tmp_path):
     assert sum(r["fitted"] for r in read_json(work, "sweep.json")["rows"]) == 6
     for name in ("onset_fit.csv", "sweep.csv", "posterior_pmf.csv", "se_density.csv"):
         assert len(read_csv(work, name)[1]) > 0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed input files (needs hypothesis)
+# ---------------------------------------------------------------------------
+
+#: What a fuzzed cell becomes: None deletes it, the rest are its CSV text.
+FUZZ_CELLS = (None, "", "text", "99999999999999999999", "2.7", "-3", "inf", "1e400", "nan", "true")
+#: A fuzzed cell's JSON text, where it differs from its CSV text.
+_JSON_CELL = {"": '""', "text": '"text"', "inf": "Infinity", "nan": "NaN"}
+#: Every command that reads a cohort file, each kept to a fraction of a second
+#: on the fuzzed cohort below.
+FUZZ_COMMANDS = (["fit"], ["gof"], ["plot-data", "--kind", "onset-fit"],
+                 ["plot-data", "--kind", "se-density"],
+                 ["bias-demo", "--from", "62", "--to", "62", "--min-cases", "10"],
+                 ["mcmc", "--steps", "4", "--chains", "2"])
+
+
+def _mutations(st, n_rows: int, columns):
+    """One to three (row, column, cell) replacements."""
+    return st.lists(st.tuples(st.integers(0, n_rows - 1), st.sampled_from(columns),
+                              st.sampled_from(FUZZ_CELLS)), min_size=1, max_size=3)
+
+
+def _mutate(rows: list[list], columns, mutations) -> list[list]:
+    """Copies of rows with the mutations applied, a deleted cell as None."""
+    rows = [list(row) for row in rows]
+    for row, column, cell in mutations:
+        rows[row][columns.index(column)] = cell
+    return rows
+
+
+def _exit_as_documented(capsys, argv) -> int:
+    """cli.main(argv)'s exit code, after checking that it is one the CLI
+    documents and that stderr has one error line exactly when it is not 0."""
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3, 4), argv
+    assert sum(line.startswith("error:") for line in err) == (code != 0), err
+    return code
+
+
+def test_fuzzed_raw_tables_exit_as_documented(tmp_path, capsys):
+    """ingest on a raw table with cells deleted or replaced by text, a huge,
+    fractional, negative, infinite, nan or boolean value."""
+    hypothesis = pytest.importorskip("hypothesis")
+    columns = RAW_HEADER.split(",")
+    rows = [row.split(",") for row in RAW_ROWS]
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(mutations=_mutations(hypothesis.strategies, len(rows), columns))
+    @hypothesis.example(mutations=[(0, "age", "inf")])
+    def check(mutations):
+        table = [",".join(c for c in row if c is not None)
+                 for row in _mutate(rows, columns, mutations)]
+        _exit_as_documented(capsys, ["ingest", "--in", write_raw(tmp_path / "raw.csv", table),
+                                     "--out", str(tmp_path / "out")])
+
+    check()
+
+
+def test_fuzzed_cohort_files_exit_as_documented(tmp_path, capsys, cpus):
+    """Every command that reads a cohort, on a valid CSV or JSON cohort with
+    cells deleted or replaced as in the raw tables above.  A day that is not
+    a whole number in range, in a row with no cell deleted (which would
+    shift a CSV row), fails as the file is read, with exit 2."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cpus(1)
+    base = tmp_path / "base"
+    assert cli.main(["simulate", "--n", "60", "--seed", "1", "--confirm-lag", "5",
+                     "--out", str(base)]) == 0
+    with open(base / "cohort.csv", newline="", encoding="utf-8") as fh:
+        columns, *csv_rows = csv.reader(fh)
+    records = timeline.read_cohort_csv(base / "cohort.csv")
+    json_rows = [[json.dumps(record[name]) for name in columns]
+                 for record in map(dataclasses.asdict, records)]
+    days = ("B_int", "E_int", "S_int", "confirmed_int")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(fmt=st.sampled_from(["csv", "json"]),
+                      mutations=_mutations(st, len(csv_rows), columns))
+    @hypothesis.example(fmt="csv", mutations=[(1, "S_int", "99999999999999999999")])
+    @hypothesis.example(fmt="json", mutations=[(1, "B_int", "2.7")])
+    @hypothesis.example(fmt="json", mutations=[(1, "S_int", "12.9")])
+    @hypothesis.example(fmt="json", mutations=[(1, "confirmed_int", "true")])
+    @hypothesis.example(fmt="json", mutations=[(1, "S_int", "Infinity")])
+    @hypothesis.example(fmt="json", mutations=[(1, "S_int", "1e400")])
+    @hypothesis.example(fmt="json", mutations=[(0, "gender", "99999999999999999999")])
+    def check(fmt, mutations):
+        src = tmp_path / f"cohort.{fmt}"
+        if fmt == "csv":
+            table = [",".join(c for c in row if c is not None)
+                     for row in [columns, *_mutate(csv_rows, columns, mutations)]]
+            src.write_text("\n".join(table) + "\n", encoding="utf-8")
+        else:
+            objects = ["{" + ", ".join(f'"{name}": {_JSON_CELL.get(c, c)}'
+                                       for name, c in zip(columns, row) if c is not None) + "}"
+                       for row in _mutate(json_rows, columns, mutations)]
+            src.write_text("[" + ", ".join(objects) + "]", encoding="utf-8")
+        final = {(row, column): cell for row, column, cell in mutations}
+        deleted = {row for (row, _), cell in final.items() if cell is None}
+        bad_day = any(column in days and cell not in (None, "") and row not in deleted
+                      for (row, column), cell in final.items())
+        for command in FUZZ_COMMANDS:
+            code = _exit_as_documented(capsys, [*command, "--in", str(src),
+                                                "--out", str(tmp_path / "out")])
+            assert code == 2 or not bad_day, (command, code)
+
+    check()

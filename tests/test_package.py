@@ -82,6 +82,26 @@ def test_the_model_and_the_sampler_stay_off_the_estimators():
     assert {"median", "q95"}.isdisjoint(params)
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_reads(name):
+    """Every name a module imports (but from __future__) is read somewhere
+    in it, in code or in an unquoted annotation, or is listed in __all__:
+    a standard-library stand-in for a linter's unused-import rule."""
+    mod = importlib.import_module(name)
+    with open(mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = set(getattr(mod, "__all__", ())) | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
+
+
 def _readme_python_blocks() -> list[str]:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
