@@ -498,12 +498,12 @@ def _log1p_exp(v: float) -> float:
     return v + math.log1p(math.exp(-v))
 
 
-def _box_scalar(name: str, upper: float = 1) -> _Scalar:
-    """A scalar in (0, upper); u is the logit of value / upper."""
+def _box_scalar(name: str, scale: float = 1) -> _Scalar:
+    """A scalar in (0, 1/scale); u is the logit of value * scale."""
     def to_u(x):
-        p = min(max(x * upper, 1e-15), 1 - 1e-15)
+        p = min(max(x * scale, 1e-15), 1 - 1e-15)
         return math.log(p / (1 - p))
-    return _Scalar(name, lambda v: _expit(v) / upper, to_u,
+    return _Scalar(name, lambda v: _expit(v) / scale, to_u,
                    lambda v: -_log1p_exp(v) - _log1p_exp(-v))
 
 

@@ -81,22 +81,17 @@ def _parse_date_flag(text: str) -> date:
     return timeline.from_epoch(_parse_day(text))
 
 
-def _load_cohort(path: str) -> list[CaseRecord]:
+def _load_cohort(path: str, location: str | None = None) -> list[CaseRecord]:
     if not os.path.exists(path):
         raise CliError(2, f"input file not found: {path}")
     records = timeline.read_cohort(path)
     if not records:
         raise CliError(3, f"cohort is empty: {path}")
+    if location is not None:
+        records = [c for c in records if c.location == location]
+        if not records:
+            raise CliError(3, f"no cases at location {location!r}")
     return records
-
-
-def _filter_location(records: list[CaseRecord], location: str | None) -> list[CaseRecord]:
-    if location is None:
-        return records
-    kept = [c for c in records if c.location == location]
-    if not kept:
-        raise CliError(3, f"no cases at location {location!r}")
-    return kept
 
 
 def _parse_fixed(pairs: list[str] | None) -> dict:
@@ -229,7 +224,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    fit, _ = _fit_from_flags(_filter_location(_load_cohort(args.input), args.location), args)
+    fit, _ = _fit_from_flags(_load_cohort(args.input, args.location), args)
     out = _out_dir(args)
     _write_json(os.path.join(out, "fit.json"), dataclasses.asdict(fit), args)
     if args.format == "table":
@@ -246,8 +241,7 @@ def cmd_fit(args) -> int:
 
 def cmd_ci(args) -> int:
     from . import inference
-    fit, records = _fit_from_flags(
-        _filter_location(_load_cohort(args.input), args.location), args)
+    fit, records = _fit_from_flags(_load_cohort(args.input, args.location), args)
     param = _PARAM_FLAG[args.param]
     if args.method == "profile":
         ci = inference.profile_ci(records, fit, param, level=args.level)
@@ -266,6 +260,10 @@ def cmd_ci(args) -> int:
 def cmd_bias_demo(args) -> int:
     from . import inference
     records = _load_cohort(args.input)
+    for row, case in enumerate(records, start=1):
+        if case.confirmed_int is None:
+            raise CaseTableError(f"cohort row {row} (case {case.case_id}): bias-demo "
+                                 "needs confirmed_int on every case")
     day_from = _parse_day(args.date_from)
     day_to = _parse_day(args.date_to)
     if day_to < day_from:
@@ -293,7 +291,7 @@ def cmd_bias_demo(args) -> int:
 
 def cmd_gof(args) -> int:
     from . import inference
-    records = _filter_location(_load_cohort(args.input), args.location)
+    records = _load_cohort(args.input, args.location)
     theta, fit_info = _theta_from_flags(records, args)
     gof = inference.gof_onset_marginal(records, theta, min_expected=args.min_expected)
     out = _out_dir(args)
@@ -379,7 +377,7 @@ def _kde_rows(records: list[CaseRecord], strata: str, bandwidth: float,
 
 def cmd_plot_data(args) -> int:
     out = _out_dir(args)
-    records = _filter_location(_load_cohort(args.input), args.location)
+    records = _load_cohort(args.input, args.location)
     if args.kind == "onset-fit":
         from . import inference
         theta, _ = _theta_from_flags(records, args)

@@ -22,7 +22,6 @@ from scipy import special as sc
 
 from .likelihood import (
     DisplayTheta,
-    LikelihoodError,
     ParamTheta,
     case_terms,
     marginal_s_density,
@@ -387,7 +386,7 @@ def _refit(cases: Sequence[CaseRecord], fit: FitResult, init: DisplayTheta,
     with these pins; None when it raises or does not converge."""
     try:
         sub = mle_fit(cases, fit.kind, init=init, M=fit.M, fixed=fixed, options=_INNER)
-    except (ValueError, LikelihoodError):
+    except ValueError:
         return None
     return sub if sub.converged else None
 
@@ -444,9 +443,7 @@ def _profile_side(cases: Sequence[CaseRecord], fit: FitResult, param: str,
         sub = _refit(cases, fit, _warm_init(fit.display, param, v), {**fit.fixed, param: v})
         return None if sub is None else 2.0 * (fit.log_lik - sub.log_lik) - threshold
 
-    v_in = point
-    v_out = None
-    v = point
+    inside = v = point
     limit = point * _PROFILE_RANGE if direction > 0 else point / _PROFILE_RANGE
     while True:
         v = v * _PROFILE_STEP if direction > 0 else v / _PROFILE_STEP
@@ -457,25 +454,25 @@ def _profile_side(cases: Sequence[CaseRecord], fit: FitResult, param: str,
         if d is None:
             return limit, False
         if d > 0:
-            v_out = v
             break
-        v_in = v
+        inside = v
         if hit_limit:
             return limit, False
-    lo, hi = (v_in, v_out) if direction > 0 else (v_out, v_in)
-    # bisect in log space on the sign change
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
+    outside = v
+    # bisect in log space between the last value inside and the first outside
+    while True:
+        mid = math.sqrt(inside * outside)
+        if mid in (inside, outside):  # no float lies between them
+            return mid, True
         d = discrepancy(mid)
         if d is None:
             return limit, False
         if abs(d) <= _PROFILE_TOL:
             return mid, True
-        if (d > 0) == (direction > 0):
-            hi = mid
+        if d > 0:
+            outside = mid
         else:
-            lo = mid
-    return math.sqrt(lo * hi), True
+            inside = mid
 
 
 def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
@@ -485,12 +482,13 @@ def profile_ci(cases: Sequence[CaseRecord], fit: FitResult, param: str,
     The profile refits use the fit's likelihood kind, truncation day and
     pins.  Endpoints v solve 2(l_hat - l_profile(v)) = chi2_1(level) to
     within 5e-4; the search stays within [point/100, point*100].  A side
-    that never crosses inside that range, or whose search meets a profile
-    refit that fails (does not converge, or has no valid warm start), comes
-    back at the end of that range with its bracket flag False.  When this
-    process may use two CPUs, the lower side runs in a worker process while
-    this one walks the upper side (timeline.parallel_map); the interval is
-    the same either way.
+    whose profile jumps across the threshold ends at the jump, to float
+    precision.  A side that never crosses inside that range, or whose search
+    meets a profile refit that fails (does not converge, or has no valid
+    warm start), comes back at the end of that range with its bracket flag
+    False.  When this process may use two CPUs, the lower side runs in a
+    worker process while this one walks the upper side
+    (timeline.parallel_map); the interval is the same either way.
     """
     _check_level(level)
     _check_param(fit, param)
@@ -605,8 +603,10 @@ def bias_sweep(cases: Sequence[CaseRecord], cutoffs: Sequence[int],
     if m_offset < 0:
         raise ValueError(f"m_offset must be >= 0, got {m_offset}")
     _check_level(level)
-    if any(c.confirmed_int is None for c in cases):
-        raise ValueError("bias_sweep needs confirmed_int on every case")
+    missing = [c.case_id for c in cases if c.confirmed_int is None]
+    if missing:
+        raise ValueError(f"bias_sweep needs confirmed_int on every case; "
+                         f"case {missing[0]} has none")
     rng = rng if rng is not None else np.random.default_rng(0)
     rows: list[SweepRow] = []
     for d in cutoffs:

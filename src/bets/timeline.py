@@ -552,9 +552,22 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def _null_non_finite(obj):
+    """obj with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(value) for value in obj]
+    return obj
+
+
 def write_json(path: str | os.PathLike, obj) -> None:
-    """Serialize obj to JSON deterministically (sorted keys) and atomically."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Serialize obj to JSON deterministically (sorted keys) and atomically,
+    writing each non-finite float as null."""
+    text = json.dumps(_null_non_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def _record_row(rec: CaseRecord) -> list[str]:

@@ -313,8 +313,8 @@ def _ref_pmf(logits):
 
 def _ref_scalar_maps(config):
     """(name, value, log-Jacobian) of each sampled scalar, in u order."""
-    def box(name, upper=1):
-        return (name, lambda v: float(special.expit(v)) / upper,
+    def box(name, scale=1):
+        return (name, lambda v: float(special.expit(v)) / scale,
                 lambda v: -float(np.logaddexp(0.0, v)) - float(np.logaddexp(0.0, -v)))
     maps = [("r1", math.exp, lambda v: v)]
     if config.growth == "two_stage":

@@ -38,9 +38,14 @@ def write_raw(path, rows=RAW_ROWS) -> str:
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_json(out_dir, name) -> dict:
+    """A JSON artifact, read strictly: NaN and Infinity are not JSON."""
     with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def read_csv(out_dir, name):
@@ -267,7 +272,7 @@ def test_ingest_json_format(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(["ingest", "--in", raw, "--format", "json", "--out", out])
     assert code == 0
-    rows = json.loads(open(os.path.join(out, "cohort.json")).read())
+    rows = json.loads((tmp_path / "out" / "cohort.json").read_text(encoding="utf-8"))
     assert isinstance(rows, list) and rows[0]["case_id"] == "w-1"
 
 
@@ -319,11 +324,10 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     out = str(tmp_path)
     argv = ["simulate", "--n", "80", "--seed", "9", "--out", out]
     assert cli.main(argv) == 0
-    first = {name: open(os.path.join(out, name), "rb").read()
-             for name in ("cohort.csv", "simulate.json")}
+    first = {name: (tmp_path / name).read_bytes() for name in ("cohort.csv", "simulate.json")}
     assert cli.main(argv) == 0
     for name, blob in first.items():
-        assert open(os.path.join(out, name), "rb").read() == blob
+        assert (tmp_path / name).read_bytes() == blob
 
 
 def test_simulate_artifacts(sim_dir):
@@ -445,6 +449,7 @@ def test_fit_with_every_parameter_pinned_evaluates_once(tmp_path):
     fit = read_json(out, "fit.json")
     assert fit["n_eval"] == 1 and fit["converged"]
     assert fit["fixed"] == {"r": 0.0, "median_incubation": 5.0, "q95_incubation": 12.0}
+    assert fit["display"]["doubling_time"] is None  # infinite, which JSON cannot hold
     alpha, beta = likelihood.quantiles_to_shape_rate(5.0, 12.0)
     want = likelihood.log_lik(timeline.read_cohort_csv(cohort), "cond",
                               likelihood.ParamTheta(0.0, alpha, beta))
@@ -790,6 +795,21 @@ def test_bias_demo_reversed_range_exits_2(lag_dir, tmp_path):
     assert code == 2
 
 
+def test_bias_demo_case_without_confirmation_exits_2(lag_dir, tmp_path, capsys):
+    """A case without a confirmation day exits 2 naming its row and case, as
+    every other unusable cohort row does."""
+    header, body = read_csv(lag_dir, "cohort.csv")
+    body[2][header.index("confirmed_int")] = ""
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(timeline.csv_text(header, body))
+    code = cli.main(["bias-demo", "--in", str(cohort), "--out", str(tmp_path / "out")])
+    assert code == 2
+    case = body[2][header.index("case_id")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot parse input: cohort row 3 (case {case}): "
+        "bias-demo needs confirmed_int on every case"]
+
+
 def test_gof_with_explicit_parameters(sim_dir, tmp_path, capsys):
     out = str(tmp_path)
     code = cli.main(["gof", "--in", os.path.join(sim_dir, "cohort.csv"),
@@ -803,6 +823,7 @@ def test_gof_with_explicit_parameters(sim_dir, tmp_path, capsys):
     assert payload["gof"]["dof"] == payload["gof"]["n_bins"] - 1
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_library_warning_reaches_stderr_as_one_line(sim_dir, tmp_path, capsys):
     """A warning raised inside a subcommand prints as one "warning:" line,
     without the source line; the warning hook is restored afterwards."""

@@ -464,6 +464,28 @@ def test_profile_ci_on_a_flat_profile_ends_at_the_search_range(small_cohort, sma
     assert (got.hi, got.upper_bracketed) == (point * 100, False)
 
 
+def test_profile_ci_across_a_jump_ends_at_the_jump(small_cohort, small_fit, monkeypatch, cpus):
+    """A profile that jumps across the threshold (here at 1.7x and 1/1.7x the
+    point) ends each side at the jump, to float precision, and stops
+    bisecting once no float lies between the bracket's ends."""
+    cpus(1)  # count both sides' refits in this process
+    point = small_fit.display.median_incubation
+    up, down = point * 1.7, point / 1.7
+    pinned = []
+
+    def refit(cases, fit, init, fixed):
+        v = fixed["median_incubation"]
+        pinned.append(v)
+        return dataclasses.replace(fit, log_lik=fit.log_lik - 10.0 * (v >= up or v <= down))
+
+    monkeypatch.setattr(inference, "_refit", refit)
+    got = profile_ci(small_cohort, small_fit, "median_incubation")
+    assert got.lower_bracketed and got.upper_bracketed
+    assert math.nextafter(up, 0) <= got.hi <= up
+    assert down <= got.lo <= math.nextafter(down, math.inf)
+    assert len(pinned) < 150
+
+
 def test_profile_ci_sides_in_worker_processes_give_the_serial_interval(small_cohort,
                                                                        small_fit, cpus):
     cpus(1)
@@ -620,7 +642,7 @@ def test_bias_sweep_marks_a_non_converged_cell(sim_cohort_800, monkeypatch):
 
 def test_bias_sweep_requires_confirmation_days(sim_cohort_800):
     records, _ = sim_cohort_800
-    with pytest.raises(ValueError, match="confirmed_int"):
+    with pytest.raises(ValueError, match=f"confirmed_int.*case {records[0].case_id} has none"):
         inference.bias_sweep(records[:50], [60])
 
 

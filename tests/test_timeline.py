@@ -400,6 +400,13 @@ def test_cohort_json_structure(tmp_path):
     assert timeline.read_cohort(path) == _sample_records()
 
 
+def test_write_json_writes_a_non_finite_float_as_null(tmp_path):
+    path = tmp_path / "out.json"
+    timeline.write_json(path, {"a": [np.inf, 1.5, (-np.inf, 2)], "b": {"c": np.nan}, "d": 3})
+    assert path.read_text() == json.dumps(
+        {"a": [None, 1.5, [None, 2]], "b": {"c": None}, "d": 3}, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("bad, match", [
     ({"B_int": 45, "E_int": 41}, "need 0 <= B_int <= E_int"),
     ({"S_int": "x"}, "invalid literal"),
